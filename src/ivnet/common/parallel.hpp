@@ -45,7 +45,10 @@ inline constexpr std::size_t kParallelGrain = 16;
 
 /// Runs chunk(ci) for every ci in [0, chunks) on the shared pool, blocking
 /// until all chunks complete. The calling thread participates. Calls from
-/// inside a pool worker run inline (no nested pools, no deadlock).
+/// inside a pool worker run inline (no nested pools, no deadlock). The pool
+/// runs one job at a time: callers on different threads that submit
+/// concurrently are serialized, each waiting until the job ahead of it has
+/// finished, so which caller's chunks run first is up to thread scheduling.
 void pool_run(std::size_t chunks, const std::function<void(std::size_t)>& chunk);
 
 /// True when the calling thread is a pool worker (nested calls run inline).
@@ -57,7 +60,7 @@ bool set_in_pool_worker(bool value);
 }  // namespace detail
 
 /// Marks the calling thread as a parallel-pool participant for the scope's
-/// lifetime: nested parallel_for / parallel_reduce / batched_* calls run
+/// lifetime: nested parallel_for / parallel_reduce calls run
 /// inline on this thread instead of dispatching to the shared pool. The
 /// service front-end (svc/service.hpp) wraps each worker in one of these so
 /// a request handler that reaches a parallelized kernel (the frequency

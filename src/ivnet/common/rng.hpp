@@ -58,10 +58,11 @@ class Rng {
   /// determinism contract of the parallel trial loops.
   static Rng stream(std::uint64_t base_seed, std::uint64_t index);
 
-  /// Raw xoshiro256++ state, for lockstep multi-lane generation
-  /// (signal/gauss.cpp advances several generators with packed integer ops
-  /// that replicate operator() bit-for-bit). Not for general use: mutating
-  /// the state directly bypasses the cached Box-Muller pair.
+  /// Raw xoshiro256++ state, for the tiled AWGN sampler (signal/gauss.cpp
+  /// copies the four words into registers, runs operator()'s recurrence
+  /// over a tile of draws, and stores the words back, bit-for-bit the
+  /// state operator() would reach). Not for general use: mutating the state
+  /// directly bypasses the cached Box-Muller pair.
   const std::array<std::uint64_t, 4>& raw_state() const { return state_; }
   void set_raw_state(const std::array<std::uint64_t, 4>& s) { state_ = s; }
 

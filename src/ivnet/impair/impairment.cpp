@@ -15,12 +15,15 @@ double phase_step_sigma(double linewidth_hz, double sample_rate_hz) {
   return std::sqrt(kTwoPi * linewidth_hz / sample_rate_hz);
 }
 
-}  // namespace
-
+/// Noise standard deviation that puts `snr_db` of noise under a signal of
+/// mean power `power`; negative when no noise should be added (infinite SNR
+/// or zero power).
 double awgn_sigma(double power, double snr_db) {
   if (!std::isfinite(snr_db) || power <= 0.0) return -1.0;
   return std::sqrt(power * from_db(-snr_db));
 }
+
+}  // namespace
 
 double signal_mean_power(std::span<const double> x) {
   if (x.empty()) return 0.0;
@@ -32,9 +35,8 @@ double signal_mean_power(std::span<const double> x) {
 void apply_awgn(std::vector<double>& x, double snr_db, Rng& rng) {
   const double sigma = awgn_sigma(signal_mean_power(x), snr_db);
   if (sigma < 0.0) return;
-  // Real-envelope AWGN is the Monte-Carlo hot loop: use the deterministic
-  // inverse-CDF sampler (signal/gauss.hpp) so the batched lane pipeline can
-  // reproduce this exact byte sequence in lockstep. One raw draw per sample.
+  // Real-envelope AWGN is the Monte-Carlo hot loop: the deterministic
+  // inverse-CDF sampler (signal/gauss.hpp), one raw draw per sample.
   signal::axpy_awgn(rng, sigma, x);
 }
 

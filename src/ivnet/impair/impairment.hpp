@@ -86,12 +86,6 @@ struct ImpairmentTrace {
 /// Mean power sum(x^2)/n of a real signal (0 for empty input).
 double signal_mean_power(std::span<const double> x);
 
-/// Noise standard deviation that puts `snr_db` of noise under a signal of
-/// mean power `power`; negative when no noise should be added (infinite SNR
-/// or zero power). Exposed so the batched pipeline can compute the exact
-/// sigma apply_awgn would use from a cached mean power.
-double awgn_sigma(double power, double snr_db);
-
 /// Add real AWGN at `snr_db` relative to the CURRENT mean power of `x`.
 /// No-op for +inf SNR, empty, or all-zero input.
 void apply_awgn(std::vector<double>& x, double snr_db, Rng& rng);

@@ -72,7 +72,7 @@ struct LinkSessionReport {
 };
 
 /// The 96-bit EPC an empty ImpairedLinkConfig::epc resolves to. Exposed so
-/// the batched pipeline seeds its lane tags with the identical identity.
+/// callers can model a tag with the identical identity.
 gen2::Bits default_link_epc();
 
 /// Run one full impaired session. Consumes exactly ONE draw from `rng`

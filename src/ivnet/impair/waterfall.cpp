@@ -39,8 +39,7 @@ double uplink_budget_db(const ImpairedLinkConfig& link) {
   return link.snr_db + array_gain_db - 2.0 * link.medium_loss_db;
 }
 
-/// The raw-BER probe projected onto a tally (delegates to the exported
-/// oracle so the batched pipeline's fallback runs the identical trial).
+/// The raw-BER probe projected onto a tally.
 Tally ber_trial(const ImpairedLinkConfig& link, std::size_t payload_bits,
                 Rng trial_rng) {
   const BerProbeResult r = ber_probe_trial(link, payload_bits, trial_rng);
@@ -58,61 +57,6 @@ Tally session_trial(const ImpairedLinkConfig& link, Rng trial_rng) {
   t.retries = report.recovery.retries;
   t.timeouts = report.recovery.timeouts;
   return t;
-}
-
-/// Batch-local accumulation (satellite of the batched pipeline): lane
-/// outcomes fold straight into the batch partial — no per-trial
-/// LinkSessionReport is materialized on the batched path.
-void accumulate_session(Tally& t, const SessionOutcome& o) {
-  t.successes += o.success != 0 ? 1 : 0;
-  t.retried_successes = t.retried_successes +
-                        ((o.success != 0 && o.retries > 0) ? 1 : 0);
-  t.retries += static_cast<long>(o.retries);
-  t.timeouts += static_cast<long>(o.timeouts);
-}
-
-/// One batch's partial: the tally plus the batch workspace's high-water
-/// mark, max-combined so the sweep can report the arena gauge once from
-/// the calling thread (pool-thread gauge writes would race).
-struct BatchPartial {
-  Tally tally;
-  std::size_t high_water = 0;
-};
-
-BatchPartial combine_partial(BatchPartial a, const BatchPartial& b) {
-  a.tally = combine(a.tally, b.tally);
-  a.high_water = std::max(a.high_water, b.high_water);
-  return a;
-}
-
-/// Batched session sweep over one sweep point: trials [0, n) through the
-/// lane engine, one fresh DspWorkspace per batch (deterministic high-water),
-/// with the optional BER probe sharing the batch's workspace.
-BatchPartial run_point_batched(const ImpairedLinkConfig& link, std::size_t n,
-                               std::size_t batch, std::uint64_t base,
-                               std::uint64_t stride,
-                               std::uint64_t session_offset,
-                               std::size_t ber_payload_bits) {
-  return batched_reduce<BatchPartial>(
-      n, batch, BatchPartial{},
-      [&](std::size_t lo, std::size_t hi) {
-        BatchPartial p;
-        DspWorkspace workspace;
-        if (ber_payload_bits > 0) {
-          run_ber_batch(link, ber_payload_bits, base, stride, 0, lo, hi,
-                        workspace, [&](std::size_t, const BerOutcome& o) {
-                          p.tally.bit_errors += o.bit_errors;
-                          p.tally.frame_errors += o.frame_error;
-                        });
-        }
-        run_session_batch(link, base, stride, session_offset, lo, hi,
-                          workspace, [&](std::size_t, const SessionOutcome& o) {
-                            accumulate_session(p.tally, o);
-                          });
-        p.high_water = workspace.high_water_bytes();
-        return p;
-      },
-      combine_partial);
 }
 
 }  // namespace
@@ -170,8 +114,6 @@ std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
   obs::count("waterfall.points", config.snr_points_db.size());
   const std::uint64_t base = rng();
   const std::size_t trials = config.trials_per_point;
-  const std::size_t batch = resolve_batch_size(config.batch);
-  std::size_t sweep_high_water = 0;
   std::vector<WaterfallPoint> points;
   points.reserve(config.snr_points_db.size());
   std::size_t point_index = 0;
@@ -182,30 +124,18 @@ std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
     // noise shapes at its own power (common random numbers). Even indices
     // feed the BER probe, odd ones the full session.
     const std::size_t track_base = point_index * trials;
-    Tally total;
-    if (batch > 1) {
-      // Lane engine, bitwise-identical outcomes (no per-trial sim tracks).
-      const BatchPartial p = run_point_batched(
-          link, trials, batch, base, /*stride=*/2, /*session_offset=*/1,
-          config.payload_bits);
-      total = p.tally;
-      sweep_high_water = std::max(sweep_high_water, p.high_water);
-    } else {
-      total = parallel_reduce<Tally>(
-          trials, Tally{},
-          [&](std::size_t t) {
-            // A unique sim-trace track per (point, trial): the exported
-            // trace orders by (track, seq), so it is byte-stable for any
-            // pool size.
-            obs::ScopedTrack track(
-                static_cast<std::uint32_t>(track_base + t));
-            Tally tt = ber_trial(link, config.payload_bits,
-                                 Rng::stream(base, 2 * t));
-            return combine(tt,
-                           session_trial(link, Rng::stream(base, 2 * t + 1)));
-          },
-          combine);
-    }
+    const Tally total = parallel_reduce<Tally>(
+        trials, Tally{},
+        [&](std::size_t t) {
+          // A unique sim-trace track per (point, trial): the exported trace
+          // orders by (track, seq), so it is byte-stable for any pool size.
+          obs::ScopedTrack track(static_cast<std::uint32_t>(track_base + t));
+          Tally tt =
+              ber_trial(link, config.payload_bits, Rng::stream(base, 2 * t));
+          return combine(tt,
+                         session_trial(link, Rng::stream(base, 2 * t + 1)));
+        },
+        combine);
     ++point_index;
     WaterfallPoint p;
     p.snr_db = snr_db;
@@ -219,13 +149,6 @@ std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
     p.mean_timeouts = static_cast<double>(total.timeouts) / n;
     points.push_back(p);
   }
-  if (batch > 1) {
-    // Once per sweep, from the calling thread: max over every batch's
-    // workspace high-water (per-batch gauge writes from pool workers would
-    // be racy and thread-count-dependent).
-    obs::gauge_set("workspace.high_water_bytes",
-                   static_cast<double>(sweep_high_water));
-  }
   return points;
 }
 
@@ -235,8 +158,6 @@ std::vector<MatrixCell> run_session_matrix(const MatrixConfig& config,
   obs::count("matrix.sweeps");
   const std::uint64_t base = rng();
   const std::size_t trials = config.trials_per_cell;
-  const std::size_t batch = resolve_batch_size(config.batch);
-  std::size_t sweep_high_water = 0;
   std::vector<MatrixCell> cells;
   cells.reserve(config.media.size() * config.snr_points_db.size() *
                 config.antenna_counts.size());
@@ -249,26 +170,16 @@ std::vector<MatrixCell> run_session_matrix(const MatrixConfig& config,
         link.snr_db = snr_db;
         link.num_antennas = antennas;
         const std::size_t track_base = cell_index * trials;
-        Tally total;
-        if (batch > 1) {
-          const BatchPartial p = run_point_batched(
-              link, trials, batch, base, /*stride=*/1, /*session_offset=*/0,
-              /*ber_payload_bits=*/0);
-          total = p.tally;
-          sweep_high_water = std::max(sweep_high_water, p.high_water);
-        } else {
-          total = parallel_reduce<Tally>(
-              trials, Tally{},
-              [&](std::size_t t) {
-                // Trial-keyed streams shared by every cell: the whole
-                // matrix replays the same noise realizations per trial
-                // slot.
-                obs::ScopedTrack track(
-                    static_cast<std::uint32_t>(track_base + t));
-                return session_trial(link, Rng::stream(base, t));
-              },
-              combine);
-        }
+        const Tally total = parallel_reduce<Tally>(
+            trials, Tally{},
+            [&](std::size_t t) {
+              // Trial-keyed streams shared by every cell: the whole matrix
+              // replays the same noise realizations per trial slot.
+              obs::ScopedTrack track(
+                  static_cast<std::uint32_t>(track_base + t));
+              return session_trial(link, Rng::stream(base, t));
+            },
+            combine);
         ++cell_index;
         MatrixCell cell;
         cell.medium = medium.name;
@@ -286,10 +197,6 @@ std::vector<MatrixCell> run_session_matrix(const MatrixConfig& config,
       }
     }
   }
-  if (batch > 1) {
-    obs::gauge_set("workspace.high_water_bytes",
-                   static_cast<double>(sweep_high_water));
-  }
   return cells;
 }
 
@@ -299,8 +206,6 @@ std::vector<DepthPoint> run_success_vs_depth(const DepthSweepConfig& config,
   obs::count("depth.sweeps");
   const std::uint64_t base = rng();
   const std::size_t trials = config.trials_per_point;
-  const std::size_t batch = resolve_batch_size(config.batch);
-  std::size_t sweep_high_water = 0;
   std::vector<DepthPoint> points;
   points.reserve(config.depths_m.size());
   std::size_t point_index = 0;
@@ -309,23 +214,13 @@ std::vector<DepthPoint> run_success_vs_depth(const DepthSweepConfig& config,
     link.medium_loss_db =
         medium_loss_at_depth_db(config.medium, config.freq_hz, depth_m);
     const std::size_t track_base = point_index * trials;
-    Tally total;
-    if (batch > 1) {
-      const BatchPartial p = run_point_batched(
-          link, trials, batch, base, /*stride=*/1, /*session_offset=*/0,
-          /*ber_payload_bits=*/0);
-      total = p.tally;
-      sweep_high_water = std::max(sweep_high_water, p.high_water);
-    } else {
-      total = parallel_reduce<Tally>(
-          trials, Tally{},
-          [&](std::size_t t) {
-            obs::ScopedTrack track(
-                static_cast<std::uint32_t>(track_base + t));
-            return session_trial(link, Rng::stream(base, t));
-          },
-          combine);
-    }
+    const Tally total = parallel_reduce<Tally>(
+        trials, Tally{},
+        [&](std::size_t t) {
+          obs::ScopedTrack track(static_cast<std::uint32_t>(track_base + t));
+          return session_trial(link, Rng::stream(base, t));
+        },
+        combine);
     ++point_index;
     DepthPoint p;
     p.depth_m = depth_m;
@@ -334,10 +229,6 @@ std::vector<DepthPoint> run_success_vs_depth(const DepthSweepConfig& config,
     p.success_rate = static_cast<double>(total.successes) / n;
     p.mean_retries = static_cast<double>(total.retries) / n;
     points.push_back(p);
-  }
-  if (batch > 1) {
-    obs::gauge_set("workspace.high_water_bytes",
-                   static_cast<double>(sweep_high_water));
   }
   return points;
 }

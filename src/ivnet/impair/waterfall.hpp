@@ -3,10 +3,11 @@
 // curves — the impaired-channel counterparts of the paper's Fig. 13/14
 // evaluation plots.
 //
-// All sweeps run through the shared parallel engine with counter-derived
-// per-trial Rng streams, and all are keyed by the TRIAL index only (not the
-// sweep point), so every SNR / depth / antenna point sees the same noise
-// realizations scaled to its own budget. These common random numbers make
+// All sweeps run each trial as one run_impaired_link_session on the shared
+// parallel pool, with counter-derived per-trial Rng streams, and all are
+// keyed by the TRIAL index only (not the sweep point), so every SNR /
+// depth / antenna point sees the same noise realizations scaled to its own
+// budget. These common random numbers make
 // the success-vs-SNR curves monotone in expectation AND in any single
 // deterministic run, which is what the end-to-end matrix test asserts.
 #pragma once
@@ -17,7 +18,6 @@
 
 #include "ivnet/impair/link_session.hpp"
 #include "ivnet/media/medium.hpp"
-#include "ivnet/sim/batch_pipeline.hpp"
 
 namespace ivnet {
 
@@ -43,14 +43,9 @@ struct WaterfallConfig {
   std::vector<double> snr_points_db = {30.0, 20.0, 10.0, 0.0};
   std::size_t trials_per_point = 32;
   std::size_t payload_bits = 128;  ///< frame length for the raw BER probe
-  /// Batched-pipeline knob: resolved size > 1 runs trials through the
-  /// lockstep lane engine (sim/batch_pipeline.hpp), bitwise-identical to
-  /// the scalar path; <= 1 keeps the original per-trial oracle loop.
-  BatchConfig batch{};
 };
 
-/// One raw-BER probe outcome (exposed so the batched pipeline's scalar
-/// fallback runs the exact waterfall oracle).
+/// One raw-BER probe outcome.
 struct BerProbeResult {
   std::size_t bit_errors = 0;
   bool frame_error = false;
@@ -97,7 +92,6 @@ struct MatrixConfig {
   std::vector<double> snr_points_db = {30.0, 20.0, 10.0, 0.0};
   std::vector<std::size_t> antenna_counts = {1, 3, 10};
   std::size_t trials_per_cell = 24;
-  BatchConfig batch{};  ///< see WaterfallConfig::batch
 };
 
 /// Every media x SNR x antennas cell, trials shared-stream as above. Cells
@@ -119,7 +113,6 @@ struct DepthSweepConfig {
   double freq_hz = 915e6;
   std::vector<double> depths_m = {0.02, 0.04, 0.06, 0.08, 0.10, 0.12};
   std::size_t trials_per_point = 32;
-  BatchConfig batch{};  ///< see WaterfallConfig::batch
 };
 
 /// Success rate vs implant depth in one medium (loss from

@@ -79,7 +79,6 @@
 #include "ivnet/cib/two_stage.hpp"
 
 // Experiments and deployment.
-#include "ivnet/flow/flow.hpp"
 #include "ivnet/sim/calibration.hpp"
 #include "ivnet/sim/experiment.hpp"
 #include "ivnet/sim/mobility.hpp"

@@ -135,7 +135,7 @@ struct Exemplar {
   double queue_wait_s = 0.0;  ///< wall: accept -> worker pickup
   double service_s = 0.0;     ///< wall: execution on the worker
   /// Per-stage wall spans (kPlan: the optimize call; decode/inventory: one
-  /// span per batch chunk, chunks beyond kMaxStages folded into the last).
+  /// span per trial session, trials beyond kMaxStages folded into the last).
   double stage_s[kMaxStages] = {0.0, 0.0, 0.0, 0.0};
   std::uint32_t stages = 0;
 

@@ -58,15 +58,12 @@ class DspWorkspace {
 
   /// Drop every parked buffer, returning its capacity to the allocator.
   /// high_water_bytes() is unaffected (it is a peak, not a level); the live
-  /// level drops by the parked bytes. The service front-end trims each
-  /// worker's arena at shutdown so a stopped service holds no scratch.
+  /// level drops by the parked bytes.
   void trim();
 
   /// Peak bytes of buffer capacity this workspace has grown (pooled plus
   /// checked out), counting each buffer's capacity from the moment an
-  /// acquire grows it. Deterministic for a deterministic checkout sequence;
-  /// the batched pipeline reports it as the workspace.high_water_bytes
-  /// gauge so arena regrowth regressions show up in metrics snapshots.
+  /// acquire grows it. Deterministic for a deterministic checkout sequence.
   /// Approximate in one corner: buffers a caller keeps instead of
   /// releasing, and foreign buffers passed to release(), are not tracked.
   std::size_t high_water_bytes() const { return high_water_bytes_; }

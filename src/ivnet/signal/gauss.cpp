@@ -2,12 +2,14 @@
 //
 // This translation unit is compiled with -O3 -mavx2 -mfma -ffp-contract=off
 // on every build type (src/CMakeLists.txt), so std::fma lowers to a single
-// vfmadd instruction and the scalar/packed paths execute the exact same
-// IEEE operation sequence. Keep every entry point out-of-line here: if the
-// sampler were inlined into a TU with different contraction flags the
-// bitwise scalar==packed contract would silently break.
+// vfmadd instruction and the scalar loop and the packed tile passes execute
+// the exact same IEEE operation sequence. Keep every entry point out-of-line
+// here: if the sampler were inlined into a TU with different contraction
+// flags the bitwise scalar==packed contract would silently break.
 #include "ivnet/signal/gauss.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -100,9 +102,9 @@ inline double fast_log(double r) {
 }
 
 // Tail of the inverse CDF (|u-0.5| > 0.425, ~15% of draws). noinline keeps
-// the packed central loop's hot body small; the packed path calls this same
-// function for its tail lanes, which is one of the two reasons the paths
-// agree bitwise (the other: identical central-region fma sequences).
+// the scalar loop's hot body small. The tile passes evaluate tails with
+// tail4_from_bits, which mirrors this function op for op, and call this
+// function directly for the far tail and a tile's last few queued draws.
 __attribute__((noinline)) double inv_cdf_tail(double u, double q) {
   double r = q < 0.0 ? u : 1.0 - u;
   r = std::sqrt(-fast_log(r));
@@ -142,66 +144,6 @@ inline __m256d poly7v(const double* c, __m256d r) {
   p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(c[1]));
   return _mm256_fmadd_pd(p, r, _mm256_set1_pd(c[0]));
 }
-
-inline __m256i rotlv(__m256i x, int k) {
-  return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
-}
-
-// Four xoshiro256++ states advanced in packed lockstep (integer ops are
-// exact, so each lane of the packed state is bit-for-bit the lane's scalar
-// Rng state). The inverse CDF runs packed on both the central and the
-// near-tail branch; only the far tail (r > 5, P ~ 1.2e-8 per draw) drops
-// to the shared scalar inv_cdf_tail.
-struct PackedGauss {
-  __m256i s0, s1, s2, s3;
-
-  explicit PackedGauss(Rng* const* rngs) {
-    const auto& a = rngs[0]->raw_state();
-    const auto& b = rngs[1]->raw_state();
-    const auto& c = rngs[2]->raw_state();
-    const auto& d = rngs[3]->raw_state();
-    s0 = _mm256_set_epi64x(static_cast<long long>(d[0]),
-                           static_cast<long long>(c[0]),
-                           static_cast<long long>(b[0]),
-                           static_cast<long long>(a[0]));
-    s1 = _mm256_set_epi64x(static_cast<long long>(d[1]),
-                           static_cast<long long>(c[1]),
-                           static_cast<long long>(b[1]),
-                           static_cast<long long>(a[1]));
-    s2 = _mm256_set_epi64x(static_cast<long long>(d[2]),
-                           static_cast<long long>(c[2]),
-                           static_cast<long long>(b[2]),
-                           static_cast<long long>(a[2]));
-    s3 = _mm256_set_epi64x(static_cast<long long>(d[3]),
-                           static_cast<long long>(c[3]),
-                           static_cast<long long>(b[3]),
-                           static_cast<long long>(a[3]));
-  }
-
-  /// One packed draw (all four lanes' next raw 64-bit value).
-  __m256i next() {
-    const __m256i result = _mm256_add_epi64(rotlv(_mm256_add_epi64(s0, s3), 23), s0);
-    const __m256i t = _mm256_slli_epi64(s1, 17);
-    s2 = _mm256_xor_si256(s2, s0);
-    s3 = _mm256_xor_si256(s3, s1);
-    s1 = _mm256_xor_si256(s1, s2);
-    s0 = _mm256_xor_si256(s0, s3);
-    s2 = _mm256_xor_si256(s2, t);
-    s3 = rotlv(s3, 45);
-    return result;
-  }
-
-  void store_back(Rng* const* rngs) const {
-    alignas(32) std::uint64_t w0[4], w1[4], w2[4], w3[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(w0), s0);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(w1), s1);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(w2), s2);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(w3), s3);
-    for (int k = 0; k < 4; ++k) {
-      rngs[k]->set_raw_state({w0[k], w1[k], w2[k], w3[k]});
-    }
-  }
-};
 
 /// u in (0, 1) and q = u - 1/2 from four raw draws: the packed image of
 /// the scalar normal_from_bits_inline prologue (top-52-bit uniform).
@@ -285,126 +227,98 @@ inline __m256d tail4_from_bits(__m256i bits) {
   return val;
 }
 
-/// Transpose 4 iteration-major vectors (v[j] = 4 lanes at sample i+j) into
-/// lane-major vectors and store fma(sigma_k, lane_k, src[k]) to each
-/// lane's destination at offset i.
-inline void scatter_transposed4(const __m256d v[4], const double* sigmas,
-                                const double* const* src, double* const* dst,
-                                std::size_t i) {
-  const __m256d t0 = _mm256_unpacklo_pd(v[0], v[1]);
-  const __m256d t1 = _mm256_unpackhi_pd(v[0], v[1]);
-  const __m256d t2 = _mm256_unpacklo_pd(v[2], v[3]);
-  const __m256d t3 = _mm256_unpackhi_pd(v[2], v[3]);
-  const __m256d l0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-  const __m256d l1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-  const __m256d l2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-  const __m256d l3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-  _mm256_storeu_pd(dst[0] + i,
-                   _mm256_fmadd_pd(_mm256_set1_pd(sigmas[0]), l0,
-                                   _mm256_loadu_pd(src[0] + i)));
-  _mm256_storeu_pd(dst[1] + i,
-                   _mm256_fmadd_pd(_mm256_set1_pd(sigmas[1]), l1,
-                                   _mm256_loadu_pd(src[1] + i)));
-  _mm256_storeu_pd(dst[2] + i,
-                   _mm256_fmadd_pd(_mm256_set1_pd(sigmas[2]), l2,
-                                   _mm256_loadu_pd(src[2] + i)));
-  _mm256_storeu_pd(dst[3] + i,
-                   _mm256_fmadd_pd(_mm256_set1_pd(sigmas[3]), l3,
-                                   _mm256_loadu_pd(src[3] + i)));
-}
+/// The xoshiro256++ recurrence of Rng::operator() on local copies of the
+/// state words, so a tile of draws runs with the state in registers.
+struct Xoshiro {
+  std::uint64_t s0, s1, s2, s3;
 
-void axpy_awgn_lanes4(Rng* const* rngs, const double* sigmas,
-                      const double* const* src, double* const* dst,
-                      std::size_t n) {
-  PackedGauss g(rngs);
-  // The tail branch of the inverse CDF is taken by ~15% of draws, so with
-  // four lanes per vector ~48% of packed draws contain at least one tail
-  // lane — an unpredictable branch whose mispredicts (plus an extra two
-  // divides and a sqrt per hit) dominate a fused loop. Instead the fill is
-  // tiled through small L1-resident staging buffers and split into
-  // branch-free passes:
-  //   1. advance the generators, evaluate the central rational for every
-  //      draw, record the raw bits and the central mask;
-  //   2. append the tail draws (bits + sample index) densely to a queue;
-  //   3. evaluate the queued tails four at a time with the packed tail
-  //      sequence and patch their slots in the value buffer;
-  //   4. transpose each 4x4 block lane-major and fmadd onto the buffers.
-  // Each lane of each pass is the exact scalar operation sequence, so the
-  // result (and generator state) stays bitwise-equal to axpy_awgn per lane.
-  constexpr std::size_t kTileDraws = 128;
-  alignas(32) std::uint64_t bits_buf[kTileDraws * 4];
-  alignas(32) double val_buf[kTileDraws * 4];
-  alignas(32) std::uint64_t qbits[kTileDraws * 4 + 4];
-  std::uint32_t qpos[kTileDraws * 4 + 4];
-  std::uint8_t masks[kTileDraws];
-  alignas(32) std::uint64_t bits_arr[4];
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s0 + s3, 23) + s0;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = std::rotl(s3, 45);
+    return result;
+  }
+};
+
+/// dst[i] = fma(sigma, normal_from_bits(rng()), src[i]) for the first
+/// n / 4 * 4 samples; returns that count. The tail branch of the inverse
+/// CDF is taken by ~15% of draws at random, so a fused per-sample loop
+/// mispredicts often and stalls on the tail's extra divides and sqrt.
+/// Instead each L1-resident tile runs as branch-free passes:
+///   1. make four raw draws one after another (rng()'s order), evaluate
+///      the central rational on them packed, and note which fall outside
+///      the central region (the serial integer draws overlap the packed
+///      float work of the previous four);
+///   2. queue the tail draws densely (bits + slot);
+///   3. evaluate the queue four at a time with the packed tail sequence and
+///      patch the slots;
+///   4. store fma(sigma, value, src) four samples at a time.
+/// Every packed operation is the elementwise image of the scalar one, so
+/// the output and the final generator state are bitwise those of the
+/// scalar loop.
+std::size_t axpy_awgn_tiled(Rng& rng, double sigma, const double* src,
+                            double* dst, std::size_t n) {
+  constexpr std::size_t kTile = 256;
+  alignas(32) std::uint64_t bits[kTile];
+  alignas(32) double val[kTile];
+  alignas(32) std::uint64_t qbits[kTile];
+  std::uint32_t qpos[kTile];
+  std::uint8_t tails[kTile / 4];
   const __m256d signbit = _mm256_set1_pd(-0.0);
+  const __m256d vsigma = _mm256_set1_pd(sigma);
+  const auto& state = rng.raw_state();
+  Xoshiro x{state[0], state[1], state[2], state[3]};
 
-  std::size_t i = 0;
-  while (n - i >= 4) {
-    const std::size_t draws = std::min(kTileDraws, (n - i) / 4 * 4);
-    // Pass 1: generate + central path for all draws, branch-free.
-    for (std::size_t j = 0; j < draws; ++j) {
-      const __m256i bits = g.next();
-      _mm256_store_si256(reinterpret_cast<__m256i*>(bits_buf + 4 * j), bits);
+  const std::size_t packed = n / 4 * 4;
+  for (std::size_t i = 0; i < packed; i += kTile) {
+    const std::size_t draws = std::min(kTile, packed - i);
+    for (std::size_t j = 0; j < draws; j += 4) {
+      const std::uint64_t b0 = x.next();
+      const std::uint64_t b1 = x.next();
+      const std::uint64_t b2 = x.next();
+      const std::uint64_t b3 = x.next();
+      const __m256i b = _mm256_set_epi64x(
+          static_cast<long long>(b3), static_cast<long long>(b2),
+          static_cast<long long>(b1), static_cast<long long>(b0));
+      _mm256_store_si256(reinterpret_cast<__m256i*>(bits + j), b);
       __m256d q;
-      (void)uniform4_from_bits(bits, &q);
-      const __m256d absq = _mm256_andnot_pd(signbit, q);
-      const __m256d central =
-          _mm256_cmp_pd(absq, _mm256_set1_pd(0.425), _CMP_LE_OQ);
+      (void)uniform4_from_bits(b, &q);
+      const __m256d tail = _mm256_cmp_pd(_mm256_andnot_pd(signbit, q),
+                                         _mm256_set1_pd(0.425), _CMP_GT_OQ);
       const __m256d r = _mm256_fnmadd_pd(q, q, _mm256_set1_pd(0.180625));
-      const __m256d val =
-          _mm256_mul_pd(q, _mm256_div_pd(poly7v(kA, r), poly7v(kB, r)));
-      _mm256_store_pd(val_buf + 4 * j, val);
-      masks[j] = static_cast<std::uint8_t>(_mm256_movemask_pd(central));
+      _mm256_store_pd(
+          val + j, _mm256_mul_pd(q, _mm256_div_pd(poly7v(kA, r),
+                                                  poly7v(kB, r))));
+      tails[j / 4] = static_cast<std::uint8_t>(_mm256_movemask_pd(tail));
     }
-    // Pass 2: queue tail draws densely, branch-free (qn advances only for
-    // lanes whose central bit is clear).
+    // qn advances only past tail draws; the slot write is unconditional.
     std::size_t qn = 0;
     for (std::size_t j = 0; j < draws; ++j) {
-      const unsigned m = masks[j];
-      for (unsigned k = 0; k < 4; ++k) {
-        qbits[qn] = bits_buf[4 * j + k];
-        qpos[qn] = static_cast<std::uint32_t>(4 * j + k);
-        qn += static_cast<std::size_t>((~m >> k) & 1u);
-      }
+      qbits[qn] = bits[j];
+      qpos[qn] = static_cast<std::uint32_t>(j);
+      qn += (tails[j / 4] >> (j % 4)) & 1u;
     }
-    // Pass 3: packed tail evaluation over the queue.
     std::size_t t = 0;
     for (; t + 4 <= qn; t += 4) {
-      const __m256i bits =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(qbits + t));
       alignas(32) double tv[4];
-      _mm256_store_pd(tv, tail4_from_bits(bits));
-      val_buf[qpos[t + 0]] = tv[0];
-      val_buf[qpos[t + 1]] = tv[1];
-      val_buf[qpos[t + 2]] = tv[2];
-      val_buf[qpos[t + 3]] = tv[3];
+      _mm256_store_pd(tv, tail4_from_bits(_mm256_load_si256(
+                              reinterpret_cast<const __m256i*>(qbits + t))));
+      for (std::size_t k = 0; k < 4; ++k) val[qpos[t + k]] = tv[k];
     }
-    for (; t < qn; ++t) {
-      const double uu =
-          (static_cast<double>(qbits[t] >> 12) + 0.5) * 0x1.0p-52;
-      val_buf[qpos[t]] = inv_cdf_tail(uu, uu - 0.5);
-    }
-    // Pass 4: transpose to lane-major and fmadd onto the lane buffers.
+    for (; t < qn; ++t) val[qpos[t]] = normal_from_bits_inline(qbits[t]);
     for (std::size_t j = 0; j < draws; j += 4) {
-      const __m256d v[4] = {_mm256_load_pd(val_buf + 4 * j),
-                            _mm256_load_pd(val_buf + 4 * j + 4),
-                            _mm256_load_pd(val_buf + 4 * j + 8),
-                            _mm256_load_pd(val_buf + 4 * j + 12)};
-      scatter_transposed4(v, sigmas, src, dst, i + j);
-    }
-    i += draws;
-  }
-  // Ragged tail: one packed draw per sample, finished per lane in scalar.
-  for (; i < n; ++i) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(bits_arr), g.next());
-    for (int k = 0; k < 4; ++k) {
-      dst[k][i] = std::fma(sigmas[k], normal_from_bits_inline(bits_arr[k]),
-                           src[k][i]);
+      _mm256_storeu_pd(dst + i + j,
+                       _mm256_fmadd_pd(vsigma, _mm256_load_pd(val + j),
+                                       _mm256_loadu_pd(src + i + j)));
     }
   }
-  g.store_back(rngs);
+  rng.set_raw_state({x.s0, x.s1, x.s2, x.s3});
+  return packed;
 }
 
 #endif  // IVNET_GAUSS_SIMD
@@ -416,33 +330,24 @@ double normal_from_bits(std::uint64_t bits) {
 }
 
 void axpy_awgn(Rng& rng, double sigma, std::span<double> inout) {
-  for (double& x : inout) {
-    x = std::fma(sigma, normal_from_bits_inline(rng()), x);
-  }
+  axpy_awgn_onto(rng, sigma, inout.data(), inout);
 }
 
 void axpy_awgn_onto(Rng& rng, double sigma, const double* src,
                     std::span<double> dst) {
-  for (std::size_t i = 0; i < dst.size(); ++i) {
+  std::size_t i = 0;
+#if IVNET_GAUSS_SIMD
+  i = axpy_awgn_tiled(rng, sigma, src, dst.data(), dst.size());
+#endif
+  for (; i < dst.size(); ++i) {
     dst[i] = std::fma(sigma, normal_from_bits_inline(rng()), src[i]);
   }
-}
-
-void axpy_awgn_lanes(std::size_t lanes, Rng* const* rngs, const double* sigmas,
-                     double* const* inout, std::size_t n) {
-  axpy_awgn_lanes_onto(lanes, rngs, sigmas, inout, inout, n);
 }
 
 void axpy_awgn_lanes_onto(std::size_t lanes, Rng* const* rngs,
                           const double* sigmas, const double* const* src,
                           double* const* dst, std::size_t n) {
-  std::size_t k = 0;
-#if IVNET_GAUSS_SIMD
-  for (; lanes - k >= kGaussLanes; k += kGaussLanes) {
-    axpy_awgn_lanes4(rngs + k, sigmas + k, src + k, dst + k, n);
-  }
-#endif
-  for (; k < lanes; ++k) {
+  for (std::size_t k = 0; k < lanes; ++k) {
     axpy_awgn_onto(*rngs[k], sigmas[k], src[k], {dst[k], n});
   }
 }

@@ -1,10 +1,8 @@
 // Deterministic elementwise Gaussian sampling for the AWGN hot path.
 //
 // Rng::normal() (Box-Muller) calls into libm's log/sin/cos, whose results
-// are not reproducible across a scalar and a vectorized evaluation — which
-// makes it impossible to run K trial sessions in lockstep lanes and stay
-// bitwise-identical to the one-trial-at-a-time path. This header provides
-// the sampler the batched pipeline is built on instead:
+// depend on the libm build and are not reproducible between a scalar and a
+// packed evaluation. The session engine's AWGN instead goes through:
 //
 //   normal_from_bits(bits) — a pure elementwise map from one 64-bit draw to
 //   one standard-normal value via the AS241 inverse normal CDF (Wichura's
@@ -14,17 +12,20 @@
 //   sequence of IEEE add/mul/div/sqrt/fma operations.
 //
 //   axpy_awgn(rng, sigma, x) — x[i] += sigma * normal_from_bits(rng())
-//   (as a fused fma), one raw draw per sample. This is THE scalar AWGN
-//   loop: impair/apply_awgn (real vectors) delegates here.
+//   (as a fused fma), one raw draw per sample. This is THE AWGN loop:
+//   impair/apply_awgn (real vectors) delegates here.
 //
-//   axpy_awgn_lanes(lanes, rngs, sigmas, inout, n) — the same update for up
-//   to kGaussLanes independent (rng, sigma, buffer) triples in lockstep.
-//   With AVX2+FMA this advances all four xoshiro256++ states with packed
-//   integer ops and evaluates the inverse CDF with packed fma — and is
-//   bitwise-identical to calling axpy_awgn per lane, because every packed
-//   instruction is the elementwise image of the scalar operation sequence
-//   (the scalar path deliberately uses std::fma where the packed path uses
-//   vfnmadd/vfmadd). This equivalence is pinned by batch_pipeline_test.
+// With AVX2+FMA the fill runs as tiled passes over one generator: the raw
+// draws are made one after another into an L1 tile (the order rng() gives),
+// the central rational and the queued tail draws are evaluated four at a
+// time, and one fused-fma pass stores the result. Every packed instruction
+// is the elementwise image of the scalar operation sequence (the scalar
+// path deliberately uses std::fma where the packed path uses
+// vfnmadd/vfmadd), so the output and the final generator state are
+// bitwise those of the per-draw loop
+// fma(sigma, normal_from_bits(rng()), src[i]). signal_test pins this
+// memcmp-strict. Without AVX2+FMA, and for the last n % 4 samples, the
+// scalar loop runs.
 //
 // All entry points are defined out-of-line in gauss.cpp, which is compiled
 // with a fixed flag set (-O3 -mavx2 -mfma -ffp-contract=off) regardless of
@@ -39,9 +40,8 @@
 
 namespace ivnet::signal {
 
-/// Width of one packed lockstep lane group. Lane counts passed to
-/// axpy_awgn_lanes may exceed this: full groups of kGaussLanes run packed,
-/// leftover lanes take the scalar loop.
+/// Conventional lane-group width for axpy_awgn_lanes_onto callers. The
+/// function accepts any lane count; lanes are filled one after another.
 inline constexpr std::size_t kGaussLanes = 4;
 
 /// Elementwise map from one raw 64-bit draw to one standard-normal value.
@@ -55,27 +55,21 @@ void axpy_awgn(Rng& rng, double sigma, std::span<double> inout);
 
 /// dst[i] = fma(sigma, normal_from_bits(rng()), src[i]) — the same update
 /// as axpy_awgn but reading the clean signal from `src`, which skips the
-/// copy-into-place pass the in-place form needs. src may alias dst.
-/// Bitwise-identical to copying src into dst and calling axpy_awgn.
+/// copy-into-place pass the in-place form needs. src may equal dst.data();
+/// other overlaps are not supported. Bitwise-identical to copying src into
+/// dst and calling axpy_awgn.
 void axpy_awgn_onto(Rng& rng, double sigma, const double* src,
                     std::span<double> dst);
 
-/// Lockstep AWGN for `lanes` independent trials: lane k runs
-/// axpy_awgn(*rngs[k], sigmas[k], {inout[k], n}) — same results, same
-/// final rng states — but with full groups of kGaussLanes lanes advanced
-/// together; leftover lanes fall back to the scalar loop per lane.
-void axpy_awgn_lanes(std::size_t lanes, Rng* const* rngs, const double* sigmas,
-                     double* const* inout, std::size_t n);
-
-/// Source/destination form of axpy_awgn_lanes: lane k runs
-/// axpy_awgn_onto(*rngs[k], sigmas[k], src[k], {dst[k], n}). src[k] may
-/// alias dst[k] (the in-place form above delegates here).
+/// Lane k runs axpy_awgn_onto(*rngs[k], sigmas[k], src[k], {dst[k], n}),
+/// lane after lane: the same results and final rng states as calling it
+/// per lane.
 void axpy_awgn_lanes_onto(std::size_t lanes, Rng* const* rngs,
                           const double* sigmas, const double* const* src,
                           double* const* dst, std::size_t n);
 
-/// True when gauss.cpp was compiled with the packed AVX2+FMA lane path.
-/// Purely informational (bench/CI tables): results are identical either way.
+/// True when gauss.cpp was compiled with the packed AVX2+FMA tile passes.
+/// Purely informational (bench tables): results are identical either way.
 bool gauss_simd_enabled();
 
 }  // namespace ivnet::signal

@@ -875,9 +875,9 @@ CampaignReport run_campaign_sharded(const CampaignSpec& spec,
 
 namespace {
 
-// Strict full-string parse of IVNET_SHARDS, mirroring IVNET_THREADS /
-// IVNET_BATCH: "3" is a fleet of three, "3abc"/"abc"/"0" warn once and
-// fall back to a single process.
+// Strict full-string parse of IVNET_SHARDS, mirroring IVNET_THREADS: "3"
+// is a fleet of three, "3abc"/"abc"/"0" warn once and fall back to a single
+// process.
 std::size_t env_shard_count() {
   const char* env = std::getenv("IVNET_SHARDS");
   if (env == nullptr || *env == '\0') return 1;

@@ -246,7 +246,7 @@ CampaignReport run_campaign_sharded(const CampaignSpec& spec,
 /// IVNET_SHARDS=N (N > 1) and a non-empty journal path the campaign runs as
 /// an in-process N-worker fleet (run_campaign_sharded); otherwise it is a
 /// plain run_campaign. Invalid IVNET_SHARDS values warn once on stderr and
-/// fall back to 1, mirroring IVNET_THREADS / IVNET_BATCH.
+/// fall back to 1, mirroring IVNET_THREADS.
 CampaignReport run_bench_campaign(const CampaignSpec& spec,
                                   const std::string& journal_path);
 

@@ -71,8 +71,7 @@ Channel draw_scenario_channel(const Scenario& scenario, const TagConfig& tag,
 std::vector<GainTrial> run_gain_trials(const Scenario& scenario,
                                        const TagConfig& tag,
                                        const FrequencyPlan& plan,
-                                       std::size_t trials, Rng& rng,
-                                       const BatchConfig& batch) {
+                                       std::size_t trials, Rng& rng) {
   obs::ScopedSpan span("sim.gain_trials", "sim");
   obs::count("sim.gain_trials.calls");
   obs::count("sim.gain_trials.trials", trials);
@@ -102,16 +101,7 @@ std::vector<GainTrial> run_gain_trials(const Scenario& scenario,
     trial.genie_gain = (genie_amp / ref) * (genie_amp / ref);
     results[k] = trial;
   };
-  const std::size_t batch_size = resolve_batch_size(batch);
-  if (batch_size > 1) {
-    // Batch-grained dispatch: identical per-index writes, so results are
-    // byte-equal to the scalar dispatch at any batch size.
-    batched_for(trials, batch_size, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) run_trial(k);
-    });
-  } else {
-    parallel_for(trials, run_trial);
-  }
+  parallel_for(trials, run_trial);
   return results;
 }
 
@@ -131,8 +121,7 @@ PercentileSummary summarize_baseline(const std::vector<GainTrial>& trials) {
 
 bool can_power_up(const Scenario& scenario, const TagConfig& tag,
                   const FrequencyPlan& plan, std::size_t trials,
-                  double success_ratio, Rng& rng,
-                  const BatchConfig& batch) {
+                  double success_ratio, Rng& rng) {
   const TagDevice device(tag);
   const double threshold = device.min_peak_voltage();
   const double t_max = plan.period_s() > 0.0 ? plan.period_s() : 1.0;
@@ -147,14 +136,7 @@ bool can_power_up(const Scenario& scenario, const TagConfig& tag,
     const double peak = cib_peak_amplitude(channel, plan.offsets_hz(), t_max);
     powered[k] = peak >= threshold ? 1 : 0;
   };
-  const std::size_t batch_size = resolve_batch_size(batch);
-  if (batch_size > 1) {
-    batched_for(trials, batch_size, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) run_trial(k);
-    });
-  } else {
-    parallel_for(trials, run_trial);
-  }
+  parallel_for(trials, run_trial);
   std::size_t successes = 0;
   for (std::uint8_t p : powered) successes += p;
   return static_cast<double>(successes) >=

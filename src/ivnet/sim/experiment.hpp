@@ -14,7 +14,6 @@
 #include "ivnet/impair/recovery.hpp"
 #include "ivnet/reader/oob_reader.hpp"
 #include "ivnet/rf/channel.hpp"
-#include "ivnet/sim/batch_pipeline.hpp"
 #include "ivnet/sim/scenario.hpp"
 #include "ivnet/tag/tag_device.hpp"
 
@@ -45,14 +44,11 @@ struct GainTrial {
   double genie_gain = 0.0;     ///< channel-aware MIMO upper bound
 };
 
-/// Run `trials` independent blind-channel draws in `scenario`. A resolved
-/// batch size > 1 dispatches trials batch-at-a-time through batched_for
-/// (per-index writes, so results stay byte-identical at any batch size).
+/// Run `trials` independent blind-channel draws in `scenario`.
 std::vector<GainTrial> run_gain_trials(const Scenario& scenario,
                                        const TagConfig& tag,
                                        const FrequencyPlan& plan,
-                                       std::size_t trials, Rng& rng,
-                                       const BatchConfig& batch = {});
+                                       std::size_t trials, Rng& rng);
 
 /// Collapse trials into the paper's median/p10/p90 summaries.
 PercentileSummary summarize_cib(const std::vector<GainTrial>& trials);
@@ -62,8 +58,7 @@ PercentileSummary summarize_baseline(const std::vector<GainTrial>& trials);
 /// least `success_ratio` of `trials` blind draws?
 bool can_power_up(const Scenario& scenario, const TagConfig& tag,
                   const FrequencyPlan& plan, std::size_t trials,
-                  double success_ratio, Rng& rng,
-                  const BatchConfig& batch = {});
+                  double success_ratio, Rng& rng);
 
 /// Maximum air range [m] at which the tag still powers up (bisection over
 /// distance). Returns 0 when even the minimum distance fails.

@@ -8,7 +8,6 @@
 #include "ivnet/obs/flight_recorder.hpp"
 #include "ivnet/obs/obs.hpp"
 #include "ivnet/obs/telemetry.hpp"
-#include "ivnet/sim/batch_pipeline.hpp"
 #include "ivnet/sim/planner.hpp"
 
 namespace ivnet::svc {
@@ -70,8 +69,9 @@ ImpairedLinkConfig link_config_for(const ServiceConfig& config,
 }
 
 Response execute_request(const ServiceConfig& config, const Request& request,
-                         DspWorkspace& workspace, std::vector<double> storage,
-                         StageTimings* stages, const FlightHook* hook) {
+                         DspWorkspace& /*workspace*/,
+                         std::vector<double> storage, StageTimings* stages,
+                         const FlightHook* hook) {
   Response response;
   response.id = request.id;
   response.kind = request.kind;
@@ -129,46 +129,39 @@ Response execute_request(const ServiceConfig& config, const Request& request,
       response.trials = trials;
       response.per_trial_elapsed_s = std::move(storage);
       response.per_trial_elapsed_s.resize(trials);
-      const auto sink = [&](std::size_t t, const SessionOutcome& outcome) {
-        // Sink runs in ascending trial order: the summed air time folds
-        // deterministically.
-        response.succeeded += outcome.success;
-        response.sim_elapsed_s += outcome.elapsed_s;
-        response.per_trial_elapsed_s[t] = outcome.elapsed_s;
+      // One stage per trial, in trial order: the summed air time folds
+      // deterministically.
+      for (std::uint32_t t = 0; t < trials; ++t) {
+        const auto trial_start = std::chrono::steady_clock::now();
         if (flight != nullptr) {
-          if (outcome.retries > 0) {
-            flight->record(hook->ring, obs::FlightEvent::kRetry, flight_now(),
-                           request.id,
-                           static_cast<std::uint64_t>(outcome.retries));
+          flight->record(hook->ring, obs::FlightEvent::kStageEnter,
+                         flight_now(), request.id, t);
+        }
+        Rng trial_rng = Rng::stream(request.seed, t);
+        const LinkSessionReport report =
+            run_impaired_link_session(link, trial_rng);
+        response.succeeded += report.success ? 1 : 0;
+        response.sim_elapsed_s += report.elapsed_s;
+        response.per_trial_elapsed_s[t] = report.elapsed_s;
+        if (flight != nullptr) {
+          if (report.recovery.retries > 0) {
+            flight->record(
+                hook->ring, obs::FlightEvent::kRetry, flight_now(),
+                request.id,
+                static_cast<std::uint64_t>(report.recovery.retries));
           }
-          if (!outcome.powered) {
+          if (!report.powered) {
             flight->record(hook->ring, obs::FlightEvent::kBrownout,
                            flight_now(), request.id, t);
           }
         }
-      };
-      // Trial t seeds from Rng::stream(seed, t) regardless of the chunking,
-      // so the batch knob changes lane width, never outcomes.
-      const std::size_t batch =
-          resolve_batch_size(BatchConfig{config.batch_size});
-      std::size_t stage = 0;
-      for (std::size_t lo = 0; lo < trials; lo += batch, ++stage) {
-        const auto chunk_start = std::chrono::steady_clock::now();
-        if (flight != nullptr) {
-          flight->record(hook->ring, obs::FlightEvent::kStageEnter,
-                         flight_now(), request.id, stage);
-        }
-        run_session_batch(link, request.seed, /*stream_stride=*/1,
-                          /*stream_offset=*/0, lo,
-                          std::min<std::size_t>(trials, lo + batch), workspace,
-                          sink);
         if (stages != nullptr) {
-          stages->add(seconds_between(chunk_start,
+          stages->add(seconds_between(trial_start,
                                       std::chrono::steady_clock::now()));
         }
         if (flight != nullptr) {
           flight->record(hook->ring, obs::FlightEvent::kStageExit,
-                         flight_now(), request.id, stage);
+                         flight_now(), request.id, t);
         }
       }
       return response;
@@ -185,7 +178,7 @@ InventoryService::InventoryService(ServiceConfig config, CompletionSink sink)
   obs::gauge_set("svc.workers", static_cast<double>(workers_.size()));
   obs::gauge_set("svc.queue_depth", static_cast<double>(queue_.capacity()));
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w].thread = std::thread([this, w] { worker_loop(w); });
+    workers_[w] = std::thread([this, w] { worker_loop(w); });
   }
 }
 
@@ -251,24 +244,15 @@ void InventoryService::stop() {
         static_cast<std::ptrdiff_t>(pauses_submitted - pauses_passed));
   }
   ready_.release(static_cast<std::ptrdiff_t>(workers_.size()));
-  for (Worker& worker : workers_) worker.thread.join();
+  for (std::thread& worker : workers_) worker.join();
   // A submit racing the shutdown may have pushed after the workers drew
   // their shutdown credits; finish those requests inline so stop() always
   // leaves an empty ring.
   {
     ScopedInlineParallel inline_parallel;
     Request request;
-    while (queue_.try_pop(request)) {
-      handle(request, workers_[0].workspace, /*ring=*/1);
-    }
+    while (queue_.try_pop(request)) handle(request, /*ring=*/1);
   }
-  std::size_t workspace_high_water = 0;
-  for (const Worker& worker : workers_) {
-    workspace_high_water =
-        std::max(workspace_high_water, worker.workspace.high_water_bytes());
-  }
-  obs::gauge_set("svc.workspace.high_water_bytes",
-                 static_cast<double>(workspace_high_water));
   obs::gauge_set("svc.bufferpool.high_water_bytes",
                  static_cast<double>(pool_.high_water_bytes()));
   obs::gauge_set("svc.inflight", 0.0);
@@ -284,7 +268,6 @@ void InventoryService::worker_loop(std::size_t index) {
   // Request handlers that reach parallelized kernels (kPlan's optimizer)
   // run them inline on this worker: the service pool IS the parallelism.
   ScopedInlineParallel inline_parallel;
-  DspWorkspace& workspace = workers_[index].workspace;
   for (;;) {
     ready_.acquire();
     Request request;
@@ -299,12 +282,11 @@ void InventoryService::worker_loop(std::size_t index) {
       if (stopping_.load(std::memory_order_acquire)) return;
       std::this_thread::yield();
     }
-    handle(request, workspace, /*ring=*/1 + index);
+    handle(request, /*ring=*/1 + index);
   }
 }
 
-void InventoryService::handle(Request request, DspWorkspace& workspace,
-                              std::size_t ring) {
+void InventoryService::handle(Request request, std::size_t ring) {
   const auto picked_at = std::chrono::steady_clock::now();
   const double queue_wait_s = seconds_between(request.accepted_at, picked_at);
   const std::size_t inflight_now =
@@ -337,7 +319,7 @@ void InventoryService::handle(Request request, DspWorkspace& workspace,
       storage = pool_.acquire(std::max<std::uint32_t>(1, request.trials));
     }
     const FlightHook hook{config_.flight, ring, telemetry_now(request)};
-    response = execute_request(config_, request, workspace,
+    response = execute_request(config_, request, DspWorkspace::tls(),
                                std::move(storage), &stages,
                                config_.flight != nullptr ? &hook : nullptr);
   }

@@ -7,9 +7,8 @@
 // serving shape:
 //
 //   submit() --> bounded lock-free MPMC ring (svc/mpmc_queue.hpp)
-//            --> fixed worker pool (dedicated threads; one DspWorkspace
-//                arena per worker, requests executed through the batched
-//                session pipeline of sim/batch_pipeline.hpp)
+//            --> fixed worker pool (dedicated threads; each decode/inventory
+//                trial is one run_impaired_link_session)
 //            --> completion sink (one std::function installed at
 //                construction; response payload buffers recycle through a
 //                service-lifetime BufferPool)
@@ -30,19 +29,18 @@
 // the pool can never shrink mid-run. Every request accepted before stop()
 // is executed before its worker exits. After the join, stop() drains any
 // element a racing submit slipped past the closed door, publishes the
-// arena/bufferpool high-water gauges, trims the pools, and zeroes
-// svc.inflight. stop() is idempotent; the destructor calls it.
+// bufferpool high-water gauge, trims the pool, and zeroes svc.inflight.
+// stop() is idempotent; the destructor calls it.
 //
 // Determinism: a response is a pure function of the request fields and the
 // service's link-config template — worker count, queue depth, and arrival
-// timing never change response bytes. Request trials run through
-// run_session_batch with per-trial Rng::stream seeds (stride 1, offset 0),
-// so a decode request's outcome is bitwise-identical to running the scalar
-// oracle run_impaired_link_session trial-by-trial. determinism_test pins
-// the service-mode metrics snapshot (counters + sim-valued histograms)
-// byte-identical across reruns and across 1/2/8 workers; only wall-time-
-// valued metrics (svc.queue_wait, svc.service_time) and scheduling-
-// dependent gauges are outside that contract.
+// timing never change response bytes. Trial t of a request runs
+// run_impaired_link_session on Rng::stream(seed, t), so a decode request's
+// outcome is bitwise what that loop gives outside the service.
+// determinism_test pins the service-mode metrics snapshot (counters +
+// sim-valued histograms) byte-identical across reruns and across 1/2/8
+// workers; only wall-time-valued metrics (svc.queue_wait, svc.service_time)
+// and scheduling-dependent gauges are outside that contract.
 #pragma once
 
 #include <atomic>
@@ -121,7 +119,6 @@ struct ServiceConfig {
   /// Link template; snr_db / num_antennas / medium_loss_db and the
   /// kind-specific recovery come from each request (link_config_for).
   ImpairedLinkConfig link;
-  std::size_t batch_size = 0;  ///< 0 defers to default_batch_size()
   /// Optional live-telemetry bundle (obs/telemetry.hpp). Not owned; must
   /// outlive the service. Null = zero telemetry work on the hot path.
   obs::ServiceTelemetry* telemetry = nullptr;
@@ -138,7 +135,7 @@ struct ServiceConfig {
 };
 
 /// The exact per-request link config a worker executes — exposed so tests
-/// can replay a request against the scalar oracle and memcmp the outcome.
+/// can replay a request through run_impaired_link_session and compare.
 ImpairedLinkConfig link_config_for(const ServiceConfig& config,
                                    const Request& request);
 
@@ -152,7 +149,7 @@ std::uint64_t response_hash(const Response& response);
 
 /// Wall spans of the execution stages of one request, captured by
 /// execute_request: kPlan records one stage (the optimize call);
-/// decode/inventory record one per batch chunk, chunks beyond kMax folded
+/// decode/inventory record one per trial session, trials beyond kMax folded
 /// into the last.
 struct StageTimings {
   static constexpr std::size_t kMax = 4;
@@ -169,8 +166,8 @@ struct StageTimings {
 };
 
 /// Flight-recorder context for execute_request: when `flight` is set, the
-/// executor emits stage-enter/exit spans per chunk and retry/brownout
-/// instants per trial onto `ring`, timestamped t0_s + wall-elapsed.
+/// executor emits stage-enter/exit spans and retry/brownout instants per
+/// trial onto `ring`, timestamped t0_s + wall-elapsed.
 struct FlightHook {
   obs::FlightRecorder* flight = nullptr;
   std::size_t ring = 0;
@@ -180,11 +177,13 @@ struct FlightHook {
 /// Execute one request synchronously — the exact code path a service
 /// worker runs, exposed so `ivnet replay-exemplar` and tests re-execute a
 /// captured request deterministically. The response is a pure function of
-/// (config.link, config.batch_size, request): worker count, queue depth,
-/// and arrival order never change response bytes. kPause is a no-op here
-/// (the gate is service state). `storage` seeds per_trial_elapsed_s
-/// (pass a pooled buffer to avoid the allocation); wall timings in the
-/// response are left zero — the caller owns queue_wait_s/service_s.
+/// (config.link, request): worker count, queue depth, and arrival order
+/// never change response bytes. kPause is a no-op here (the gate is service
+/// state). `workspace` is unused: sessions keep their own scratch, and the
+/// parameter stays only so existing callers compile. `storage` seeds
+/// per_trial_elapsed_s (pass a pooled buffer to avoid the allocation); wall
+/// timings in the response are left zero — the caller owns
+/// queue_wait_s/service_s.
 Response execute_request(const ServiceConfig& config, const Request& request,
                          DspWorkspace& workspace,
                          std::vector<double> storage = {},
@@ -208,7 +207,7 @@ class InventoryService {
   /// svc.rejected) or the service is stopping (svc.rejected.stopped).
   bool submit(Request request);
 
-  /// Drain the queue, quiesce the workers, publish the arena gauges.
+  /// Drain the queue, quiesce the workers, publish the buffer-pool gauge.
   /// Outstanding kPause requests (parked on or queued ahead of the gate)
   /// are force-released, so an unbalanced release_pause() cannot hang
   /// shutdown. Idempotent. Callers must not race submit() against stop():
@@ -244,15 +243,10 @@ class InventoryService {
   }
 
  private:
-  struct Worker {
-    std::thread thread;
-    DspWorkspace workspace;
-  };
-
   void worker_loop(std::size_t index);
   /// `ring` is the flight-recorder ring (1 + worker index; stop()'s inline
   /// drain reuses worker 0's).
-  void handle(Request request, DspWorkspace& workspace, std::size_t ring);
+  void handle(Request request, std::size_t ring);
   /// Telemetry-clock timestamp for `request` right now: wall seconds since
   /// construction, or the request's offered_t_s in sim mode.
   double telemetry_now(const Request& request) const;
@@ -272,7 +266,7 @@ class InventoryService {
   /// before joining, so an unreleased pause can never hang shutdown.
   std::atomic<std::uint64_t> pause_submitted_{0};
   std::atomic<std::uint64_t> pause_passed_{0};
-  std::vector<Worker> workers_;
+  std::vector<std::thread> workers_;
 
   std::atomic<bool> stopping_{false};
   std::mutex stop_mutex_;

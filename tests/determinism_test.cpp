@@ -304,54 +304,6 @@ TEST_F(DeterminismTest, SessionMatrixJsonByteEqualAcrossPoolSizes) {
   }
 }
 
-TEST_F(DeterminismTest, BatchedWaterfallJsonByteEqualAcrossPoolSizes) {
-  // The batched pipeline inherits the full determinism contract: the JSON
-  // must be byte-identical for any pool size AND equal to the scalar path.
-  WaterfallConfig config;
-  config.snr_points_db = {30.0, 12.0, 4.0};
-  config.trials_per_point = 24;
-  config.link.recovery = RecoveryPolicy::retries(1);
-  auto run = [&](std::size_t batch) {
-    WaterfallConfig c = config;
-    c.batch.batch_size = batch;
-    Rng rng(888);
-    return waterfall_json(run_ber_waterfall(c, rng));
-  };
-  set_parallel_threads(1);
-  const std::string scalar = run(1);
-  for (const std::size_t batch : {std::size_t{8}, std::size_t{32}}) {
-    for (std::size_t threads : kPoolSizes) {
-      set_parallel_threads(threads);
-      EXPECT_EQ(run(batch), scalar)
-          << "batch " << batch << " pool size " << threads;
-    }
-  }
-}
-
-TEST_F(DeterminismTest, BatchedMatrixJsonByteEqualAcrossPoolSizes) {
-  MatrixConfig config;
-  config.media = {{"water", 2.0}, {"muscle", 6.0}};
-  config.snr_points_db = {30.0, 8.0};
-  config.antenna_counts = {1, 3};
-  config.trials_per_cell = 12;
-  config.link.recovery = RecoveryPolicy::retries(1);
-  auto run = [&](std::size_t batch) {
-    MatrixConfig c = config;
-    c.batch.batch_size = batch;
-    Rng rng(1234);
-    return matrix_json(run_session_matrix(c, rng));
-  };
-  set_parallel_threads(1);
-  const std::string scalar = run(1);
-  for (const std::size_t batch : {std::size_t{8}, std::size_t{32}}) {
-    for (std::size_t threads : kPoolSizes) {
-      set_parallel_threads(threads);
-      EXPECT_EQ(run(batch), scalar)
-          << "batch " << batch << " pool size " << threads;
-    }
-  }
-}
-
 // Observability must obey the same contract as the results themselves: a
 // metrics snapshot and a sim-time trace taken over a fixed workload must be
 // byte-identical for any pool size.  Everything the hooks record for these

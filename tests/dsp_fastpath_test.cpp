@@ -299,6 +299,44 @@ TEST(DspWorkspace, RecyclesReleasedCapacity) {
   ws.release(std::move(reused));
 }
 
+TEST(DspWorkspace, BestFitCheckoutRecyclesSmallestFit) {
+  DspWorkspace ws;
+  auto big = ws.acquire_real(1000);
+  auto small = ws.acquire_real(100);
+  const std::size_t big_cap = big.capacity();
+  const std::size_t small_cap = small.capacity();
+  ASSERT_GE(big_cap, 1000u);
+  ws.release(std::move(big));
+  ws.release(std::move(small));
+  ASSERT_EQ(ws.pooled_real(), 2u);
+  // A 50-sample checkout must take the SMALL parked buffer, not the big one.
+  auto buf = ws.acquire_real(50);
+  EXPECT_EQ(buf.capacity(), small_cap);
+  // A too-big request falls back to the largest parked buffer and grows it.
+  auto buf2 = ws.acquire_real(1500);
+  EXPECT_GE(buf2.capacity(), 1500u);
+  EXPECT_EQ(ws.pooled_real(), 0u);
+  ws.release(std::move(buf));
+  ws.release(std::move(buf2));
+}
+
+TEST(DspWorkspace, HighWaterTracksCapacityGrowth) {
+  DspWorkspace ws;
+  EXPECT_EQ(ws.high_water_bytes(), 0u);
+  auto a = ws.acquire_real(100);
+  const std::size_t after_first = ws.high_water_bytes();
+  EXPECT_GE(after_first, 100 * sizeof(double));
+  ws.release(std::move(a));
+  // Recycled checkout: no growth, no high-water movement.
+  auto b = ws.acquire_real(60);
+  EXPECT_EQ(ws.high_water_bytes(), after_first);
+  // Growth while a buffer is checked out stacks on the live total.
+  auto c = ws.acquire_real(300);
+  EXPECT_GE(ws.high_water_bytes(), after_first + 300 * sizeof(double));
+  ws.release(std::move(b));
+  ws.release(std::move(c));
+}
+
 TEST(DspWorkspace, ScopedBufferReturnsOnScopeExit) {
   DspWorkspace ws;
   {

@@ -24,6 +24,19 @@ std::vector<double> sine(std::size_t n, double cycles_per_sample) {
   return x;
 }
 
+TEST(Awgn, ApplyAwgnConsumesOneDrawPerSample) {
+  // An attempt's uplink noise continues the stream its downlink noise drew
+  // from, so session outputs stay byte-stable only while apply_awgn
+  // consumes exactly x.size() raw draws.
+  const std::size_t n = 257;
+  std::vector<double> x(n, 1.0);
+  Rng rng(7);
+  apply_awgn(x, 20.0, rng);
+  Rng expected(7);
+  for (std::size_t i = 0; i < n; ++i) expected();
+  EXPECT_EQ(rng.raw_state(), expected.raw_state());
+}
+
 TEST(Awgn, HitsRequestedSnr) {
   auto x = sine(20000, 0.05);
   const double signal_power = signal_mean_power(x);

@@ -1,8 +1,9 @@
 // Tests for ivnet/signal: waveform synthesis, envelopes, correlation,
-// filtering, noise, and single-bin DFT.
+// filtering, noise, the deterministic Gaussian sampler, and single-bin DFT.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "ivnet/signal/correlate.hpp"
 #include "ivnet/signal/envelope.hpp"
 #include "ivnet/signal/fir.hpp"
+#include "ivnet/signal/gauss.hpp"
 #include "ivnet/signal/goertzel.hpp"
 #include "ivnet/signal/noise.hpp"
 #include "ivnet/signal/waveform.hpp"
@@ -240,6 +242,106 @@ TEST(Noise, ThermalFloorMagnitude) {
   // kTB at 290 K over 1 Hz is -174 dBm; over 1 MHz with NF 6 dB: -108 dBm.
   const double p = thermal_noise_power(1e6, 6.0);
   EXPECT_NEAR(watts_to_dbm(p), -108.0, 0.3);
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(Gauss, FillsBitwiseMatchPerDrawReference) {
+  // The definition the tiled AVX2 passes and the scalar fallback must both
+  // reproduce byte for byte: one raw draw per sample, fused into the source
+  // sample, leaving the generator where n calls of rng() would. The sizes
+  // straddle the 4-sample packing and the 256-draw tile.
+  for (const std::size_t n :
+       {0, 1, 3, 4, 5, 255, 256, 257, 259, 1023, 4096, 65537}) {
+    for (const std::uint64_t seed : {1ull, 99ull, 0x9e3779b97f4a7c15ull}) {
+      for (const double sigma : {0.0, 1e-3, 1.0, 3.5}) {
+        std::vector<double> src(n);
+        Rng source(seed ^ 0x5a5aull);
+        for (double& v : src) v = source.uniform(-2.0, 2.0);
+        Rng ref(seed);
+        std::vector<double> expected(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          expected[i] =
+              std::fma(sigma, signal::normal_from_bits(ref()), src[i]);
+        }
+
+        Rng in_place_rng(seed);
+        std::vector<double> in_place = src;
+        signal::axpy_awgn(in_place_rng, sigma, in_place);
+        Rng aliased_rng(seed);
+        std::vector<double> aliased = src;
+        signal::axpy_awgn_onto(aliased_rng, sigma, aliased.data(), aliased);
+        Rng separate_rng(seed);
+        std::vector<double> separate(n);
+        signal::axpy_awgn_onto(separate_rng, sigma, src.data(), separate);
+
+        EXPECT_TRUE(same_bytes(in_place, expected))
+            << "in place n " << n << " seed " << seed << " sigma " << sigma;
+        EXPECT_TRUE(same_bytes(aliased, expected))
+            << "aliased n " << n << " seed " << seed << " sigma " << sigma;
+        EXPECT_TRUE(same_bytes(separate, expected))
+            << "separate n " << n << " seed " << seed << " sigma " << sigma;
+        for (const Rng* rng : {&in_place_rng, &aliased_rng, &separate_rng}) {
+          EXPECT_EQ(rng->raw_state(), ref.raw_state())
+              << "n " << n << " seed " << seed << " sigma " << sigma;
+        }
+      }
+    }
+  }
+}
+
+TEST(Gauss, LanesFillEachLaneLikeOneFill) {
+  constexpr std::size_t kLanes = 5;
+  const std::size_t n = 259;
+  const std::vector<double> src(n, 0.25);
+  std::vector<Rng> rngs;
+  for (std::size_t k = 0; k < kLanes; ++k) rngs.push_back(Rng::stream(99, k));
+  const std::vector<Rng> start = rngs;
+  std::vector<std::vector<double>> out(kLanes, std::vector<double>(n));
+  Rng* rng_ptrs[kLanes];
+  const double* srcs[kLanes];
+  double* dsts[kLanes];
+  double sigmas[kLanes];
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    rng_ptrs[k] = &rngs[k];
+    srcs[k] = src.data();
+    dsts[k] = out[k].data();
+    sigmas[k] = 0.5 + static_cast<double>(k);
+  }
+  signal::axpy_awgn_lanes_onto(kLanes, rng_ptrs, sigmas, srcs, dsts, n);
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    Rng one = start[k];
+    std::vector<double> expected(n);
+    signal::axpy_awgn_onto(one, sigmas[k], src.data(), expected);
+    EXPECT_TRUE(same_bytes(out[k], expected)) << "lane " << k;
+    EXPECT_EQ(rngs[k].raw_state(), one.raw_state()) << "lane " << k;
+  }
+}
+
+TEST(Gauss, SamplerStatistics) {
+  Rng rng(4242);
+  const std::size_t n = 200000;
+  std::vector<double> x(n, 0.0);
+  signal::axpy_awgn(rng, 1.0, x);
+  double sum = 0.0, sum_sq = 0.0;
+  std::size_t far_tail = 0;
+  for (const double v : x) {
+    sum += v;
+    sum_sq += v * v;
+    if (v > 4.0 || v < -4.0) ++far_tail;
+  }
+  const double mean = sum / static_cast<double>(n);
+  const double var = sum_sq / static_cast<double>(n) - mean * mean;
+  EXPECT_NEAR(mean, 0.0, 0.01);
+  EXPECT_NEAR(var, 1.0, 0.02);
+  // P(|z| > 4) ~ 6.3e-5: the inverse-CDF sampler actually reaches the far
+  // tail (Box-Muller-style clamping or a broken tail branch would not).
+  EXPECT_GT(far_tail, 0u);
+  EXPECT_LT(far_tail, 60u);
 }
 
 TEST(Goertzel, PicksToneAmplitudeAndRejectsOthers) {

@@ -563,30 +563,6 @@ TEST(InventoryServiceTest, BufferPoolReachesSteadyStateAcrossRequests) {
             BufferPool::size_class(50) * sizeof(double));
 }
 
-TEST(InventoryServiceTest, BatchSizeKnobDoesNotChangeResponses) {
-  auto digest_with_batch = [](std::size_t batch_size) {
-    ServiceConfig config;
-    config.workers = 2;
-    config.batch_size = batch_size;
-    CaptureSink capture;
-    InventoryService service(config, capture.sink());
-    for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_TRUE(service.submit(decode_request(i, 100 + i, 9)));
-    }
-    service.stop();
-    std::vector<double> elapsed;
-    for (const auto& [id, response] : capture.by_id) {
-      elapsed.insert(elapsed.end(), response.per_trial_elapsed_s.begin(),
-                     response.per_trial_elapsed_s.end());
-    }
-    return elapsed;
-  };
-  const auto scalar = digest_with_batch(1);
-  ASSERT_EQ(scalar.size(), 6u * 9u);
-  EXPECT_EQ(digest_with_batch(4), scalar);
-  EXPECT_EQ(digest_with_batch(32), scalar);
-}
-
 TEST(InventoryServiceTest, TelemetryObservesWithoutChangingResponses) {
   // The observability stack must be a pure observer: attaching windows,
   // exemplars, and the flight recorder cannot change a single response

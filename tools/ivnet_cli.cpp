@@ -27,9 +27,6 @@
 //   --trace-out FILE       write a Chrome trace_event file (load in
 //                          chrome://tracing or ui.perfetto.dev)
 //   --trace-clock sim|wall trace clock domain (default wall)
-//   --batch-size K         run trial sweeps through the batched lockstep
-//                          pipeline, K trials per batch (1 = scalar path;
-//                          results are bitwise-identical either way)
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -51,7 +48,6 @@
 #include "ivnet/obs/flight_recorder.hpp"
 #include "ivnet/obs/obs.hpp"
 #include "ivnet/obs/telemetry.hpp"
-#include "ivnet/sim/batch_pipeline.hpp"
 #include "ivnet/sim/calibration.hpp"
 #include "ivnet/sim/campaign.hpp"
 #include "ivnet/sim/experiment.hpp"
@@ -862,10 +858,10 @@ int cmd_replay_exemplar(const Args& args) {
   }
 
   // Re-execute through the exact service code path. The response is a pure
-  // function of (request, seed): default link template + any batch size
-  // reproduce the captured bytes, whatever the capturing service's worker
-  // count or queue depth were. kPlan's optimizer parallel_for runs inline,
-  // matching the worker-thread environment.
+  // function of (request, seed): the default link template reproduces the
+  // captured bytes, whatever the capturing service's worker count or queue
+  // depth were. kPlan's optimizer parallel_for runs inline, matching the
+  // worker-thread environment.
   ScopedInlineParallel inline_parallel;
   svc::ServiceConfig config;
   DspWorkspace workspace;
@@ -967,9 +963,7 @@ int cmd_help() {
       "           [--plan-journal FILE]       durable kPlan plan store\n"
       "  replay-exemplar --in FILE [--id N | --index K] [--json]\n"
       "           re-execute captured exemplars; response hash must match\n\n"
-      "global: --metrics-out FILE  --trace-out FILE  --trace-clock sim|wall\n"
-      "        --batch-size K   batched lockstep trial pipeline (K trials\n"
-      "                         per batch; bitwise-identical to scalar)\n");
+      "global: --metrics-out FILE  --trace-out FILE  --trace-clock sim|wall\n");
   return 0;
 }
 
@@ -1015,17 +1009,6 @@ int dispatch(const Args& args) {
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
-
-  // Batched trial pipeline: the flag overrides the IVNET_BATCH environment
-  // default for every sweep this process runs (output bytes do not change).
-  if (args.has("batch-size")) {
-    const double k = args.get_num("batch-size", 1.0);
-    if (k < 1.0) {
-      std::fprintf(stderr, "ivnet: --batch-size must be >= 1\n");
-      return 2;
-    }
-    set_default_batch_size(static_cast<std::size_t>(k));
-  }
 
   // Telemetry sink: any command runs instrumented when asked for artifacts.
   const std::string metrics_out = args.get("metrics-out", "");
