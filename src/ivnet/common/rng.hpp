@@ -39,6 +39,9 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Standard normal draw (Box-Muller; one value per call, caches the pair).
+  /// For scalar parameter draws only (clock errors, sensor noise, array
+  /// jitter): per-sample noise goes through signal/gauss.hpp, whose sampler
+  /// is libm-free and takes exactly one raw draw per value.
   double normal();
 
   /// Normal draw with the given mean and standard deviation.

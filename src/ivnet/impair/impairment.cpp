@@ -2,25 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "ivnet/common/units.hpp"
 #include "ivnet/obs/obs.hpp"
 #include "ivnet/signal/gauss.hpp"
+#include "ivnet/signal/noise.hpp"
 
 namespace ivnet {
 namespace {
 
-/// Phase random-walk increment sigma for a Lorentzian linewidth.
-double phase_step_sigma(double linewidth_hz, double sample_rate_hz) {
-  return std::sqrt(kTwoPi * linewidth_hz / sample_rate_hz);
+/// Random-walk phase of Lorentzian linewidth `linewidth_hz` over `n`
+/// samples: N(0, 2*pi*linewidth/fs) increments, one raw draw each through
+/// the gauss sampler, prefix-summed.
+std::vector<double> phase_walk(std::size_t n, double sample_rate_hz,
+                               double linewidth_hz, Rng& rng) {
+  std::vector<double> phi(n, 0.0);
+  signal::axpy_awgn(rng, std::sqrt(kTwoPi * linewidth_hz / sample_rate_hz),
+                    phi);
+  std::partial_sum(phi.begin(), phi.end(), phi.begin());
+  return phi;
 }
 
-/// Noise standard deviation that puts `snr_db` of noise under a signal of
-/// mean power `power`; negative when no noise should be added (infinite SNR
-/// or zero power).
-double awgn_sigma(double power, double snr_db) {
+/// Noise power that puts `snr_db` of noise under a signal of mean power
+/// `power`; negative when no noise should be added (infinite SNR or zero
+/// power).
+double awgn_power(double power, double snr_db) {
   if (!std::isfinite(snr_db) || power <= 0.0) return -1.0;
-  return std::sqrt(power * from_db(-snr_db));
+  return power * from_db(-snr_db);
 }
 
 }  // namespace
@@ -33,22 +42,17 @@ double signal_mean_power(std::span<const double> x) {
 }
 
 void apply_awgn(std::vector<double>& x, double snr_db, Rng& rng) {
-  const double sigma = awgn_sigma(signal_mean_power(x), snr_db);
-  if (sigma < 0.0) return;
+  const double noise_power = awgn_power(signal_mean_power(x), snr_db);
+  if (noise_power < 0.0) return;
   // Real-envelope AWGN is the Monte-Carlo hot loop: the deterministic
   // inverse-CDF sampler (signal/gauss.hpp), one raw draw per sample.
-  signal::axpy_awgn(rng, sigma, x);
+  signal::axpy_awgn(rng, std::sqrt(noise_power), x);
 }
 
 void apply_awgn(Waveform& wave, double snr_db, Rng& rng) {
-  const double power = mean_power(wave);
-  const double sigma = awgn_sigma(power, snr_db);
-  if (sigma < 0.0) return;
-  // Split the noise power evenly across I and Q.
-  const double per_axis = sigma / std::sqrt(2.0);
-  for (auto& s : wave.samples) {
-    s += cplx(rng.normal(0.0, per_axis), rng.normal(0.0, per_axis));
-  }
+  const double noise_power = awgn_power(mean_power(wave), snr_db);
+  if (noise_power < 0.0) return;
+  add_awgn(wave, noise_power, rng);
 }
 
 void apply_carrier_offset(std::vector<double>& x, double sample_rate_hz,
@@ -71,22 +75,16 @@ void apply_carrier_offset(Waveform& wave, double cfo_hz, double phase0_rad) {
 void apply_phase_noise(std::vector<double>& x, double sample_rate_hz,
                        double linewidth_hz, Rng& rng) {
   if (linewidth_hz <= 0.0) return;
-  const double sigma = phase_step_sigma(linewidth_hz, sample_rate_hz);
-  double phi = 0.0;
-  for (double& v : x) {
-    phi += rng.normal(0.0, sigma);
-    v *= std::cos(phi);
-  }
+  const auto phi = phase_walk(x.size(), sample_rate_hz, linewidth_hz, rng);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= std::cos(phi[i]);
 }
 
 void apply_phase_noise(Waveform& wave, double linewidth_hz, Rng& rng) {
   if (linewidth_hz <= 0.0) return;
-  const double sigma =
-      phase_step_sigma(linewidth_hz, wave.sample_rate_hz);
-  double phi = 0.0;
-  for (auto& s : wave.samples) {
-    phi += rng.normal(0.0, sigma);
-    s *= std::polar(1.0, phi);
+  const auto phi =
+      phase_walk(wave.size(), wave.sample_rate_hz, linewidth_hz, rng);
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    wave.samples[i] *= std::polar(1.0, phi[i]);
   }
 }
 

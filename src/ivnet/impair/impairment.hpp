@@ -87,10 +87,12 @@ struct ImpairmentTrace {
 double signal_mean_power(std::span<const double> x);
 
 /// Add real AWGN at `snr_db` relative to the CURRENT mean power of `x`.
-/// No-op for +inf SNR, empty, or all-zero input.
+/// No-op for +inf SNR, empty, or all-zero input. Every noise primitive here
+/// draws through signal/gauss: one raw Rng draw per real lane.
 void apply_awgn(std::vector<double>& x, double snr_db, Rng& rng);
 
-/// Complex AWGN at `snr_db` relative to the waveform's mean power.
+/// Complex AWGN at `snr_db` relative to the waveform's mean power: add_awgn
+/// (signal/noise.hpp) with that noise power, 2 draws per sample.
 void apply_awgn(Waveform& wave, double snr_db, Rng& rng);
 
 /// Residual CFO on a REAL downconverted baseband: x[i] *= cos(2*pi*f*t+p0).
@@ -102,8 +104,8 @@ void apply_carrier_offset(std::vector<double>& x, double sample_rate_hz,
 void apply_carrier_offset(Waveform& wave, double cfo_hz, double phase0_rad);
 
 /// Random-walk phase noise of Lorentzian linewidth `linewidth_hz`: phase
-/// increments are N(0, 2*pi*linewidth/fs) per sample. Real signals are
-/// multiplied by cos(phi), complex ones rotated by exp(j*phi).
+/// increments are N(0, 2*pi*linewidth/fs) per sample, one draw each. Real
+/// signals are multiplied by cos(phi), complex ones rotated by exp(j*phi).
 void apply_phase_noise(std::vector<double>& x, double sample_rate_hz,
                        double linewidth_hz, Rng& rng);
 void apply_phase_noise(Waveform& wave, double linewidth_hz, Rng& rng);

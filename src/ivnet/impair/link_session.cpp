@@ -8,12 +8,8 @@
 #include "ivnet/gen2/fm0.hpp"
 #include "ivnet/gen2/miller.hpp"
 #include "ivnet/obs/obs.hpp"
-#include "ivnet/signal/dsp_workspace.hpp"
 
 namespace ivnet {
-namespace {
-
-}  // namespace
 
 gen2::Bits default_link_epc() {
   gen2::Bits epc;
@@ -74,12 +70,9 @@ LinkSessionReport run_impaired_link_session(const ImpairedLinkConfig& config,
       config.epc.empty() ? default_link_epc() : config.epc,
       base ^ 0x9e3779b97f4a7c15ull);
 
-  // Session-local scratch arena: the brownout supply rails below are
-  // rebuilt for the charge window and for every reply, so one recycled
-  // buffer replaces a per-attempt allocation. Single-threaded by
-  // construction (one session == one Monte-Carlo worker).
-  DspWorkspace workspace;
-  ScopedBuffer<double> supply_buf(workspace, 0);
+  // The brownout supply rail, rebuilt for the charge window and for every
+  // reply into the same buffer.
+  std::vector<double> supply;
 
   // --- Charge. The array/loss-scaled CW amplitude must clear the power-up
   // threshold; with brownout enabled the transient doubler decides instead.
@@ -92,7 +85,6 @@ LinkSessionReport run_impaired_link_session(const ImpairedLinkConfig& config,
   BrownoutState rail;  // capacitor charge carries across the whole session
   if (config.impair.brownout.enabled) {
     Rng charge_rng = next_rng();
-    std::vector<double>& supply = *supply_buf;
     supply.assign(static_cast<std::size_t>(config.charge_time_s * fs),
                   charge_amp);
     apply_burst_erasures(supply, fs, config.impair.bursts, charge_rng,
@@ -126,7 +118,6 @@ LinkSessionReport run_impaired_link_session(const ImpairedLinkConfig& config,
     if (config.impair.brownout.enabled) {
       // The rail sags while the tag modulates: gate the reflection through
       // the doubler, resuming from the rail the charge window left behind.
-      std::vector<double>& supply = *supply_buf;
       supply.assign(rx.size(), charge_amp);
       apply_burst_erasures(supply, fs, config.impair.bursts, att_rng, nullptr);
       BrownoutState reply_rail = rail;  // replies don't discharge each other

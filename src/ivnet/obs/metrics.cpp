@@ -125,93 +125,6 @@ std::vector<double> Histogram::exponential_bounds(double lo, double hi,
   return bounds;
 }
 
-StreamingQuantile::StreamingQuantile(double q) : q_(std::clamp(q, 0.0, 1.0)) {
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = 0.0;
-    positions_[i] = static_cast<double>(i + 1);
-  }
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q_;
-  desired_[2] = 1.0 + 4.0 * q_;
-  desired_[3] = 3.0 + 2.0 * q_;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q_ / 2.0;
-  increments_[2] = q_;
-  increments_[3] = (1.0 + q_) / 2.0;
-  increments_[4] = 1.0;
-}
-
-void StreamingQuantile::observe(double value) {
-  if (count_ < 5) {
-    heights_[count_++] = value;
-    if (count_ == 5) std::sort(heights_, heights_ + 5);
-    return;
-  }
-  ++count_;
-
-  // Locate the cell and stretch the extreme markers if needed.
-  int k;
-  if (value < heights_[0]) {
-    heights_[0] = value;
-    k = 0;
-  } else if (value >= heights_[4]) {
-    heights_[4] = value;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && value >= heights_[k + 1]) ++k;
-  }
-
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Nudge the three interior markers toward their desired positions with
-  // the piecewise-parabolic (P^2) update, falling back to linear when the
-  // parabola would cross a neighbour.
-  for (int i = 1; i <= 3; ++i) {
-    const double offset = desired_[i] - positions_[i];
-    if (!((offset >= 1.0 && positions_[i + 1] - positions_[i] > 1.0) ||
-          (offset <= -1.0 && positions_[i - 1] - positions_[i] < -1.0))) {
-      continue;
-    }
-    const double d = offset >= 1.0 ? 1.0 : -1.0;
-    const double candidate =
-        heights_[i] +
-        d / (positions_[i + 1] - positions_[i - 1]) *
-            ((positions_[i] - positions_[i - 1] + d) *
-                 (heights_[i + 1] - heights_[i]) /
-                 (positions_[i + 1] - positions_[i]) +
-             (positions_[i + 1] - positions_[i] - d) *
-                 (heights_[i] - heights_[i - 1]) /
-                 (positions_[i] - positions_[i - 1]));
-    if (heights_[i - 1] < candidate && candidate < heights_[i + 1]) {
-      heights_[i] = candidate;
-    } else {
-      const int j = d > 0.0 ? i + 1 : i - 1;
-      heights_[i] += d * (heights_[j] - heights_[i]) /
-                     (positions_[j] - positions_[i]);
-    }
-    positions_[i] += d;
-  }
-}
-
-double StreamingQuantile::estimate() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact small-sample quantile on the sorted prefix.
-    double sorted[5];
-    std::copy(heights_, heights_ + count_, sorted);
-    std::sort(sorted, sorted + count_);
-    const double rank = q_ * static_cast<double>(count_ - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min<std::size_t>(lo + 1, count_ - 1);
-    return sorted[lo] + (rank - static_cast<double>(lo)) *
-                            (sorted[hi] - sorted[lo]);
-  }
-  return heights_[2];
-}
-
 Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counters_.find(name);

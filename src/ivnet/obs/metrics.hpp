@@ -14,11 +14,6 @@
 //      null sink costs one relaxed load per hook site.
 //   3. Stable iteration. Metrics snapshot in lexicographic name order, and
 //      the JSON emitter (common/json) writes fields in a fixed order.
-//
-// The P^2 streaming-quantile estimator lives here too: it tracks an
-// arbitrary quantile of an unbounded stream in O(1) memory, but its state
-// depends on observation ORDER, so it is a single-stream tool (per-session
-// analysis, post-processing) — registry histograms stay fixed-bucket.
 #pragma once
 
 #include <atomic>
@@ -111,29 +106,6 @@ class Histogram {
   std::uint64_t count_ = 0;            // guarded by mutex_
   double min_;                         // guarded by mutex_
   double max_;                         // guarded by mutex_
-};
-
-/// P^2 single-quantile estimator (Jain & Chlamtac 1985): tracks quantile
-/// `q` of a stream in O(1) memory with parabolic marker adjustment. State
-/// depends on observation order — use on single streams, not from the
-/// parallel trial loops (the registry's Histogram is the order-free tool).
-class StreamingQuantile {
- public:
-  explicit StreamingQuantile(double q);
-
-  void observe(double value);
-  std::uint64_t count() const { return count_; }
-
-  /// Current estimate: exact below 5 observations, P^2 marker above.
-  double estimate() const;
-
- private:
-  double q_;
-  std::uint64_t count_ = 0;
-  double heights_[5];    // marker heights
-  double positions_[5];  // actual marker positions (1-based)
-  double desired_[5];    // desired marker positions
-  double increments_[5];
 };
 
 /// One name -> metric store with deterministic (lexicographic) snapshot

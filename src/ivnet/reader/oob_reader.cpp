@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "ivnet/common/units.hpp"
+#include "ivnet/signal/gauss.hpp"
 #include "ivnet/signal/noise.hpp"
 
 namespace ivnet {
@@ -60,14 +61,14 @@ OobDecodeReport OobReader::decode(std::span<const double> reflection,
                         std::max(post_noise_w, 1e-30));
 
   // Synthesize the averaged received baseband: amplitude-faithful signal
-  // plus per-period-averaged AWGN.
+  // plus per-period-averaged AWGN, one sampler draw per sample.
   const double amp = tx_amp * round_trip_gain;
-  const double noise_sigma = std::sqrt(post_noise_w / 2.0);
-  std::vector<double> rx(reflection.size());
+  std::vector<double>& rx = report.averaged_signal;
+  rx.resize(reflection.size());
   for (std::size_t i = 0; i < reflection.size(); ++i) {
-    rx[i] = amp * reflection[i] + rng.normal(0.0, noise_sigma);
+    rx[i] = amp * reflection[i];
   }
-  report.averaged_signal = rx;
+  signal::axpy_awgn(rng, std::sqrt(post_noise_w / 2.0), rx);
 
   const auto decoded = gen2::fm0_decode(rx, num_bits, blf_hz,
                                         config_.sample_rate_hz,

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "ivnet/common/units.hpp"
+#include "ivnet/signal/phasor.hpp"
 
 namespace ivnet {
 
@@ -66,10 +67,9 @@ std::vector<Waveform> RadioArray::transmit(std::span<const double> envelope,
     Waveform wave;
     wave.sample_rate_hz = fs;
     wave.samples.assign(length, cplx{0.0, 0.0});
-    const double dphi = kTwoPi * actual[i] / fs;
-    const cplx step = std::polar(1.0, dphi);
-    cplx rot = std::polar(
-        1.0, plls_[i].initial_phase() + kTwoPi * actual[i] * start_time_s);
+    PhasorRotator rot(
+        plls_[i].initial_phase() + kTwoPi * actual[i] * start_time_s,
+        kTwoPi * actual[i] / fs);
     for (std::size_t n = 0; n < length; ++n) {
       // Envelope sample this device plays at array time n (PPS skew shifts
       // the device's own timeline).
@@ -80,9 +80,8 @@ std::vector<Waveform> RadioArray::transmit(std::span<const double> envelope,
       }
       const double in_amp = drive_amp * env;
       const double out_amp = pa_.output_amplitude(in_amp);
-      wave.samples[n] = out_amp * rot;
-      rot *= step;
-      if ((n & 0xFFF) == 0xFFF) rot /= std::abs(rot);
+      wave.samples[n] = out_amp * rot.value();
+      rot.advance();
     }
     waves.push_back(std::move(wave));
   }

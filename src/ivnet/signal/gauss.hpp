@@ -2,7 +2,7 @@
 //
 // Rng::normal() (Box-Muller) calls into libm's log/sin/cos, whose results
 // depend on the libm build and are not reproducible between a scalar and a
-// packed evaluation. The session engine's AWGN instead goes through:
+// packed evaluation. Every per-sample Gaussian loop instead goes through:
 //
 //   normal_from_bits(bits) — a pure elementwise map from one 64-bit draw to
 //   one standard-normal value via the AS241 inverse normal CDF (Wichura's
@@ -12,8 +12,15 @@
 //   sequence of IEEE add/mul/div/sqrt/fma operations.
 //
 //   axpy_awgn(rng, sigma, x) — x[i] += sigma * normal_from_bits(rng())
-//   (as a fused fma), one raw draw per sample. This is THE AWGN loop:
-//   impair/apply_awgn (real vectors) delegates here.
+//   (as a fused fma), one raw draw per sample. This is the one noise
+//   sampler; its callers are
+//     impair/apply_awgn          real envelopes (the session engine's noise)
+//     signal/add_awgn            complex samples as interleaved re/im lanes
+//                                (impair's complex apply_awgn and
+//                                sdr/RxChain's thermal noise delegate here)
+//     impair/apply_phase_noise   random-walk increments, then a prefix sum
+//     reader/OobReader::decode   the out-of-band reader's receive noise
+//   Rng::normal is left for scalar parameter draws only.
 //
 // With AVX2+FMA the fill runs as tiled passes over one generator: the raw
 // draws are made one after another into an L1 tile (the order rng() gives),

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "ivnet/common/units.hpp"
+#include "ivnet/signal/phasor.hpp"
 
 namespace ivnet {
 
@@ -11,14 +12,11 @@ cplx goertzel(const Waveform& wave, double freq_hz) {
   // Direct correlation with the complex exponential; for our modest buffer
   // sizes this is as fast as the classic two-multiplier recurrence and exact
   // for non-integer bin frequencies.
-  const double dphi = -kTwoPi * freq_hz / wave.sample_rate_hz;
-  const cplx step = std::polar(1.0, dphi);
-  cplx rot{1.0, 0.0};
+  PhasorRotator rot(0.0, -kTwoPi * freq_hz / wave.sample_rate_hz);
   cplx acc{0.0, 0.0};
-  for (std::size_t i = 0; i < wave.samples.size(); ++i) {
-    acc += wave.samples[i] * rot;
-    rot *= step;
-    if ((i & 0xFFF) == 0xFFF) rot /= std::abs(rot);
+  for (const auto& s : wave.samples) {
+    acc += s * rot.value();
+    rot.advance();
   }
   return acc / static_cast<double>(wave.samples.size());
 }

@@ -5,6 +5,7 @@
 
 #include "ivnet/common/units.hpp"
 #include "ivnet/signal/goertzel.hpp"
+#include "ivnet/signal/phasor.hpp"
 
 namespace ivnet {
 
@@ -13,17 +14,14 @@ Waveform apply_impairments(const Waveform& in, const IqImpairments& imp) {
   const double g = db_to_amplitude(imp.gain_imbalance_db);
   const double sin_skew = std::sin(imp.phase_skew_rad);
   const double cos_skew = std::cos(imp.phase_skew_rad);
-  const double dphi = kTwoPi * imp.cfo_hz / in.sample_rate_hz;
-  const cplx step = std::polar(1.0, dphi);
-  cplx rot{1.0, 0.0};
+  PhasorRotator rot(0.0, kTwoPi * imp.cfo_hz / in.sample_rate_hz);
   for (std::size_t n = 0; n < out.samples.size(); ++n) {
     const double i = out.samples[n].real();
     const double q = out.samples[n].imag();
     // Q arm sees gain error and quadrature skew.
     const cplx imbalanced{i, g * (q * cos_skew + i * sin_skew)};
-    out.samples[n] = rot * imbalanced + cplx{imp.dc_i, imp.dc_q};
-    rot *= step;
-    if ((n & 0xFFF) == 0xFFF) rot /= std::abs(rot);
+    out.samples[n] = rot.value() * imbalanced + cplx{imp.dc_i, imp.dc_q};
+    rot.advance();
   }
   return out;
 }
@@ -85,13 +83,10 @@ double estimate_cfo(const Waveform& wave) {
 }
 
 void remove_cfo(Waveform& wave, double cfo_hz) {
-  const double dphi = -kTwoPi * cfo_hz / wave.sample_rate_hz;
-  const cplx step = std::polar(1.0, dphi);
-  cplx rot{1.0, 0.0};
-  for (std::size_t n = 0; n < wave.samples.size(); ++n) {
-    wave.samples[n] *= rot;
-    rot *= step;
-    if ((n & 0xFFF) == 0xFFF) rot /= std::abs(rot);
+  PhasorRotator rot(0.0, -kTwoPi * cfo_hz / wave.sample_rate_hz);
+  for (auto& s : wave.samples) {
+    s *= rot.value();
+    rot.advance();
   }
 }
 

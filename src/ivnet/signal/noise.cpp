@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "ivnet/common/units.hpp"
+#include "ivnet/signal/gauss.hpp"
 
 namespace ivnet {
 
@@ -14,10 +15,11 @@ constexpr double kT0 = 290.0;
 }  // namespace
 
 void add_awgn(Waveform& wave, double noise_power, Rng& rng) {
-  const double sigma = std::sqrt(noise_power / 2.0);
-  for (auto& s : wave.samples) {
-    s += cplx{rng.normal(0.0, sigma), rng.normal(0.0, sigma)};
-  }
+  // The standard guarantees an array of std::complex<double> reads as
+  // interleaved doubles (re, im): 2n real lanes, one raw draw per lane.
+  signal::axpy_awgn(rng, std::sqrt(noise_power / 2.0),
+                    {reinterpret_cast<double*>(wave.samples.data()),
+                     2 * wave.samples.size()});
 }
 
 double thermal_noise_power(double bandwidth_hz, double noise_figure_db) {

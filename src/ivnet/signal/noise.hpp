@@ -7,7 +7,8 @@
 namespace ivnet {
 
 /// Complex AWGN with total power `noise_power` (variance split evenly across
-/// I and Q), appended in place to `wave`.
+/// I and Q), appended in place to `wave`. Drawn by signal/gauss's sampler:
+/// one raw Rng draw per real lane, 2 per sample, re before im.
 void add_awgn(Waveform& wave, double noise_power, Rng& rng);
 
 /// Thermal noise power [W] over `bandwidth_hz` at 290 K with the given

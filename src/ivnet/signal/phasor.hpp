@@ -8,11 +8,18 @@
 // (`rot /= abs(rot)`) fixes only the amplitude half. The CIB envelope
 // kernel (cib/objective.cpp, kRenormInterval) instead re-anchors the
 // phasor from std::polar every 4096 steps, bounding both errors by
-// O(4096 * eps); PhasorRotator packages that same policy for the
-// sample-domain loops (SawFilter's shift/unshift, CFO rotation).
+// O(4096 * eps); PhasorRotator packages that same policy and is the one
+// oscillator of the sample-domain loops:
 //
-// Drift regression: tests pin the 2^20-step error below 1e-9 (the naive
-// product drifts ~100x worse and keeps growing).
+//   sdr/radio.cpp      RadioArray::transmit (each device's carrier)
+//   signal/waveform    make_tone, make_multitone (amplitude applied outside)
+//   signal/iq.cpp      apply_impairments (CFO), remove_cfo
+//   signal/goertzel    goertzel (the single-bin DFT kernel)
+//   signal/fir.cpp     SawFilter::apply (band shift/unshift)
+//
+// Drift regression: tests pin the 2^20-step error below 1e-9 for the
+// rotator and for each site above (the naive product drifts ~100x worse
+// and keeps growing).
 #pragma once
 
 #include <complex>

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "ivnet/common/units.hpp"
+#include "ivnet/signal/phasor.hpp"
 
 namespace ivnet {
 
@@ -13,15 +14,10 @@ Waveform make_tone(double offset_hz, double phase0, std::size_t num_samples,
   Waveform wave;
   wave.sample_rate_hz = sample_rate_hz;
   wave.samples.resize(num_samples);
-  // Incremental rotation avoids a sin/cos pair per sample; renormalize
-  // periodically to bound drift.
-  const double dphi = kTwoPi * offset_hz / sample_rate_hz;
-  const cplx step = std::polar(1.0, dphi);
-  cplx value = std::polar(1.0, phase0);
-  for (std::size_t i = 0; i < num_samples; ++i) {
-    wave.samples[i] = value;
-    value *= step;
-    if ((i & 0xFFF) == 0xFFF) value /= std::abs(value);
+  PhasorRotator rot(phase0, kTwoPi * offset_hz / sample_rate_hz);
+  for (auto& s : wave.samples) {
+    s = rot.value();
+    rot.advance();
   }
   return wave;
 }
@@ -37,13 +33,10 @@ Waveform make_multitone(std::span<const double> offsets_hz,
   out.samples.assign(num_samples, cplx{0.0, 0.0});
   for (std::size_t k = 0; k < offsets_hz.size(); ++k) {
     const double amp = amplitudes.empty() ? 1.0 : amplitudes[k];
-    const double dphi = kTwoPi * offsets_hz[k] / sample_rate_hz;
-    const cplx step = std::polar(1.0, dphi);
-    cplx value = std::polar(amp, phases[k]);
-    for (std::size_t i = 0; i < num_samples; ++i) {
-      out.samples[i] += value;
-      value *= step;
-      if ((i & 0xFFF) == 0xFFF) value *= amp / std::abs(value);
+    PhasorRotator rot(phases[k], kTwoPi * offsets_hz[k] / sample_rate_hz);
+    for (auto& s : out.samples) {
+      s += amp * rot.value();
+      rot.advance();
     }
   }
   return out;

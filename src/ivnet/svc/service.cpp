@@ -69,8 +69,7 @@ ImpairedLinkConfig link_config_for(const ServiceConfig& config,
 }
 
 Response execute_request(const ServiceConfig& config, const Request& request,
-                         DspWorkspace& /*workspace*/,
-                         std::vector<double> storage, StageTimings* stages,
+                         DspWorkspace& /*workspace*/, StageTimings* stages,
                          const FlightHook* hook) {
   Response response;
   response.id = request.id;
@@ -127,7 +126,6 @@ Response execute_request(const ServiceConfig& config, const Request& request,
       const ImpairedLinkConfig link = link_config_for(config, request);
       const std::uint32_t trials = std::max<std::uint32_t>(1, request.trials);
       response.trials = trials;
-      response.per_trial_elapsed_s = std::move(storage);
       response.per_trial_elapsed_s.resize(trials);
       // One stage per trial, in trial order: the summed air time folds
       // deterministically.
@@ -253,10 +251,7 @@ void InventoryService::stop() {
     Request request;
     while (queue_.try_pop(request)) handle(request, /*ring=*/1);
   }
-  obs::gauge_set("svc.bufferpool.high_water_bytes",
-                 static_cast<double>(pool_.high_water_bytes()));
   obs::gauge_set("svc.inflight", 0.0);
-  pool_.trim();
   stopped_ = true;
 }
 
@@ -311,16 +306,8 @@ void InventoryService::handle(Request request, std::size_t ring) {
     pause_gate_.acquire();
     pause_passed_.fetch_add(1, std::memory_order_release);
   } else {
-    // Decode/inventory payload buffers come from the service pool; the
-    // executor resizes to the trial count.
-    std::vector<double> storage;
-    if (request.kind == RequestKind::kDecode ||
-        request.kind == RequestKind::kInventory) {
-      storage = pool_.acquire(std::max<std::uint32_t>(1, request.trials));
-    }
     const FlightHook hook{config_.flight, ring, telemetry_now(request)};
-    response = execute_request(config_, request, DspWorkspace::tls(),
-                               std::move(storage), &stages,
+    response = execute_request(config_, request, DspWorkspace::tls(), &stages,
                                config_.flight != nullptr ? &hook : nullptr);
   }
   response.queue_wait_s = queue_wait_s;
@@ -391,7 +378,6 @@ void InventoryService::handle(Request request, std::size_t ring) {
   completed_.fetch_add(1, std::memory_order_relaxed);
 
   if (sink_) sink_(response);
-  pool_.release(std::move(response.per_trial_elapsed_s));
 }
 
 }  // namespace ivnet::svc

@@ -10,8 +10,7 @@
 //            --> fixed worker pool (dedicated threads; each decode/inventory
 //                trial is one run_impaired_link_session)
 //            --> completion sink (one std::function installed at
-//                construction; response payload buffers recycle through a
-//                service-lifetime BufferPool)
+//                construction)
 //
 // Shedding policy: submit() never blocks. A full ring rejects the request
 // (returns false, counts svc.rejected) — open-loop load beyond saturation
@@ -28,9 +27,8 @@
 // producer is mid-publish (see mpmc_queue.hpp) and the worker retries, so
 // the pool can never shrink mid-run. Every request accepted before stop()
 // is executed before its worker exits. After the join, stop() drains any
-// element a racing submit slipped past the closed door, publishes the
-// bufferpool high-water gauge, trims the pool, and zeroes svc.inflight.
-// stop() is idempotent; the destructor calls it.
+// element a racing submit slipped past the closed door and zeroes
+// svc.inflight. stop() is idempotent; the destructor calls it.
 //
 // Determinism: a response is a pure function of the request fields and the
 // service's link-config template — worker count, queue depth, and arrival
@@ -54,7 +52,6 @@
 
 #include "ivnet/impair/link_session.hpp"
 #include "ivnet/signal/dsp_workspace.hpp"
-#include "ivnet/svc/buffer_pool.hpp"
 #include "ivnet/svc/mpmc_queue.hpp"
 
 namespace ivnet::obs {
@@ -99,9 +96,7 @@ struct Response {
   double plan_score = 0.0;          ///< kPlan: objective of the winner
   double queue_wait_s = 0.0;        ///< wall: accept -> worker pickup
   double service_s = 0.0;           ///< wall: execution on the worker
-  /// Per-trial simulated elapsed seconds, trial order. Pooled storage: the
-  /// service recycles it after the sink returns, so read it inside the sink
-  /// (or move it out and forgo the recycling).
+  /// Per-trial simulated elapsed seconds, trial order.
   std::vector<double> per_trial_elapsed_s;
 };
 
@@ -180,13 +175,10 @@ struct FlightHook {
 /// (config.link, request): worker count, queue depth, and arrival order
 /// never change response bytes. kPause is a no-op here (the gate is service
 /// state). `workspace` is unused: sessions keep their own scratch, and the
-/// parameter stays only so existing callers compile. `storage` seeds
-/// per_trial_elapsed_s (pass a pooled buffer to avoid the allocation); wall
-/// timings in the response are left zero — the caller owns
-/// queue_wait_s/service_s.
+/// parameter stays only so existing callers compile. Wall timings in the
+/// response are left zero — the caller owns queue_wait_s/service_s.
 Response execute_request(const ServiceConfig& config, const Request& request,
                          DspWorkspace& workspace,
-                         std::vector<double> storage = {},
                          StageTimings* stages = nullptr,
                          const FlightHook* hook = nullptr);
 
@@ -207,8 +199,7 @@ class InventoryService {
   /// svc.rejected) or the service is stopping (svc.rejected.stopped).
   bool submit(Request request);
 
-  /// Drain the queue, quiesce the workers, publish the buffer-pool gauge.
-  /// Outstanding kPause requests (parked on or queued ahead of the gate)
+  /// Drain the queue and quiesce the workers. Outstanding kPause requests (parked on or queued ahead of the gate)
   /// are force-released, so an unbalanced release_pause() cannot hang
   /// shutdown. Idempotent. Callers must not race submit() against stop():
   /// a submit that wins the acceptance check while stop() runs may be
@@ -231,7 +222,6 @@ class InventoryService {
   std::uint64_t anomalies() const { return anomalies_.load(std::memory_order_relaxed); }
   std::size_t queue_capacity() const { return queue_.capacity(); }
   std::size_t worker_count() const { return workers_.size(); }
-  const BufferPool& buffer_pool() const { return pool_; }
   const ServiceConfig& config() const { return config_; }
   /// Seconds since construction on the wall telemetry clock — the `now_s`
   /// an external sampler should pass to the telemetry bundle's queries so
@@ -272,7 +262,6 @@ class InventoryService {
   std::mutex stop_mutex_;
   bool stopped_ = false;  // guarded by stop_mutex_
 
-  BufferPool pool_;
   /// Wall epoch for TelemetryClock::kWall timestamps.
   const std::chrono::steady_clock::time_point epoch_{
       std::chrono::steady_clock::now()};

@@ -6,6 +6,7 @@
 // and the obs:: counter surface of a fleet run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -248,21 +249,27 @@ TEST_F(CampaignShardTest, TornShardJournalTailRecomputesOnlyTheLostCell) {
   CellCache::instance().clear();
   run_campaign_sharded(spec, options);
 
-  // Drop shard 0's last durable record and leave a torn half-line in its
-  // place — the tail a SIGKILL mid-fwrite leaves behind.
-  const std::string shard0 = shard_journal_path(base, 0);
+  // Drop a shard's last durable record and leave a torn half-line in its
+  // place — the tail a SIGKILL mid-fwrite leaves behind. Stealing decides
+  // how the four records split between the two journals, so tear the one
+  // with more records: it holds at least two.
+  std::string torn_path;
   std::string content;
-  {
-    std::ifstream in(shard0, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    content.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
+  for (std::size_t k = 0; k < 2; ++k) {
+    std::ifstream in(shard_journal_path(base, k), std::ios::binary);
+    std::string text{std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>()};
+    if (std::count(text.begin(), text.end(), '\n') >
+        std::count(content.begin(), content.end(), '\n')) {
+      torn_path = shard_journal_path(base, k);
+      content = std::move(text);
+    }
   }
   ASSERT_FALSE(content.empty());
   const std::size_t cut = content.rfind('\n', content.size() - 2);
   ASSERT_NE(cut, std::string::npos);
   {
-    std::ofstream out(shard0, std::ios::binary | std::ios::trunc);
+    std::ofstream out(torn_path, std::ios::binary | std::ios::trunc);
     out << content.substr(0, cut + 1) << "{\"hash\":\"01ab";
   }
 

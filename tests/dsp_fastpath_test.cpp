@@ -1,6 +1,7 @@
 // Pins the DSP fast path (three-region FIR, polyphase decimate, per-phase
-// rational resampler, CorrelationNeedle, PhasorRotator, DspWorkspace)
-// against the retained naive oracles in signal/naive_dsp.hpp.
+// rational resampler, CorrelationNeedle, PhasorRotator and its oscillator
+// sites, DspWorkspace) against the retained naive oracles in
+// signal/naive_dsp.hpp.
 //
 // The bitwise-equivalence policy (docs/ARCHITECTURE.md, "DSP fast path"):
 // a kernel rewrite may reorganize WHICH outputs are computed and how loops
@@ -15,8 +16,11 @@
 
 #include "ivnet/common/rng.hpp"
 #include "ivnet/common/units.hpp"
+#include "ivnet/sdr/radio.hpp"
 #include "ivnet/signal/correlate.hpp"
 #include "ivnet/signal/fir.hpp"
+#include "ivnet/signal/goertzel.hpp"
+#include "ivnet/signal/iq.hpp"
 #include "ivnet/signal/naive_dsp.hpp"
 #include "ivnet/signal/phasor.hpp"
 #include "ivnet/signal/resampler.hpp"
@@ -271,6 +275,73 @@ TEST(Phasor, RenormBoundsDriftAtTwoToTwentySteps) {
   // The regression half: renorm must beat the bare product, which this
   // far out has drifted past the anchored error bound.
   EXPECT_LT(std::abs(rot.value() - exact), std::abs(bare - exact));
+
+  // The same bound at each of the six oscillator sites built on the
+  // rotator, at the same 0.37 rad/sample: sample 2^20 (a re-anchor) and
+  // sample 2^20 - 1 (4095 steps into the last unanchored run).
+  const double fs = 800e3;
+  const double f = dphi * fs / kTwoPi;
+  const double step_rad = kTwoPi * f / fs;
+  const std::size_t n = kSteps + 1;
+  const auto expect_phase = [&](const char* site, const auto& sample_at,
+                                double phase0, double rad_per_sample) {
+    for (const std::size_t k : {kSteps - 1, kSteps}) {
+      const cplx want = std::polar(
+          1.0, phase0 + rad_per_sample * static_cast<double>(k));
+      EXPECT_LT(std::abs(std::arg(sample_at(k) * std::conj(want))), 1e-9)
+          << site << " at sample " << k;
+    }
+  };
+  Waveform ones;
+  ones.sample_rate_hz = fs;
+  ones.samples.assign(n, cplx{1.0, 0.0});
+
+  const Waveform tone = make_tone(f, 0.4, n, fs);
+  expect_phase("make_tone", [&](std::size_t k) { return tone.samples[k]; },
+               0.4, step_rad);
+  const std::vector<double> offsets = {f}, phases = {0.4}, amps = {0.5};
+  const Waveform multi = make_multitone(offsets, phases, amps, n, fs);
+  expect_phase("make_multitone",
+               [&](std::size_t k) { return multi.samples[k]; }, 0.4,
+               step_rad);
+
+  IqImpairments cfo;
+  cfo.cfo_hz = f;
+  const Waveform impaired = apply_impairments(ones, cfo);
+  expect_phase("apply_impairments",
+               [&](std::size_t k) { return impaired.samples[k]; }, 0.0,
+               step_rad);
+  Waveform derotated = ones;
+  remove_cfo(derotated, f);
+  expect_phase("remove_cfo",
+               [&](std::size_t k) { return derotated.samples[k]; }, 0.0,
+               -step_rad);
+  // An impulse at sample k makes goertzel return that sample's phasor / n.
+  expect_phase("goertzel",
+               [&](std::size_t k) {
+                 Waveform impulse;
+                 impulse.sample_rate_hz = fs;
+                 impulse.samples.assign(n, cplx{0.0, 0.0});
+                 impulse.samples[k] = 1.0;
+                 return goertzel(impulse, f);
+               },
+               0.0, -step_rad);
+
+  // Zero PPS jitter and a shared reference: no skew, actual == tuned.
+  RadioArrayConfig radio;
+  radio.sample_rate_hz = fs;
+  radio.clocks = ClockDistribution(0.0, 0.0);
+  Rng rng(3);
+  RadioArray array(2, radio, rng);
+  const std::vector<double> tuned = {f, -f / 3.0};
+  array.tune(tuned);
+  const auto waves = array.transmit(std::vector<double>(n, 1.0));
+  const auto pll_phases = array.initial_phases();
+  for (std::size_t i = 0; i < waves.size(); ++i) {
+    expect_phase("RadioArray::transmit",
+                 [&](std::size_t k) { return waves[i].samples[k]; },
+                 pll_phases[i], kTwoPi * tuned[i] / fs);
+  }
 }
 
 TEST(Phasor, MatchesPolarWithinRenormWindow) {

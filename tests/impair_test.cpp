@@ -3,6 +3,7 @@
 // policy, and the impaired link session's determinism contract.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -10,6 +11,8 @@
 #include "ivnet/impair/impairment.hpp"
 #include "ivnet/impair/link_session.hpp"
 #include "ivnet/impair/waterfall.hpp"
+#include "ivnet/reader/oob_reader.hpp"
+#include "ivnet/signal/noise.hpp"
 
 namespace ivnet {
 namespace {
@@ -24,17 +27,64 @@ std::vector<double> sine(std::size_t n, double cycles_per_sample) {
   return x;
 }
 
+/// The generator state `draws` raw draws from Rng(seed) reach.
+std::array<std::uint64_t, 4> state_after(std::uint64_t seed,
+                                         std::size_t draws) {
+  Rng rng(seed);
+  for (std::size_t i = 0; i < draws; ++i) rng();
+  return rng.raw_state();
+}
+
 TEST(Awgn, ApplyAwgnConsumesOneDrawPerSample) {
   // An attempt's uplink noise continues the stream its downlink noise drew
   // from, so session outputs stay byte-stable only while apply_awgn
-  // consumes exactly x.size() raw draws.
+  // consumes exactly x.size() raw draws. Every per-sample noise path keeps
+  // the same contract: one raw draw per real lane, so 2 per complex sample
+  // and 1 per phase increment. n is odd, so a cached Box-Muller pair would
+  // leave the state one draw ahead.
   const std::size_t n = 257;
-  std::vector<double> x(n, 1.0);
-  Rng rng(7);
-  apply_awgn(x, 20.0, rng);
-  Rng expected(7);
-  for (std::size_t i = 0; i < n; ++i) expected();
-  EXPECT_EQ(rng.raw_state(), expected.raw_state());
+  Waveform wave;
+  wave.sample_rate_hz = 1e6;
+  wave.samples.assign(n, cplx{1.0, 0.5});
+  {
+    std::vector<double> x(n, 1.0);
+    Rng rng(7);
+    apply_awgn(x, 20.0, rng);
+    EXPECT_EQ(rng.raw_state(), state_after(7, n)) << "apply_awgn (real)";
+  }
+  {
+    Waveform w = wave;
+    Rng rng(7);
+    add_awgn(w, 1e-3, rng);
+    EXPECT_EQ(rng.raw_state(), state_after(7, 2 * n)) << "add_awgn";
+  }
+  {
+    Waveform w = wave;
+    Rng rng(7);
+    apply_awgn(w, 20.0, rng);
+    EXPECT_EQ(rng.raw_state(), state_after(7, 2 * n))
+        << "apply_awgn (complex)";
+  }
+  {
+    std::vector<double> x(n, 1.0);
+    Rng rng(7);
+    apply_phase_noise(x, 1e6, 100.0, rng);
+    EXPECT_EQ(rng.raw_state(), state_after(7, n))
+        << "apply_phase_noise (real)";
+  }
+  {
+    Waveform w = wave;
+    Rng rng(7);
+    apply_phase_noise(w, 100.0, rng);
+    EXPECT_EQ(rng.raw_state(), state_after(7, n))
+        << "apply_phase_noise (complex)";
+  }
+  {
+    const std::vector<double> reflection(n, 0.5);
+    Rng rng(7);
+    OobReader(OobReaderConfig{}).decode(reflection, 1e-3, 0.0, 40e3, 16, rng);
+    EXPECT_EQ(rng.raw_state(), state_after(7, n)) << "OobReader::decode";
+  }
 }
 
 TEST(Awgn, HitsRequestedSnr) {

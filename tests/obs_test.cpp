@@ -1,12 +1,11 @@
 // Tests for ivnet/obs: the metrics registry (counters, gauges, fixed-bucket
-// histograms, P^2 streaming quantiles), the Chrome-trace tracer, and the
-// null-sink hook facade. The concurrency tests are the TSan targets for
-// the registry's thread-safety claim.
+// histograms), the Chrome-trace tracer, and the null-sink hook facade. The
+// concurrency tests are the TSan targets for the registry's thread-safety
+// claim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,119 +88,6 @@ TEST(HistogramTest, ExponentialBoundsAre125Ladder) {
   const auto b = Histogram::exponential_bounds(1.0, 100.0);
   const std::vector<double> expected = {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0};
   EXPECT_EQ(b, expected);
-}
-
-TEST(StreamingQuantileTest, ExactBelowFiveObservations) {
-  StreamingQuantile sq(0.5);
-  sq.observe(5.0);
-  sq.observe(1.0);
-  sq.observe(3.0);
-  EXPECT_EQ(sq.estimate(), 3.0);
-}
-
-TEST(StreamingQuantileTest, ExactForOneThroughFourObservations) {
-  // Regression: below the five observations P^2 needs, estimate() must fall
-  // back to the exact sorted-sample quantile — not read uninitialized
-  // markers. Covers every count in 1..4 at several quantiles.
-  {
-    StreamingQuantile sq(0.9);
-    sq.observe(7.5);
-    EXPECT_EQ(sq.count(), 1u);
-    EXPECT_EQ(sq.estimate(), 7.5);  // any quantile of one sample is itself
-  }
-  {
-    StreamingQuantile lo(0.0), mid(0.5), hi(1.0);
-    for (double x : {10.0, 2.0}) {
-      lo.observe(x);
-      mid.observe(x);
-      hi.observe(x);
-    }
-    EXPECT_EQ(lo.estimate(), 2.0);
-    EXPECT_EQ(mid.estimate(), 6.0);  // midpoint interpolation
-    EXPECT_EQ(hi.estimate(), 10.0);
-  }
-  {
-    StreamingQuantile sq(0.25);
-    for (double x : {4.0, 1.0, 3.0}) sq.observe(x);
-    // rank = 0.25 * (3 - 1) = 0.5 -> halfway between 1 and 3.
-    EXPECT_EQ(sq.estimate(), 2.0);
-  }
-  {
-    StreamingQuantile sq(0.5);
-    for (double x : {9.0, 1.0, 5.0, 3.0}) sq.observe(x);
-    EXPECT_EQ(sq.count(), 4u);
-    // rank = 0.5 * 3 = 1.5 -> halfway between sorted[1]=3 and sorted[2]=5.
-    EXPECT_EQ(sq.estimate(), 4.0);
-  }
-}
-
-TEST(StreamingQuantileTest, P2TracksUniformMedian) {
-  StreamingQuantile sq(0.5);
-  std::uint64_t state = 99;
-  for (int i = 0; i < 20000; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    sq.observe(static_cast<double>(state >> 11) /
-               static_cast<double>(1ull << 53));
-  }
-  EXPECT_EQ(sq.count(), 20000u);
-  EXPECT_NEAR(sq.estimate(), 0.5, 0.02);
-}
-
-TEST(StreamingQuantileTest, P2TracksSkewedP90) {
-  // Exponential-ish skew via -log(u): p90 of Exp(1) is ln(10) ~ 2.3026.
-  StreamingQuantile sq(0.9);
-  std::uint64_t state = 7;
-  for (int i = 0; i < 50000; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const double u = (static_cast<double>(state >> 11) + 1.0) /
-                     (static_cast<double>(1ull << 53) + 2.0);
-    sq.observe(-std::log(u));
-  }
-  EXPECT_NEAR(sq.estimate(), std::log(10.0), 0.1);
-}
-
-// Adversarial arrival orders for P^2: monotone ramps and a sawtooth are the
-// classic worst cases (the marker heights are seeded from the first five
-// observations, which these orderings make maximally unrepresentative).
-// Against the exact sorted-sample quantile at n = 10^4 the estimate must
-// stay within a few percent of the value range.
-TEST(StreamingQuantileTest, P2SurvivesAdversarialOrderings) {
-  constexpr int kN = 10000;
-  struct Case {
-    const char* name;
-    double (*value)(int i);
-  };
-  const Case cases[] = {
-      {"sorted_ascending", [](int i) { return static_cast<double>(i); }},
-      {"sorted_descending",
-       [](int i) { return static_cast<double>(kN - 1 - i); }},
-      {"sawtooth",
-       // 0, 100, 1, 101, 2, ... — alternates between two interleaved ramps.
-       [](int i) {
-         return static_cast<double>(i / 2 + (i % 2 == 0 ? 0 : 100));
-       }},
-  };
-  for (const Case& c : cases) {
-    for (const double q : {0.5, 0.9, 0.99}) {
-      StreamingQuantile sq(q);
-      std::vector<double> exact;
-      exact.reserve(kN);
-      for (int i = 0; i < kN; ++i) {
-        const double v = c.value(i);
-        sq.observe(v);
-        exact.push_back(v);
-      }
-      std::sort(exact.begin(), exact.end());
-      const double rank = q * static_cast<double>(kN - 1);
-      const std::size_t lo = static_cast<std::size_t>(rank);
-      const std::size_t hi = std::min<std::size_t>(lo + 1, kN - 1);
-      const double frac = rank - static_cast<double>(lo);
-      const double truth = exact[lo] * (1.0 - frac) + exact[hi] * frac;
-      const double range = exact.back() - exact.front();
-      EXPECT_NEAR(sq.estimate(), truth, 0.03 * range)
-          << c.name << " q=" << q;
-    }
-  }
 }
 
 TEST(MetricsRegistryTest, SameNameSameMetric) {

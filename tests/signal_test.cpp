@@ -46,6 +46,24 @@ TEST(Waveform, MultitonePeaksAtNWithZeroPhases) {
   EXPECT_NEAR(peak_amplitude(wave), 5.0, 1e-6);
 }
 
+TEST(Waveform, MultitoneZeroAmplitudeToneStaysFinite) {
+  // Regression: renormalizing a zero-amplitude tone's phasor divided 0 by
+  // |0| at sample 4095 and turned every later sample NaN. The amplitude now
+  // scales the rotator's output instead of living inside it.
+  const std::vector<double> offsets = {137.0, 911.0};
+  const std::vector<double> phases = {0.3, 1.1};
+  const std::vector<double> amps = {1.0, 0.0};
+  const auto wave = make_multitone(offsets, phases, amps, 8192, 20e3);
+  const auto first = make_tone(137.0, 0.3, 8192, 20e3);
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(wave.samples[i].real()) &&
+                std::isfinite(wave.samples[i].imag()))
+        << "sample " << i;
+    ASSERT_LT(std::abs(wave.samples[i] - first.samples[i]), 1e-12)
+        << "sample " << i;
+  }
+}
+
 TEST(Waveform, AccumulateAndScale) {
   Waveform acc;
   const auto tone = make_tone(10.0, 0.0, 100, 1000.0);

@@ -1,8 +1,8 @@
-// Service front-end suite: the MPMC ring, the size-class buffer pool, and
-// the InventoryService lifecycle (exactly-once execution, bounded-queue
-// shedding, graceful-shutdown drain, scalar-oracle response identity).
-// The contention tests are the ASan/TSan targets: tools/ci.sh runs this
-// binary under both sanitizers.
+// Service front-end suite: the MPMC ring and the InventoryService
+// lifecycle (exactly-once execution, bounded-queue shedding,
+// graceful-shutdown drain, scalar-oracle response identity). The
+// contention tests are the ASan/TSan targets: tools/ci.sh runs this binary
+// under both sanitizers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +20,6 @@
 #include "ivnet/obs/flight_recorder.hpp"
 #include "ivnet/obs/telemetry.hpp"
 #include "ivnet/signal/dsp_workspace.hpp"
-#include "ivnet/svc/buffer_pool.hpp"
 #include "ivnet/svc/mpmc_queue.hpp"
 #include "ivnet/svc/service.hpp"
 
@@ -189,90 +188,6 @@ TEST(MpmcQueueTest, CreditHolderRetriesTransientEmptyPop) {
   stopping.store(true, std::memory_order_release);
   credits.release(static_cast<std::ptrdiff_t>(kConsumers));
   for (std::size_t c = 0; c < kConsumers; ++c) threads[kProducers + c].join();
-}
-
-// ------------------------------------------------------------- buffer pool
-
-TEST(BufferPoolTest, SizeClassRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(BufferPool::size_class(0), BufferPool::kMinClass);
-  EXPECT_EQ(BufferPool::size_class(1), BufferPool::kMinClass);
-  EXPECT_EQ(BufferPool::size_class(64), 64u);
-  EXPECT_EQ(BufferPool::size_class(65), 128u);
-  EXPECT_EQ(BufferPool::size_class(1000), 1024u);
-}
-
-TEST(BufferPoolTest, RecyclesStorageAcrossCheckouts) {
-  BufferPool pool;
-  std::vector<double> buf = pool.acquire(100);
-  const double* storage = buf.data();
-  ASSERT_GE(buf.capacity(), 128u);
-  pool.release(std::move(buf));
-  EXPECT_EQ(pool.pooled_buffers(), 1u);
-
-  // Same class: must hand back the same storage, no fresh allocation.
-  std::vector<double> again = pool.acquire(80);
-  EXPECT_EQ(again.data(), storage);
-  EXPECT_EQ(pool.pooled_buffers(), 0u);
-  pool.release(std::move(again));
-}
-
-TEST(BufferPoolTest, HighWaterStopsGrowingOnceWarm) {
-  BufferPool pool;
-  for (int round = 0; round < 3; ++round) {
-    pool.release(pool.acquire(500));
-  }
-  const std::size_t warm = pool.high_water_bytes();
-  EXPECT_GT(warm, 0u);
-  for (int round = 0; round < 50; ++round) {
-    pool.release(pool.acquire(500));
-    // Smaller checkouts reuse the parked larger-class buffer (first fit by
-    // class): still no fresh allocation.
-    pool.release(pool.acquire(100));
-  }
-  EXPECT_EQ(pool.high_water_bytes(), warm)
-      << "steady-state checkouts must not regrow the pool";
-}
-
-TEST(BufferPoolTest, TrimDropsParkedStorage) {
-  BufferPool pool;
-  // Hold both before releasing, or the second acquire would just recycle
-  // the first (larger-class) buffer and only one would ever exist.
-  std::vector<double> big = pool.acquire(300);
-  std::vector<double> small = pool.acquire(30);
-  pool.release(std::move(big));
-  pool.release(std::move(small));
-  EXPECT_EQ(pool.pooled_buffers(), 2u);
-  EXPECT_GT(pool.pooled_bytes(), 0u);
-  pool.trim();
-  EXPECT_EQ(pool.pooled_buffers(), 0u);
-  EXPECT_EQ(pool.pooled_bytes(), 0u);
-  // high-water is a peak, not a level.
-  EXPECT_GT(pool.high_water_bytes(), 0u);
-}
-
-TEST(BufferPoolTest, ConcurrentCheckoutsAreExclusive) {
-  BufferPool pool;
-  constexpr std::size_t kThreads = 4;
-  constexpr int kRounds = 2000;
-  std::atomic<bool> overlap{false};
-  std::vector<std::thread> threads;
-  for (std::size_t w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&, w] {
-      for (int r = 0; r < kRounds; ++r) {
-        std::vector<double> buf = pool.acquire(64 + 64 * w);
-        // Stamp and verify: another thread holding the same storage would
-        // tear these writes (and TSan would flag the race outright).
-        const double stamp = static_cast<double>(w * kRounds + r);
-        for (double& v : buf) v = stamp;
-        for (const double& v : buf) {
-          if (v != stamp) overlap.store(true);
-        }
-        pool.release(std::move(buf));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(overlap.load()) << "two checkouts shared storage";
 }
 
 // -------------------------------------------------- workspace trim + inline
@@ -505,8 +420,6 @@ TEST(InventoryServiceTest, GracefulShutdownDrainsBacklog) {
   service.stop();
   EXPECT_EQ(completions.load(), kRequests);
   EXPECT_EQ(service.completed(), kRequests);
-  EXPECT_EQ(service.buffer_pool().pooled_buffers(), 0u)
-      << "stop() trims the pool";
 
   // Post-stop submits are refused and counted separately.
   EXPECT_FALSE(service.submit(decode_request(kRequests, 0, 1)));
@@ -545,22 +458,6 @@ TEST(InventoryServiceTest, PlanRequestsAreDeterministic) {
   EXPECT_EQ(a, b) << "same seed must reproduce the same plan score";
   EXPECT_GT(a, 0.0);
   EXPECT_NE(run_plan(8), a) << "different seed should explore differently";
-}
-
-TEST(InventoryServiceTest, BufferPoolReachesSteadyStateAcrossRequests) {
-  ServiceConfig config;
-  config.workers = 1;  // single worker: strict request serialization
-  config.queue_depth = 64;
-
-  InventoryService service(config, nullptr);
-  for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(service.submit(decode_request(i, i, 50)));
-  }
-  service.stop();
-  // 8 identical-size responses through 1 worker: one buffer serves them
-  // all, so the pool's lifetime growth is a single size class.
-  EXPECT_EQ(service.buffer_pool().high_water_bytes(),
-            BufferPool::size_class(50) * sizeof(double));
 }
 
 TEST(InventoryServiceTest, TelemetryObservesWithoutChangingResponses) {

@@ -13,7 +13,8 @@
 # recorded response hash — a large-N planner stage (delta evaluator
 # memcmp-gated against the full rebuild and a naive double-precision
 # oracle, then a plan/re-plan pair across fresh processes whose stored plan
-# JSONs must cmp equal with zero evaluations on the hit) — a small
+# JSONs must cmp equal with zero evaluations on the hit, and a plan
+# written to /dev/full that must fail the command) — a small
 # traced sweep whose metrics/trace artifacts are archived and smoke-checked
 # as JSON, a campaign kill-and-resume determinism check (SIGKILL mid-run,
 # resume from the journal, byte-compare against an uninterrupted run across
@@ -241,6 +242,16 @@ if grep -q 'planner.evals' "$PLAN_DIR/plan_second_metrics.json"; then
   exit 1
 fi
 echo "ci: re-plan served from the journal, 0 evaluations, byte-identical plan"
+
+echo "=== ci: artifact write errors fail the command ==="
+# /dev/full accepts the open and fails the flush: an artifact lost to a
+# full disk must be a non-zero exit, not a silent success.
+if build-ci/tools/ivnet plan --antennas 4 --trials 2 --moves 4 --restarts 1 \
+    --out /dev/full; then
+  echo "ci: ivnet plan --out /dev/full exited 0 with the artifact lost" >&2
+  exit 1
+fi
+echo "ci: write failure on /dev/full reported with a non-zero exit"
 
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency

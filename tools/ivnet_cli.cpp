@@ -31,6 +31,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -100,7 +101,38 @@ TagConfig tag_from(const Args& args) {
   return args.get("tag", "std") == "mini" ? miniature_tag() : standard_tag();
 }
 
-bool write_file(const std::string& path, const std::string& text);
+/// Read `path` into `out`; returns false on open failure.
+bool read_file(const std::string& path, std::string& out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  char buf[4096];
+  std::size_t n = 0;
+  out.clear();
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return true;
+}
+
+/// Write `text` to `path`; returns false (with a message) on failure. Both
+/// the write and the close are checked: a full device typically accepts the
+/// buffered fwrite and only fails when fclose flushes.
+bool write_file(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "ivnet: cannot write %s: %s\n", path.c_str(),
+                 std::strerror(errno));
+    return false;
+  }
+  const bool wrote =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const int write_errno = errno;
+  if (std::fclose(f) != 0 || !wrote) {
+    std::fprintf(stderr, "ivnet: cannot write %s: %s\n", path.c_str(),
+                 std::strerror(wrote ? errno : write_errno));
+    return false;
+  }
+  return true;
+}
 
 int cmd_plan(const Args& args) {
   // The Eq. 10 search through the plan store: with --journal, an identical
@@ -372,8 +404,6 @@ int cmd_deploy(const Args& args) {
   return plan.feasible ? 0 : 1;
 }
 
-bool write_file(const std::string& path, const std::string& text);
-
 /// Build the requested figure campaign. Unknown bench => empty name.
 CampaignSpec campaign_from(const Args& args) {
   const std::string bench = args.get("bench", "fig9");
@@ -580,8 +610,6 @@ int cmd_campaign(const Args& args) {
   }
   return emit_campaign_results(args, merged.report, journal);
 }
-
-bool read_file(const std::string& path, std::string& out);
 
 /// One `top`-style status line from the rolling windows at time `now_s`.
 void print_follow_line(obs::ServiceTelemetry& telemetry, double now_s) {
@@ -881,7 +909,7 @@ int cmd_replay_exemplar(const Args& args) {
     svc::StageTimings stages;
     const auto start_at = std::chrono::steady_clock::now();
     const svc::Response response =
-        svc::execute_request(config, request, workspace, {}, &stages);
+        svc::execute_request(config, request, workspace, &stages);
     const double replay_s = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - start_at)
                                 .count();
@@ -965,30 +993,6 @@ int cmd_help() {
       "           re-execute captured exemplars; response hash must match\n\n"
       "global: --metrics-out FILE  --trace-out FILE  --trace-clock sim|wall\n");
   return 0;
-}
-
-/// Read `path` into `out`; returns false on open failure.
-bool read_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  std::size_t n = 0;
-  out.clear();
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
-}
-
-/// Write `text` to `path`; returns false (with a message) on failure.
-bool write_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "ivnet: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
 }
 
 int dispatch(const Args& args) {
