@@ -7,8 +7,8 @@
 // Runs on the sweep-campaign engine: 4 "range" cells per antenna count plus
 // the two water-tank gain anchors Fig. 9 also sweeps — identical CellSpecs,
 // so when both benches run in one process the anchors evaluate once (memo
-// cache). Pass a journal path as argv[1] to checkpoint the run; set
-// IVNET_SHARDS=N to split it across an in-process N-worker fleet.
+// cache). Pass a journal path as argv[1] to checkpoint the run; `ivnet
+// campaign run --bench fig13 --shards N` splits it across worker processes.
 #include <cstdio>
 
 #include "ivnet/common/json.hpp"
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace ivnet;
 
   const CampaignReport report =
-      run_bench_campaign(fig13_campaign(), argc > 1 ? argv[1] : "");
+      run_campaign(fig13_campaign(), {argc > 1 ? argv[1] : ""});
 
   // Cell layout (see fig13_campaign): for n in 1..8 the four panels in
   // order std-air, mini-air, std-water, mini-water; then the gain anchors.

@@ -7,8 +7,8 @@
 // Runs on the sweep-campaign engine: one "gain" cell per antenna count,
 // sharded across the thread pool and memoized process-wide. Pass a journal
 // path as argv[1] to checkpoint the run (kill it, rerun, and only the
-// missing cells recompute); set IVNET_SHARDS=N to split the campaign
-// across an in-process N-worker fleet over per-shard journals.
+// missing cells recompute). To split the campaign across worker processes,
+// use `ivnet campaign run --bench fig9 --shards N`.
 #include <cstdio>
 
 #include "ivnet/common/json.hpp"
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace ivnet;
 
   const CampaignReport report =
-      run_bench_campaign(fig9_campaign(), argc > 1 ? argv[1] : "");
+      run_campaign(fig9_campaign(), {argc > 1 ? argv[1] : ""});
 
   std::printf("=== Fig. 9: gain vs number of antennas (%.0f trials each) "
               "===\n",

@@ -9,9 +9,9 @@
 // metrics registry installed, so the snapshot now carries the campaign
 // counters (cells computed/resumed, cache hits, per-cell latency) next to
 // the session aggregates. Writes the snapshot to BENCH_x13_metrics.json or
-// the path in argv[1]; pass a journal path as argv[2] to checkpoint. Set
-// IVNET_SHARDS=N to split the campaign across an in-process N-worker
-// fleet over per-shard journals (merged output stays byte-identical).
+// the path in argv[1]; pass a journal path as argv[2] to checkpoint. `ivnet
+// campaign run --bench x13 --shards N` splits the campaign across worker
+// processes over per-shard journals (merged output stays byte-identical).
 #include <cstdio>
 #include <string>
 
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   obs::install(obs::Sink{.metrics = &registry});
 
   const CampaignReport report =
-      run_bench_campaign(x13_campaign(), argc > 2 ? argv[2] : "");
+      run_campaign(x13_campaign(), {argc > 2 ? argv[2] : ""});
 
   std::printf("=== X13: impairment waterfall and reader recovery ===\n\n");
   print_waterfall(report);

@@ -152,12 +152,14 @@ FrequencyOptimizer::RestartOutcome FrequencyOptimizer::run_restart(
 OptimizerResult FrequencyOptimizer::finish(
     std::vector<RestartOutcome> outcomes) const {
   // Winner picked in restart order: deterministic whatever ran where.
+  // Restart 0 is the incumbent, so an objective no restart lifts above 0
+  // (a threshold the array cannot reach) still returns a feasible plan.
   OptimizerResult best;
-  for (const auto& out : outcomes) {
-    best.evaluations += out.evaluations;
-    if (out.score > best.score) {
-      best.score = out.score;
-      best.offsets_hz = out.offsets_hz;
+  for (std::size_t r = 0; r < outcomes.size(); ++r) {
+    best.evaluations += outcomes[r].evaluations;
+    if (r == 0 || outcomes[r].score > best.score) {
+      best.score = outcomes[r].score;
+      best.offsets_hz = outcomes[r].offsets_hz;
     }
   }
   double sum_sq = 0.0;

@@ -81,9 +81,6 @@ class FlightRecorder {
   /// Total events ever recorded across all rings.
   std::uint64_t total_events() const;
 
-  std::size_t rings() const { return rings_.size(); }
-  std::size_t slots_per_ring() const { return slots_per_ring_; }
-
   /// Install a fatal-signal handler (SIGSEGV, SIGABRT, SIGBUS, SIGFPE,
   /// SIGILL) that dumps `recorder` to `path` and re-raises. The pointer
   /// and a copy of the path live in static storage; passing nullptr

@@ -285,17 +285,6 @@ std::string ServiceTelemetry::sample_json(double now_s) const {
   return w.str();
 }
 
-std::string ServiceTelemetry::exemplars_json() const {
-  const std::vector<Exemplar> items = exemplars_.slowest();
-  std::string out = "{\"exemplars\":[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ',';
-    out += exemplar_json(items[i]);
-  }
-  out += "]}";
-  return out;
-}
-
 std::string ServiceTelemetry::exemplars_jsonl() const {
   std::string out;
   for (const Exemplar& e : exemplars_.slowest()) {

@@ -218,10 +218,6 @@ class ServiceTelemetry {
   /// so equal ingests emit identical bytes.
   std::string sample_json(double now_s) const;
 
-  /// {"exemplars":[...]} — every retained exemplar, slowest first, full
-  /// identity + timings + response hash. One JSON object per line inside
-  /// the array is NOT guaranteed; use exemplars_jsonl for grep-ability.
-  std::string exemplars_json() const;
   /// One exemplar object per line (JSONL): the format `ivnet
   /// replay-exemplar` consumes. Byte-stable for equal ingests.
   std::string exemplars_jsonl() const;

@@ -71,16 +71,6 @@ void Tracer::wall_span(std::string_view name, std::string_view cat,
                   .track = wall_track()});
 }
 
-void Tracer::wall_instant(std::string_view name, std::string_view cat,
-                          double ts_us) {
-  if (clock_ != TraceClock::kWall) return;
-  push(TraceEvent{.name = std::string(name),
-                  .cat = std::string(cat),
-                  .ph = 'i',
-                  .ts_us = ts_us,
-                  .track = wall_track()});
-}
-
 void Tracer::sim_span(std::string_view name, std::string_view cat, double t0_s,
                       double t1_s) {
   if (clock_ != TraceClock::kSim) return;

@@ -55,12 +55,10 @@ class Tracer {
 
   TraceClock clock() const { return clock_; }
 
-  /// Wall-clock span/instant with explicit microsecond offsets from the
-  /// tracer's epoch (ScopedSpan in obs/obs.hpp computes these). No-op in
-  /// sim mode.
+  /// Wall-clock span with explicit microsecond offsets from the tracer's
+  /// epoch (ScopedSpan in obs/obs.hpp computes these). No-op in sim mode.
   void wall_span(std::string_view name, std::string_view cat, double ts_us,
                  double dur_us);
-  void wall_instant(std::string_view name, std::string_view cat, double ts_us);
 
   /// Simulated-time span/instant, seconds in, on the calling thread's
   /// current track (ScopedTrack). No-op in wall mode.

@@ -34,18 +34,14 @@ std::vector<T> best_fit_take(std::vector<std::vector<T>>& pool,
 std::vector<double> DspWorkspace::acquire_real(std::size_t n) {
   std::vector<double> buf;
   if (!real_pool_.empty()) buf = best_fit_take(real_pool_, n);
-  const std::size_t before = buf.capacity() * sizeof(double);
   buf.resize(n);
-  grow_live(buf.capacity() * sizeof(double) - before);
   return buf;
 }
 
 std::vector<cplx> DspWorkspace::acquire_cplx(std::size_t n) {
   std::vector<cplx> buf;
   if (!cplx_pool_.empty()) buf = best_fit_take(cplx_pool_, n);
-  const std::size_t before = buf.capacity() * sizeof(cplx);
   buf.resize(n);
-  grow_live(buf.capacity() * sizeof(cplx) - before);
   return buf;
 }
 
@@ -55,29 +51,6 @@ void DspWorkspace::release(std::vector<double>&& buf) {
 
 void DspWorkspace::release(std::vector<cplx>&& buf) {
   cplx_pool_.push_back(std::move(buf));
-}
-
-std::size_t DspWorkspace::pooled_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& buf : real_pool_) bytes += buf.capacity() * sizeof(double);
-  for (const auto& buf : cplx_pool_) bytes += buf.capacity() * sizeof(cplx);
-  return bytes;
-}
-
-void DspWorkspace::trim() {
-  const std::size_t dropped = pooled_bytes();
-  real_pool_.clear();
-  real_pool_.shrink_to_fit();
-  cplx_pool_.clear();
-  cplx_pool_.shrink_to_fit();
-  // Saturating: foreign buffers released into the pool were never counted
-  // into live_bytes_, so dropping them must not underflow the level.
-  live_bytes_ -= dropped < live_bytes_ ? dropped : live_bytes_;
-}
-
-void DspWorkspace::grow_live(std::size_t grown_bytes) {
-  live_bytes_ += grown_bytes;
-  if (live_bytes_ > high_water_bytes_) high_water_bytes_ = live_bytes_;
 }
 
 DspWorkspace& DspWorkspace::tls() {

@@ -49,24 +49,9 @@ class DspWorkspace {
   void release(std::vector<double>&& buf);
   void release(std::vector<cplx>&& buf);
 
-  /// Buffers currently parked on the free lists (for tests/telemetry).
+  /// Buffers currently parked on the free lists (for tests).
   std::size_t pooled_real() const { return real_pool_.size(); }
   std::size_t pooled_cplx() const { return cplx_pool_.size(); }
-
-  /// Capacity bytes currently parked on the free lists (checkouts excluded).
-  std::size_t pooled_bytes() const;
-
-  /// Drop every parked buffer, returning its capacity to the allocator.
-  /// high_water_bytes() is unaffected (it is a peak, not a level); the live
-  /// level drops by the parked bytes.
-  void trim();
-
-  /// Peak bytes of buffer capacity this workspace has grown (pooled plus
-  /// checked out), counting each buffer's capacity from the moment an
-  /// acquire grows it. Deterministic for a deterministic checkout sequence.
-  /// Approximate in one corner: buffers a caller keeps instead of
-  /// releasing, and foreign buffers passed to release(), are not tracked.
-  std::size_t high_water_bytes() const { return high_water_bytes_; }
 
   /// Per-thread workspace used by the value-returning DSP convenience
   /// overloads (fir_filter, decimate, ...). Each pool worker gets its own,
@@ -75,12 +60,8 @@ class DspWorkspace {
   static DspWorkspace& tls();
 
  private:
-  void grow_live(std::size_t grown_bytes);
-
   std::vector<std::vector<double>> real_pool_;
   std::vector<std::vector<cplx>> cplx_pool_;
-  std::size_t live_bytes_ = 0;
-  std::size_t high_water_bytes_ = 0;
 };
 
 /// RAII checkout: acquires on construction, releases on destruction, so a

@@ -9,10 +9,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <string_view>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -163,6 +163,51 @@ class JournalWriter {
   std::mutex mutex_;
   std::FILE* file_ = nullptr;
 };
+
+/// The evaluator for every cell of `spec`, resolved up front: a bad kind
+/// must fail before any work (and never from inside the pool, where
+/// exceptions cannot propagate).
+std::vector<CellEvaluator> resolve_evaluators(const CampaignSpec& spec) {
+  register_builtin_cell_evaluators();
+  std::vector<CellEvaluator> evaluators(spec.cells.size());
+  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+    evaluators[i] = find_evaluator(spec.cells[i].kind);
+    if (!evaluators[i]) {
+      throw std::invalid_argument("campaign: no evaluator for kind '" +
+                                  spec.cells[i].kind + "'");
+    }
+  }
+  return evaluators;
+}
+
+/// Run `cell(j)` for every j in [0, n), one j per pool chunk — cells are
+/// coarse (whole Monte-Carlo sweeps), so the fixed fine grain of
+/// parallel_for would serialize small campaigns — or inline when the pool
+/// cannot help. Exceptions (an evaluator throwing, a journal append that
+/// cannot be made durable) cannot unwind through the pool: the first one is
+/// captured, the remaining cells are skipped, and it rethrows at the end.
+void run_cells(std::size_t n, const std::function<void(std::size_t)>& cell) {
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  auto guarded = [&](std::size_t j) {
+    {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (first_error) return;
+    }
+    try {
+      cell(j);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+  };
+  if (n <= 1 || parallel_thread_count() <= 1 || detail::in_pool_worker()) {
+    for (std::size_t j = 0; j < n; ++j) guarded(j);
+  } else {
+    detail::pool_run(n, guarded);
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
 
 }  // namespace
 
@@ -413,22 +458,11 @@ CellOutcome resolve_cell(const CellSpec& spec,
 
 CampaignReport run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options) {
-  register_builtin_cell_evaluators();
+  const std::vector<CellEvaluator> evaluators = resolve_evaluators(spec);
   CampaignReport report;
   report.name = spec.name;
   report.cells_total = spec.cells.size();
   report.outcomes.resize(spec.cells.size());
-
-  // Resolve evaluators up front: a bad kind must fail before any work (and
-  // never from inside the pool, where exceptions cannot propagate).
-  std::vector<CellEvaluator> evaluators(spec.cells.size());
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    evaluators[i] = find_evaluator(spec.cells[i].kind);
-    if (!evaluators[i]) {
-      throw std::invalid_argument("campaign: no evaluator for kind '" +
-                                  spec.cells[i].kind + "'");
-    }
-  }
 
   std::unordered_map<std::uint64_t, std::string> journaled;
   if (!options.journal_path.empty() && !options.fresh) {
@@ -477,45 +511,21 @@ CampaignReport run_campaign(const CampaignSpec& spec,
   obs::count("campaign.cells.resumed", report.cells_resumed);
   obs::count("campaign.cache.misses", pending.size());
 
-  // Shard pending cells across the pool, one cell per chunk — cells are
-  // coarse (whole Monte-Carlo sweeps), so the fixed fine grain of
-  // parallel_for would serialize small campaigns. Exceptions (an evaluator
-  // throwing, a journal append that cannot be made durable) are captured —
-  // they cannot unwind through the pool — and the first one rethrows after
-  // the remaining cells have been skipped.
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto evaluate = [&](std::size_t pi) {
-    {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (first_error) return;
-    }
-    try {
-      const std::size_t i = pending[pi];
-      CellOutcome& out = report.outcomes[i];
-      const auto t0 = std::chrono::steady_clock::now();
-      out.result_json = evaluators[i](out.spec);
-      const double dt = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      out.source = CellSource::kComputed;
-      obs::observe("campaign.cell.seconds", dt);
-      // Journal BEFORE the memo cache: once any code path can observe the
-      // result, its journal line is already durable.
-      journal.append(out.spec, out.hash, out.result_json);
-      cache.insert(out.hash, out.result_json);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  if (pending.size() <= 1 || parallel_thread_count() <= 1 ||
-      detail::in_pool_worker()) {
-    for (std::size_t pi = 0; pi < pending.size(); ++pi) evaluate(pi);
-  } else {
-    detail::pool_run(pending.size(), evaluate);
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  run_cells(pending.size(), [&](std::size_t pi) {
+    const std::size_t i = pending[pi];
+    CellOutcome& out = report.outcomes[i];
+    const auto t0 = std::chrono::steady_clock::now();
+    out.result_json = evaluators[i](out.spec);
+    const double dt = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    out.source = CellSource::kComputed;
+    obs::observe("campaign.cell.seconds", dt);
+    // Journal BEFORE the memo cache: once any code path can observe the
+    // result, its journal line is already durable.
+    journal.append(out.spec, out.hash, out.result_json);
+    cache.insert(out.hash, out.result_json);
+  });
   report.cells_computed = pending.size();
 
   for (const std::size_t i : duplicates) {
@@ -668,17 +678,7 @@ ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,
   if (options.n_shards == 0 || shard >= options.n_shards) {
     throw std::invalid_argument("campaign: shard index out of range");
   }
-  register_builtin_cell_evaluators();
-
-  // Resolve evaluators up front: a bad kind fails before any work.
-  std::vector<CellEvaluator> evaluators(spec.cells.size());
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    evaluators[i] = find_evaluator(spec.cells[i].kind);
-    if (!evaluators[i]) {
-      throw std::invalid_argument("campaign: no evaluator for kind '" +
-                                  spec.cells[i].kind + "'");
-    }
-  }
+  const std::vector<CellEvaluator> evaluators = resolve_evaluators(spec);
 
   // Resolution order, per shard: journal (EVERY shard's — the whole
   // fleet's finished work counts as resumed) -> memo cache -> compute.
@@ -717,66 +717,44 @@ ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,
   report.cells_owned = own.size();
 
   std::mutex state_mutex;
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
   auto compute_cell = [&](std::size_t i, bool stolen) {
-    {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (first_error) return;
+    const CellSpec& cell = spec.cells[i];
+    const std::uint64_t hash = cell.content_hash();
+    if (!claims.claim(hash, shard)) return;  // another worker has it
+    std::string result;
+    double dt = 0.0;
+    const bool from_cache = cache.lookup(hash, &result);
+    if (!from_cache) {
+      const auto t0 = std::chrono::steady_clock::now();
+      result = evaluators[i](cell);
+      dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+               .count();
+      obs::observe("campaign.cell.seconds", dt);
     }
-    try {
-      const CellSpec& cell = spec.cells[i];
-      const std::uint64_t hash = cell.content_hash();
-      if (!claims.claim(hash, shard)) return;  // another worker has it
-      std::string result;
-      double dt = 0.0;
-      const bool from_cache = cache.lookup(hash, &result);
-      if (!from_cache) {
-        const auto t0 = std::chrono::steady_clock::now();
-        result = evaluators[i](cell);
-        dt = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-                 .count();
-        obs::observe("campaign.cell.seconds", dt);
-      }
-      // Cache-resolved cells still land in this shard's journal, so the
-      // merged journal set replays the whole campaign on its own.
-      std::string extras = "\"shard\":" + std::to_string(shard) +
-                           ",\"stolen\":" + (stolen ? "1" : "0") +
-                           ",\"t_s\":" + format_param(dt) + ",";
-      journal.append(cell, hash, result, extras);
-      if (!from_cache) cache.insert(hash, result);
-      std::lock_guard<std::mutex> lock(state_mutex);
-      if (from_cache) {
-        ++report.cells_from_cache;
-      } else {
-        ++report.cells_computed;
-        if (stolen) {
-          ++report.cells_stolen;
-          obs::count("campaign.cells.stolen");
-        }
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-
-  auto run_list = [&](const std::vector<std::size_t>& list, bool stolen) {
-    auto body = [&](std::size_t j) { compute_cell(list[j], stolen); };
-    if (list.size() <= 1 || parallel_thread_count() <= 1 ||
-        detail::in_pool_worker()) {
-      for (std::size_t j = 0; j < list.size(); ++j) body(j);
+    // Cache-resolved cells still land in this shard's journal, so the
+    // merged journal set replays the whole campaign on its own.
+    std::string extras = "\"shard\":" + std::to_string(shard) +
+                         ",\"stolen\":" + (stolen ? "1" : "0") +
+                         ",\"t_s\":" + format_param(dt) + ",";
+    journal.append(cell, hash, result, extras);
+    if (!from_cache) cache.insert(hash, result);
+    std::lock_guard<std::mutex> lock(state_mutex);
+    if (from_cache) {
+      ++report.cells_from_cache;
     } else {
-      detail::pool_run(list.size(), body);
+      ++report.cells_computed;
+      if (stolen) {
+        ++report.cells_stolen;
+        obs::count("campaign.cells.stolen");
+      }
     }
   };
   // Own shard first; only a worker whose backlog has drained starts
   // stealing, so stealing strictly helps stragglers.
-  run_list(own, /*stolen=*/false);
-  run_list(others, /*stolen=*/true);
-  if (first_error) std::rethrow_exception(first_error);
+  run_cells(own.size(),
+            [&](std::size_t j) { compute_cell(own[j], /*stolen=*/false); });
+  run_cells(others.size(),
+            [&](std::size_t j) { compute_cell(others[j], /*stolen=*/true); });
 
   obs::count("campaign.cells.computed", report.cells_computed);
   obs::count("campaign.cells.resumed", report.cells_resumed);
@@ -831,93 +809,6 @@ ShardMergeReport merge_campaign_shards(const CampaignSpec& spec,
   obs::count("campaign.cells.merged", results.size());
   obs::count("campaign.cells.missing", merge.cells_missing);
   return merge;
-}
-
-CampaignReport run_campaign_sharded(const CampaignSpec& spec,
-                                    const ShardOptions& options) {
-  if (options.n_shards <= 1 && options.journal_path.empty()) {
-    CampaignOptions single;
-    single.fresh = options.fresh;
-    return run_campaign(spec, single);
-  }
-  if (options.journal_path.empty()) {
-    throw std::invalid_argument("campaign: sharded run needs a journal path");
-  }
-  reset_campaign_claims(options);
-
-  // One thread per worker; each worker still shards its own cell list over
-  // the shared pool, and the claims file keeps the fleet exactly-once.
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::vector<std::thread> workers;
-  workers.reserve(options.n_shards);
-  for (std::size_t k = 0; k < options.n_shards; ++k) {
-    workers.emplace_back([&, k] {
-      try {
-        run_campaign_shard(spec, options, k);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  if (first_error) std::rethrow_exception(first_error);
-
-  ShardMergeReport merged = merge_campaign_shards(spec, options);
-  if (!merged.complete()) {
-    throw std::runtime_error("campaign: merge is missing " +
-                             std::to_string(merged.cells_missing) +
-                             " cells (resume to fill the gaps)");
-  }
-  return std::move(merged.report);
-}
-
-namespace {
-
-// Strict full-string parse of IVNET_SHARDS, mirroring IVNET_THREADS: "3"
-// is a fleet of three, "3abc"/"abc"/"0" warn once and fall back to a single
-// process.
-std::size_t env_shard_count() {
-  const char* env = std::getenv("IVNET_SHARDS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long value = std::strtoul(env, &end, 10);
-  if (env[0] >= '0' && env[0] <= '9' && end != env && *end == '\0' &&
-      errno != ERANGE && value >= 1 && value <= 1024) {
-    return static_cast<std::size_t>(value);
-  }
-  static std::once_flag warned;
-  std::call_once(warned, [env] {
-    std::fprintf(stderr,
-                 "ivnet: ignoring invalid IVNET_SHARDS='%s' (expected an "
-                 "integer in 1..1024)\n",
-                 env);
-  });
-  return 1;
-}
-
-}  // namespace
-
-CampaignReport run_bench_campaign(const CampaignSpec& spec,
-                                  const std::string& journal_path) {
-  const std::size_t shards = env_shard_count();
-  if (shards > 1 && !journal_path.empty()) {
-    ShardOptions options;
-    options.journal_path = journal_path;
-    options.n_shards = shards;
-    return run_campaign_sharded(spec, options);
-  }
-  if (shards > 1) {
-    std::fprintf(stderr,
-                 "ivnet: IVNET_SHARDS=%zu needs a journal path; running "
-                 "single-process\n",
-                 shards);
-  }
-  CampaignOptions options;
-  options.journal_path = journal_path;
-  return run_campaign(spec, options);
 }
 
 // --- Built-in evaluators -------------------------------------------------

@@ -235,21 +235,6 @@ struct ShardMergeReport {
 ShardMergeReport merge_campaign_shards(const CampaignSpec& spec,
                                        const ShardOptions& options);
 
-/// Single-binary fleet harness (used by the benches and tests): run all
-/// `n_shards` workers concurrently on threads of this process, then merge.
-/// Falls back to plain run_campaign when n_shards <= 1 or the journal path
-/// is empty. Acts as its own coordinator (resets claims; honours fresh).
-CampaignReport run_campaign_sharded(const CampaignSpec& spec,
-                                    const ShardOptions& options);
-
-/// Bench entry point: honour the IVNET_SHARDS environment knob. With
-/// IVNET_SHARDS=N (N > 1) and a non-empty journal path the campaign runs as
-/// an in-process N-worker fleet (run_campaign_sharded); otherwise it is a
-/// plain run_campaign. Invalid IVNET_SHARDS values warn once on stderr and
-/// fall back to 1, mirroring IVNET_THREADS.
-CampaignReport run_bench_campaign(const CampaignSpec& spec,
-                                  const std::string& journal_path);
-
 namespace detail {
 /// Append one journal record to `file` and make it durable: the fwrite,
 /// fflush, AND fsync must all succeed or this throws std::runtime_error —

@@ -34,8 +34,6 @@ const char* kind_counter(RequestKind kind) {
       return "svc.requests.inventory";
     case RequestKind::kPlan:
       return "svc.requests.plan";
-    case RequestKind::kPause:
-      return "svc.requests.pause";
   }
   return "svc.requests.unknown";
 }
@@ -85,10 +83,6 @@ Response execute_request(const ServiceConfig& config, const Request& request,
   };
 
   switch (request.kind) {
-    case RequestKind::kPause:
-      // The pause gate is service state; standalone execution is a no-op.
-      return response;
-
     case RequestKind::kPlan: {
       // Re-plan through the content-addressed plan store: the annealed
       // delta-evaluated Eq. 10 search on a miss, the stored plan bytes on a
@@ -126,7 +120,6 @@ Response execute_request(const ServiceConfig& config, const Request& request,
       const ImpairedLinkConfig link = link_config_for(config, request);
       const std::uint32_t trials = std::max<std::uint32_t>(1, request.trials);
       response.trials = trials;
-      response.per_trial_elapsed_s.resize(trials);
       // One stage per trial, in trial order: the summed air time folds
       // deterministically.
       for (std::uint32_t t = 0; t < trials; ++t) {
@@ -140,7 +133,6 @@ Response execute_request(const ServiceConfig& config, const Request& request,
             run_impaired_link_session(link, trial_rng);
         response.succeeded += report.success ? 1 : 0;
         response.sim_elapsed_s += report.elapsed_s;
-        response.per_trial_elapsed_s[t] = report.elapsed_s;
         if (flight != nullptr) {
           if (report.recovery.retries > 0) {
             flight->record(
@@ -208,9 +200,6 @@ bool InventoryService::submit(Request request) {
     return false;
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  if (request.kind == RequestKind::kPause) {
-    pause_submitted_.fetch_add(1, std::memory_order_relaxed);
-  }
   obs::count("svc.accepted");
   if (config_.telemetry != nullptr || config_.flight != nullptr) {
     const double t = telemetry_now(request);
@@ -227,20 +216,6 @@ void InventoryService::stop() {
   std::lock_guard<std::mutex> lock(stop_mutex_);
   if (stopped_) return;
   stopping_.store(true, std::memory_order_release);
-  // Unblock every pause still parked on (or queued ahead of) the gate:
-  // without these credits a worker blocked in pause_gate_.acquire() could
-  // never be joined, and the inline drain below would hang on a queued
-  // kPause nobody will release. Over-releasing (a worker between acquire
-  // and its pause_passed_ increment) only leaves spare credits behind,
-  // which is harmless once the service is stopped.
-  const std::uint64_t pauses_submitted =
-      pause_submitted_.load(std::memory_order_acquire);
-  const std::uint64_t pauses_passed =
-      pause_passed_.load(std::memory_order_acquire);
-  if (pauses_submitted > pauses_passed) {
-    pause_gate_.release(
-        static_cast<std::ptrdiff_t>(pauses_submitted - pauses_passed));
-  }
   ready_.release(static_cast<std::ptrdiff_t>(workers_.size()));
   for (std::thread& worker : workers_) worker.join();
   // A submit racing the shutdown may have pushed after the workers drew
@@ -253,10 +228,6 @@ void InventoryService::stop() {
   }
   obs::gauge_set("svc.inflight", 0.0);
   stopped_ = true;
-}
-
-void InventoryService::release_pause(std::size_t count) {
-  if (count > 0) pause_gate_.release(static_cast<std::ptrdiff_t>(count));
 }
 
 void InventoryService::worker_loop(std::size_t index) {
@@ -298,18 +269,11 @@ void InventoryService::handle(Request request, std::size_t ring) {
                            telemetry_now(request), request.id);
   }
 
-  Response response;
   StageTimings stages;
-  if (request.kind == RequestKind::kPause) {
-    response.id = request.id;
-    response.kind = request.kind;
-    pause_gate_.acquire();
-    pause_passed_.fetch_add(1, std::memory_order_release);
-  } else {
-    const FlightHook hook{config_.flight, ring, telemetry_now(request)};
-    response = execute_request(config_, request, DspWorkspace::tls(), &stages,
-                               config_.flight != nullptr ? &hook : nullptr);
-  }
+  const FlightHook hook{config_.flight, ring, telemetry_now(request)};
+  Response response =
+      execute_request(config_, request, DspWorkspace::tls(), &stages,
+                      config_.flight != nullptr ? &hook : nullptr);
   response.queue_wait_s = queue_wait_s;
   response.service_s =
       seconds_between(picked_at, std::chrono::steady_clock::now());
@@ -325,31 +289,24 @@ void InventoryService::handle(Request request, std::size_t ring) {
 
   if (config_.telemetry != nullptr) {
     const double t = telemetry_now(request);
-    if (request.kind == RequestKind::kPause) {
-      // A pause is a gate, not work: count the completion for throughput
-      // windows but never offer it as an exemplar (replaying one would
-      // block on a gate nobody releases).
-      config_.telemetry->completed().add(t);
-    } else {
-      obs::Exemplar exemplar;
-      exemplar.kind = static_cast<std::uint32_t>(request.kind);
-      exemplar.trials = request.trials;
-      exemplar.antennas = request.antennas;
-      exemplar.id = request.id;
-      exemplar.seed = request.seed;
-      exemplar.snr_db = request.snr_db;
-      exemplar.medium_loss_db = request.medium_loss_db;
-      exemplar.t_s = t;
-      exemplar.queue_wait_s = queue_wait_s;
-      exemplar.service_s = response.service_s;
-      exemplar.stages = std::min<std::uint32_t>(stages.count,
-                                                obs::Exemplar::kMaxStages);
-      for (std::uint32_t s = 0; s < exemplar.stages; ++s) {
-        exemplar.stage_s[s] = stages.stage_s[s];
-      }
-      exemplar.response_hash = response_hash(response);
-      config_.telemetry->on_complete(exemplar);
+    obs::Exemplar exemplar;
+    exemplar.kind = static_cast<std::uint32_t>(request.kind);
+    exemplar.trials = request.trials;
+    exemplar.antennas = request.antennas;
+    exemplar.id = request.id;
+    exemplar.seed = request.seed;
+    exemplar.snr_db = request.snr_db;
+    exemplar.medium_loss_db = request.medium_loss_db;
+    exemplar.t_s = t;
+    exemplar.queue_wait_s = queue_wait_s;
+    exemplar.service_s = response.service_s;
+    exemplar.stages =
+        std::min<std::uint32_t>(stages.count, obs::Exemplar::kMaxStages);
+    for (std::uint32_t s = 0; s < exemplar.stages; ++s) {
+      exemplar.stage_s[s] = stages.stage_s[s];
     }
+    exemplar.response_hash = response_hash(response);
+    config_.telemetry->on_complete(exemplar);
     // Threshold detectors over the trailing 1 s window; latch edges so one
     // overload episode records one anomaly event, not one per completion.
     const obs::TelemetryAnomaly anomaly = config_.telemetry->check_anomalies(t);

@@ -19,10 +19,8 @@
 // so "rejected" always means "shed by the bounded queue".
 //
 // Shutdown protocol (deterministic drain): stop() closes the front door,
-// releases one pause-gate credit per still-outstanding kPause (so a worker
-// parked on the gate can be joined and queued pauses cannot hang the
-// drain), releases one shutdown credit per worker on the queue semaphore,
-// and joins. A worker treats an empty pop as a shutdown credit ONLY once
+// releases one shutdown credit per worker on the queue semaphore, and
+// joins. A worker treats an empty pop as a shutdown credit ONLY once
 // stop() has set the stopping flag; before that an empty pop just means a
 // producer is mid-publish (see mpmc_queue.hpp) and the worker retries, so
 // the pool can never shrink mid-run. Every request accepted before stop()
@@ -65,7 +63,6 @@ enum class RequestKind : std::uint8_t {
   kDecode = 0,     ///< independent single-tag sessions (trials of them)
   kInventory = 1,  ///< adaptive-Q inventory dialogues (heavier recovery)
   kPlan = 2,       ///< small frequency-plan optimization (Eq. 10 search)
-  kPause = 3,      ///< test/bench gate: worker blocks until release_pause()
 };
 
 /// One service request. POD so it travels through the MPMC ring by value.
@@ -96,8 +93,6 @@ struct Response {
   double plan_score = 0.0;          ///< kPlan: objective of the winner
   double queue_wait_s = 0.0;        ///< wall: accept -> worker pickup
   double service_s = 0.0;           ///< wall: execution on the worker
-  /// Per-trial simulated elapsed seconds, trial order.
-  std::vector<double> per_trial_elapsed_s;
 };
 
 /// Which clock stamps telemetry ingests (windows, exemplars, flight
@@ -173,8 +168,7 @@ struct FlightHook {
 /// worker runs, exposed so `ivnet replay-exemplar` and tests re-execute a
 /// captured request deterministically. The response is a pure function of
 /// (config.link, request): worker count, queue depth, and arrival order
-/// never change response bytes. kPause is a no-op here (the gate is service
-/// state). `workspace` is unused: sessions keep their own scratch, and the
+/// never change response bytes. `workspace` is unused: sessions keep their own scratch, and the
 /// parameter stays only so existing callers compile. Wall timings in the
 /// response are left zero — the caller owns queue_wait_s/service_s.
 Response execute_request(const ServiceConfig& config, const Request& request,
@@ -199,16 +193,12 @@ class InventoryService {
   /// svc.rejected) or the service is stopping (svc.rejected.stopped).
   bool submit(Request request);
 
-  /// Drain the queue and quiesce the workers. Outstanding kPause requests (parked on or queued ahead of the gate)
-  /// are force-released, so an unbalanced release_pause() cannot hang
-  /// shutdown. Idempotent. Callers must not race submit() against stop():
+  /// Drain the queue and quiesce the workers. Idempotent. Callers must not
+  /// race submit() against stop():
   /// a submit that wins the acceptance check while stop() runs may be
   /// executed by the drain pass or dropped, and its accounting is then
   /// unspecified.
   void stop();
-
-  /// Unblock `count` kPause requests (test/bench gating).
-  void release_pause(std::size_t count = 1);
 
   // -- Introspection (monotonic counters are exact; inflight is racy) -----
   std::uint64_t accepted() const { return accepted_.load(std::memory_order_relaxed); }
@@ -221,7 +211,6 @@ class InventoryService {
   /// to anomalous; it ends when a completion observes a calm window again.
   std::uint64_t anomalies() const { return anomalies_.load(std::memory_order_relaxed); }
   std::size_t queue_capacity() const { return queue_.capacity(); }
-  std::size_t worker_count() const { return workers_.size(); }
   const ServiceConfig& config() const { return config_; }
   /// Seconds since construction on the wall telemetry clock — the `now_s`
   /// an external sampler should pass to the telemetry bundle's queries so
@@ -249,13 +238,6 @@ class InventoryService {
   /// "shutdown credit" once stopping_ is set; before that it can be a
   /// producer mid-publish, and the credit-holding worker retries the pop.
   std::counting_semaphore<> ready_{0};
-  std::counting_semaphore<> pause_gate_{0};
-  /// Pause bookkeeping so stop() can unblock the gate: accepted kPause
-  /// requests minus gate acquisitions that completed = pauses still parked
-  /// on (or queued ahead of) the gate. stop() releases that many credits
-  /// before joining, so an unreleased pause can never hang shutdown.
-  std::atomic<std::uint64_t> pause_submitted_{0};
-  std::atomic<std::uint64_t> pause_passed_{0};
   std::vector<std::thread> workers_;
 
   std::atomic<bool> stopping_{false};

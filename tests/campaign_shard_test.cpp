@@ -99,6 +99,27 @@ void remove_shard_files(const std::string& base, std::size_t n_shards) {
   std::remove(shard_claims_path(base).c_str());
 }
 
+/// The fleet `ivnet campaign run --shards N` forks, on threads: start a
+/// claims generation, run every shard's worker concurrently, then merge.
+CampaignReport run_fleet(const CampaignSpec& spec,
+                         const ShardOptions& options) {
+  reset_campaign_claims(options);
+  std::vector<std::thread> workers;
+  for (std::size_t k = 0; k < options.n_shards; ++k) {
+    workers.emplace_back([&, k] {
+      try {
+        run_campaign_shard(spec, options, k);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "shard " << k << ": " << e.what();
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  ShardMergeReport merged = merge_campaign_shards(spec, options);
+  EXPECT_TRUE(merged.complete()) << merged.cells_missing << " cells missing";
+  return std::move(merged.report);
+}
+
 class CampaignShardTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -128,7 +149,7 @@ TEST_F(CampaignShardTest, MergedFleetIsByteIdenticalAtAnyShardAndThreadCount) {
       CellCache::instance().clear();
       remove_shard_files(base, shards);
       ShardOptions options{base, shards, /*fresh=*/true};
-      const CampaignReport report = run_campaign_sharded(spec, options);
+      const CampaignReport report = run_fleet(spec, options);
       EXPECT_EQ(report.results_json(), reference)
           << "diverged at " << shards << " shards x " << threads
           << " threads";
@@ -247,7 +268,7 @@ TEST_F(CampaignShardTest, TornShardJournalTailRecomputesOnlyTheLostCell) {
   remove_shard_files(base, 2);
   ShardOptions options{base, 2, /*fresh=*/true};
   CellCache::instance().clear();
-  run_campaign_sharded(spec, options);
+  run_fleet(spec, options);
 
   // Drop a shard's last durable record and leave a torn half-line in its
   // place — the tail a SIGKILL mid-fwrite leaves behind. Stealing decides
@@ -276,7 +297,7 @@ TEST_F(CampaignShardTest, TornShardJournalTailRecomputesOnlyTheLostCell) {
   CellCache::instance().clear();
   g_calls.store(0);
   options.fresh = false;  // resume generation
-  const CampaignReport report = run_campaign_sharded(spec, options);
+  const CampaignReport report = run_fleet(spec, options);
   EXPECT_EQ(g_calls.load(), 1) << "only the torn-away cell recomputes";
   EXPECT_EQ(report.results_json(), reference);
   remove_shard_files(base, 2);
@@ -288,7 +309,7 @@ TEST_F(CampaignShardTest, ShardJournalsCarryOwnershipMetadata) {
   remove_shard_files(base, 2);
   const ShardOptions options{base, 2, /*fresh=*/true};
   CellCache::instance().clear();
-  run_campaign_sharded(spec, options);
+  run_fleet(spec, options);
 
   std::size_t records = 0;
   for (std::size_t k = 0; k < 2; ++k) {
@@ -319,7 +340,7 @@ TEST_F(CampaignShardTest, ObsCountersSurfaceFleetTraffic) {
   remove_shard_files(base, 2);
   const ShardOptions options{base, 2, /*fresh=*/true};
   CellCache::instance().clear();
-  run_campaign_sharded(spec, options);
+  run_fleet(spec, options);
   obs::install_null();
 
   std::set<std::uint64_t> unique;
@@ -362,7 +383,7 @@ TEST_F(CampaignShardTest, ObsCountersSurfaceFleetTraffic) {
 TEST_F(CampaignShardTest, ShardedRunValidatesItsArguments) {
   const CampaignSpec spec = balanced_spec(2, 1);
   ShardOptions options{"", 3, false};
-  EXPECT_THROW(run_campaign_sharded(spec, options), std::invalid_argument);
+  EXPECT_THROW(run_campaign_shard(spec, options, 0), std::invalid_argument);
   const std::string base = temp_base("args");
   EXPECT_THROW(run_campaign_shard(spec, {base, 2, false}, 2),
                std::invalid_argument);

@@ -310,6 +310,24 @@ TEST(TwoStage, SteadyPlanImprovesConductionFraction) {
   EXPECT_GT(steady.objective_value, 0.0);
 }
 
+TEST(TwoStage, SteadyPlanAtUnreachableThresholdKeepsAFeasiblePlan) {
+  // No set of 4 unit tones reaches 10x a single antenna, so every restart
+  // scores 0; the steady stage must still hand back a feasible plan.
+  OptimizerConfig cfg;
+  cfg.num_antennas = 4;
+  cfg.mc_trials = 16;
+  cfg.iterations = 20;
+  cfg.restarts = 2;
+  TwoStageController controller(cfg);
+  Rng rng(21);
+  const auto steady = controller.plan_steady(10.0, rng);
+  ASSERT_EQ(steady.offsets_hz.size(), 4u);
+  EXPECT_DOUBLE_EQ(steady.offsets_hz.front(), 0.0);
+  const FrequencyPlan plan(915e6, steady.offsets_hz);
+  EXPECT_TRUE(plan.satisfies(cfg.constraint));
+  EXPECT_EQ(steady.objective_value, 0.0);
+}
+
 // Property sweep: for every antenna count, the Monte-Carlo peak-power gain
 // of the paper's plan is within (0, N^2].
 class GainBound : public ::testing::TestWithParam<std::size_t> {};

@@ -391,9 +391,8 @@ TEST_F(DeterminismTest, ServiceMetricsSnapshotByteEqualAcrossWorkerCounts) {
   // and every SIM-time-valued histogram in the snapshot must be
   // byte-identical across worker counts and across reruns. Wall-time
   // histograms (svc.queue_wait, svc.service_time) and scheduling-dependent
-  // gauges (svc.inflight peaks, arena high-water) are explicitly outside
-  // the contract, so the pin compares the extracted sections, not the whole
-  // document.
+  // gauges (svc.inflight) are explicitly outside the contract, so the pin
+  // compares the extracted sections, not the whole document.
   svc::LoadGenConfig load;
   svc::LoadState decode;
   decode.rate_rps = 1000.0;

@@ -391,23 +391,6 @@ TEST(DspWorkspace, BestFitCheckoutRecyclesSmallestFit) {
   ws.release(std::move(buf2));
 }
 
-TEST(DspWorkspace, HighWaterTracksCapacityGrowth) {
-  DspWorkspace ws;
-  EXPECT_EQ(ws.high_water_bytes(), 0u);
-  auto a = ws.acquire_real(100);
-  const std::size_t after_first = ws.high_water_bytes();
-  EXPECT_GE(after_first, 100 * sizeof(double));
-  ws.release(std::move(a));
-  // Recycled checkout: no growth, no high-water movement.
-  auto b = ws.acquire_real(60);
-  EXPECT_EQ(ws.high_water_bytes(), after_first);
-  // Growth while a buffer is checked out stacks on the live total.
-  auto c = ws.acquire_real(300);
-  EXPECT_GE(ws.high_water_bytes(), after_first + 300 * sizeof(double));
-  ws.release(std::move(b));
-  ws.release(std::move(c));
-}
-
 TEST(DspWorkspace, ScopedBufferReturnsOnScopeExit) {
   DspWorkspace ws;
   {

@@ -290,7 +290,6 @@ TEST(ServiceTelemetry, EqualIngestsEmitIdenticalBytes) {
   feed(b);
   EXPECT_EQ(a.sample_json(5.0), b.sample_json(5.0));
   EXPECT_EQ(a.exemplars_jsonl(), b.exemplars_jsonl());
-  EXPECT_EQ(a.exemplars_json(), b.exemplars_json());
 }
 
 TEST(ServiceTelemetry, AnomalyDetectorsFireOnThresholds) {

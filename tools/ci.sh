@@ -4,7 +4,8 @@
 # same suite under AddressSanitizer and ThreadSanitizer (the determinism
 # tests exercise 1/2/8-thread pools, so TSan sees real contention), a
 # Debug spot-check of the DSP input-validation, campaign, and service
-# suites (the other legs are NDEBUG builds), an inventory-service bench
+# suites (the other legs are NDEBUG builds; the shard-fleet and cib suites
+# ride along), an inventory-service bench
 # (digest-identity gated, telemetry overhead gated <= 3%) plus a bounded
 # 10k-request soak through `ivnet serve` that must shed nothing while
 # unsaturated — run with live telemetry attached: the time-series JSONL is
@@ -14,7 +15,9 @@
 # memcmp-gated against the full rebuild and a naive double-precision
 # oracle, then a plan/re-plan pair across fresh processes whose stored plan
 # JSONs must cmp equal with zero evaluations on the hit, and a plan
-# written to /dev/full that must fail the command) — a small
+# written to /dev/full that must fail the command) — a CLI numeric-flag
+# check (64-bit seeds stay exact, a malformed value exits 2, a negative
+# value after a flag is that flag's value) — a small
 # traced sweep whose metrics/trace artifacts are archived and smoke-checked
 # as JSON, a campaign kill-and-resume determinism check (SIGKILL mid-run,
 # resume from the journal, byte-compare against an uninterrupted run across
@@ -253,6 +256,39 @@ if build-ci/tools/ivnet plan --antennas 4 --trials 2 --moves 4 --restarts 1 \
 fi
 echo "ci: write failure on /dev/full reported with a non-zero exit"
 
+echo "=== ci: CLI numeric flags parse whole and exactly ==="
+# Seeds 2^53+1 and 2^53 are distinct plans (a double round-trip merged
+# them), a malformed count is exit 2 rather than a silent default, and
+# `--snr -5` is a -5 dB load, not the 1 dB "flag present" placeholder.
+plan_hash() {
+  build-ci/tools/ivnet plan --antennas 4 --trials 2 --moves 4 --restarts 1 \
+      --seed "$1" --json | sed -n 's/.*"scenario_hash":"\([0-9a-f]*\)".*/\1/p'
+}
+hash_odd=$(plan_hash 9007199254740993)
+hash_even=$(plan_hash 9007199254740992)
+if [[ -z "$hash_odd" || "$hash_odd" == "$hash_even" ]]; then
+  echo "ci: seeds 2^53+1 and 2^53 planned the same scenario ($hash_odd)" >&2
+  exit 1
+fi
+rc=0
+build-ci/tools/ivnet plan --antennas abc --trials 2 --moves 4 --restarts 1 \
+    > /dev/null 2>&1 || rc=$?
+if [[ "$rc" -ne 2 ]]; then
+  echo "ci: ivnet plan --antennas abc exited $rc, expected 2" >&2
+  exit 1
+fi
+serve_digest() {
+  build-ci/tools/ivnet serve --workers 2 --requests 400 --closed-loop \
+      --snr "$1" --json | sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p'
+}
+digest_neg=$(serve_digest -5)
+digest_one=$(serve_digest 1)
+if [[ -z "$digest_neg" || "$digest_neg" == "$digest_one" ]]; then
+  echo "ci: --snr -5 and --snr 1 served the same responses ($digest_one)" >&2
+  exit 1
+fi
+echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one"
+
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency
 # exemplar the soak captured must re-execute to its recorded response hash
@@ -274,8 +310,8 @@ echo "=== ci: Debug spot-check (input validation with asserts enabled) ==="
 # the fir design validation used to vanish. Pin that the throwing contract
 # and the DSP/campaign suites hold in an assert-enabled Debug build too.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
-cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test campaign_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
-ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|campaign_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
+cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test campaign_test campaign_shard_test cib_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
+ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|campaign_test|campaign_shard_test|cib_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
 
 echo "=== ci: traced sweep artifacts ==="
 mkdir -p "$ARTIFACT_DIR"

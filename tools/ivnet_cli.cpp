@@ -10,7 +10,10 @@
 //   ivnet session  --scenario air|water|gastric|subcut [--tag std|mini]
 //                  [--antennas N] [--distance M | --depth M] [--json]
 //   ivnet vitals   [--rounds K]               sensor-read dialogues (swine)
-//   ivnet safety   [--antennas N] [--duty D] [--json]
+//   ivnet safety   [--antennas N] [--duty D] [--distance M] [--json]
+//   ivnet deploy   --scenario air|water|gastric|subcut [--tag std|mini]
+//                  [--depth M | --distance M] [--reads-per-minute R]
+//                  [--burst-uj E] [--max-antennas N] [--seed S] [--json]
 //   ivnet campaign run|status|resume|worker|merge --bench fig9|fig13|x13
 //                  [--journal FILE] [--out FILE] [--trials N] [--fresh]
 //                  [--shards N] [--shard K]   (worker: one shard's process)
@@ -27,19 +30,29 @@
 //   --trace-out FILE       write a Chrome trace_event file (load in
 //                          chrome://tracing or ui.perfetto.dev)
 //   --trace-clock sim|wall trace clock domain (default wall)
+//
+// Numeric flag values are parsed whole (std::from_chars) into the type the
+// command uses: trailing junk, a negative count or an out-of-range value
+// prints the flag and exits 2. A token that parses as a number is taken as
+// the preceding flag's value even when it starts with '-' (`--snr -5`).
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ivnet/common/json.hpp"
@@ -62,6 +75,24 @@ namespace {
 
 using namespace ivnet;
 
+/// True when all of `token` parses as a T; a floating-point value must also
+/// be finite. Unsigned types reject a leading '-', and a value outside T's
+/// range fails instead of wrapping.
+template <typename T>
+bool parse_number(std::string_view token, T& value) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(value);
+  return true;
+}
+
+/// A numeric flag whose value does not parse; main() reports it, exit 2.
+struct FlagError : std::runtime_error {
+  FlagError(const std::string& name, const std::string& value)
+      : std::runtime_error("invalid value '" + value + "' for --" + name) {}
+};
+
 struct Args {
   std::string command;
   std::vector<std::string> positional;  ///< non-flag tokens after the command
@@ -72,9 +103,14 @@ struct Args {
     const auto it = flags.find(name);
     return it == flags.end() ? fallback : it->second;
   }
-  double get_num(const std::string& name, double fallback) const {
+  /// Numeric flag as T (an integer type or double); throws FlagError.
+  template <typename T>
+  T get_num(const std::string& name, T fallback) const {
     const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    if (it == flags.end()) return fallback;
+    T value{};
+    if (!parse_number(it->second, value)) throw FlagError(name, it->second);
+    return value;
   }
 };
 
@@ -88,7 +124,9 @@ Args parse_args(int argc, char** argv) {
       continue;
     }
     token.erase(0, 2);
-    if (i + 1 < argc && argv[i + 1][0] != '-') {
+    double number = 0.0;
+    if (i + 1 < argc &&
+        (argv[i + 1][0] != '-' || parse_number(argv[i + 1], number))) {
       args.flags[token] = argv[++i];
     } else {
       args.flags[token] = "1";
@@ -141,15 +179,15 @@ int cmd_plan(const Args& args) {
   // two runs' outputs `cmp` equal). Without --journal the plan is still
   // memoized for this process.
   FrequencyPlanRequest request;
-  request.antennas = static_cast<std::size_t>(
-      std::max(2.0, args.get_num("antennas", 10)));
-  request.mc_trials = static_cast<std::size_t>(
-      std::max(1.0, args.get_num("trials", 48)));
-  request.moves = static_cast<std::size_t>(
-      std::max(1.0, args.get_num("moves", 400)));
-  request.restarts = static_cast<std::size_t>(
-      std::max(1.0, args.get_num("restarts", 2)));
-  request.seed = static_cast<std::uint64_t>(args.get_num("seed", 7));
+  request.antennas =
+      std::max<std::size_t>(2, args.get_num<std::size_t>("antennas", 10));
+  request.mc_trials =
+      std::max<std::size_t>(1, args.get_num<std::size_t>("trials", 48));
+  request.moves =
+      std::max<std::size_t>(1, args.get_num<std::size_t>("moves", 400));
+  request.restarts =
+      std::max<std::size_t>(1, args.get_num<std::size_t>("restarts", 2));
+  request.seed = args.get_num<std::uint64_t>("seed", 7);
 
   FrequencyPlanOutcome plan;
   try {
@@ -229,7 +267,7 @@ int cmd_media(const Args& args) {
 
 int cmd_range(const Args& args) {
   const auto tag = tag_from(args);
-  const auto n = static_cast<std::size_t>(args.get_num("antennas", 8));
+  const auto n = args.get_num<std::size_t>("antennas", 8);
   const auto plan = FrequencyPlan::paper_default().truncated(n);
   Rng rng(17);
   const bool water = args.get("medium", "air") == "water";
@@ -256,7 +294,7 @@ int cmd_range(const Args& args) {
 
 int cmd_session(const Args& args) {
   const auto tag = tag_from(args);
-  const auto n = static_cast<std::size_t>(args.get_num("antennas", 8));
+  const auto n = args.get_num<std::size_t>("antennas", 8);
   const std::string kind = args.get("scenario", "air");
   Scenario scen;
   if (kind == "water") {
@@ -271,9 +309,8 @@ int cmd_session(const Args& args) {
   }
   SessionConfig cfg;
   cfg.plan = FrequencyPlan::paper_default().truncated(n);
-  cfg.reader.averaging_periods =
-      static_cast<std::size_t>(args.get_num("averaging", 10));
-  Rng rng(static_cast<std::uint64_t>(args.get_num("seed", 99)));
+  cfg.reader.averaging_periods = args.get_num<std::size_t>("averaging", 10);
+  Rng rng(args.get_num<std::uint64_t>("seed", 99));
   const auto r = run_gen2_session(scen, tag, cfg, rng);
   if (args.has("json")) {
     JsonWriter w;
@@ -300,15 +337,15 @@ int cmd_session(const Args& args) {
 }
 
 int cmd_vitals(const Args& args) {
-  const int rounds = static_cast<int>(args.get_num("rounds", 5));
+  const unsigned rounds = args.get_num<unsigned>("rounds", 5);
   WaveformSessionConfig cfg;
   cfg.plan = FrequencyPlan::paper_default().truncated(8);
   cfg.charge_time_s = 0.2;
   cfg.reader.averaging_periods = 10;
   Rng rng(4242);
   WaveformSession session(cfg, rng);
-  int ok = 0;
-  for (int k = 0; k < rounds; ++k) {
+  unsigned ok = 0;
+  for (unsigned k = 0; k < rounds; ++k) {
     Scenario scen = swine_gastric_scenario(calib::kSwineStandoffM,
                                            rng.uniform(0.0, 0.05));
     scen.orientation_rad = rng.uniform(0.0, kPi);
@@ -317,19 +354,19 @@ int cmd_vitals(const Args& args) {
         session.run_sensor_read(scen, standard_tag(), k * 10.0, rng);
     if (r.read_ok) {
       ++ok;
-      std::printf("round %d: T=%.2f C, pH=%.2f, P=%.1f mmHg\n", k,
+      std::printf("round %u: T=%.2f C, pH=%.2f, P=%.1f mmHg\n", k,
                   r.temperature_c, r.ph, r.pressure_mmhg);
     } else {
-      std::printf("round %d: %s\n", k,
+      std::printf("round %u: %s\n", k,
                   r.powered ? "uplink/access lost" : "below threshold");
     }
   }
-  std::printf("vitals read %d/%d rounds\n", ok, rounds);
+  std::printf("vitals read %u/%u rounds\n", ok, rounds);
   return ok > 0 ? 0 : 1;
 }
 
 int cmd_safety(const Args& args) {
-  const auto n = static_cast<std::size_t>(args.get_num("antennas", 8));
+  const auto n = args.get_num<std::size_t>("antennas", 8);
   const double duty = args.get_num("duty", 0.1);
   const double distance = args.get_num("distance", 1.0);
   const auto r = assess_exposure(n, dbm_to_watts(calib::kTxPowerDbm),
@@ -380,9 +417,8 @@ int cmd_deploy(const Args& args) {
   DeploymentRequirements req;
   req.min_reads_per_minute = args.get_num("reads-per-minute", 1.0);
   req.burst_energy_j = args.get_num("burst-uj", 3.0) * 1e-6;
-  req.max_antennas =
-      static_cast<std::size_t>(args.get_num("max-antennas", 10));
-  Rng rng(static_cast<std::uint64_t>(args.get_num("seed", 5)));
+  req.max_antennas = args.get_num<std::size_t>("max-antennas", 10);
+  Rng rng(args.get_num<std::uint64_t>("seed", 5));
   const auto plan = plan_deployment(scen, tag, req, rng);
   if (args.has("json")) {
     JsonWriter w;
@@ -407,14 +443,14 @@ int cmd_deploy(const Args& args) {
 /// Build the requested figure campaign. Unknown bench => empty name.
 CampaignSpec campaign_from(const Args& args) {
   const std::string bench = args.get("bench", "fig9");
-  const auto trials = static_cast<std::size_t>(args.get_num("trials", 150));
+  const auto trials = args.get_num<std::size_t>("trials", 150);
   if (bench == "fig9") return fig9_campaign(trials);
   if (bench == "fig13") {
-    return fig13_campaign(
-        trials, static_cast<std::size_t>(args.get_num("range-trials", 15)));
+    return fig13_campaign(trials,
+                          args.get_num<std::size_t>("range-trials", 15));
   }
   if (bench == "x13") {
-    return x13_campaign(static_cast<std::size_t>(args.get_num("trials", 48)));
+    return x13_campaign(args.get_num<std::size_t>("trials", 48));
   }
   return {};
 }
@@ -451,8 +487,8 @@ int cmd_campaign(const Args& args) {
   }
   const std::string journal =
       args.get("journal", "campaign_" + spec.name + ".jsonl");
-  const auto shards = static_cast<std::size_t>(
-      std::max(1.0, args.get_num("shards", 1)));
+  const auto shards =
+      std::max<std::size_t>(1, args.get_num<std::size_t>("shards", 1));
   ShardOptions shard_options;
   shard_options.journal_path = journal;
   shard_options.n_shards = shards;
@@ -507,8 +543,7 @@ int cmd_campaign(const Args& args) {
       std::fprintf(stderr, "ivnet campaign worker: --shard K required\n");
       return 2;
     }
-    const auto shard =
-        static_cast<std::size_t>(args.get_num("shard", 0));
+    const auto shard = args.get_num<std::size_t>("shard", 0);
     try {
       const ShardWorkerReport report =
           run_campaign_shard(spec, shard_options, shard);
@@ -626,21 +661,23 @@ void print_follow_line(obs::ServiceTelemetry& telemetry, double now_s) {
 
 int cmd_serve(const Args& args) {
   const auto workers =
-      static_cast<std::size_t>(std::max(1.0, args.get_num("workers", 4)));
+      std::max<std::size_t>(1, args.get_num<std::size_t>("workers", 4));
   const auto queue_depth =
-      static_cast<std::size_t>(std::max(2.0, args.get_num("queue-depth", 256)));
+      std::max<std::size_t>(2, args.get_num<std::size_t>("queue-depth", 256));
   const double rate = std::max(1e-3, args.get_num("rate", 500.0));
   const double duration_s = args.get_num("duration", 0.0);
-  auto requests =
-      static_cast<std::size_t>(std::max(1.0, args.get_num("requests", 1000)));
+  const auto requests =
+      std::max<std::size_t>(1, args.get_num<std::size_t>("requests", 1000));
 
   // 2-state MMPP over the decode template: calm (0.5x) and surge (1.5x)
   // around the requested mean rate, sticky states so bursts last ~10
   // arrivals. The schedule is deterministic in --seed alone.
   svc::LoadState calm;
   calm.rate_rps = 0.5;
-  calm.trials = static_cast<std::uint32_t>(std::max(1.0, args.get_num("trials", 1)));
-  calm.antennas = static_cast<std::uint16_t>(std::max(1.0, args.get_num("antennas", 2)));
+  calm.trials =
+      std::max<std::uint32_t>(1, args.get_num<std::uint32_t>("trials", 1));
+  calm.antennas =
+      std::max<std::uint16_t>(1, args.get_num<std::uint16_t>("antennas", 2));
   calm.snr_db = args.get_num("snr", 14.0);
   calm.medium_loss_db = args.get_num("loss", 0.0);
   svc::LoadState surge = calm;
@@ -649,7 +686,7 @@ int cmd_serve(const Args& args) {
   svc::LoadGenConfig load;
   load.states = {calm, surge};
   load.transition = {0.9, 0.1, 0.1, 0.9};
-  load.seed = static_cast<std::uint64_t>(args.get_num("seed", 41));
+  load.seed = args.get_num<std::uint64_t>("seed", 41);
   load.rate_scale = rate;
   if (duration_s > 0.0) {
     // Duration-bounded: oversample the schedule, then cut it at the clock.
@@ -725,8 +762,8 @@ int cmd_serve(const Args& args) {
   svc::ReplayResult replay;
   const bool closed = args.has("closed-loop");
   if (closed) {
-    const auto window = static_cast<std::size_t>(
-        std::max(1.0, args.get_num("closed-loop", 4.0 * workers)));
+    const auto window = std::max<std::size_t>(
+        1, args.get_num<std::size_t>("closed-loop", 4 * workers));
     replay = svc::run_closed_loop(service, collector, schedule, window);
   } else {
     replay = svc::run_open_loop(service, schedule,
@@ -863,14 +900,14 @@ int cmd_replay_exemplar(const Args& args) {
     start = end + 1;
   }
   if (args.has("id")) {
-    const auto want = static_cast<std::uint64_t>(args.get_num("id", 0));
+    const auto want = args.get_num<std::uint64_t>("id", 0);
     std::vector<obs::Exemplar> keep;
     for (const obs::Exemplar& e : exemplars) {
       if (e.id == want) keep.push_back(e);
     }
     exemplars = std::move(keep);
   } else if (args.has("index")) {
-    const auto k = static_cast<std::size_t>(args.get_num("index", 0));
+    const auto k = args.get_num<std::size_t>("index", 0);
     if (k >= exemplars.size()) {
       std::fprintf(stderr,
                    "ivnet replay-exemplar: --index %zu out of range "
@@ -1026,7 +1063,12 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) sink.tracer = &tracer;
   obs::install(sink);
 
-  int rc = dispatch(args);
+  int rc = 2;
+  try {
+    rc = dispatch(args);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "ivnet %s: %s\n", args.command.c_str(), e.what());
+  }
 
   obs::install_null();
   if (!metrics_out.empty() && !write_file(metrics_out, registry.snapshot_json()))
