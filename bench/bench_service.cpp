@@ -1,41 +1,31 @@
-// Service front-end latency/throughput characterization: the inventory
-// service driven by the Markov-modulated load harness.
+// Telemetry-overhead gate for the inventory service: the full observability
+// stack (rolling windows + exemplar store + flight recorder, sim clock — the
+// CI soak configuration) must cost at most 3% of the bare service's CPU time
+// per request, and must not change a single response byte.
 //
-// Per worker count {1, 2, 8}:
-//   1. Closed-loop saturation — a fixed-concurrency replay (4x workers in
-//      flight) that never idles the pool and never sheds; its completion
-//      rate is the saturation throughput estimate for that pool size.
-//   2. Open-loop MMPP sweep — a 2-state bursty schedule (calm at 0.5x and
-//      surge at 1.5x the point's mean rate) replayed on the wall clock at
-//      offered loads {0.25, 0.5, 1.0, 2.0}x saturation. Queue-wait and
-//      service-time p50/p99 come from exact per-request samples, rejection
-//      counts from the bounded ring's shedding.
+// Two long-lived one-worker services, one bare and one instrumented, serve
+// the same MMPP decode stream in kBlocks blocks of kBlockRequests requests.
+// Block p runs on both services back to back, alternating which goes first,
+// and yields one paired ratio: the process CPU time the instrumented block
+// took over the bare block's (same requests, so the same ratio per
+// request). The process pins itself to one CPU of its affinity mask first,
+// so both workers share it and thread placement cannot favour one side.
 //
-// Identity gate (exit code): responses are pure functions of the request
-// stream, so the closed-loop response digests must match across ALL worker
-// counts and across a rerun at the widest pool. A digest mismatch exits 1 —
-// the latency table only ever describes runs with bitwise-identical
-// response payloads.
+// Gate (exit code): the upper end of the sign-test 95% confidence interval
+// for the median ratio must be <= 1.03, and both services' response digests
+// must match. Throughput and latency of the service are perfbench's `serve`
+// workload; this binary times nothing else.
 //
-// Telemetry overhead row: the widest pool's saturation is re-measured with
-// the full observability stack attached (rolling windows + exemplar store +
-// flight recorder, sim clock — the CI soak configuration), interleaved
-// best-of-3 against the bare service so machine noise hits both sides.
-// tools/ci.sh gates the delta at <= 3%.
-//
-//   ./bench_service [output-path] [--timeline]
-//       output-path default: BENCH_service.json
-//       --timeline keeps per-request completion wall timestamps for the
-//       widest saturation run and emits a binned latency-vs-time column
-//       (warmup vs steady state) into the JSON.
+//   ./bench_service        (no arguments; prints one line)
+#include <sched.h>
+#include <time.h>
+
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "ivnet/common/json.hpp"
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/obs/flight_recorder.hpp"
 #include "ivnet/obs/telemetry.hpp"
@@ -47,15 +37,14 @@ namespace {
 using namespace ivnet;
 using namespace ivnet::svc;
 
-constexpr std::size_t kWorkerCounts[] = {1, 2, 8};
-constexpr double kOfferedMultipliers[] = {0.25, 0.5, 1.0, 2.0};
-constexpr std::size_t kClosedLoopRequests = 384;
-constexpr std::size_t kOpenLoopRequests = 400;
+constexpr std::size_t kBlocks = 400;
+constexpr std::size_t kBlockRequests = 32;
 constexpr std::uint64_t kSeed = 41;
+constexpr double kConfidence = 0.95;
+constexpr double kBoundRatio = 1.03;
 
-/// Request template shared by every point: short decode dialogues at a
-/// mid-waterfall SNR, heavy enough to cost real DSP per request and light
-/// enough that a 1-worker saturation run stays under a second.
+/// Request template: short decode dialogues at a mid-waterfall SNR, heavy
+/// enough to cost real DSP per request.
 LoadState decode_state(double relative_rate) {
   LoadState state;
   state.rate_rps = relative_rate;
@@ -66,313 +55,140 @@ LoadState decode_state(double relative_rate) {
   return state;
 }
 
-/// 2-state MMPP: calm (0.5x mean) and surge (1.5x mean), sticky states
-/// (p_stay = 0.9) so bursts last ~10 arrivals. rate_scale carries the
-/// offered load; the stationary mix is 50/50, so the mean offered rate is
-/// rate_scale requests/s exactly.
-LoadGenConfig mmpp_config(double offered_rps, std::size_t requests) {
+/// 2-state MMPP (calm 0.5x, surge 1.5x, p_stay 0.9). Arrival times are
+/// ignored here; the schedule only supplies the deterministic requests.
+std::vector<ScheduledRequest> request_stream() {
   LoadGenConfig config;
   config.states = {decode_state(0.5), decode_state(1.5)};
   config.transition = {0.9, 0.1, 0.1, 0.9};
-  config.requests = requests;
+  config.requests = kBlocks * kBlockRequests;
   config.seed = kSeed;
-  config.rate_scale = offered_rps;
-  return config;
+  return generate_schedule(config);
 }
 
-ServiceConfig service_config(std::size_t workers) {
-  ServiceConfig config;
-  config.workers = workers;
-  config.queue_depth = 256;
-  return config;
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-struct SaturationPoint {
-  std::size_t workers = 0;
-  double throughput_rps = 0.0;
-  double service_p50_s = 0.0;
-  double service_p99_s = 0.0;
-  std::uint64_t digest = 0;
-};
-
-struct SaturationOptions {
-  bool telemetry = false;  ///< attach windows + exemplars + flight recorder
-  bool timeline = false;   ///< keep per-request completion timestamps
-};
-
-SaturationPoint measure_saturation(std::size_t workers,
-                                   const SaturationOptions& options = {},
-                                   std::vector<TimelinePoint>* timeline_out =
-                                       nullptr) {
-  // Rate is irrelevant closed-loop (timestamps are ignored); the schedule
-  // only supplies the deterministic request stream.
-  const auto schedule = generate_schedule(mmpp_config(1.0, kClosedLoopRequests));
-  ServiceConfig config = service_config(workers);
-  std::optional<obs::ServiceTelemetry> telemetry;
-  std::optional<obs::FlightRecorder> flight;
-  if (options.telemetry) {
-    telemetry.emplace();
-    flight.emplace(workers + 1);
-    config.telemetry = &*telemetry;
-    config.flight = &*flight;
-    config.telemetry_clock = TelemetryClock::kSim;
+/// Pins the calling thread, and so every thread it starts afterwards, to
+/// the first CPU of its affinity mask. Returns that CPU, or -1 on failure.
+int pin_to_one_cpu() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &mask)) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return sched_setaffinity(0, sizeof(one), &one) == 0 ? cpu : -1;
   }
-  LatencyCollector collector(options.timeline);
-  InventoryService service(config, collector.sink());
-  const ReplayResult replay =
-      run_closed_loop(service, collector, schedule, 4 * workers);
-  collector.wait_for_completed(replay.accepted);
-  service.stop();
-  if (timeline_out != nullptr) *timeline_out = collector.timeline();
-
-  SaturationPoint point;
-  point.workers = workers;
-  point.throughput_rps =
-      replay.wall_s > 0.0 ? static_cast<double>(replay.accepted) / replay.wall_s
-                          : 0.0;
-  point.service_p50_s = collector.service_quantile(0.50);
-  point.service_p99_s = collector.service_quantile(0.99);
-  point.digest = collector.digest();
-  return point;
+  return -1;
 }
 
-struct LoadPoint {
-  std::size_t workers = 0;
-  double multiplier = 0.0;
-  double offered_rps = 0.0;
-  double completed_rps = 0.0;
-  std::size_t accepted = 0;
-  std::size_t rejected = 0;
-  double queue_wait_p50_s = 0.0;
-  double queue_wait_p99_s = 0.0;
-  double service_p50_s = 0.0;
-  double service_p99_s = 0.0;
-  double latency_p99_s = 0.0;
+/// One long-lived one-worker service and the collector its responses land
+/// in. Declaration order matters: the service stops before what it uses.
+class Side {
+ public:
+  explicit Side(bool with_telemetry) {
+    ServiceConfig config;
+    config.workers = 1;
+    config.queue_depth = kBlockRequests;  // a whole block fits the ring
+    if (with_telemetry) {
+      telemetry_.emplace();
+      flight_.emplace(config.workers + 1);
+      config.telemetry = &*telemetry_;
+      config.flight = &*flight_;
+      config.telemetry_clock = TelemetryClock::kSim;
+    }
+    service_.emplace(config, collector_.sink());
+  }
+
+  /// Serves requests [first, first + kBlockRequests) to completion and
+  /// returns the process CPU seconds that took.
+  double run_block(const ScheduledRequest* first) {
+    const double t0 = process_cpu_s();
+    for (std::size_t i = 0; i < kBlockRequests; ++i) {
+      accepted_ += service_->submit(first[i].request) ? 1 : 0;
+    }
+    collector_.wait_for_completed(accepted_);
+    return process_cpu_s() - t0;
+  }
+
+  std::size_t completed() const { return collector_.completed(); }
+  std::uint64_t digest() const { return collector_.digest(); }
+
+ private:
+  std::optional<obs::ServiceTelemetry> telemetry_;
+  std::optional<obs::FlightRecorder> flight_;
+  LatencyCollector collector_;
+  std::optional<InventoryService> service_;
+  std::size_t accepted_ = 0;
 };
 
-LoadPoint measure_open_loop(std::size_t workers, double multiplier,
-                            double saturation_rps) {
-  const double offered = multiplier * saturation_rps;
-  const auto schedule =
-      generate_schedule(mmpp_config(offered, kOpenLoopRequests));
-  LatencyCollector collector;
-  InventoryService service(service_config(workers), collector.sink());
-  const ReplayResult replay = run_open_loop(service, schedule);
-  // Submission is done; everything accepted will complete during the drain.
-  service.stop();
-
-  LoadPoint point;
-  point.workers = workers;
-  point.multiplier = multiplier;
-  point.offered_rps = offered;
-  point.accepted = replay.accepted;
-  point.rejected = replay.rejected;
-  const double span_s = schedule.empty() ? 0.0 : schedule.back().t_s;
-  point.completed_rps =
-      span_s > 0.0 ? static_cast<double>(collector.completed()) / span_s : 0.0;
-  point.queue_wait_p50_s = collector.queue_wait_quantile(0.50);
-  point.queue_wait_p99_s = collector.queue_wait_quantile(0.99);
-  point.service_p50_s = collector.service_quantile(0.50);
-  point.service_p99_s = collector.service_quantile(0.99);
-  point.latency_p99_s = collector.latency_quantile(0.99);
-  return point;
+/// Largest 1-based rank k with P(Binomial(n, 1/2) <= k - 1) <= (1 - c) / 2:
+/// [x_(k), x_(n+1-k)] of the sorted sample is then a distribution-free
+/// (sign-test) confidence interval for the median with coverage >= c.
+std::size_t sign_test_rank(std::size_t n, double confidence) {
+  const double tail = 0.5 * (1.0 - confidence);
+  double pmf = std::ldexp(1.0, -static_cast<int>(n));  // P(B = 0)
+  double cdf = 0.0;
+  std::size_t k = 0;
+  while (k < n && cdf + pmf <= tail) {
+    cdf += pmf;
+    pmf *= static_cast<double>(n - k) / static_cast<double>(k + 1);
+    ++k;
+  }
+  return k;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string out_path = "BENCH_service.json";
-  bool want_timeline = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--timeline") == 0) {
-      want_timeline = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  // The service pool IS the parallelism under test; keep the shared
-  // parallel_for pool out of the picture entirely.
-  set_parallel_threads(1);
-
-  std::printf("inventory service, MMPP decode workload "
-              "(2 states 0.5x/1.5x, p_stay 0.9, trials=2, snr 14 dB)\n\n");
-
-  std::vector<SaturationPoint> saturation;
-  std::printf("closed-loop saturation (%zu requests, window 4x workers)\n",
-              kClosedLoopRequests);
-  std::printf("%-8s %-12s %-12s %-12s\n", "workers", "req/s", "svc p50 ms",
-              "svc p99 ms");
-  for (const std::size_t workers : kWorkerCounts) {
-    saturation.push_back(measure_saturation(workers));
-    const SaturationPoint& p = saturation.back();
-    std::printf("%-8zu %-12.0f %-12.3f %-12.3f\n", p.workers, p.throughput_rps,
-                p.service_p50_s * 1e3, p.service_p99_s * 1e3);
-  }
-
-  // Identity gate: same request stream -> same response digest, at every
-  // pool size and on a rerun.
-  bool identical = true;
-  for (const SaturationPoint& p : saturation) {
-    identical = identical && p.digest == saturation.front().digest;
-  }
-  const SaturationPoint rerun = measure_saturation(kWorkerCounts[2]);
-  identical = identical && rerun.digest == saturation.front().digest;
-  std::printf("\nresponse digests across workers + rerun: %s\n\n",
-              identical ? "identical" : "DIVERGED");
-
-  // Telemetry overhead at the widest pool: interleave bare and instrumented
-  // runs so machine noise hits both sides, keep the best of 3 each (best-of
-  // is the standard anti-noise estimator for a saturation throughput).
-  const std::size_t overhead_workers = kWorkerCounts[2];
-  double best_off_rps = 0.0;
-  double best_on_rps = 0.0;
-  std::uint64_t overhead_digest_off = 0;
-  std::uint64_t overhead_digest_on = 0;
-  for (int round = 0; round < 3; ++round) {
-    const SaturationPoint off = measure_saturation(overhead_workers);
-    SaturationOptions with_telemetry;
-    with_telemetry.telemetry = true;
-    const SaturationPoint on = measure_saturation(overhead_workers,
-                                                  with_telemetry);
-    best_off_rps = std::max(best_off_rps, off.throughput_rps);
-    best_on_rps = std::max(best_on_rps, on.throughput_rps);
-    overhead_digest_off = off.digest;
-    overhead_digest_on = on.digest;
-  }
-  // Telemetry must be an observer, never a participant: instrumented runs
-  // answer with the exact same response bytes.
-  identical = identical && overhead_digest_off == saturation.front().digest &&
-              overhead_digest_on == saturation.front().digest;
-  const double overhead_pct =
-      best_off_rps > 0.0
-          ? 100.0 * (best_off_rps - best_on_rps) / best_off_rps
-          : 0.0;
-  std::printf("telemetry overhead (workers=%zu, best of 3 interleaved)\n",
-              overhead_workers);
-  std::printf("%-16s %-16s %-12s\n", "off req/s", "on req/s", "overhead %");
-  std::printf("%-16.0f %-16.0f %-12.2f\n\n", best_off_rps, best_on_rps,
-              overhead_pct);
-
-  std::vector<LoadPoint> points;
-  std::printf("open-loop MMPP sweep (%zu requests per point)\n",
-              kOpenLoopRequests);
-  std::printf("%-8s %-8s %-10s %-9s %-12s %-12s %-12s %-12s\n", "workers",
-              "mult", "offered/s", "rejected", "wait p50 ms", "wait p99 ms",
-              "svc p99 ms", "e2e p99 ms");
-  for (const std::size_t workers : kWorkerCounts) {
-    const double sat = saturation[workers == 1 ? 0 : workers == 2 ? 1 : 2]
-                           .throughput_rps;
-    for (const double multiplier : kOfferedMultipliers) {
-      points.push_back(measure_open_loop(workers, multiplier, sat));
-      const LoadPoint& p = points.back();
-      std::printf("%-8zu %-8.2f %-10.0f %-9zu %-12.3f %-12.3f %-12.3f "
-                  "%-12.3f\n",
-                  p.workers, p.multiplier, p.offered_rps, p.rejected,
-                  p.queue_wait_p50_s * 1e3, p.queue_wait_p99_s * 1e3,
-                  p.service_p99_s * 1e3, p.latency_p99_s * 1e3);
-    }
-  }
-
-  JsonWriter w;
-  w.begin_object();
-  w.key("workload").begin_object()
-      .field("name", "mmpp_decode")
-      .field("states", static_cast<std::size_t>(2))
-      .field("rate_mix", "0.5x/1.5x, p_stay 0.9")
-      .field("trials_per_request", static_cast<std::size_t>(2))
-      .field("snr_db", 14.0)
-      .field("queue_depth", static_cast<std::size_t>(256))
-      .field("seed", static_cast<std::size_t>(kSeed))
-      .end_object();
-  w.key("saturation").begin_array();
-  for (const SaturationPoint& p : saturation) {
-    w.begin_object()
-        .field("workers", p.workers)
-        .field("throughput_rps", p.throughput_rps)
-        .field("service_p50_s", p.service_p50_s)
-        .field("service_p99_s", p.service_p99_s)
-        .end_object();
-  }
-  w.end_array();
-  w.key("open_loop").begin_array();
-  for (const LoadPoint& p : points) {
-    w.begin_object()
-        .field("workers", p.workers)
-        .field("offered_multiplier", p.multiplier)
-        .field("offered_rps", p.offered_rps)
-        .field("completed_rps", p.completed_rps)
-        .field("accepted", p.accepted)
-        .field("rejected", p.rejected)
-        .field("queue_wait_p50_s", p.queue_wait_p50_s)
-        .field("queue_wait_p99_s", p.queue_wait_p99_s)
-        .field("service_p50_s", p.service_p50_s)
-        .field("service_p99_s", p.service_p99_s)
-        .field("latency_p99_s", p.latency_p99_s)
-        .end_object();
-  }
-  w.end_array();
-  w.key("telemetry_overhead").begin_object()
-      .field("workers", overhead_workers)
-      .field("telemetry_off_rps", best_off_rps)
-      .field("telemetry_on_rps", best_on_rps)
-      .field("overhead_pct", overhead_pct)
-      .end_object();
-  if (want_timeline) {
-    // Latency-vs-time column: one timeline-enabled saturation run at the
-    // widest pool, binned so warmup vs steady state reads at a glance.
-    std::vector<TimelinePoint> timeline;
-    SaturationOptions with_timeline;
-    with_timeline.timeline = true;
-    measure_saturation(overhead_workers, with_timeline, &timeline);
-    constexpr std::size_t kBins = 20;
-    const double span_s =
-        timeline.empty()
-            ? 0.0
-            : std::max_element(timeline.begin(), timeline.end(),
-                               [](const TimelinePoint& a,
-                                  const TimelinePoint& b) {
-                                 return a.t_s < b.t_s;
-                               })
-                  ->t_s;
-    std::vector<std::size_t> bin_count(kBins, 0);
-    std::vector<double> bin_latency_sum(kBins, 0.0);
-    for (const TimelinePoint& p : timeline) {
-      std::size_t bin =
-          span_s > 0.0
-              ? static_cast<std::size_t>(p.t_s / span_s *
-                                         static_cast<double>(kBins))
-              : 0;
-      bin = std::min(bin, kBins - 1);
-      ++bin_count[bin];
-      bin_latency_sum[bin] += p.latency_s;
-    }
-    w.key("latency_timeline").begin_array();
-    for (std::size_t bin = 0; bin < kBins; ++bin) {
-      const double mid =
-          span_s * (static_cast<double>(bin) + 0.5) / static_cast<double>(kBins);
-      w.begin_object()
-          .field("t_s", mid)
-          .field("count", bin_count[bin])
-          .field("mean_latency_s",
-                 bin_count[bin] > 0
-                     ? bin_latency_sum[bin] / static_cast<double>(bin_count[bin])
-                     : 0.0)
-          .end_object();
-    }
-    w.end_array();
-    std::printf("latency timeline: %zu completions binned into %zu bins\n",
-                timeline.size(), kBins);
-  }
-  w.field("responses_identical", identical);
-  w.end_object();
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
+int main() {
+  const int cpu = pin_to_one_cpu();
+  if (cpu < 0) {
+    std::fprintf(stderr, "bench_service: cannot pin to one CPU\n");
     return 1;
   }
-  std::fputs(w.str().c_str(), f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return identical ? 0 : 1;
+  // Keep the shared parallel_for pool from adding threads next to the
+  // two service workers.
+  set_parallel_threads(1);
+
+  const std::vector<ScheduledRequest> stream = request_stream();
+  Side bare(false);
+  Side instrumented(true);
+  std::vector<double> ratios(kBlocks);
+  for (std::size_t p = 0; p < kBlocks; ++p) {
+    const ScheduledRequest* block = stream.data() + p * kBlockRequests;
+    double off_s = 0.0;
+    double on_s = 0.0;
+    if (p % 2 == 0) {
+      off_s = bare.run_block(block);
+      on_s = instrumented.run_block(block);
+    } else {
+      on_s = instrumented.run_block(block);
+      off_s = bare.run_block(block);
+    }
+    ratios[p] = on_s / off_s;
+  }
+
+  std::sort(ratios.begin(), ratios.end());
+  const double median = 0.5 * (ratios[kBlocks / 2 - 1] + ratios[kBlocks / 2]);
+  const std::size_t k = sign_test_rank(kBlocks, kConfidence);
+  const double upper = k > 0 ? ratios[kBlocks - k] : INFINITY;
+  const bool identical = bare.completed() == stream.size() &&
+                         instrumented.completed() == stream.size() &&
+                         bare.digest() == instrumented.digest();
+  const bool pass = identical && upper <= kBoundRatio;
+  std::printf(
+      "telemetry overhead gate %s: median %+.2f%%, sign-test %.0f%% upper "
+      "%+.2f%% %s %+.0f%%, responses %s (%zu blocks x %zu requests, 1 "
+      "worker per side on cpu %d)\n",
+      pass ? "pass" : "FAIL", 100.0 * (median - 1.0), 100.0 * kConfidence,
+      100.0 * (upper - 1.0), upper <= kBoundRatio ? "<=" : ">",
+      100.0 * (kBoundRatio - 1.0), identical ? "identical" : "DIVERGED",
+      kBlocks, kBlockRequests, cpu);
+  return pass ? 0 : 1;
 }

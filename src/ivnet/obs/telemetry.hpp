@@ -24,7 +24,7 @@
 // Threading: one mutex per windowed object (same policy as Histogram).
 // Ingest is O(1) under the lock; a view merge is O(epochs x buckets).
 // The service's ingest path takes three of these locks per request —
-// bench_service gates the end-to-end cost at <= 3% of throughput.
+// bench_service gates the whole stack at <= 3% CPU time per request.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,12 @@
 // Textbook reference implementations of the sample-domain DSP kernels —
-// TEST/BENCH-ONLY oracles for the fast paths in fir.cpp / resampler.cpp.
+// TEST-ONLY oracles for the fast paths in fir.cpp / resampler.cpp.
 //
 // These are, verbatim, the loops the fast kernels replaced: full-signal
 // bounds-checked FIR, filter-everything-then-discard decimation, and the
 // zero-stuffed tap-by-tap rational resampler. The bitwise-equivalence
 // policy for kernel rewrites (docs/ARCHITECTURE.md, "DSP fast path") pins
 // every fast kernel exactly equal to its oracle here
-// (tests/dsp_fastpath_test.cpp), and bench_kernels_json times both sides
-// to report the speedup in BENCH_dsp.json.
+// (tests/dsp_fastpath_test.cpp).
 //
 // Do NOT call these from production code: they are asymptotically wasteful
 // by design (that is the point of keeping them).

@@ -4,6 +4,8 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "ivnet/common/json.hpp"
@@ -96,33 +98,16 @@ std::vector<std::size_t> state_occupancy(
   return counts;
 }
 
-LatencyCollector::LatencyCollector(bool keep_timeline)
-    : keep_timeline_(keep_timeline),
-      epoch_(std::chrono::steady_clock::now()) {}
-
 void LatencyCollector::record(const Response& response) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_wait_s_.push_back(response.queue_wait_s);
     service_s_.push_back(response.service_s);
-    if (keep_timeline_) {
-      TimelinePoint point;
-      point.t_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - epoch_)
-                      .count();
-      point.latency_s = response.queue_wait_s + response.service_s;
-      timeline_.push_back(point);
-    }
     succeeded_sessions_ += response.succeeded;
     sim_elapsed_total_s_ += response.sim_elapsed_s;
     digest_ ^= response_hash(response);
   }
   completed_cv_.notify_all();
-}
-
-std::vector<TimelinePoint> LatencyCollector::timeline() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return timeline_;
 }
 
 void LatencyCollector::wait_for_completed(std::size_t n) {
@@ -212,8 +197,14 @@ ReplayResult run_closed_loop(InventoryService& service,
                              LatencyCollector& collector,
                              const std::vector<ScheduledRequest>& schedule,
                              std::size_t concurrency) {
-  ReplayResult result;
   const std::size_t window = std::max<std::size_t>(1, concurrency);
+  if (window > service.queue_capacity()) {
+    throw std::invalid_argument(
+        "run_closed_loop: window " + std::to_string(window) +
+        " exceeds the service queue capacity " +
+        std::to_string(service.queue_capacity()));
+  }
+  ReplayResult result;
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     if (i >= window) collector.wait_for_completed(i + 1 - window);
@@ -221,10 +212,7 @@ ReplayResult run_closed_loop(InventoryService& service,
     if (service.submit(schedule[i].request)) {
       ++result.accepted;
     } else {
-      // Unreachable when window <= queue depth (outstanding <= window bounds
-      // ring occupancy); tolerate misconfiguration by pacing on completions.
       ++result.rejected;
-      collector.wait_for_completed(result.accepted);
     }
   }
   result.wall_s = std::chrono::duration<double>(

@@ -15,15 +15,14 @@
 //   run_open_loop   — wall-clock replay of the schedule (scaled by
 //                     time_scale); arrivals do not wait for completions, so
 //                     offered load beyond saturation sheds at the service's
-//                     bounded queue. This is the mode that produces the
-//                     latency-vs-offered-load curves in BENCH_service.json.
+//                     bounded queue (`ivnet serve` without --closed-loop).
 //   run_closed_loop — fixed concurrency window: request i is submitted only
-//                     after i - concurrency completions. Never sheds (the
-//                     window bounds queue occupancy), never idles the
+//                     after i - concurrency completions. Never sheds (a
+//                     window above the queue capacity is rejected up front,
+//                     so the window bounds queue occupancy), never idles the
 //                     workers; its throughput is the saturation estimate.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -82,24 +81,11 @@ std::string schedule_json(const std::vector<ScheduledRequest>& schedule);
 std::vector<std::size_t> state_occupancy(
     const std::vector<ScheduledRequest>& schedule, std::size_t num_states);
 
-/// One completion on the collector's wall clock: when it finished (seconds
-/// since collector construction) and its end-to-end latency. The raw
-/// material for warmup-vs-steady-state plots.
-struct TimelinePoint {
-  double t_s = 0.0;
-  double latency_s = 0.0;
-};
-
 /// Thread-safe completion sink: collects per-request latency samples and an
 /// order-independent response digest. Install via sink() at service
 /// construction; read the accessors after service.stop().
 class LatencyCollector {
  public:
-  /// `keep_timeline` retains per-request completion wall timestamps
-  /// (timeline()) in addition to the latency samples — off by default so
-  /// the quantile-only paths pay nothing extra.
-  explicit LatencyCollector(bool keep_timeline = false);
-
   void record(const Response& response);
 
   /// A CompletionSink forwarding to record(). The collector must outlive
@@ -126,19 +112,13 @@ class LatencyCollector {
   double latency_quantile(double q) const;
   double sim_elapsed_total_s() const;
 
-  /// Completion order; empty unless constructed with keep_timeline.
-  std::vector<TimelinePoint> timeline() const;
-
  private:
   static double quantile_of(std::vector<double> samples, double q);
 
-  const bool keep_timeline_;
-  const std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mutex_;
   std::condition_variable completed_cv_;
   std::vector<double> queue_wait_s_;
   std::vector<double> service_s_;
-  std::vector<TimelinePoint> timeline_;
   std::uint64_t succeeded_sessions_ = 0;
   std::uint64_t digest_ = 0;
   double sim_elapsed_total_s_ = 0.0;
@@ -162,8 +142,9 @@ ReplayResult run_open_loop(InventoryService& service,
 
 /// Closed-loop replay: at most `concurrency` requests outstanding, arrival
 /// timestamps ignored. Requires a collector-backed sink so completions can
-/// be awaited; `concurrency` must not exceed the service queue depth (the
-/// window then bounds occupancy and no request is ever shed).
+/// be awaited. Throws std::invalid_argument when `concurrency` exceeds
+/// service.queue_capacity(); within it the window bounds queue occupancy
+/// and no request is ever shed.
 ReplayResult run_closed_loop(InventoryService& service,
                              LatencyCollector& collector,
                              const std::vector<ScheduledRequest>& schedule,

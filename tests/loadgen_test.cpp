@@ -2,11 +2,12 @@
 // function of its config (byte-identical fingerprints per seed, across
 // pool sizes, across service worker counts), its chain must actually walk
 // the configured transition matrix, and the closed-loop replay must honour
-// its concurrency window.
+// its concurrency window and refuse one the queue cannot hold.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "ivnet/common/parallel.hpp"
@@ -184,6 +185,28 @@ TEST(LoadGenTest, ClosedLoopNeverExceedsConcurrencyWindow) {
   EXPECT_EQ(replay.rejected, 0u);
   EXPECT_LE(service.inflight_peak(), kWindow)
       << "closed loop must keep at most `window` requests in flight";
+}
+
+TEST(LoadGenTest, ClosedLoopWindowIsBoundedByQueueCapacity) {
+  // A window above the queue capacity would shed at the ring, and every
+  // shed request would shrink the effective window for the rest of the
+  // run; it is refused before anything is submitted. A window equal to the
+  // capacity never sheds.
+  const auto schedule = generate_schedule(two_state_config(64, 19));
+  ServiceConfig config;
+  config.workers = 1;
+  config.queue_depth = 2;
+  LatencyCollector collector;
+  InventoryService service(config, collector.sink());
+  const std::size_t capacity = service.queue_capacity();
+  EXPECT_THROW(run_closed_loop(service, collector, schedule, capacity + 1),
+               std::invalid_argument);
+  const ReplayResult replay =
+      run_closed_loop(service, collector, schedule, capacity);
+  service.stop();
+  EXPECT_EQ(replay.accepted, schedule.size());
+  EXPECT_EQ(replay.rejected, 0u);
+  EXPECT_EQ(service.rejected(), 0u);
 }
 
 TEST(LatencyCollectorTest, QuantilesAreExactNearestRank) {

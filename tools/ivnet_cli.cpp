@@ -96,20 +96,23 @@ struct FlagError : std::runtime_error {
 struct Args {
   std::string command;
   std::vector<std::string> positional;  ///< non-flag tokens after the command
-  std::map<std::string, std::string> flags;
+  /// A flag given without a value maps to nullopt: has() sees it, and
+  /// get()/get_num() return their fallback (`--closed-loop` alone runs the
+  /// default window).
+  std::map<std::string, std::optional<std::string>> flags;
 
   bool has(const std::string& name) const { return flags.count(name) > 0; }
   std::string get(const std::string& name, const std::string& fallback) const {
     const auto it = flags.find(name);
-    return it == flags.end() ? fallback : it->second;
+    return it == flags.end() || !it->second ? fallback : *it->second;
   }
   /// Numeric flag as T (an integer type or double); throws FlagError.
   template <typename T>
   T get_num(const std::string& name, T fallback) const {
     const auto it = flags.find(name);
-    if (it == flags.end()) return fallback;
+    if (it == flags.end() || !it->second) return fallback;
     T value{};
-    if (!parse_number(it->second, value)) throw FlagError(name, it->second);
+    if (!parse_number(*it->second, value)) throw FlagError(name, *it->second);
     return value;
   }
 };
@@ -129,7 +132,7 @@ Args parse_args(int argc, char** argv) {
         (argv[i + 1][0] != '-' || parse_number(argv[i + 1], number))) {
       args.flags[token] = argv[++i];
     } else {
-      args.flags[token] = "1";
+      args.flags[token] = std::nullopt;
     }
   }
   return args;
@@ -668,6 +671,10 @@ int cmd_serve(const Args& args) {
   const double duration_s = args.get_num("duration", 0.0);
   const auto requests =
       std::max<std::size_t>(1, args.get_num<std::size_t>("requests", 1000));
+  const bool closed = args.has("closed-loop");
+  const auto window = std::max<std::size_t>(
+      1, args.get_num<std::size_t>("closed-loop", 4 * workers));
+  const double time_scale = std::max(1e-6, args.get_num("time-scale", 1.0));
 
   // 2-state MMPP over the decode template: calm (0.5x) and surge (1.5x)
   // around the requested mean rate, sticky states so bursts last ~10
@@ -732,15 +739,26 @@ int cmd_serve(const Args& args) {
   if (!flight_out.empty()) {
     flight.emplace(workers + 1);
     config.flight = &*flight;
-    // Fatal-signal forensics: a crash mid-run still leaves a trace behind.
-    obs::FlightRecorder::install_crash_handler(
-        &*flight, (flight_out + ".crash").c_str());
   }
   config.telemetry_clock =
       sim_clock ? svc::TelemetryClock::kSim : svc::TelemetryClock::kWall;
 
   svc::LatencyCollector collector;
   svc::InventoryService service(config, collector.sink());
+  if (closed && window > service.queue_capacity()) {
+    // run_closed_loop refuses a window the queue cannot hold (it would
+    // shed); reject the flag before any thread or crash handler starts.
+    std::fprintf(stderr,
+                 "ivnet serve: --closed-loop %zu exceeds the queue capacity "
+                 "%zu (--queue-depth)\n",
+                 window, service.queue_capacity());
+    return 2;
+  }
+  if (flight) {
+    // Fatal-signal forensics: a crash mid-run still leaves a trace behind.
+    obs::FlightRecorder::install_crash_handler(
+        &*flight, (flight_out + ".crash").c_str());
+  }
 
   // Wall-clock sampler: one time-series record (and optional --follow
   // line) per interval while the replay runs.
@@ -760,14 +778,10 @@ int cmd_serve(const Args& args) {
   }
 
   svc::ReplayResult replay;
-  const bool closed = args.has("closed-loop");
   if (closed) {
-    const auto window = std::max<std::size_t>(
-        1, args.get_num<std::size_t>("closed-loop", 4 * workers));
     replay = svc::run_closed_loop(service, collector, schedule, window);
   } else {
-    replay = svc::run_open_loop(service, schedule,
-                                std::max(1e-6, args.get_num("time-scale", 1.0)));
+    replay = svc::run_open_loop(service, schedule, time_scale);
   }
   service.stop();  // graceful: drains every accepted request
   if (sampler.joinable()) {
@@ -818,6 +832,7 @@ int cmd_serve(const Args& args) {
     w.field("workers", workers);
     w.field("queue_depth", service.queue_capacity());
     w.field("mode", closed ? "closed-loop" : "open-loop");
+    if (closed) w.field("window", window);
     w.field("offered_rate_rps", rate);
     w.field("schedule_span_s", span_s);
     w.field("submitted", replay.submitted);
