@@ -12,19 +12,14 @@ CibTransmitter::CibTransmitter(FrequencyPlan plan,
   radios_.tune(plan_.offsets_hz());
 }
 
-std::vector<Waveform> CibTransmitter::transmit_cw(double duration_s) const {
+std::vector<double> CibTransmitter::cw_envelope(double duration_s) const {
   const auto n = static_cast<std::size_t>(
       std::llround(duration_s * radios_.config().sample_rate_hz));
-  const std::vector<double> envelope(n, 1.0);
-  return radios_.transmit(envelope);
+  return std::vector<double>(n, 1.0);
 }
 
-std::vector<Waveform> CibTransmitter::transmit_command(
-    const gen2::Bits& bits, const gen2::PieTiming& timing,
-    bool with_preamble) const {
-  const auto envelope = gen2::pie_encode(
-      bits, timing, radios_.config().sample_rate_hz, with_preamble);
-  return radios_.transmit(envelope);
+std::vector<Waveform> CibTransmitter::transmit_cw(double duration_s) const {
+  return radios_.transmit(cw_envelope(duration_s));
 }
 
 void CibTransmitter::new_trial(Rng& rng) { radios_.retune(rng); }

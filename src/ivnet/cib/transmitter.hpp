@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "ivnet/cib/frequency_plan.hpp"
-#include "ivnet/gen2/pie.hpp"
 #include "ivnet/sdr/radio.hpp"
 
 namespace ivnet {
@@ -24,15 +23,12 @@ class CibTransmitter {
   RadioArray& radios() { return radios_; }
   const RadioArray& radios() const { return radios_; }
 
-  /// Per-antenna waveforms for a continuous-wave burst of `duration_s` —
-  /// the charging phase between commands.
-  std::vector<Waveform> transmit_cw(double duration_s) const;
+  /// The all-ones envelope of a continuous-wave burst of `duration_s` at
+  /// the array's sample rate — the charging phase between commands.
+  std::vector<double> cw_envelope(double duration_s) const;
 
-  /// Per-antenna waveforms for a Gen2 command: every antenna modulates the
-  /// same PIE envelope onto its own carrier, synchronized.
-  std::vector<Waveform> transmit_command(const gen2::Bits& bits,
-                                         const gen2::PieTiming& timing,
-                                         bool with_preamble) const;
+  /// Per-antenna waveforms for that burst: radios().transmit(cw_envelope()).
+  std::vector<Waveform> transmit_cw(double duration_s) const;
 
   /// New trial: re-draw every PLL's initial phase.
   void new_trial(Rng& rng);

@@ -30,12 +30,4 @@ double PowerAmplifier::output_amplitude(double input_amplitude) const {
   return a / std::pow(1.0 + std::pow(a / a_sat_, two_p), 1.0 / two_p);
 }
 
-void PowerAmplifier::apply(Waveform& wave) const {
-  for (auto& s : wave.samples) {
-    const double a = std::abs(s);
-    if (a <= 0.0) continue;
-    s *= output_amplitude(a) / a;
-  }
-}
-
 }  // namespace ivnet

@@ -4,8 +4,6 @@
 // compression, the frequency-encoded sum at the sensor is undistorted.
 #pragma once
 
-#include "ivnet/signal/waveform.hpp"
-
 namespace ivnet {
 
 /// Rapp soft-limiter AM/AM model:
@@ -16,9 +14,6 @@ class PowerAmplifier {
   /// @param p1db_dbm  Output-referred 1-dB compression point.
   /// @param smoothness  Rapp p parameter (2-3 for class-AB amplifiers).
   PowerAmplifier(double gain_db, double p1db_dbm, double smoothness = 2.0);
-
-  /// Amplify a waveform in place (samples in sqrt-watt units).
-  void apply(Waveform& wave) const;
 
   /// Output amplitude for an input amplitude (sqrt-watt units).
   double output_amplitude(double input_amplitude) const;

@@ -1,8 +1,11 @@
 #include "ivnet/sdr/radio.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include "ivnet/common/units.hpp"
 #include "ivnet/signal/phasor.hpp"
@@ -45,10 +48,38 @@ std::vector<double> RadioArray::initial_phases() const {
   return phases;
 }
 
-std::vector<Waveform> RadioArray::transmit(std::span<const double> envelope,
-                                           double start_time_s) const {
+/// Everything a transmission plays, set up once for all devices.
+struct RadioArray::Playback {
+  /// Samples per device: the envelope plus the worst clock skew.
+  std::size_t length = 0;
+  /// PA output of every sample a device can play: the envelope's levels
+  /// framed by idle (zero-drive) output, so that device i at array time n
+  /// plays played[first[i] + n] whatever its PPS skew.
+  std::vector<double> played;
+  std::vector<std::size_t> first;
+  std::vector<PhasorRotator> carriers;
+
+  /// Calls emit(n, s) for every array time n, in order, where s is what
+  /// device i emits at n.
+  template <class Emit>
+  void device(std::size_t i, Emit&& emit) const {
+    const double* a = played.data() + first[i];
+    // A local copy keeps the carrier in registers: stores through the
+    // caller's cplx pointer could otherwise alias it.
+    PhasorRotator rot = carriers[i];
+    for (std::size_t n = 0; n < length; ++n) {
+      emit(n, a[n] * rot.value());
+      rot.advance();
+    }
+  }
+};
+
+RadioArray::Playback RadioArray::play(std::span<const double> envelope,
+                                      double start_time_s) const {
   const double fs = config_.sample_rate_hz;
-  // Pad all waveforms to a common length covering the worst clock skew.
+  Playback p;
+  // Device i plays envelope[n - skew_i] at array time n; pad all waveforms
+  // to a common length covering the worst clock skew.
   std::ptrdiff_t max_skew = 0;
   std::vector<std::ptrdiff_t> skews(plls_.size());
   for (std::size_t i = 0; i < plls_.size(); ++i) {
@@ -56,36 +87,71 @@ std::vector<Waveform> RadioArray::transmit(std::span<const double> envelope,
         std::llround(device_clocks_[i].start_offset_s * fs));
     max_skew = std::max(max_skew, std::abs(skews[i]));
   }
-  const std::size_t length = envelope.size() + static_cast<std::size_t>(max_skew);
+  p.length = envelope.size() + static_cast<std::size_t>(max_skew);
+  for (const std::ptrdiff_t skew : skews) {
+    p.first.push_back(static_cast<std::size_t>(max_skew - skew));
+  }
 
+  // The PA runs once per run of equal levels (PIE and CW envelopes hold a
+  // few long runs), not once per sample. Runs compare bit patterns, so
+  // -0.0 and 0.0 keep their own outputs, exactly as a per-sample
+  // output_amplitude(drive_amp * env) gives them.
   const double drive_amp = std::sqrt(dbm_to_watts(config_.drive_dbm));
-  const auto actual = actual_offsets_hz();
+  const std::size_t pad = static_cast<std::size_t>(max_skew);
+  double level = 0.0;
+  double out = pa_.output_amplitude(drive_amp * level);
+  p.played.assign(envelope.size() + 3 * pad, out);
+  for (std::size_t k = 0; k < envelope.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(envelope[k]) !=
+        std::bit_cast<std::uint64_t>(level)) {
+      level = envelope[k];
+      out = pa_.output_amplitude(drive_amp * level);
+    }
+    p.played[pad + k] = out;
+  }
 
-  std::vector<Waveform> waves;
-  waves.reserve(plls_.size());
+  const auto actual = actual_offsets_hz();
+  p.carriers.reserve(plls_.size());
   for (std::size_t i = 0; i < plls_.size(); ++i) {
-    Waveform wave;
-    wave.sample_rate_hz = fs;
-    wave.samples.assign(length, cplx{0.0, 0.0});
-    PhasorRotator rot(
+    p.carriers.emplace_back(
         plls_[i].initial_phase() + kTwoPi * actual[i] * start_time_s,
         kTwoPi * actual[i] / fs);
-    for (std::size_t n = 0; n < length; ++n) {
-      // Envelope sample this device plays at array time n (PPS skew shifts
-      // the device's own timeline).
-      const std::ptrdiff_t src = static_cast<std::ptrdiff_t>(n) - skews[i];
-      double env = 0.0;
-      if (src >= 0 && src < static_cast<std::ptrdiff_t>(envelope.size())) {
-        env = envelope[static_cast<std::size_t>(src)];
-      }
-      const double in_amp = drive_amp * env;
-      const double out_amp = pa_.output_amplitude(in_amp);
-      wave.samples[n] = out_amp * rot.value();
-      rot.advance();
-    }
-    waves.push_back(std::move(wave));
+  }
+  return p;
+}
+
+std::vector<Waveform> RadioArray::transmit(std::span<const double> envelope,
+                                           double start_time_s) const {
+  const Playback p = play(envelope, start_time_s);
+  std::vector<Waveform> waves(plls_.size());
+  for (std::size_t i = 0; i < waves.size(); ++i) {
+    waves[i].sample_rate_hz = config_.sample_rate_hz;
+    waves[i].samples.resize(p.length);
+    p.device(i, [out = waves[i].samples.data()](std::size_t n, cplx s) {
+      out[n] = s;
+    });
   }
   return waves;
+}
+
+Waveform RadioArray::transmit_through(std::span<const double> envelope,
+                                      double start_time_s,
+                                      std::span<const cplx> gains) const {
+  if (gains.size() != plls_.size()) {
+    throw std::invalid_argument(
+        "RadioArray::transmit_through: one gain per device required");
+  }
+  const Playback p = play(envelope, start_time_s);
+  Waveform rx;
+  rx.sample_rate_hz = config_.sample_rate_hz;
+  rx.samples.assign(p.length, cplx{0.0, 0.0});
+  // From +0, devices in order 0..N-1: the sums receive() forms.
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    p.device(i, [out = rx.samples.data(), g = gains[i]](std::size_t n, cplx s) {
+      out[n] += g * s;
+    });
+  }
+  return rx;
 }
 
 void RadioArray::retune(Rng& rng) {

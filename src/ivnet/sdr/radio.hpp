@@ -5,6 +5,12 @@
 // devices are handed the same command envelope and a per-device frequency
 // offset ("we soft-coded these offsets directly into the complex numbers
 // before sending them to the USRP"), then triggered together off the PPS.
+//
+// Two outputs share one synthesis: transmit() returns each device's
+// waveform, and transmit_through() returns only what a receiver hears —
+// the channel-weighted sum, added up without building the per-device
+// waveforms (byte-identical to receive() of rf/channel.hpp over
+// transmit()).
 #pragma once
 
 #include <cstddef>
@@ -53,21 +59,41 @@ class RadioArray {
   /// Transmit the same real-valued envelope from every device at its own
   /// offset, PPS-triggered: device i's waveform is delayed by its residual
   /// clock start offset (rounded to whole samples), carried at its actual
-  /// offset with its PLL's random phase, amplified by the PA model.
+  /// offset with its PLL's random phase, amplified by the PA model. The PA
+  /// runs once per run of bit-equal envelope levels, not once per sample.
   ///
   /// `start_time_s` sets the array time of the first sample, so a later
   /// burst (e.g. a query timed onto a CIB envelope peak) stays
   /// phase-continuous with an earlier one.
   ///
   /// Returns one waveform per device, all of equal length
-  /// envelope.size() + max clock-skew padding.
+  /// envelope.size() + max clock-skew padding. This is the oracle of
+  /// transmit_through().
   std::vector<Waveform> transmit(std::span<const double> envelope,
                                  double start_time_s = 0.0) const;
+
+  /// What a receiver hears when every device transmits `envelope`:
+  /// sum_i gains[i] * device i's waveform, added into one waveform without
+  /// building the per-device ones. Pass gains[i] = channel.gain(i,
+  /// offsets_hz()[i]) and the result is byte-identical to
+  /// receive(channel, transmit(envelope, start_time_s), offsets_hz()):
+  /// the sum starts at +0 and adds devices 0..N-1 in order, each sample as
+  /// gains[i] * (pa_out * carrier), with the same carriers and PA levels as
+  /// transmit().
+  ///
+  /// Throws std::invalid_argument unless gains.size() == size().
+  Waveform transmit_through(std::span<const double> envelope,
+                            double start_time_s,
+                            std::span<const cplx> gains) const;
 
   /// Re-tune all PLLs: fresh random phases (a new trial).
   void retune(Rng& rng);
 
  private:
+  /// The set-up transmit() and transmit_through() share (radio.cpp).
+  struct Playback;
+  Playback play(std::span<const double> envelope, double start_time_s) const;
+
   RadioArrayConfig config_;
   PowerAmplifier pa_;
   std::vector<Pll> plls_;

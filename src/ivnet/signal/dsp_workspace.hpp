@@ -1,19 +1,19 @@
 // Reusable scratch-buffer arena for the sample-domain DSP pipeline.
 //
 // The hot waveform paths (SawFilter::apply, decimate, the complex FIR's
-// split re/im lanes, per-command session envelopes) used to allocate fresh
-// vectors — often hundreds of kilosamples — on every call, which dominated
-// the allocator traffic of a waveform-session trial. A DspWorkspace keeps
-// returned buffers on per-type free lists so steady-state trials run
-// allocation-free: the campaign engine shards thousands of cells, and each
-// cell's trials recycle the same few megasample buffers. Checkouts are
-// best-fit by capacity (smallest parked buffer that already holds `n`), so
-// mixed-size checkout patterns — a batch cycling small envelopes and large
-// backscatter records — recycle instead of regrowing.
+// split re/im lanes) used to allocate fresh vectors — often hundreds of
+// kilosamples — on every call, which dominated the allocator traffic of a
+// waveform-session trial. A DspWorkspace keeps returned buffers on per-type
+// free lists so steady-state trials run allocation-free: the campaign engine
+// shards thousands of cells, and each cell's trials recycle the same few
+// megasample buffers. Checkouts are best-fit by capacity (smallest parked
+// buffer that already holds `n`), so mixed-size checkout patterns — a batch
+// cycling small envelopes and large backscatter records — recycle instead of
+// regrowing.
 //
 // Ownership rules (see docs/ARCHITECTURE.md, "DSP fast path"):
-//  - A workspace is single-threaded state. Give each session/thread its
-//    own; never share one across concurrent callers. The value-returning
+//  - A workspace is single-threaded state. Give each thread its own;
+//    never share one across concurrent callers. The value-returning
 //    DSP convenience overloads use a thread_local instance (tls()), so
 //    pool workers each get their own automatically.
 //  - acquire_*() returns a buffer resized to `n` with UNSPECIFIED contents

@@ -17,9 +17,8 @@ namespace ivnet {
 /// Instantaneous magnitude |x(t)| of a complex-baseband waveform.
 std::vector<double> envelope(const Waveform& wave);
 
-/// As above, writing into `out` (resized). Sessions that detect an envelope
-/// per command attempt reuse one workspace-held buffer instead of
-/// allocating a fresh megasample vector per trial.
+/// As above, writing into `out` (resized), so a caller that detects one
+/// envelope per command attempt can reuse one buffer's capacity.
 void envelope(const Waveform& wave, std::vector<double>& out);
 
 /// Simple moving average with a window of `window` samples (>= 1); models the

@@ -11,7 +11,8 @@
 // O(4096 * eps); PhasorRotator packages that same policy and is the one
 // oscillator of the sample-domain loops:
 //
-//   sdr/radio.cpp      RadioArray::transmit (each device's carrier)
+//   sdr/radio.cpp      RadioArray::transmit and transmit_through (each
+//                      device's carrier, one shared set-up)
 //   signal/waveform    make_tone, make_multitone (amplitude applied outside)
 //   signal/iq.cpp      apply_impairments (CFO), remove_cfo
 //   signal/goertzel    goertzel (the single-bin DFT kernel)

@@ -56,15 +56,6 @@ void scale(Waveform& wave, cplx gain) {
   for (auto& s : wave.samples) s *= gain;
 }
 
-Waveform multiply(const Waveform& a, const Waveform& b) {
-  Waveform out;
-  out.sample_rate_hz = a.sample_rate_hz;
-  const std::size_t n = std::min(a.samples.size(), b.samples.size());
-  out.samples.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out.samples[i] = a.samples[i] * b.samples[i];
-  return out;
-}
-
 Waveform modulate_envelope(std::span<const double> envelope, double offset_hz,
                            double phase0, double sample_rate_hz) {
   Waveform tone = make_tone(offset_hz, phase0, envelope.size(), sample_rate_hz);

@@ -49,10 +49,6 @@ void accumulate(Waveform& out, const Waveform& in, cplx gain = {1.0, 0.0});
 /// In-place scalar multiply.
 void scale(Waveform& wave, cplx gain);
 
-/// Pointwise product (e.g. modulating an envelope onto a carrier). Result
-/// length is the shorter of the two inputs.
-Waveform multiply(const Waveform& a, const Waveform& b);
-
 /// Modulate a real-valued envelope (e.g. a PIE command, values in [0,1])
 /// onto a complex tone at `offset_hz` with initial phase `phase0`.
 Waveform modulate_envelope(std::span<const double> envelope, double offset_hz,

@@ -25,6 +25,17 @@ Channel depowered(Channel channel) {
   return Channel(std::move(rays));
 }
 
+/// Each antenna's channel gain at its carrier offset: what the array's
+/// transmission is weighted by on the way to the tag.
+std::vector<cplx> carrier_gains(const Channel& channel,
+                                const FrequencyPlan& plan) {
+  std::vector<cplx> gains(plan.num_antennas());
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    gains[i] = channel.gain(i, plan.offsets_hz()[i]);
+  }
+  return gains;
+}
+
 /// CIB leakage power at the reader's front end (antennas ~1 m away in air).
 double jamming_power_w(const FrequencyPlan& plan, double drive_dbm) {
   const double lambda = wavelength(plan.center_hz());
@@ -50,19 +61,16 @@ WaveformSessionReport WaveformSession::run(const Scenario& scenario,
   const Channel channel = depowered(draw_scenario_channel(
       scenario, tag, plan.num_antennas(), plan.center_hz(), rng));
 
+  const std::vector<cplx> gains = carrier_gains(channel, plan);
+  const RadioArray& radios = tx_.radios();
   TagConfig session_tag = tag;
   session_tag.seed ^= rng();
   TagDevice device(session_tag);
 
-  // --- Charging: CW from every antenna through the real radio chain.
-  // Envelope buffers are workspace checkouts: the charge envelope alone is
-  // charge_time_s * fs samples (200k at the defaults), reallocated per
-  // trial before the workspace existed.
-  const auto cw_waves = tx_.transmit_cw(config_.charge_time_s);
-  const auto rx_charge = receive(channel, cw_waves, plan.offsets_hz());
-  ScopedBuffer<double> charge_env_buf(workspace_, 0);
-  std::vector<double>& charge_env = *charge_env_buf;
-  envelope(rx_charge, charge_env);
+  // --- Charging: CW from every antenna through the real radio chain,
+  // heard through the channel without building per-antenna waveforms.
+  const std::vector<double> charge_env = envelope(radios.transmit_through(
+      tx_.cw_envelope(config_.charge_time_s), 0.0, gains));
   report.peak_envelope_v = max_value(charge_env);
   const auto charge_result = device.receive_downlink(charge_env, fs);
   report.powered = charge_result.powered;
@@ -85,19 +93,18 @@ WaveformSessionReport WaveformSession::run(const Scenario& scenario,
   const double t_start =
       t_peak + t_period - command_duration / 2.0;
 
-  const auto cmd_waves = tx_.radios().transmit(pie_env, t_start);
-  const auto rx_cmd = receive(channel, cmd_waves, plan.offsets_hz());
-  ScopedBuffer<double> cmd_env_buf(workspace_, 0);
-  std::vector<double>& cmd_env = *cmd_env_buf;
-  envelope(rx_cmd, cmd_env);
+  const std::vector<double> cmd_env =
+      envelope(radios.transmit_through(pie_env, t_start, gains));
   const auto downlink = device.receive_downlink(cmd_env, fs);
   report.command_decoded = downlink.command_decoded;
   if (!downlink.reply.has_value()) return report;
   report.replied = true;
   report.rn16 = device.state_machine().last_rn16();
 
-  // --- Backscatter through the out-of-band reader.
-  const auto reflection = device.backscatter_reflection(*downlink.reply, fs);
+  // --- Backscatter through the out-of-band reader, which samples the
+  // reflection at its own rate.
+  const auto reflection = device.backscatter_reflection(
+      *downlink.reply, config_.reader.sample_rate_hz);
   const OobReader reader(config_.reader);
   const LinkBudget reader_budget(antennas::mt242025(), tag.antenna,
                                  scenario.stack);
@@ -143,6 +150,8 @@ SensorReadReport WaveformSession::run_sensor_read(const Scenario& scenario,
 
   const Channel channel = depowered(draw_scenario_channel(
       scenario, tag, plan.num_antennas(), plan.center_hz(), rng));
+  const std::vector<cplx> gains = carrier_gains(channel, plan);
+  const RadioArray& radios = tx_.radios();
   TagConfig session_tag = tag;
   session_tag.seed ^= rng();
   TagDevice device(session_tag);
@@ -151,13 +160,9 @@ SensorReadReport WaveformSession::run_sensor_read(const Scenario& scenario,
   GastricSensor sensor(rng());
   sensor.publish(sensor_time_s, device.state_machine().memory());
 
-  // Charge and check power-up (envelope buffers recycled via workspace_,
-  // as in run()).
-  const auto cw_waves = tx_.transmit_cw(config_.charge_time_s);
-  const auto rx_charge = receive(channel, cw_waves, plan.offsets_hz());
-  ScopedBuffer<double> charge_env_buf(workspace_, 0);
-  std::vector<double>& charge_env = *charge_env_buf;
-  envelope(rx_charge, charge_env);
+  // Charge and check power-up, as in run().
+  const std::vector<double> charge_env = envelope(radios.transmit_through(
+      tx_.cw_envelope(config_.charge_time_s), 0.0, gains));
   const auto charge_result = device.receive_downlink(charge_env, fs);
   report.powered = charge_result.powered;
   // Simulated-time trace track: the session timeline starts at the sensor
@@ -196,7 +201,7 @@ SensorReadReport WaveformSession::run_sensor_read(const Scenario& scenario,
   int command_index = 0;
   SessionStage trace_stage = SessionStage::kQuery;
   // One envelope buffer serves every command attempt of the dialogue.
-  ScopedBuffer<double> cmd_env_buf(workspace_, 0);
+  std::vector<double> cmd_env;
   auto send_once = [&](const gen2::Bits& command,
                        bool with_preamble) -> std::optional<gen2::Bits> {
     const auto pie_env =
@@ -209,17 +214,15 @@ SensorReadReport WaveformSession::run_sensor_read(const Scenario& scenario,
                   sensor_time_s + config_.charge_time_s + t_start,
                   sensor_time_s + config_.charge_time_s + t_start + duration);
     report.commands_sent = command_index;
-    const auto waves = tx_.radios().transmit(pie_env, t_start);
-    const auto rx = receive(channel, waves, plan.offsets_hz());
-    envelope(rx, *cmd_env_buf);
-    const auto downlink = device.receive_downlink(*cmd_env_buf, fs);
+    envelope(radios.transmit_through(pie_env, t_start, gains), cmd_env);
+    const auto downlink = device.receive_downlink(cmd_env, fs);
     if (!downlink.reply.has_value()) {
       // Silent tag: the reader burns its full reply window before retrying.
       ++report.recovery.timeouts;
       return std::nullopt;
     }
-    const auto reflection =
-        device.backscatter_reflection(*downlink.reply, fs);
+    const auto reflection = device.backscatter_reflection(
+        *downlink.reply, config_.reader.sample_rate_hz);
     const auto decoded =
         reader.decode(reflection, round_trip, jam_w, tag.blf_hz,
                       downlink.reply->size(), rng);

@@ -15,9 +15,9 @@
 #pragma once
 
 #include "ivnet/cib/transmitter.hpp"
+#include "ivnet/gen2/pie.hpp"
 #include "ivnet/impair/recovery.hpp"
 #include "ivnet/reader/oob_reader.hpp"
-#include "ivnet/signal/dsp_workspace.hpp"
 #include "ivnet/sim/experiment.hpp"
 
 namespace ivnet {
@@ -65,9 +65,10 @@ struct SensorReadReport {
 };
 
 /// Runs sample-accurate sessions. One instance owns the radio array (PLL
-/// phases persist across runs until new_trial()), plus a DspWorkspace so
-/// the megasample envelope buffers of the charge/query/backscatter stages
-/// are recycled across commands and trials instead of reallocated.
+/// phases persist across runs until new_trial()). The charge window and
+/// every command reach the tag through RadioArray::transmit_through, which
+/// adds each antenna's channel-weighted output straight into the received
+/// waveform instead of building N per-antenna waveforms.
 class WaveformSession {
  public:
   WaveformSession(WaveformSessionConfig config, Rng& rng);
@@ -93,10 +94,6 @@ class WaveformSession {
  private:
   WaveformSessionConfig config_;
   CibTransmitter tx_;
-  /// Scratch arena for the session's sample-domain DSP. Single-threaded,
-  /// like the session itself: parallel trial loops give each worker its
-  /// own WaveformSession.
-  DspWorkspace workspace_;
 };
 
 }  // namespace ivnet

@@ -14,6 +14,7 @@
 #include "ivnet/cib/two_stage.hpp"
 #include "ivnet/common/units.hpp"
 #include "ivnet/gen2/commands.hpp"
+#include "ivnet/gen2/pie.hpp"
 
 namespace ivnet {
 namespace {
@@ -269,9 +270,9 @@ TEST(Transmitter, BuildsSynchronizedCommandWaveforms) {
   Rng rng(13);
   RadioArrayConfig cfg;
   CibTransmitter tx(FrequencyPlan::paper_default().truncated(4), cfg, rng);
-  const auto waves =
-      tx.transmit_command(gen2::QueryCommand{}.encode(), gen2::PieTiming{},
-                          /*with_preamble=*/true);
+  const auto waves = tx.radios().transmit(
+      gen2::pie_encode(gen2::QueryCommand{}.encode(), gen2::PieTiming{},
+                       cfg.sample_rate_hz, /*with_preamble=*/true));
   ASSERT_EQ(waves.size(), 4u);
   // All antennas share the envelope: zero samples (PIE lows) coincide.
   for (std::size_t i = 0; i < waves[0].size(); i += 53) {

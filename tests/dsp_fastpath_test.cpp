@@ -1,7 +1,8 @@
 // Pins the DSP fast path (three-region FIR, polyphase decimate, per-phase
 // rational resampler, CorrelationNeedle, PhasorRotator and its oscillator
 // sites, DspWorkspace) against the retained naive oracles in
-// signal/naive_dsp.hpp.
+// signal/naive_dsp.hpp, and the fused RadioArray::transmit_through against
+// receive(transmit()).
 //
 // The bitwise-equivalence policy (docs/ARCHITECTURE.md, "DSP fast path"):
 // a kernel rewrite may reorganize WHICH outputs are computed and how loops
@@ -10,12 +11,19 @@
 // equality, not tolerances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ivnet/common/rng.hpp"
 #include "ivnet/common/units.hpp"
+#include "ivnet/gen2/commands.hpp"
+#include "ivnet/gen2/pie.hpp"
+#include "ivnet/rf/channel.hpp"
+#include "ivnet/sdr/pa.hpp"
 #include "ivnet/sdr/radio.hpp"
 #include "ivnet/signal/correlate.hpp"
 #include "ivnet/signal/fir.hpp"
@@ -352,6 +360,141 @@ TEST(Phasor, MatchesPolarWithinRenormWindow) {
     const cplx exact = std::polar(1.0, phase0 + dphi * static_cast<double>(k));
     ASSERT_LT(std::abs(rot.value() - exact), 1e-11) << "step " << k;
     rot.advance();
+  }
+}
+
+// --- Fused RadioArray::transmit_through vs receive(transmit()). ------------
+
+/// An envelope whose levels are mostly distinct, with short runs of equal
+/// levels, 0.0 and -0.0 side by side, and drive past the PA's compression
+/// point.
+std::vector<double> random_levels(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> env(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    env[k] = k % 5 == 4 ? env[k - 1] : rng.uniform(0.0, 1.5);
+  }
+  for (std::size_t k = 10; k + 1 < n; k += 97) {
+    env[k] = 0.0;
+    env[k + 1] = -0.0;
+  }
+  return env;
+}
+
+TEST(RadioFastPath, TransmitThroughBitwiseMatchesReceiveOfTransmit) {
+  // The envelopes a session plays (CW past one 4096-step carrier re-anchor,
+  // PIE Query with preamble, ACK) and a random-level one, from shared and
+  // free-running clocks (PPS skew and ppm error), through single-ray and
+  // 3-ray channels, at array sizes up to distributed-antenna scale and at
+  // phase-continuous start times.
+  const double fs = 800e3;
+  const std::vector<std::pair<const char*, std::vector<double>>> envelopes = {
+      {"cw", std::vector<double>(6000, 1.0)},
+      {"query", gen2::pie_encode(gen2::QueryCommand{.q = 0}.encode(),
+                                 gen2::PieTiming{}, fs, true)},
+      {"ack", gen2::pie_encode(gen2::AckCommand{.rn16 = 0x5a3c}.encode(),
+                               gen2::PieTiming{}, fs, false)},
+      {"random", random_levels(3000, 5)},
+  };
+  std::size_t cases = 0;
+  std::size_t skewed = 0;
+  for (const bool free_running : {false, true}) {
+    for (const std::size_t rays : {std::size_t{1}, std::size_t{3}}) {
+      for (const std::size_t n : {1, 2, 8, 10, 32}) {
+        for (const std::uint64_t seed : {1, 2}) {
+          RadioArrayConfig cfg;
+          cfg.sample_rate_hz = fs;
+          if (free_running) cfg.clocks = ClockDistribution::free_running();
+          Rng rng(1000 * seed + 10 * n + rays);
+          RadioArray array(n, cfg, rng);
+          std::vector<double> offsets(n);
+          std::vector<double> amps(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            offsets[i] = 7.0 * static_cast<double>(i) - 3.0;
+            amps[i] = rng.uniform(0.05, 1.0);
+          }
+          array.tune(offsets);
+          const Channel channel =
+              rays == 1 ? make_blind_channel(amps, rng)
+                        : make_multipath_channel(amps, rays, 50e-9, rng);
+          std::vector<cplx> gains(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            gains[i] = channel.gain(i, offsets[i]);
+          }
+          for (const auto& [name, env] : envelopes) {
+            for (const double start : {0.0, 0.73, 1.9}) {
+              const Waveform fused = array.transmit_through(env, start, gains);
+              expect_bitwise_eq(
+                  fused, receive(channel, array.transmit(env, start), offsets),
+                  name);
+              skewed += fused.size() > env.size();
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 480u);
+  EXPECT_GT(skewed, 0u);  // the free-running arrays did pad for PPS skew
+}
+
+TEST(RadioFastPath, TransmitThroughRejectsWrongGainCount) {
+  Rng rng(4);
+  const RadioArray array(3, RadioArrayConfig{}, rng);
+  const std::vector<double> env(16, 1.0);
+  const std::vector<cplx> two(2, cplx{1.0, 0.0});
+  const std::vector<cplx> four(4, cplx{1.0, 0.0});
+  EXPECT_THROW(array.transmit_through(env, 0.0, two), std::invalid_argument);
+  EXPECT_THROW(array.transmit_through(env, 0.0, four), std::invalid_argument);
+}
+
+TEST(RadioFastPath, TransmitBitwiseMatchesPerSamplePa) {
+  // transmit() runs the PA once per run of equal levels and reads each
+  // device's PPS skew as an offset into idle-padded levels. Its oracle is
+  // the per-sample loop: output_amplitude(drive_amp * level) on every
+  // sample, with level 0.0 outside the device's skew window.
+  const double fs = 800e3;
+  const double start = 0.73;
+  RadioArrayConfig cfg;
+  cfg.sample_rate_hz = fs;
+  cfg.clocks = ClockDistribution::free_running();  // PPS skew and ppm error
+  Rng rng(21);
+  // The array draws its device clocks first, so a copy of its rng
+  // recovers each device's start offset.
+  Rng clock_rng = rng;
+  RadioArray array(4, cfg, rng);
+  const auto clocks = cfg.clocks.distribute(4, clock_rng);
+  array.tune(std::vector<double>{0.0, 7.0, 20.0, 49.0});
+  const std::vector<double> env = random_levels(2000, 22);
+  const auto waves = array.transmit(env, start);
+
+  std::vector<std::ptrdiff_t> skews;
+  std::ptrdiff_t max_skew = 0;
+  for (const DeviceClock& clock : clocks) {
+    skews.push_back(std::llround(clock.start_offset_s * fs));
+    max_skew = std::max(max_skew, std::abs(skews.back()));
+  }
+  ASSERT_GT(max_skew, 0);
+  const std::ptrdiff_t length = std::ssize(env) + max_skew;
+  const PowerAmplifier pa(cfg.pa_gain_db, cfg.pa_p1db_dbm);
+  const double drive_amp = std::sqrt(dbm_to_watts(cfg.drive_dbm));
+  const auto phases = array.initial_phases();
+  const auto actual = array.actual_offsets_hz();
+  ASSERT_EQ(waves.size(), 4u);
+  for (std::size_t i = 0; i < waves.size(); ++i) {
+    Waveform want;
+    want.sample_rate_hz = fs;
+    PhasorRotator rot(phases[i] + kTwoPi * actual[i] * start,
+                      kTwoPi * actual[i] / fs);
+    for (std::ptrdiff_t n = 0; n < length; ++n) {
+      const std::ptrdiff_t src = n - skews[i];
+      const double level = src >= 0 && src < std::ssize(env) ? env[src] : 0.0;
+      want.samples.push_back(pa.output_amplitude(drive_amp * level) *
+                             rot.value());
+      rot.advance();
+    }
+    expect_bitwise_eq(waves[i], want, "per-sample PA");
   }
 }
 

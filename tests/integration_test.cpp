@@ -12,6 +12,7 @@
 #include "ivnet/cib/transmitter.hpp"
 #include "ivnet/common/units.hpp"
 #include "ivnet/gen2/commands.hpp"
+#include "ivnet/gen2/pie.hpp"
 #include "ivnet/reader/oob_reader.hpp"
 #include "ivnet/signal/envelope.hpp"
 #include "ivnet/sim/experiment.hpp"
@@ -89,8 +90,8 @@ TEST(Integration, TagDecodesCommandCarriedOverWaveformPath) {
   CibTransmitter tx(plan, cfg, rng);
 
   const auto query_bits = gen2::QueryCommand{.q = 0}.encode();
-  const auto waves =
-      tx.transmit_command(query_bits, gen2::PieTiming{}, true);
+  const auto waves = tx.radios().transmit(gen2::pie_encode(
+      query_bits, gen2::PieTiming{}, cfg.sample_rate_hz, true));
 
   // A benign channel draw: aligned phases at t=0 (the command is short, so
   // the envelope stays near its peak across it).

@@ -115,6 +115,27 @@ TEST(SensorRead, FullDialogueRecoversVitals) {
   EXPECT_EQ(report.words[3], 1u);  // first published sample
 }
 
+TEST(SensorRead, RadioRateOtherThanReaderRateStillReadsVitals) {
+  // The tag's reflection is modulated at the rate the reader samples it,
+  // not at the radio's rate: with the radio at 1 MHz and the reader at its
+  // 800 kHz default, both the RN16 and the sensor words must still decode.
+  Rng rng(13);
+  WaveformSessionConfig cfg = fast_config(8);
+  cfg.radio.sample_rate_hz = 1e6;
+  ASSERT_NE(cfg.radio.sample_rate_hz, cfg.reader.sample_rate_hz);
+  WaveformSession session(cfg, rng);
+  const auto run = session.run(air_scenario(2.0), standard_tag(), rng);
+  EXPECT_TRUE(run.replied);
+  EXPECT_TRUE(run.rn16_decoded);
+  const auto report =
+      session.run_sensor_read(air_scenario(2.0), standard_tag(), 12.5, rng);
+  EXPECT_TRUE(report.powered);
+  ASSERT_TRUE(report.read_ok);
+  ASSERT_EQ(report.words.size(), 4u);
+  EXPECT_GT(report.temperature_c, 37.0);
+  EXPECT_LT(report.temperature_c, 40.0);
+}
+
 TEST(SensorRead, FailsCleanlyWhenUnpowered) {
   Rng rng(11);
   WaveformSession session(fast_config(2), rng);

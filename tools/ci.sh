@@ -17,7 +17,8 @@
 #     --time-scale beside a wall-clock sampler exits 2;
 #   - every soak exemplar replays to its recorded response hash;
 #   - the suite under ASan and TSan, and a Debug spot-check of the DSP,
-#     campaign, cib, service and telemetry suites (other legs are NDEBUG);
+#     radio, waveform-session, campaign, cib, service and telemetry suites
+#     (other legs are NDEBUG);
 #   - a traced sweep whose metrics/trace artifacts are smoke-checked;
 #   - campaign kill-and-resume and a 3-shard fleet with one worker
 #     SIGKILL'd, each cmp-equal to the uninterrupted run at 1/2/8 threads;
@@ -280,11 +281,13 @@ build_and_test build-tsan -DIVNET_SANITIZE=thread
 
 echo "=== ci: Debug spot-check (input validation with asserts enabled) ==="
 # The default/ASan/TSan legs build RelWithDebInfo (NDEBUG), which is where
-# the fir design validation used to vanish. Pin that the throwing contract
-# and the DSP/campaign suites hold in an assert-enabled Debug build too.
+# the fir design validation used to vanish. Pin that the throwing contracts
+# (fir design, RadioArray::transmit_through's gain count), the fused radio
+# kernel's byte-identity and the session's sample rates hold in an
+# assert-enabled Debug build too.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
-cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test campaign_test campaign_shard_test cib_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
-ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|campaign_test|campaign_shard_test|cib_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
+cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test sdr_test waveform_session_test campaign_test campaign_shard_test cib_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
+ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|sdr_test|waveform_session_test|campaign_test|campaign_shard_test|cib_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
 
 echo "=== ci: traced sweep artifacts ==="
 mkdir -p "$ARTIFACT_DIR"
