@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/common/units.hpp"
@@ -23,7 +25,12 @@ constexpr std::size_t kRenormInterval = 4096;
 constexpr double kQuantScale = 1099511627776.0;       // 2^40
 constexpr double kInvQuantScale = 1.0 / kQuantScale;  // exact power of two
 
-std::int64_t quantize(double v) { return std::llround(v * kQuantScale); }
+/// Tones the build adds per pass over a trial's lanes.
+constexpr std::size_t kToneGroup = 4;
+
+std::int64_t quantize(double v) {
+  return detail::exact_llround(v * kQuantScale);
+}
 
 /// One tone being subtracted (sign -1) or added (sign +1) by a move.
 struct MoveAdj {
@@ -34,26 +41,67 @@ struct MoveAdj {
   double re = 0.0, im = 0.0, cre = 0.0, cim = 0.0;
 };
 
-/// Adds tone `sign * e^{j(2 pi f t + phase)}`, quantized, into the lanes.
-void accumulate_tone(std::int64_t* wre, std::int64_t* wim, std::size_t steps,
-                     double dt, double offset_hz, double phase,
-                     std::int64_t sign) {
-  const double w = kTwoPi * offset_hz * dt;
-  const double cre = std::cos(w);
-  const double cim = std::sin(w);
-  double re = std::cos(phase);
-  double im = std::sin(phase);
+/// Adds the G tones `e^{j(2 pi offsets_hz[k] t + phases[k])}`, each sample
+/// quantized, into the lanes in one pass. Every tone keeps its own rotation
+/// op sequence (the one trial_peak runs), and the quantized samples are
+/// integers, so how tones are grouped never changes the lanes.
+template <std::size_t G>
+void accumulate_group(std::int64_t* wre, std::int64_t* wim, std::size_t steps,
+                      double dt, const double* offsets_hz,
+                      const double* phases) {
+  double w[G], cre[G], cim[G], re[G], im[G];
+  for (std::size_t k = 0; k < G; ++k) {
+    w[k] = kTwoPi * offsets_hz[k] * dt;
+    cre[k] = std::cos(w[k]);
+    cim[k] = std::sin(w[k]);
+    re[k] = std::cos(phases[k]);
+    im[k] = std::sin(phases[k]);
+  }
   for (std::size_t s = 0; s < steps; ++s) {
     if (s != 0 && s % kRenormInterval == 0) {
-      const double ph = phase + w * static_cast<double>(s);
-      re = std::cos(ph);
-      im = std::sin(ph);
+      for (std::size_t k = 0; k < G; ++k) {
+        const double ph = phases[k] + w[k] * static_cast<double>(s);
+        re[k] = std::cos(ph);
+        im[k] = std::sin(ph);
+      }
     }
-    wre[s] += sign * quantize(re);
-    wim[s] += sign * quantize(im);
-    const double r = re * cre - im * cim;
-    im = re * cim + im * cre;
-    re = r;
+    std::int64_t qr = 0;
+    std::int64_t qi = 0;
+    for (std::size_t k = 0; k < G; ++k) {
+      qr += quantize(re[k]);
+      qi += quantize(im[k]);
+      const double r = re[k] * cre[k] - im[k] * cim[k];
+      im[k] = re[k] * cim[k] + im[k] * cre[k];
+      re[k] = r;
+    }
+    wre[s] += qr;
+    wim[s] += qi;
+  }
+}
+
+/// Adds every tone of `offsets_hz` (tone i with phases[i]) into the lanes,
+/// kToneGroup at a time, then the remaining tones one at a time.
+void accumulate_tones(std::int64_t* wre, std::int64_t* wim, std::size_t steps,
+                      double dt, std::span<const double> offsets_hz,
+                      const double* phases) {
+  const std::size_t n = offsets_hz.size();
+  std::size_t i = 0;
+  for (; i + kToneGroup <= n; i += kToneGroup) {
+    accumulate_group<kToneGroup>(wre, wim, steps, dt, &offsets_hz[i],
+                                 &phases[i]);
+  }
+  for (; i < n; ++i) {
+    accumulate_group<1>(wre, wim, steps, dt, &offsets_hz[i], &phases[i]);
+  }
+}
+
+/// Throws std::out_of_range unless `tone` indexes the offset set (checked
+/// before any pool work: a pool worker cannot throw).
+void check_tone(std::size_t tone, std::size_t n) {
+  if (tone >= n) {
+    throw std::out_of_range("DeltaEnvelopeState: tone " +
+                            std::to_string(tone) + " out of range for " +
+                            std::to_string(n) + " tones");
   }
 }
 
@@ -171,9 +219,7 @@ DeltaEnvelopeState::DeltaEnvelopeState(std::span<const double> offsets_hz,
     for (std::size_t i = 0; i < n; ++i) phases[i] = trial_rng.phase();
     std::int64_t* wre = sum_re_.data() + t * steps_;
     std::int64_t* wim = sum_im_.data() + t * steps_;
-    for (std::size_t i = 0; i < n; ++i) {
-      accumulate_tone(wre, wim, steps_, dt_, offsets_[i], phases[i], +1);
-    }
+    accumulate_tones(wre, wim, steps_, dt_, offsets_, phases);
     peaks_[t] = trial_peak(wre, wim, nullptr, nullptr, steps_, dt_, nullptr,
                            0);
   });
@@ -182,7 +228,7 @@ DeltaEnvelopeState::DeltaEnvelopeState(std::span<const double> offsets_hz,
 
 double DeltaEnvelopeState::score_move(std::size_t tone,
                                       double new_offset_hz) const {
-  assert(tone < offsets_.size());
+  check_tone(tone, offsets_.size());
   const std::size_t n = offsets_.size();
   const double old_offset = offsets_[tone];
   obs::count("planner.evals");
@@ -199,7 +245,7 @@ double DeltaEnvelopeState::score_move(std::size_t tone,
 }
 
 void DeltaEnvelopeState::commit_move(std::size_t tone, double new_offset_hz) {
-  assert(tone < offsets_.size());
+  check_tone(tone, offsets_.size());
   const std::size_t n = offsets_.size();
   const double old_offset = offsets_[tone];
   parallel_for(config_.mc_trials, [&](std::size_t t) {
@@ -216,18 +262,20 @@ void DeltaEnvelopeState::commit_move(std::size_t tone, double new_offset_hz) {
 
 double DeltaEnvelopeState::full_score(
     std::span<const double> offsets_hz) const {
-  assert(offsets_hz.size() == offsets_.size());
+  if (offsets_hz.size() != offsets_.size()) {
+    throw std::invalid_argument(
+        "DeltaEnvelopeState::full_score: " +
+        std::to_string(offsets_hz.size()) + " offsets for a state of " +
+        std::to_string(offsets_.size()) + " tones");
+  }
   const std::size_t n = offsets_hz.size();
   obs::count("planner.evals");
   std::vector<double> peaks(config_.mc_trials);
   parallel_for(config_.mc_trials, [&](std::size_t t) {
     std::vector<std::int64_t> wre(steps_, 0);
     std::vector<std::int64_t> wim(steps_, 0);
-    const double* phases = phases_.data() + t * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      accumulate_tone(wre.data(), wim.data(), steps_, dt_, offsets_hz[i],
-                      phases[i], +1);
-    }
+    accumulate_tones(wre.data(), wim.data(), steps_, dt_, offsets_hz,
+                     phases_.data() + t * n);
     peaks[t] = trial_peak(wre.data(), wim.data(), nullptr, nullptr, steps_,
                           dt_, nullptr, 0);
   });

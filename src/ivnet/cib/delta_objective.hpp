@@ -9,14 +9,16 @@
 //
 // Exactness contract (the property the planner tests memcmp): the per-step
 // partial sums are held in FIXED-POINT int64 lanes (each tone sample is
-// quantized once at 2^-40 resolution, see kQuantScale). Integer addition is
-// exact and associative, so a sum reached through any history of
-// subtract-old/add-new updates is bit-identical to a from-scratch rebuild
-// over the same tone set — which floating-point accumulation cannot
-// guarantee. Dequantizing (`double(sum) * 2^-40`) is exact too (sums stay
-// far below 2^53 and the scale is a power of two), so the envelope values,
-// the per-trial peaks, and the final score stream are memcmp-identical
-// between the delta path and `full_score`, the retained full evaluation.
+// quantized once at 2^-40 resolution, see kQuantScale, rounded by
+// detail::exact_llround, which equals std::llround bit for bit). Integer
+// addition is exact and associative, so a sum reached through any history
+// of subtract-old/add-new updates — or a build that adds tones several at a
+// time — is bit-identical to a from-scratch rebuild over the same tone set,
+// which floating-point accumulation cannot guarantee. Dequantizing
+// (`double(sum) * 2^-40`) is exact too (sums stay far below 2^53 and the
+// scale is a power of two), so the envelope values, the per-trial peaks,
+// and the final score stream are memcmp-identical between the delta path
+// and `full_score`, the retained full evaluation.
 //
 // Accuracy contract: quantization costs at most 2^-41 per tone sample
 // (~1e-10 absolute on an N-tone envelope), pinned against the original
@@ -50,11 +52,26 @@ struct DeltaEvalConfig {
   std::size_t steps = 0;
 };
 
+namespace detail {
+
+/// std::llround(x), bit for bit, for |x| < 2^53, inline instead of a libm
+/// call. Truncation gives q; x - q is then exactly the fractional part, and
+/// a half or more in either direction steps q away from zero (so ties round
+/// away from zero, and x = 0.5 - 2^-54 still rounds to 0).
+inline std::int64_t exact_llround(double x) {
+  const auto q = static_cast<std::int64_t>(x);
+  const double r = x - static_cast<double>(q);
+  return q + (r >= 0.5) - (r <= -0.5);
+}
+
+}  // namespace detail
+
 /// Per-trial fixed-point partial sums of the Eq. 6 envelope over the
 /// evaluation grid, supporting O(steps)-per-trial single-offset moves.
-/// Not thread-safe for concurrent mutation; score_move/full_score are
-/// const and parallelize internally over trials (deterministic at any
-/// IVNET_THREADS: per-trial slots, trial-order reduction).
+/// Not thread-safe for concurrent mutation; the build, score_move,
+/// commit_move and full_score parallelize internally over trials, one trial
+/// per pool claim (deterministic at any IVNET_THREADS: per-trial slots,
+/// trial-order reduction).
 class DeltaEnvelopeState {
  public:
   /// Grid ceiling for the planner. The state holds 16 bytes per
@@ -79,18 +96,21 @@ class DeltaEnvelopeState {
   double score() const { return score_; }
 
   /// Score of the set with tone `tone` moved to `new_offset_hz`, without
-  /// mutating the state. O(steps) per trial.
+  /// mutating the state. O(steps) per trial. Throws std::out_of_range when
+  /// `tone` is not below the tone count.
   double score_move(std::size_t tone, double new_offset_hz) const;
 
   /// Applies the move: updates the partial sums, per-trial peaks, and
   /// score(). After commit, score() is bit-identical to what score_move
-  /// returned for the same move.
+  /// returned for the same move. Throws std::out_of_range (state untouched)
+  /// when `tone` is not below the tone count.
   void commit_move(std::size_t tone, double new_offset_hz);
 
   /// The retained full evaluation (the delta oracle): rebuilds the partial
   /// sums for `offsets_hz` from scratch — same trials, phases, and grid —
   /// and scores them. Bit-identical to the delta path for the same offset
-  /// set, whatever move history produced it.
+  /// set, whatever move history produced it. Throws std::invalid_argument
+  /// when `offsets_hz` does not hold one offset per tone.
   double full_score(std::span<const double> offsets_hz) const;
 
   std::span<const double> offsets_hz() const { return offsets_; }

@@ -15,12 +15,12 @@ namespace {
 
 thread_local bool t_in_pool_worker = false;
 
-/// One parallel_for invocation. Workers hold a shared_ptr so a straggler
+/// One pool_run invocation. Workers hold a shared_ptr so a straggler
 /// waking up late can only touch its own (already exhausted) job, never a
 /// newer one.
 struct Job {
   const std::function<void(std::size_t)>* body = nullptr;
-  std::size_t chunks = 0;
+  std::size_t n = 0;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
 };
@@ -45,7 +45,7 @@ class ThreadPool {
 
   std::size_t thread_count() const { return thread_count_; }
 
-  void run(std::size_t chunks, const std::function<void(std::size_t)>& body) {
+  void run(std::size_t n, const std::function<void(std::size_t)>& body) {
     // Wall-clock only: queue wait (submit contention) and the run itself.
     // Wall spans never feed byte-stable artifacts, so dispatch-dependent
     // timing is fine here; metrics counters are not (see parallel_for).
@@ -55,7 +55,7 @@ class ThreadPool {
     obs::ScopedSpan run_span("pool.run", "parallel");
     auto job = std::make_shared<Job>();
     job->body = &body;
-    job->chunks = chunks;
+    job->n = n;
     {
       std::lock_guard<std::mutex> lock(m_);
       current_job_ = job;
@@ -63,7 +63,7 @@ class ThreadPool {
     }
     wake_cv_.notify_all();
     // The submitting thread participates; mark it as a pool thread for the
-    // duration so nested parallel_for calls from its chunks run inline
+    // duration so nested parallel_for calls from its indices run inline
     // instead of re-entering run() (submit_mutex_ is not recursive).
     const bool was_worker = t_in_pool_worker;
     t_in_pool_worker = true;
@@ -72,7 +72,7 @@ class ThreadPool {
     {
       std::unique_lock<std::mutex> lock(m_);
       done_cv_.wait(lock, [&] {
-        return job->done.load(std::memory_order_acquire) == job->chunks;
+        return job->done.load(std::memory_order_acquire) == job->n;
       });
       current_job_.reset();
     }
@@ -80,14 +80,20 @@ class ThreadPool {
 
  private:
   void work(Job& job) {
+    // Claims one index at a time; reports its finished indices once, when
+    // the job runs dry, so a claim costs one shared atomic, not two.
+    std::size_t finished = 0;
     for (;;) {
-      const std::size_t ci = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (ci >= job.chunks) return;
-      (*job.body)(ci);
-      if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.chunks) {
-        std::lock_guard<std::mutex> lock(m_);
-        done_cv_.notify_all();
-      }
+      const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= job.n) break;
+      (*job.body)(i);
+      ++finished;
+    }
+    if (finished != 0 &&
+        job.done.fetch_add(finished, std::memory_order_acq_rel) + finished ==
+            job.n) {
+      std::lock_guard<std::mutex> lock(m_);
+      done_cv_.notify_all();
     }
   }
 
@@ -170,10 +176,9 @@ bool set_in_pool_worker(bool value) {
   return prev;
 }
 
-void pool_run(std::size_t chunks,
-              const std::function<void(std::size_t)>& chunk) {
-  if (chunks == 0) return;
-  pool().run(chunks, chunk);
+void pool_run(std::size_t n, const std::function<void(std::size_t)>& f) {
+  if (n == 0) return;
+  pool().run(n, f);
 }
 
 }  // namespace detail

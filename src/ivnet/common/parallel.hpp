@@ -1,9 +1,11 @@
 // Shared parallel-execution engine for the Monte-Carlo trial loops.
 //
 // A lazily-initialized fixed thread pool (size from the IVNET_THREADS
-// environment variable, else hardware_concurrency) runs chunked parallel_for
-// and parallel_reduce over trial indices. The pool is created once and reused
-// across calls, so per-call overhead is a wakeup, not a thread spawn.
+// environment variable, else hardware_concurrency) runs parallel_for and
+// parallel_reduce over trial indices. Pool threads claim one index at a time
+// (parallel_reduce: one fixed-size chunk at a time), so even a loop of a few
+// coarse trials spreads over every thread. The pool is created once and
+// reused across calls, so per-call overhead is a wakeup, not a thread spawn.
 //
 // Determinism contract: every helper here produces BITWISE-IDENTICAL results
 // for any pool size, including 1. parallel_for touches each index exactly
@@ -39,23 +41,37 @@ std::size_t parse_thread_count(const char* text);
 
 namespace detail {
 
-/// Fixed chunk grain. Part of the determinism contract: parallel_reduce
+/// parallel_reduce's chunk grain. Part of the determinism contract: reduce
 /// chunk boundaries are multiples of this regardless of the pool size.
+/// parallel_for does not chunk; it hands out single indices.
 inline constexpr std::size_t kParallelGrain = 16;
 
-/// Runs chunk(ci) for every ci in [0, chunks) on the shared pool, blocking
-/// until all chunks complete. The calling thread participates. Calls from
+/// Runs f(i) for every i in [0, n) on the shared pool, one index per claim,
+/// blocking until all complete. The calling thread participates. Calls from
 /// inside a pool worker run inline (no nested pools, no deadlock). The pool
 /// runs one job at a time: callers on different threads that submit
 /// concurrently are serialized, each waiting until the job ahead of it has
-/// finished, so which caller's chunks run first is up to thread scheduling.
-void pool_run(std::size_t chunks, const std::function<void(std::size_t)>& chunk);
+/// finished, so which caller's indices run first is up to thread scheduling.
+void pool_run(std::size_t n, const std::function<void(std::size_t)>& f);
 
 /// True when the calling thread is a pool worker (nested calls run inline).
 bool in_pool_worker();
 
 /// Set the calling thread's pool-worker mark; returns the previous value.
 bool set_in_pool_worker(bool value);
+
+/// The one dispatch path: f(i) for every i in [0, n), one index per pool
+/// claim, or inline in index order when the pool cannot help (n <= 1, a
+/// one-thread pool, or a caller that is itself a pool worker). Records no
+/// telemetry; parallel_for and parallel_reduce count their own calls.
+template <typename F>
+void for_each_index(std::size_t n, F&& f) {
+  if (n <= 1 || in_pool_worker() || parallel_thread_count() <= 1) {
+    for (std::size_t i = 0; i < n; ++i) f(i);
+    return;
+  }
+  pool_run(n, [&f](std::size_t i) { f(i); });
+}
 
 }  // namespace detail
 
@@ -90,17 +106,7 @@ void parallel_for(std::size_t n, F&& f) {
   // pool entirely at 1 thread).
   obs::count("parallel.for.calls");
   obs::count("parallel.for.items", n);
-  const std::size_t chunks =
-      (n + detail::kParallelGrain - 1) / detail::kParallelGrain;
-  if (chunks <= 1 || parallel_thread_count() <= 1 || detail::in_pool_worker()) {
-    for (std::size_t i = 0; i < n; ++i) f(i);
-    return;
-  }
-  detail::pool_run(chunks, [&f, n](std::size_t ci) {
-    const std::size_t lo = ci * detail::kParallelGrain;
-    const std::size_t hi = std::min(n, lo + detail::kParallelGrain);
-    for (std::size_t i = lo; i < hi; ++i) f(i);
-  });
+  detail::for_each_index(n, f);
 }
 
 /// Materializes map(i) for i in [0, n) into a vector, in index order.
@@ -118,15 +124,20 @@ std::vector<T> parallel_map(std::size_t n, Map&& map) {
 template <typename T, typename Map, typename Combine>
 T parallel_reduce(std::size_t n, T identity, Map&& map, Combine&& combine) {
   if (n == 0) return identity;
+  // Counted as one parallel_for over n items, as the telemetry always has.
+  obs::count("parallel.for.calls");
+  obs::count("parallel.for.items", n);
   const std::size_t chunks =
       (n + detail::kParallelGrain - 1) / detail::kParallelGrain;
   std::vector<T> partials(chunks, identity);
-  parallel_for(n, [&](std::size_t i) {
-    // parallel_for visits each index once; indices of one chunk always run
-    // on the same thread in ascending order, so this fold is sequential
-    // within the chunk.
-    partials[i / detail::kParallelGrain] =
-        combine(std::move(partials[i / detail::kParallelGrain]), map(i));
+  detail::for_each_index(chunks, [&](std::size_t ci) {
+    // One chunk per claim: its indices fold in ascending order on one
+    // thread.
+    const std::size_t lo = ci * detail::kParallelGrain;
+    const std::size_t hi = std::min(n, lo + detail::kParallelGrain);
+    for (std::size_t i = lo; i < hi; ++i) {
+      partials[ci] = combine(std::move(partials[ci]), map(i));
+    }
   });
   T total = std::move(partials[0]);
   for (std::size_t ci = 1; ci < chunks; ++ci) {

@@ -180,12 +180,12 @@ std::vector<CellEvaluator> resolve_evaluators(const CampaignSpec& spec) {
   return evaluators;
 }
 
-/// Run `cell(j)` for every j in [0, n), one j per pool chunk — cells are
-/// coarse (whole Monte-Carlo sweeps), so the fixed fine grain of
-/// parallel_for would serialize small campaigns — or inline when the pool
-/// cannot help. Exceptions (an evaluator throwing, a journal append that
-/// cannot be made durable) cannot unwind through the pool: the first one is
-/// captured, the remaining cells are skipped, and it rethrows at the end.
+/// Run `cell(j)` for every j in [0, n) through the pool's one dispatch path
+/// (one cell per claim, or inline when the pool cannot help), without
+/// parallel_for's telemetry counts. Exceptions (an evaluator throwing, a
+/// journal append that cannot be made durable) cannot unwind through the
+/// pool: the first one is captured, the remaining cells are skipped, and it
+/// rethrows at the end.
 void run_cells(std::size_t n, const std::function<void(std::size_t)>& cell) {
   std::mutex error_mutex;
   std::exception_ptr first_error;
@@ -201,11 +201,7 @@ void run_cells(std::size_t n, const std::function<void(std::size_t)>& cell) {
       if (!first_error) first_error = std::current_exception();
     }
   };
-  if (n <= 1 || parallel_thread_count() <= 1 || detail::in_pool_worker()) {
-    for (std::size_t j = 0; j < n; ++j) guarded(j);
-  } else {
-    detail::pool_run(n, guarded);
-  }
+  detail::for_each_index(n, guarded);
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -131,10 +131,10 @@ struct CampaignReport {
 };
 
 /// Run every cell of `spec`: resolve from journal, then memo cache, and
-/// shard the remainder across the shared pool (one cell per pool chunk —
-/// cells are coarse). Each completed cell is appended to the journal and
-/// fsync'd before it can appear in any final output. Throws
-/// std::invalid_argument when a cell kind has no registered evaluator.
+/// shard the remainder across the shared pool (one cell per pool claim).
+/// Each completed cell is appended to the journal and fsync'd before it can
+/// appear in any final output. Throws std::invalid_argument when a cell
+/// kind has no registered evaluator.
 CampaignReport run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options = {});
 

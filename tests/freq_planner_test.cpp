@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -138,6 +139,88 @@ TEST(DeltaObjectiveTest, LargeNConstructionStaysExact) {
   EXPECT_TRUE(bit_equal(state.score(), state.full_score(state.offsets_hz())));
   state.commit_move(17, 2222.0);
   EXPECT_TRUE(bit_equal(state.score(), state.full_score(state.offsets_hz())));
+}
+
+TEST(DeltaObjectiveTest, OutOfRangeToneThrowsAndLeavesTheStateAlone) {
+  // A bad tone index must not read (score_move) or write (commit_move) past
+  // the per-tone buffers, asserts or not.
+  DeltaEvalConfig eval;
+  eval.mc_trials = 3;
+  eval.steps = 256;
+  DeltaEnvelopeState state(spread_set(3, 64.0), eval);
+  const std::vector<double> before(state.offsets_hz().begin(),
+                                   state.offsets_hz().end());
+  const double score = state.score();
+  EXPECT_THROW((void)state.score_move(3, 11.0), std::out_of_range);
+  EXPECT_THROW(state.commit_move(3, 11.0), std::out_of_range);
+  EXPECT_THROW(state.commit_move(std::numeric_limits<std::size_t>::max(),
+                                 11.0),
+               std::out_of_range);
+  EXPECT_TRUE(bit_equal(state.score(), score));
+  EXPECT_EQ(std::vector<double>(state.offsets_hz().begin(),
+                                state.offsets_hz().end()),
+            before);
+  EXPECT_TRUE(bit_equal(state.score_move(2, 11.0),
+                        state.full_score(std::vector<double>{
+                            before[0], before[1], 11.0})));
+}
+
+TEST(DeltaObjectiveTest, FullScoreRejectsAWrongSizedSet) {
+  DeltaEvalConfig eval;
+  eval.mc_trials = 2;
+  eval.steps = 256;
+  DeltaEnvelopeState state(spread_set(3, 64.0), eval);
+  EXPECT_THROW((void)state.full_score(std::vector<double>{0.0, 5.0}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)state.full_score(std::vector<double>{0.0, 5.0, 9.0, 12.0}),
+      std::invalid_argument);
+}
+
+TEST(DeltaObjectiveTest, ExactLlroundEqualsLibmLlround) {
+  // Every tone sample is quantized through detail::exact_llround; one
+  // differing bit would make new plans disagree with the stored ones.
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  double first_bad = 0.0;
+  const auto check = [&](double x) {
+    ++checked;
+    if (detail::exact_llround(x) != std::llround(x)) {
+      if (mismatches++ == 0) first_bad = x;
+    }
+  };
+  const auto with_neighbours = [&](double x) {
+    check(x);
+    check(std::nextafter(x, std::numeric_limits<double>::infinity()));
+    check(std::nextafter(x, -std::numeric_limits<double>::infinity()));
+  };
+  const double scale = std::ldexp(1.0, 40);  // the lanes' 2^40
+  for (const double x :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        -std::numeric_limits<double>::min(), 0.5, 1.0, scale, 1.001 * scale,
+        std::ldexp(1.0, 52), std::ldexp(1.0, 53) - 1.0}) {
+    with_neighbours(x);
+    with_neighbours(-x);
+  }
+  // Ties k + 1/2, small and across the quantized range, with neighbours.
+  for (std::int64_t k = -64; k <= 64; ++k) {
+    with_neighbours(static_cast<double>(k) + 0.5);
+  }
+  Rng rng(2018);
+  for (int i = 0; i < 100000; ++i) {
+    const auto k = rng.uniform_int(-(std::int64_t{1} << 41),
+                                   std::int64_t{1} << 41);
+    with_neighbours(static_cast<double>(k) + 0.5);
+  }
+  // Tone samples as the lanes see them: re/im in +-1.001, times 2^40.
+  for (int i = 0; i < 700000; ++i) {
+    check((2.002 * rng.uniform() - 1.001) * scale);
+  }
+  EXPECT_GE(checked, 1000000u);
+  EXPECT_EQ(mismatches, 0u) << "first mismatch at " << std::hexfloat
+                            << first_bad;
 }
 
 // --------------------------------------------------- default_steps ceiling
@@ -334,6 +417,45 @@ TEST(PlanStoreTest, RePlanIsAJournalHitWithZeroEvaluations) {
     EXPECT_EQ(snapshot.find("planner.moves"), std::string::npos);
   }
   std::remove(path.c_str());
+}
+
+TEST(PlanStoreTest, StoredPlansStayPinned) {
+  // The plan store serves journaled plans forever, so the planner must
+  // keep producing them byte for byte: any kernel change that moves one
+  // quantized bit fails here instead of silently disagreeing with stored
+  // plans. Neither tone count is a multiple of the build's 4-tone group.
+  CellCache::instance().clear();
+  FrequencyPlanRequest small;
+  small.antennas = 18;
+  small.mc_trials = 4;
+  small.moves = 60;
+  small.restarts = 1;
+  const FrequencyPlanOutcome small_plan = plan_frequencies(small);
+  EXPECT_FALSE(small_plan.cached);
+  EXPECT_EQ(small_plan.plan_json,
+            "{\"antennas\":18,\"rms_limit_hz\":198.94367886486916,"
+            "\"offsets_hz\":[0,15,20,55,72,98,101,107,142,154,170,172,183,"
+            "187,192,194,198,210],\"score\":12.645513498903297,"
+            "\"rms_hz\":143.12271347033325,\"evaluations\":55}");
+
+  FrequencyPlanRequest large = small;
+  large.antennas = 129;
+  large.moves = 400;
+  const FrequencyPlanOutcome large_plan = plan_frequencies(large);
+  EXPECT_FALSE(large_plan.cached);
+  EXPECT_EQ(large_plan.evaluations, 22u);
+  EXPECT_EQ(large_plan.plan_json,
+            "{\"antennas\":129,\"rms_limit_hz\":198.94367886486916,"
+            "\"offsets_hz\":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,"
+            "19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,"
+            "40,41,42,43,44,45,46,47,48,49,50,51,52,53,54,55,56,57,58,59,60,"
+            "61,62,63,64,65,66,67,68,69,70,71,72,73,74,75,76,77,78,79,80,81,"
+            "82,83,84,85,86,87,88,89,90,91,92,93,94,95,96,97,98,99,100,101,"
+            "102,103,104,105,106,107,108,109,110,111,112,113,114,115,116,117,"
+            "118,120,122,123,124,125,127,129,130,132,143],"
+            "\"score\":31.21836542857467,\"rms_hz\":74.58494974646139,"
+            "\"evaluations\":22}");
+  CellCache::instance().clear();
 }
 
 TEST(PlanStoreTest, MemoHitWithoutJournalWithinOneProcess) {

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/common/rng.hpp"
+#include "ivnet/obs/metrics.hpp"
+#include "ivnet/obs/obs.hpp"
 
 namespace ivnet {
 namespace {
@@ -63,6 +67,47 @@ TEST_F(ParallelTest, ForHandlesEmptyAndTinyRanges) {
   EXPECT_EQ(calls, 0);
   parallel_for(1, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 1);
+}
+
+TEST_F(ParallelTest, ForSpreadsASmallLoopOverThePool) {
+  // A loop of one reduce grain's worth of coarse items (the planner scores
+  // 16 or 32 Monte-Carlo trials per call) must not run on one thread. Each
+  // item waits until a second item is running, so the flag is only set
+  // when two indices overlap; a serial loop waits out the shared deadline.
+  set_parallel_threads(4);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  std::atomic<int> running{0};
+  std::atomic<bool> overlapped{false};
+  parallel_for(detail::kParallelGrain, [&](std::size_t) {
+    running.fetch_add(1);
+    while (!overlapped.load() &&
+           std::chrono::steady_clock::now() < deadline) {
+      if (running.load() >= 2) {
+        overlapped.store(true);
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    running.fetch_sub(1);
+  });
+  EXPECT_TRUE(overlapped.load())
+      << "no two of " << detail::kParallelGrain << " items ran at once";
+}
+
+TEST_F(ParallelTest, ReduceCountsAsOneParallelForCall) {
+  // parallel_reduce dispatches its own chunks but keeps the telemetry a
+  // parallel_for over n items recorded, so metrics snapshots stay put.
+  set_parallel_threads(4);
+  obs::MetricsRegistry registry;
+  obs::install({.metrics = &registry, .tracer = nullptr});
+  const double sum = parallel_reduce(
+      100, 0.0, [](std::size_t i) { return static_cast<double>(i); },
+      [](double a, double b) { return a + b; });
+  obs::install_null();
+  EXPECT_EQ(sum, 4950.0);
+  EXPECT_EQ(registry.counter("parallel.for.calls").value(), 1u);
+  EXPECT_EQ(registry.counter("parallel.for.items").value(), 100u);
 }
 
 TEST_F(ParallelTest, MapPreservesIndexOrder) {

@@ -10,7 +10,8 @@
 #   - the large-N planner gates (bench_x1: delta score memcmp-equal to the
 #     full rebuild, within 1e-6 of a naive double-precision oracle), a
 #     plan/re-plan pair whose plan JSONs cmp equal with zero evaluations
-#     on the hit, and a plan written to /dev/full that must fail;
+#     on the hit, an N=128 plan cmp-equal at IVNET_THREADS 1 and nproc,
+#     and a plan written to /dev/full that must fail;
 #   - CLI flags: 64-bit seeds stay exact, a malformed value exits 2, a
 #     negative value after a flag is that flag's value, a bare
 #     --closed-loop runs 4 x workers, and an oversize window or a bad
@@ -198,6 +199,18 @@ if grep -q 'planner.evals' "$PLAN_DIR/plan_second_metrics.json"; then
   exit 1
 fi
 echo "ci: re-plan served from the journal, 0 evaluations, byte-identical plan"
+# The N=128 search (the pool's trial spread and the delta evaluator's build
+# and move kernels at a size determinism_test does not reach) must plan the
+# same bytes on one thread and on every CPU.
+IVNET_THREADS=1 build-ci/tools/ivnet plan --antennas 128 \
+    --out "$PLAN_DIR/plan128_t1.json"
+IVNET_THREADS="$(nproc)" build-ci/tools/ivnet plan --antennas 128 \
+    --out "$PLAN_DIR/plan128_tn.json"
+cmp "$PLAN_DIR/plan128_t1.json" "$PLAN_DIR/plan128_tn.json" || {
+  echo "ci: N=128 plan differs between 1 and $(nproc) threads" >&2
+  exit 1
+}
+echo "ci: N=128 plan byte-identical at IVNET_THREADS 1 and $(nproc)"
 
 echo "=== ci: artifact write errors fail the command ==="
 # /dev/full accepts the open and fails the flush: an artifact lost to a
