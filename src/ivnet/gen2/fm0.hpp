@@ -22,6 +22,11 @@ const std::vector<bool>& fm0_preamble_halfbits();
 /// closing dummy data-1.
 std::vector<bool> fm0_encode_halfbits(const Bits& bits);
 
+/// Expand levels (FM0 half-bits, Miller chips) to runs of `per_level`
+/// samples of +1.0 (true) or -1.0 (false), written in one sized pass.
+std::vector<double> levels_to_samples(const std::vector<bool>& levels,
+                                      std::size_t per_level);
+
 /// Expand half-bit levels to +/-1.0 samples at `sample_rate_hz` with a
 /// backscatter link frequency `blf_hz` (half-bit duration = 1/(2*BLF)).
 std::vector<double> fm0_modulate(const Bits& bits, double blf_hz,

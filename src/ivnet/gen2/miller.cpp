@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "ivnet/gen2/fm0.hpp"
 #include "ivnet/signal/correlate.hpp"
 
 namespace ivnet::gen2 {
@@ -25,10 +26,7 @@ std::vector<double> chips_to_samples(const std::vector<bool>& chips,
   const double chip_duration = 1.0 / (2.0 * blf_hz);
   const auto spc = static_cast<std::size_t>(std::llround(chip_duration * fs));
   assert(spc >= 2 && "sample rate too low for the subcarrier");
-  std::vector<double> samples;
-  samples.reserve(chips.size() * spc);
-  for (bool c : chips) samples.insert(samples.end(), spc, c ? 1.0 : -1.0);
-  return samples;
+  return levels_to_samples(chips, spc);
 }
 
 const Bits& preamble_bits() {
@@ -71,6 +69,7 @@ std::vector<bool> miller_preamble_chips(Miller mode) {
 std::vector<bool> miller_encode_chips(Miller mode, const Bits& bits) {
   const std::size_t m = miller_m(mode);
   std::vector<bool> chips;
+  chips.reserve((preamble_bits().size() + bits.size() + 1) * 2 * m);
   bool p = false;
   bool prev = false;
   bool have_prev = false;

@@ -35,8 +35,11 @@ struct PieTiming {
 /// prefixed by a preamble (delimiter + data-0 + RTcal + TRcal) when
 /// `with_preamble`, else by a frame-sync (delimiter + data-0 + RTcal).
 /// Query uses the preamble; all other commands use frame-sync.
+/// `high_samples` (if non-null) receives the number of 1.0 samples, so the
+/// envelope's mean power is exactly high_samples / size().
 std::vector<double> pie_encode(const Bits& bits, const PieTiming& timing,
-                               double sample_rate_hz, bool with_preamble);
+                               double sample_rate_hz, bool with_preamble,
+                               std::size_t* high_samples = nullptr);
 
 /// Result of envelope-detecting a PIE transmission.
 struct PieDecodeResult {
@@ -49,9 +52,10 @@ struct PieDecodeResult {
 
 /// Decode a received envelope (arbitrary positive amplitude) the way a tag
 /// does: slice at the midpoint threshold, find falling edges, classify
-/// intervals against RTcal/2. Decoding fails (valid=false) when the envelope
-/// fluctuation exceeds `max_fluctuation` (Eq. 7's alpha; tags tolerate < 0.5)
-/// because the slicer threshold no longer separates highs from lows.
+/// intervals against RTcal/2 as they arrive. Decoding fails (valid=false)
+/// when the envelope fluctuation exceeds `max_fluctuation` (Eq. 7's alpha;
+/// tags tolerate < 0.5) because the slicer threshold no longer separates
+/// highs from lows.
 PieDecodeResult pie_decode(std::span<const double> envelope,
                            double sample_rate_hz,
                            double max_fluctuation = 0.5);

@@ -32,6 +32,16 @@ double awgn_power(double power, double snr_db) {
   return power * from_db(-snr_db);
 }
 
+/// Real AWGN at `snr_db` under a signal of mean power `power`. Real-envelope
+/// AWGN is the Monte-Carlo hot loop: the deterministic inverse-CDF sampler
+/// (signal/gauss.hpp), one raw draw per sample.
+void add_real_awgn(std::vector<double>& x, double power, double snr_db,
+                   Rng& rng) {
+  const double noise_power = awgn_power(power, snr_db);
+  if (noise_power < 0.0) return;
+  signal::axpy_awgn(rng, std::sqrt(noise_power), x);
+}
+
 }  // namespace
 
 double signal_mean_power(std::span<const double> x) {
@@ -42,11 +52,7 @@ double signal_mean_power(std::span<const double> x) {
 }
 
 void apply_awgn(std::vector<double>& x, double snr_db, Rng& rng) {
-  const double noise_power = awgn_power(signal_mean_power(x), snr_db);
-  if (noise_power < 0.0) return;
-  // Real-envelope AWGN is the Monte-Carlo hot loop: the deterministic
-  // inverse-CDF sampler (signal/gauss.hpp), one raw draw per sample.
-  signal::axpy_awgn(rng, std::sqrt(noise_power), x);
+  add_real_awgn(x, signal_mean_power(x), snr_db, rng);
 }
 
 void apply_awgn(Waveform& wave, double snr_db, Rng& rng) {
@@ -213,25 +219,32 @@ void apply_brownout(std::vector<double>& x, const std::vector<bool>& gate) {
 
 ImpairmentChain::ImpairmentChain(ImpairmentConfig config) : config_(config) {}
 
-std::vector<double> ImpairmentChain::apply(std::span<const double> x,
-                                           double sample_rate_hz, Rng& rng,
-                                           ImpairmentTrace* trace) const {
-  std::vector<double> out = apply_clock_drift(x, config_.clock_drift_ppm);
+std::vector<double> ImpairmentChain::apply(
+    std::vector<double> x, double sample_rate_hz, Rng& rng,
+    ImpairmentTrace* trace, std::optional<double> clean_power) const {
+  // Any stage configured to reshape the record voids the clean power.
+  const bool reshaped = config_.clock_drift_ppm != 0.0 ||
+                        config_.cfo_hz != 0.0 || config_.cfo_phase_rad != 0.0 ||
+                        config_.phase_noise_linewidth_hz != 0.0;
+  if (config_.clock_drift_ppm != 0.0) {
+    x = apply_clock_drift(x, config_.clock_drift_ppm);
+  }
   if (config_.cfo_hz != 0.0 || config_.cfo_phase_rad != 0.0) {
-    apply_carrier_offset(out, sample_rate_hz, config_.cfo_hz,
+    apply_carrier_offset(x, sample_rate_hz, config_.cfo_hz,
                          config_.cfo_phase_rad);
   }
-  apply_phase_noise(out, sample_rate_hz, config_.phase_noise_linewidth_hz,
-                    rng);
+  apply_phase_noise(x, sample_rate_hz, config_.phase_noise_linewidth_hz, rng);
   std::size_t erased = 0;
   const std::size_t bursts =
-      apply_burst_erasures(out, sample_rate_hz, config_.bursts, rng, &erased);
+      apply_burst_erasures(x, sample_rate_hz, config_.bursts, rng, &erased);
   if (trace != nullptr) {
     trace->bursts += bursts;
     trace->erased_samples += erased;
   }
-  apply_awgn(out, config_.snr_db, rng);
-  return out;
+  const bool clean = clean_power.has_value() && !reshaped && bursts == 0;
+  add_real_awgn(x, clean ? *clean_power : signal_mean_power(x), config_.snr_db,
+                rng);
+  return x;
 }
 
 Waveform ImpairmentChain::apply(const Waveform& in, Rng& rng,

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -158,8 +159,17 @@ class ImpairmentChain {
 
   const ImpairmentConfig& config() const { return config_; }
 
-  std::vector<double> apply(std::span<const double> x, double sample_rate_hz,
-                            Rng& rng, ImpairmentTrace* trace = nullptr) const;
+  /// Impairs a real record in place and returns it: move the record in
+  /// and no stage copies it. `clean_power`, when given, must be the
+  /// record's exact mean power (signal_mean_power bit for bit; PIE
+  /// envelopes and +/-1 FM0/Miller records know theirs). AWGN then skips
+  /// its measuring pass unless an earlier stage may have changed the
+  /// record: clock drift, CFO or phase offset, phase noise, or a burst
+  /// that hit it.
+  std::vector<double> apply(
+      std::vector<double> x, double sample_rate_hz, Rng& rng,
+      ImpairmentTrace* trace = nullptr,
+      std::optional<double> clean_power = std::nullopt) const;
   Waveform apply(const Waveform& in, Rng& rng,
                  ImpairmentTrace* trace = nullptr) const;
 

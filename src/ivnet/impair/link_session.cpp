@@ -3,6 +3,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "ivnet/common/units.hpp"
 #include "ivnet/gen2/fm0.hpp"
@@ -11,11 +12,14 @@
 
 namespace ivnet {
 
-gen2::Bits default_link_epc() {
-  gen2::Bits epc;
-  gen2::append_bits(epc, 0xE2801160u, 32);
-  gen2::append_bits(epc, 0x20000000u, 32);
-  gen2::append_bits(epc, 0x00000001u, 32);
+const gen2::Bits& default_link_epc() {
+  static const gen2::Bits epc = [] {
+    gen2::Bits bits;
+    gen2::append_bits(bits, 0xE2801160u, 32);
+    gen2::append_bits(bits, 0x20000000u, 32);
+    gen2::append_bits(bits, 0x00000001u, 32);
+    return bits;
+  }();
   return epc;
 }
 
@@ -114,7 +118,9 @@ LinkSessionReport run_impaired_link_session(const ImpairedLinkConfig& config,
             ? gen2::fm0_modulate(reply, config.blf_hz, fs)
             : gen2::miller_modulate(config.uplink, reply, config.blf_hz, fs);
     report.elapsed_s += static_cast<double>(tx.size()) / fs;
-    std::vector<double> rx = uplink_chain.apply(tx, fs, att_rng, &report.trace);
+    // FM0 and Miller records are all +/-1 samples: mean power exactly 1.
+    std::vector<double> rx = uplink_chain.apply(std::move(tx), fs, att_rng,
+                                                &report.trace, 1.0);
     if (config.impair.brownout.enabled) {
       // The rail sags while the tag modulates: gate the reflection through
       // the doubler, resuming from the rail the charge window left behind.
@@ -175,11 +181,15 @@ LinkSessionReport run_impaired_link_session(const ImpairedLinkConfig& config,
 
       // Downlink: PIE waveform through the shared-medium impairments, then
       // the tag's envelope slicer.
-      const auto pie_env =
-          gen2::pie_encode(command, config.pie, fs, with_preamble);
-      report.elapsed_s += static_cast<double>(pie_env.size()) / fs;
+      std::size_t high = 0;
+      std::vector<double> pie_env =
+          gen2::pie_encode(command, config.pie, fs, with_preamble, &high);
+      const auto n = static_cast<double>(pie_env.size());
+      report.elapsed_s += n / fs;
       ++report.commands_sent;
-      const auto rx_env = downlink_chain.apply(pie_env, fs, att_rng, nullptr);
+      const auto rx_env = downlink_chain.apply(
+          std::move(pie_env), fs, att_rng, nullptr,
+          static_cast<double>(high) / n);
       const auto sliced = gen2::pie_decode(rx_env, fs);
       std::optional<gen2::Bits> reply;
       if (sliced.valid) reply = tag.on_command(sliced.bits);

@@ -73,7 +73,7 @@ struct LinkSessionReport {
 
 /// The 96-bit EPC an empty ImpairedLinkConfig::epc resolves to. Exposed so
 /// callers can model a tag with the identical identity.
-gen2::Bits default_link_epc();
+const gen2::Bits& default_link_epc();
 
 /// Run one full impaired session. Consumes exactly ONE draw from `rng`
 /// (the stream base): every command attempt derives its own counter-keyed

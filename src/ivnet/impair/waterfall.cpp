@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/common/json.hpp"
@@ -79,7 +80,8 @@ BerProbeResult ber_probe_trial(const ImpairedLinkConfig& link,
       link.uplink == gen2::Miller::kFm0
           ? gen2::fm0_modulate(payload, link.blf_hz, fs)
           : gen2::miller_modulate(link.uplink, payload, link.blf_hz, fs);
-  const auto rx = chain.apply(tx, fs, trial_rng);
+  // +/-1 records: mean power exactly 1.
+  const auto rx = chain.apply(std::move(tx), fs, trial_rng, nullptr, 1.0);
 
   BerProbeResult t;
   bool valid = false;

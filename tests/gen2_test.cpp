@@ -1,14 +1,21 @@
 // Tests for ivnet/gen2: CRCs, PIE encode/decode, FM0 encode/decode (with the
-// paper's 12-bit preamble and 0.8 correlation criterion), commands, and the
-// tag inventory state machine.
+// paper's 12-bit preamble and 0.8 correlation criterion), the one-pass record
+// kernels and the streaming PIE slicer against their oracles, commands, and
+// the tag inventory state machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "ivnet/common/rng.hpp"
 #include "ivnet/gen2/commands.hpp"
 #include "ivnet/gen2/crc.hpp"
 #include "ivnet/gen2/fm0.hpp"
+#include "ivnet/gen2/miller.hpp"
+#include "ivnet/gen2/naive_gen2.hpp"
 #include "ivnet/gen2/pie.hpp"
 #include "ivnet/gen2/tag_sm.hpp"
 
@@ -219,6 +226,195 @@ TEST_P(Fm0Noise, DecodesAboveGateSnr) {
 
 INSTANTIATE_TEST_SUITE_P(SnrSweep, Fm0Noise,
                          ::testing::Values(-15.0, -10.0, 10.0, 15.0, 25.0));
+
+TEST(Fm0, DecodeAcrossSampleRates) {
+  // The decoder keeps its preamble filter between calls; a new sample rate
+  // must rebuild it.
+  Rng rng(7);
+  for (const double fs : {800e3, 1.6e6, 320e3, 800e3, 1.6e6}) {
+    const Bits bits = random_bits(32, rng);
+    const auto decoded = fm0_decode(fm0_modulate(bits, 40e3, fs), 32, 40e3, fs);
+    ASSERT_TRUE(decoded.valid) << "fs " << fs;
+    EXPECT_EQ(decoded.bits, bits) << "fs " << fs;
+    EXPECT_GT(decoded.preamble_correlation, 0.99) << "fs " << fs;
+  }
+}
+
+// The one-pass record kernels and the streaming PIE slicer against the
+// loops they replaced (gen2/naive_gen2.hpp): records memcmp-equal, decode
+// results equal field by field, doubles by their bits.
+
+bool same_samples(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_same_decode(const PieDecodeResult& fast,
+                        const PieDecodeResult& oracle,
+                        const std::string& what) {
+  EXPECT_EQ(fast.valid, oracle.valid) << what;
+  EXPECT_EQ(fast.saw_preamble, oracle.saw_preamble) << what;
+  EXPECT_EQ(fast.bits, oracle.bits) << what;
+  EXPECT_TRUE(same_bits(fast.measured_rtcal_s, oracle.measured_rtcal_s))
+      << what;
+  EXPECT_TRUE(same_bits(fast.measured_trcal_s, oracle.measured_trcal_s))
+      << what;
+}
+
+TEST(RecordOracle, PieEncodeMatchesRunByRunBuild) {
+  PieTiming short_tari;
+  short_tari.tari_s = 12.5e-6;
+  short_tari.data1_factor = 1.5;
+  short_tari.pw_factor = 0.35;
+  short_tari.delimiter_s = 12.5e-6;
+  Rng rng(11);
+  for (const PieTiming& timing : {PieTiming{}, short_tari}) {
+    for (const double fs : {160e3, 800e3, 1.6e6}) {
+      for (std::size_t n = 0; n <= 200; ++n) {
+        const Bits bits = random_bits(n, rng);
+        for (const bool preamble : {true, false}) {
+          std::size_t high = 0;
+          const auto env = pie_encode(bits, timing, fs, preamble, &high);
+          ASSERT_TRUE(same_samples(
+              env, naive::pie_encode(bits, timing, fs, preamble)))
+              << "fs " << fs << " bits " << n << " preamble " << preamble;
+          ASSERT_EQ(high, static_cast<std::size_t>(
+                              std::count(env.begin(), env.end(), 1.0)));
+        }
+      }
+    }
+  }
+}
+
+TEST(RecordOracle, Fm0AndMillerMatchPerLevelInsert) {
+  Rng rng(12);
+  for (const double fs : {160e3, 800e3, 1.6e6}) {
+    for (std::size_t n = 0; n <= 200; ++n) {
+      const Bits bits = random_bits(n, rng);
+      ASSERT_TRUE(same_samples(fm0_modulate(bits, 40e3, fs),
+                               naive::fm0_modulate(bits, 40e3, fs)))
+          << "fm0 fs " << fs << " bits " << n;
+      for (const Miller mode : {Miller::kM2, Miller::kM4, Miller::kM8}) {
+        ASSERT_TRUE(same_samples(miller_modulate(mode, bits, 40e3, fs),
+                                 naive::miller_modulate(mode, bits, 40e3, fs)))
+            << "miller " << miller_m(mode) << " fs " << fs << " bits " << n;
+      }
+    }
+  }
+}
+
+TEST(RecordOracle, Fm0DecodeMatchesPerHalfDecoder) {
+  // Noisy records of odd and even lengths at either polarity, delayed,
+  // truncated to the exact frame (an odd final symbol's group then reads
+  // the dummy's halves at the record's end) and one sample short.
+  Rng rng(14);
+  for (const double fs : {800e3, 1.6e6}) {
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 15u, 16u, 17u, 33u, 128u}) {
+      for (const double snr_db : {-12.0, -3.0, 4.0, 10.0, 30.0}) {
+        const double sigma = std::pow(10.0, -snr_db / 20.0);
+        const Bits bits = random_bits(n, rng);
+        std::vector<double> x(static_cast<std::size_t>(rng() % 40), 0.0);
+        for (const double v : fm0_modulate(bits, 40e3, fs)) x.push_back(v);
+        x.resize(x.size() + static_cast<std::size_t>(rng() % 3) * 7, 0.0);
+        const double polarity = n % 2 == 0 ? 1.0 : -1.0;
+        for (auto& v : x) v = polarity * v + rng.normal(0.0, sigma);
+        const std::size_t frame = x.size();
+        for (const std::size_t size : {frame, frame - 1}) {
+          const std::span<const double> window(x.data(), size);
+          const auto fast = fm0_decode(window, n, 40e3, fs, 0.5);
+          const auto oracle = naive::fm0_decode(window, n, 40e3, fs, 0.5);
+          const std::string what = "fs " + std::to_string(fs) + " bits " +
+                                   std::to_string(n) + " snr " +
+                                   std::to_string(snr_db);
+          EXPECT_EQ(fast.valid, oracle.valid) << what;
+          EXPECT_EQ(fast.bits, oracle.bits) << what;
+          EXPECT_TRUE(same_bits(fast.preamble_correlation,
+                                oracle.preamble_correlation))
+              << what;
+          EXPECT_EQ(fast.preamble_offset, oracle.preamble_offset) << what;
+          EXPECT_EQ(fast.inverted, oracle.inverted) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(RecordOracle, PieDecodeMatchesThreePassSlicer) {
+  Rng rng(13);
+  const PieTiming timing;
+  const std::vector<std::pair<const char*, std::vector<double>>> clean = {
+      {"query", pie_encode(QueryCommand{.q = 3}.encode(), timing, 800e3,
+                           true)},
+      {"ack", pie_encode(AckCommand{.rn16 = 0x5a3c}.encode(), timing, 800e3,
+                         false)},
+  };
+  // Noisy, scaled commands from -5 to 40 dB: most low-SNR envelopes stop
+  // at the fluctuation check, the rest exercise every edge and interval
+  // branch (spurious edges included).
+  for (const auto& [name, env] : clean) {
+    for (double snr_db = -5.0; snr_db <= 40.0; snr_db += 1.5) {
+      const double sigma = std::pow(10.0, -snr_db / 20.0);
+      for (const double scale : {1.0, 0.037, 250.0}) {
+        for (int k = 0; k < 6; ++k) {
+          std::vector<double> x = env;
+          for (auto& v : x) v = scale * (v + rng.normal(0.0, sigma));
+          for (const double alpha : {0.5, 0.9, 2.0}) {
+            expect_same_decode(pie_decode(x, 800e3, alpha),
+                               naive::pie_decode(x, 800e3, alpha),
+                               std::string(name) + " snr " +
+                                   std::to_string(snr_db) + " scale " +
+                                   std::to_string(scale));
+          }
+        }
+      }
+    }
+  }
+
+  // Degenerate inputs: too short, constant, all zero (either sign),
+  // negative, non-finite, and every length's n % 4 tail.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, std::vector<double>>> odd = {
+      {"empty", {}},
+      {"seven", {1, 0, 1, 0, 1, 0, 1}},
+      {"constant", std::vector<double>(64, 0.7)},
+      {"zero", std::vector<double>(64, 0.0)},
+      {"negative zero", std::vector<double>(64, -0.0)},
+      {"negative", std::vector<double>(64, -1.0)},
+  };
+  std::vector<double> signed_zeros(37, 0.0);
+  for (std::size_t i = 0; i < signed_zeros.size(); i += 3) {
+    signed_zeros[i] = -0.0;
+  }
+  odd.emplace_back("signed zeros", signed_zeros);
+  const std::vector<double>& query = clean[0].second;
+  std::vector<double> negated = query;
+  for (auto& v : negated) v = -v;
+  odd.emplace_back("negated query", negated);
+  for (const std::size_t at : {std::size_t{0}, std::size_t{5}, query.size() / 2,
+                               query.size() - 1}) {
+    for (const double bad : {nan, inf, -inf}) {
+      std::vector<double> x = query;
+      x[at] = bad;
+      odd.emplace_back("non-finite at " + std::to_string(at), x);
+    }
+  }
+  for (std::size_t n = 0; n <= 40; ++n) {
+    odd.emplace_back("prefix " + std::to_string(n),
+                     std::vector<double>(query.begin(), query.begin() + n));
+    std::vector<double> tail(query.end() - static_cast<std::ptrdiff_t>(n),
+                             query.end());
+    odd.emplace_back("suffix " + std::to_string(n), tail);
+  }
+  for (const auto& [name, x] : odd) {
+    expect_same_decode(pie_decode(x, 800e3), naive::pie_decode(x, 800e3),
+                       name);
+  }
+}
 
 TEST(Commands, QueryRoundTrip) {
   QueryCommand q;

@@ -1,13 +1,20 @@
 // Unit tests for the impairment-injection layer (ivnet/impair): each
 // primitive alone, the composed chain, the brownout gate, the recovery
-// policy, and the impaired link session's determinism contract.
+// policy, and the impaired link session's determinism contract and pinned
+// output bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
+#include "ivnet/common/parallel.hpp"
 #include "ivnet/common/units.hpp"
+#include "ivnet/gen2/fm0.hpp"
+#include "ivnet/gen2/miller.hpp"
 #include "ivnet/impair/impairment.hpp"
 #include "ivnet/impair/link_session.hpp"
 #include "ivnet/impair/waterfall.hpp"
@@ -33,6 +40,134 @@ std::array<std::uint64_t, 4> state_after(std::uint64_t seed,
   Rng rng(seed);
   for (std::size_t i = 0; i < draws; ++i) rng();
   return rng.raw_state();
+}
+
+/// FNV-1a over the object bytes of a fixed sequence of scalar fields.
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(T value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof value);
+    for (unsigned char b : bytes) {
+      hash_ ^= b;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add_size(std::size_t n) { add(static_cast<std::uint64_t>(n)); }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// Every field a session reports, doubles by their bits.
+void add_report(Fnv1a& h, const LinkSessionReport& r) {
+  h.add(r.success);
+  h.add(r.powered);
+  h.add(r.rn16);
+  h.add_size(r.epc.size());
+  for (bool b : r.epc) h.add(b);
+  h.add(r.elapsed_s);
+  h.add(r.last_correlation);
+  h.add(r.commands_sent);
+  h.add(r.recovery.retries);
+  h.add(r.recovery.timeouts);
+  h.add(r.recovery.backoff_total_s);
+  h.add(r.recovery.failed_stage);
+  h.add_size(r.recovery.q_trajectory.size());
+  for (std::uint8_t q : r.recovery.q_trajectory) h.add(q);
+  h.add_size(r.trace.bursts);
+  h.add_size(r.trace.erased_samples);
+  h.add_size(r.trace.brownout_samples);
+  h.add(r.trace.browned_out);
+}
+
+/// The impairment chains the session digests cover.
+struct ChainCase {
+  const char* name;
+  ImpairmentConfig impair;
+};
+
+std::vector<ChainCase> digest_chains() {
+  ImpairmentConfig bursts;
+  bursts.bursts = {.rate_hz = 150.0, .mean_duration_s = 5e-4,
+                   .depth_db = 40.0};
+  ImpairmentConfig brownout;
+  brownout.brownout.enabled = true;
+  ImpairmentConfig oscillator;
+  oscillator.cfo_hz = 200.0;
+  oscillator.phase_noise_linewidth_hz = 50.0;
+  oscillator.clock_drift_ppm = 20.0;
+  return {{"clean", ImpairmentConfig{}},
+          {"bursts", bursts},
+          {"brownout", brownout},
+          {"cfo_pn_drift", oscillator}};
+}
+
+constexpr gen2::Miller kDigestUplinks[] = {
+    gen2::Miller::kFm0, gen2::Miller::kM2, gen2::Miller::kM4,
+    gen2::Miller::kM8};
+constexpr double kDigestSnrsDb[] = {-5.0, 4.0, 14.0, 30.0};
+
+/// Every chain x uplink x SNR x antennas x initial-Q point of the session
+/// digest grid, in digest order (16 points per chain and uplink).
+std::vector<ImpairedLinkConfig> digest_grid() {
+  std::vector<ImpairedLinkConfig> grid;
+  for (const ChainCase& chain : digest_chains()) {
+    for (const gen2::Miller uplink : kDigestUplinks) {
+      for (const double snr_db : kDigestSnrsDb) {
+        for (const std::size_t antennas : {1u, 10u}) {
+          for (const double initial_q : {0.0, 2.0}) {
+            ImpairedLinkConfig config;
+            config.uplink = uplink;
+            config.snr_db = snr_db;
+            config.num_antennas = antennas;
+            config.adaptive_q.initial_q = initial_q;
+            config.impair = chain.impair;
+            config.recovery = RecoveryPolicy::retries(2);
+            grid.push_back(config);
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+/// Digest of 8 sessions at one grid point, each point on its own stream.
+std::uint64_t point_digest(const ImpairedLinkConfig& config,
+                           std::uint64_t point) {
+  Fnv1a h;
+  Rng rng = Rng::stream(0x5e55, point);
+  for (int s = 0; s < 8; ++s) {
+    add_report(h, run_impaired_link_session(config, rng));
+  }
+  return h.value();
+}
+
+/// Digest of 8 BER-probe trials at every chain x uplink x SNR point.
+std::uint64_t ber_probe_digest() {
+  Fnv1a h;
+  std::uint64_t t = 0;
+  for (const ChainCase& chain : digest_chains()) {
+    for (const gen2::Miller uplink : kDigestUplinks) {
+      for (const double snr_db : kDigestSnrsDb) {
+        ImpairedLinkConfig config;
+        config.uplink = uplink;
+        config.snr_db = snr_db;
+        config.impair = chain.impair;
+        for (int k = 0; k < 8; ++k) {
+          const BerProbeResult r =
+              ber_probe_trial(config, 64, Rng::stream(0xbe7, t++));
+          h.add_size(r.bit_errors);
+          h.add(r.frame_error);
+        }
+      }
+    }
+  }
+  return h.value();
 }
 
 TEST(Awgn, ApplyAwgnConsumesOneDrawPerSample) {
@@ -282,6 +417,88 @@ TEST(Chain, DeterministicForSameSeed) {
   EXPECT_EQ(chain.apply(x, 1e6, a), chain.apply(x, 1e6, b));
 }
 
+TEST(Chain, KnownPowerEqualsMeasuredPower) {
+  // A record that carries its exact mean power lets the chain skip the
+  // measuring pass. That must change nothing: the same bytes out, the same
+  // generator state and trace, under every subset of the stages before
+  // AWGN. A burst that hits the record must void the carried power; one
+  // that misses must not.
+  Rng bits_rng(31);
+  auto random_bits = [&](std::size_t n) {
+    gen2::Bits bits(n);
+    for (auto&& b : bits) b = (bits_rng() & 1u) != 0;
+    return bits;
+  };
+  struct Record {
+    const char* name;
+    std::vector<double> samples;
+    double power;
+    double fs;
+  };
+  std::vector<Record> records;
+  for (const bool preamble : {true, false}) {
+    std::size_t high = 0;
+    auto env = gen2::pie_encode(random_bits(24), gen2::PieTiming{}, 800e3,
+                                preamble, &high);
+    EXPECT_EQ(high, static_cast<std::size_t>(
+                        std::count(env.begin(), env.end(), 1.0)));
+    const double power =
+        static_cast<double>(high) / static_cast<double>(env.size());
+    records.push_back({preamble ? "pie preamble" : "pie frame-sync",
+                       std::move(env), power, 800e3});
+  }
+  records.push_back(
+      {"fm0", gen2::fm0_modulate(random_bits(128), 40e3, 800e3), 1.0, 800e3});
+  for (const auto mode :
+       {gen2::Miller::kM2, gen2::Miller::kM4, gen2::Miller::kM8}) {
+    records.push_back(
+        {"miller", gen2::miller_modulate(mode, random_bits(32), 40e3, 1.6e6),
+         1.0, 1.6e6});
+  }
+
+  std::size_t burst_hits = 0;
+  std::size_t burst_misses = 0;
+  for (const Record& record : records) {
+    ASSERT_EQ(record.power, signal_mean_power(record.samples)) << record.name;
+    for (unsigned stages = 0; stages < 16; ++stages) {
+      ImpairmentConfig config;
+      config.snr_db = 6.0;
+      if ((stages & 1u) != 0) config.clock_drift_ppm = 20.0;
+      if ((stages & 2u) != 0) {
+        config.cfo_hz = 200.0;
+        config.cfo_phase_rad = 0.3;
+      }
+      if ((stages & 4u) != 0) config.phase_noise_linewidth_hz = 50.0;
+      if ((stages & 8u) != 0) {
+        config.bursts = {.rate_hz = 400.0, .mean_duration_s = 2e-4,
+                         .depth_db = 40.0};
+      }
+      const ImpairmentChain chain(config);
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        Rng measured_rng(seed), known_rng(seed);
+        ImpairmentTrace measured_trace, known_trace;
+        const auto measured =
+            chain.apply(record.samples, record.fs, measured_rng,
+                        &measured_trace);
+        const auto known = chain.apply(record.samples, record.fs, known_rng,
+                                       &known_trace, record.power);
+        ASSERT_EQ(measured.size(), known.size());
+        EXPECT_EQ(0, std::memcmp(measured.data(), known.data(),
+                                 measured.size() * sizeof(double)))
+            << record.name << " stages " << stages << " seed " << seed;
+        EXPECT_EQ(measured_rng.raw_state(), known_rng.raw_state());
+        EXPECT_EQ(measured_trace.bursts, known_trace.bursts);
+        EXPECT_EQ(measured_trace.erased_samples, known_trace.erased_samples);
+        if ((stages & 8u) != 0) {
+          ++(known_trace.bursts > 0 ? burst_hits : burst_misses);
+        }
+      }
+    }
+  }
+  EXPECT_GT(burst_hits, 0u);
+  EXPECT_GT(burst_misses, 0u);
+}
+
 TEST(RecoveryPolicy, BackoffIsExponential) {
   RecoveryPolicy policy;
   policy.initial_backoff_s = 1e-3;
@@ -365,6 +582,42 @@ TEST(LinkSession, MillerUplinksWork) {
   }
 }
 
+TEST(LinkSession, ReportsMatchPinnedDigests) {
+  // The session engine's output bytes, pinned: a change to record
+  // synthesis, the chain or a slicer that moves one noise sample or one
+  // decision changes a digest. 16 points x 8 sessions per chain and
+  // uplink, each point on its own stream, so the grid runs on the pool.
+  struct Expected {
+    const char* chain;
+    std::uint64_t by_uplink[4];  // FM0, M2, M4, M8
+  };
+  const Expected expected[] = {
+      {"clean", {0xfcf681f2f708db68ull, 0x90461c81a10503b3ull,
+                 0x14bb763f00e51133ull, 0x900c0eefcdd2668dull}},
+      {"bursts", {0x44f5cefbf2ee7925ull, 0xc97efb1c77750b46ull,
+                  0x2afb74a59d921d51ull, 0x6137427f6dc4ec0bull}},
+      {"brownout", {0x25cb2fa6b001d816ull, 0xa1b03acabe8f66f5ull,
+                    0x7fbe0cadfba6589eull, 0x6d021bafecd196c5ull}},
+      {"cfo_pn_drift", {0x631e449c13afe9cdull, 0xdeaeb7cfe198d4cbull,
+                        0xab28ccfc6c667e2full, 0x9c2f6c5c61b8b4eeull}},
+  };
+  const std::vector<ImpairedLinkConfig> grid = digest_grid();
+  const std::vector<std::uint64_t> points = parallel_map<std::uint64_t>(
+      grid.size(), [&](std::size_t i) { return point_digest(grid[i], i); });
+  const auto chains = digest_chains();
+  ASSERT_EQ(points.size(), chains.size() * 4 * 16);
+  std::size_t i = 0;
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    ASSERT_STREQ(chains[c].name, expected[c].chain);
+    for (std::size_t u = 0; u < 4; ++u) {
+      Fnv1a h;
+      for (int p = 0; p < 16; ++p) h.add(points[i++]);
+      EXPECT_EQ(h.value(), expected[c].by_uplink[u])
+          << chains[c].name << " uplink " << u;
+    }
+  }
+}
+
 TEST(LinkSession, StageStringsAreStable) {
   EXPECT_EQ(to_string(SessionStage::kNone), "none");
   EXPECT_EQ(to_string(SessionStage::kCharge), "charge");
@@ -394,6 +647,12 @@ TEST(Waterfall, JsonEmittersProduceCompleteDocuments) {
   EXPECT_GT(curve[1].medium_loss_db, curve[0].medium_loss_db);
   EXPECT_NE(depth_sweep_json(curve).find("\"depth_sweep\""),
             std::string::npos);
+}
+
+TEST(Waterfall, BerProbeMatchesPinnedDigest) {
+  // ber_probe_trial's bit errors and frame errors over every chain, uplink
+  // and SNR of the session digest grid, 8 trials each.
+  EXPECT_EQ(ber_probe_digest(), 0xfd1182f0a804837dull);
 }
 
 TEST(Waterfall, LossGrowsWithDepth) {

@@ -14,12 +14,13 @@
 #     and a plan written to /dev/full that must fail;
 #   - CLI flags: 64-bit seeds stay exact, a malformed value exits 2, a
 #     negative value after a flag is that flag's value, a bare
-#     --closed-loop runs 4 x workers, and an oversize window or a bad
-#     --time-scale beside a wall-clock sampler exits 2;
+#     --closed-loop runs 4 x workers, an oversize window or a bad
+#     --time-scale beside a wall-clock sampler exits 2, and a campaign
+#     with --trials 0 or --range-trials 0 exits 2;
 #   - every soak exemplar replays to its recorded response hash;
 #   - the suite under ASan and TSan, and a Debug spot-check of the DSP,
-#     radio, waveform-session, campaign, cib, service and telemetry suites
-#     (other legs are NDEBUG);
+#     radio, waveform-session, Gen2, impairment/link-session, campaign, cib,
+#     service and telemetry suites (other legs are NDEBUG);
 #   - a traced sweep whose metrics/trace artifacts are smoke-checked;
 #   - campaign kill-and-resume and a 3-shard fleet with one worker
 #     SIGKILL'd, each cmp-equal to the uninterrupted run at 1/2/8 threads;
@@ -274,7 +275,20 @@ if [[ "$rc" -ne 2 ]]; then
   echo "ci: --time-scale abc beside a wall sampler exited $rc, expected 2" >&2
   exit 1
 fi
-echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2"
+# A zero-trial campaign would write null rates and zero percentiles for
+# every cell; each trial-count flag must refuse 0 by name.
+for zero in "x13 --trials 0" "fig9 --trials 0" "fig13 --range-trials 0"; do
+  rc=0
+  # shellcheck disable=SC2086  # $zero is a bench name plus one flag
+  build-ci/tools/ivnet campaign run --bench $zero --fresh \
+      --journal "$ARTIFACT_DIR/zero_trials.jsonl" \
+      --out "$ARTIFACT_DIR/zero_trials.json" > /dev/null 2>&1 || rc=$?
+  if [[ "$rc" -ne 2 ]]; then
+    echo "ci: ivnet campaign run --bench $zero exited $rc, expected 2" >&2
+    exit 1
+  fi
+done
+echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2"
 
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency
@@ -296,11 +310,12 @@ echo "=== ci: Debug spot-check (input validation with asserts enabled) ==="
 # The default/ASan/TSan legs build RelWithDebInfo (NDEBUG), which is where
 # the fir design validation used to vanish. Pin that the throwing contracts
 # (fir design, RadioArray::transmit_through's gain count), the fused radio
-# kernel's byte-identity and the session's sample rates hold in an
-# assert-enabled Debug build too.
+# kernel's byte-identity, the session's sample rates, the record kernels'
+# samples-per-level asserts and the link session's pinned digests hold in
+# an assert-enabled Debug build too.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
-cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test sdr_test waveform_session_test campaign_test campaign_shard_test cib_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
-ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|sdr_test|waveform_session_test|campaign_test|campaign_shard_test|cib_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
+cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test sdr_test waveform_session_test gen2_test gen2_golden_test impair_test campaign_test campaign_shard_test cib_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
+ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|sdr_test|waveform_session_test|gen2_test|gen2_golden_test|impair_test|campaign_test|campaign_shard_test|cib_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
 
 echo "=== ci: traced sweep artifacts ==="
 mkdir -p "$ARTIFACT_DIR"

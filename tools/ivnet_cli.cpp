@@ -443,18 +443,25 @@ int cmd_deploy(const Args& args) {
   return plan.feasible ? 0 : 1;
 }
 
+/// A trial-count flag: zero trials would report statistics of nothing
+/// (null rates, zero percentiles, ranges never searched), so it is a bad
+/// value like a malformed one.
+std::size_t trials_flag(const Args& args, const std::string& name,
+                        std::size_t fallback) {
+  const auto trials = args.get_num<std::size_t>(name, fallback);
+  if (trials == 0) throw FlagError(name, args.get(name, ""));
+  return trials;
+}
+
 /// Build the requested figure campaign. Unknown bench => empty name.
 CampaignSpec campaign_from(const Args& args) {
   const std::string bench = args.get("bench", "fig9");
-  const auto trials = args.get_num<std::size_t>("trials", 150);
-  if (bench == "fig9") return fig9_campaign(trials);
+  if (bench == "fig9") return fig9_campaign(trials_flag(args, "trials", 150));
   if (bench == "fig13") {
-    return fig13_campaign(trials,
-                          args.get_num<std::size_t>("range-trials", 15));
+    return fig13_campaign(trials_flag(args, "trials", 150),
+                          trials_flag(args, "range-trials", 15));
   }
-  if (bench == "x13") {
-    return x13_campaign(args.get_num<std::size_t>("trials", 48));
-  }
+  if (bench == "x13") return x13_campaign(trials_flag(args, "trials", 48));
   return {};
 }
 
