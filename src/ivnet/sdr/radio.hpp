@@ -44,7 +44,8 @@ class RadioArray {
   const RadioArrayConfig& config() const { return config_; }
 
   /// Program per-device baseband frequency offsets (the CIB delta-f's).
-  /// Size must equal size().
+  /// Throws std::invalid_argument, leaving the tuned offsets unchanged,
+  /// unless offsets_hz.size() == size().
   void tune(std::span<const double> offsets_hz);
 
   const std::vector<double>& offsets_hz() const { return offsets_hz_; }
@@ -80,6 +81,13 @@ class RadioArray {
   /// the sum starts at +0 and adds devices 0..N-1 in order, each sample as
   /// gains[i] * (pa_out * carrier), with the same carriers and PA levels as
   /// transmit().
+  ///
+  /// One sample-major pass advances every carrier in lockstep, two devices
+  /// per vector. It writes each complex product out as (ac - bd, ad + bc),
+  /// which is GCC's inline std::complex multiply everywhere except where
+  /// that falls back to __muldc3: both parts of a product NaN. Finite
+  /// gains, bounded PA levels and unit carriers never get there, so for
+  /// finite gains the bytes equal the oracle's.
   ///
   /// Throws std::invalid_argument unless gains.size() == size().
   Waveform transmit_through(std::span<const double> envelope,

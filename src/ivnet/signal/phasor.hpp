@@ -11,8 +11,10 @@
 // O(4096 * eps); PhasorRotator packages that same policy and is the one
 // oscillator of the sample-domain loops:
 //
-//   sdr/radio.cpp      RadioArray::transmit and transmit_through (each
-//                      device's carrier, one shared set-up)
+//   sdr/radio.cpp      RadioArray::transmit (each device's carrier, one
+//                      shared set-up) and transmit_through, whose vector
+//                      lanes are seeded from each device's rotator (value,
+//                      step) and re-anchored through anchor()
 //   signal/waveform    make_tone, make_multitone (amplitude applied outside)
 //   signal/iq.cpp      apply_impairments (CFO), remove_cfo
 //   signal/goertzel    goertzel (the single-bin DFT kernel)
@@ -45,11 +47,19 @@ class PhasorRotator {
 
   cplx value() const { return value_; }
 
+  /// The rotation advance() multiplies value() by.
+  cplx step() const { return step_; }
+
+  /// exp(j * (phase0_rad + k * dphi_rad)) from std::polar: the phasor
+  /// that value() tracks after k advance() calls, and what advance()
+  /// re-anchors value() to whenever k is a multiple of kRenormInterval.
+  cplx anchor(std::size_t k) const {
+    return std::polar(1.0, phase0_ + dphi_ * static_cast<double>(k));
+  }
+
   void advance() {
     value_ *= step_;
-    if (++count_ % kRenormInterval == 0) {
-      value_ = std::polar(1.0, phase0_ + dphi_ * static_cast<double>(count_));
-    }
+    if (++count_ % kRenormInterval == 0) value_ = anchor(count_);
   }
 
  private:

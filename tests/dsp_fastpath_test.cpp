@@ -383,12 +383,15 @@ std::vector<double> random_levels(std::size_t n, std::uint64_t seed) {
 
 TEST(RadioFastPath, TransmitThroughBitwiseMatchesReceiveOfTransmit) {
   // The envelopes a session plays (CW past one 4096-step carrier re-anchor,
-  // PIE Query with preamble, ACK) and a random-level one, from shared and
+  // PIE Query with preamble, ACK) and random-level ones, from shared and
   // free-running clocks (PPS skew and ppm error), through single-ray and
   // 3-ray channels, at array sizes up to distributed-antenna scale and at
-  // phase-continuous start times.
+  // phase-continuous start times. The array sizes cover every remainder of
+  // N over the kernel's four-device blocks, alone (N <= 4) and after full
+  // blocks; the random lengths run from empty through odd counts to ends
+  // on both sides of the 4096-step re-anchor.
   const double fs = 800e3;
-  const std::vector<std::pair<const char*, std::vector<double>>> envelopes = {
+  std::vector<std::pair<const char*, std::vector<double>>> envelopes = {
       {"cw", std::vector<double>(6000, 1.0)},
       {"query", gen2::pie_encode(gen2::QueryCommand{.q = 0}.encode(),
                                  gen2::PieTiming{}, fs, true)},
@@ -396,11 +399,14 @@ TEST(RadioFastPath, TransmitThroughBitwiseMatchesReceiveOfTransmit) {
                                gen2::PieTiming{}, fs, false)},
       {"random", random_levels(3000, 5)},
   };
+  for (const std::size_t len : {0, 1, 2, 3, 4095, 4096, 4097, 8193}) {
+    envelopes.emplace_back("random-length", random_levels(len, 6 + len));
+  }
   std::size_t cases = 0;
   std::size_t skewed = 0;
   for (const bool free_running : {false, true}) {
     for (const std::size_t rays : {std::size_t{1}, std::size_t{3}}) {
-      for (const std::size_t n : {1, 2, 8, 10, 32}) {
+      for (const std::size_t n : {1, 2, 3, 4, 5, 7, 8, 10, 32}) {
         for (const std::uint64_t seed : {1, 2}) {
           RadioArrayConfig cfg;
           cfg.sample_rate_hz = fs;
@@ -424,9 +430,12 @@ TEST(RadioFastPath, TransmitThroughBitwiseMatchesReceiveOfTransmit) {
           for (const auto& [name, env] : envelopes) {
             for (const double start : {0.0, 0.73, 1.9}) {
               const Waveform fused = array.transmit_through(env, start, gains);
-              expect_bitwise_eq(
-                  fused, receive(channel, array.transmit(env, start), offsets),
-                  name);
+              Waveform want =
+                  receive(channel, array.transmit(env, start), offsets);
+              // receive() over empty waveforms keeps Waveform's default
+              // rate; the fused path reports the array's rate at any length.
+              if (want.empty()) want.sample_rate_hz = fs;
+              expect_bitwise_eq(fused, want, name);
               skewed += fused.size() > env.size();
               ++cases;
             }
@@ -435,7 +444,7 @@ TEST(RadioFastPath, TransmitThroughBitwiseMatchesReceiveOfTransmit) {
       }
     }
   }
-  EXPECT_EQ(cases, 480u);
+  EXPECT_EQ(cases, 2592u);
   EXPECT_GT(skewed, 0u);  // the free-running arrays did pad for PPS skew
 }
 

@@ -9,8 +9,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <type_traits>
 
+#include "fnv1a.hpp"
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/common/units.hpp"
 #include "ivnet/gen2/fm0.hpp"
@@ -41,26 +41,6 @@ std::array<std::uint64_t, 4> state_after(std::uint64_t seed,
   for (std::size_t i = 0; i < draws; ++i) rng();
   return rng.raw_state();
 }
-
-/// FNV-1a over the object bytes of a fixed sequence of scalar fields.
-class Fnv1a {
- public:
-  template <typename T>
-  void add(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    unsigned char bytes[sizeof(T)];
-    std::memcpy(bytes, &value, sizeof value);
-    for (unsigned char b : bytes) {
-      hash_ ^= b;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void add_size(std::size_t n) { add(static_cast<std::uint64_t>(n)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
 
 /// Every field a session reports, doubles by their bits.
 void add_report(Fnv1a& h, const LinkSessionReport& r) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "ivnet/common/units.hpp"
 #include "ivnet/sdr/clock.hpp"
@@ -108,6 +110,27 @@ TEST(RadioArray, OffsetsAndPhases) {
   // With an Octoclock, actual offsets equal programmed ones.
   const auto actual = array.actual_offsets_hz();
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(actual[i], offsets[i], 1e-9);
+}
+
+TEST(RadioArray, TuneRejectsWrongOffsetCount) {
+  // One offset per device, checked in every build: a short list would
+  // leave actual_offsets_hz() reading past the tuned offsets.
+  Rng rng(12);
+  RadioArray array(4, RadioArrayConfig{}, rng);
+  const std::vector<double> tuned = {0, 7, 20, 49};
+  array.tune(tuned);
+  EXPECT_THROW(array.tune(std::vector<double>{1, 2, 3}),
+               std::invalid_argument);
+  EXPECT_THROW(array.tune(std::vector<double>{1, 2, 3, 4, 5}),
+               std::invalid_argument);
+  EXPECT_EQ(array.offsets_hz(), tuned);  // a rejected call changes nothing
+  try {
+    array.tune(std::vector<double>{1, 2, 3});
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find('3'), std::string::npos) << what;
+    EXPECT_NE(what.find('4'), std::string::npos) << what;
+  }
 }
 
 TEST(RadioArray, FreeRunningDriftBreaksOffsets) {

@@ -2,6 +2,9 @@
 // its cross-validation against the analytic experiment runner.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "fnv1a.hpp"
 #include "ivnet/sim/calibration.hpp"
 #include "ivnet/sim/waveform_session.hpp"
 
@@ -157,6 +160,108 @@ TEST(SensorRead, SubcutaneousSwinePlacementWorks) {
       3.0, rng);
   EXPECT_TRUE(report.powered);
   EXPECT_TRUE(report.read_ok);
+}
+
+/// Every field of a run() report, doubles by their bits.
+void add_report(Fnv1a& h, const WaveformSessionReport& r) {
+  h.add(r.powered);
+  h.add(r.command_decoded);
+  h.add(r.replied);
+  h.add(r.rn16_decoded);
+  h.add(r.preamble_correlation);
+  h.add(r.rn16);
+  h.add(r.peak_envelope_v);
+  h.add(r.peak_rail_v);
+  const OobDecodeReport& o = r.reader_report;
+  h.add(o.success);
+  h.add(o.saturated);
+  h.add(o.preamble_correlation);
+  h.add_size(o.bits.size());
+  for (bool b : o.bits) h.add(b);
+  h.add(o.signal_power_dbm);
+  h.add(o.jam_power_dbm);
+  h.add(o.snr_db);
+  h.add_size(o.averaged_signal.size());
+  for (double v : o.averaged_signal) h.add(v);
+}
+
+/// Every field of a run_sensor_read() report, doubles by their bits.
+void add_report(Fnv1a& h, const SensorReadReport& r) {
+  h.add(r.powered);
+  h.add(r.inventoried);
+  h.add(r.secured);
+  h.add(r.read_ok);
+  h.add(r.handle);
+  h.add_size(r.words.size());
+  for (std::uint16_t w : r.words) h.add(w);
+  h.add(r.temperature_c);
+  h.add(r.ph);
+  h.add(r.pressure_mmhg);
+  h.add(r.commands_sent);
+  h.add(r.recovery.retries);
+  h.add(r.recovery.timeouts);
+  h.add(r.recovery.backoff_total_s);
+  h.add(r.recovery.failed_stage);
+  h.add_size(r.recovery.q_trajectory.size());
+  for (std::uint8_t q : r.recovery.q_trajectory) h.add(q);
+}
+
+TEST(WaveformSession, ReportsMatchPinnedDigests) {
+  // A whole session's output bytes, pinned: a change to the radio's
+  // carriers or PA, the channel sum, the envelope detector, the tag or the
+  // OOB reader that moves one sample or one decision changes a digest.
+  // Octoclock and free-running arrays (PPS skew, ppm error) x N x air and
+  // swine-gastric placements, 6 rounds each of run() then
+  // run_sensor_read().
+  struct Case {
+    bool free_running;
+    std::size_t antennas;
+    bool gastric;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {false, 1, false, 0x6f18c7a0444d4a94ull},
+      {false, 1, true, 0x7e64af3edeeb3137ull},
+      {false, 3, false, 0xadebe04f848b1289ull},
+      {false, 3, true, 0x8033713d2780f08eull},
+      {false, 8, false, 0xa8767d6dee6297c0ull},
+      {false, 8, true, 0xbd18c4df21752ed8ull},
+      {false, 10, false, 0x7e9785ad87c90399ull},
+      {false, 10, true, 0x9d08a3c68b3d8ffeull},
+      {true, 1, false, 0xf65157e93e6341d6ull},
+      {true, 1, true, 0x3d5ff8a94637c795ull},
+      {true, 3, false, 0x1b4bdfec7f67c61cull},
+      {true, 3, true, 0x3d445aefd6d07449ull},
+      {true, 8, false, 0x0b69950a25669e87ull},
+      {true, 8, true, 0xf34412d2fbf44b87ull},
+      {true, 10, false, 0xc03002019b658831ull},
+      {true, 10, true, 0xede53b1339df81ddull},
+  };
+  int read_ok = 0;
+  for (const Case& c : cases) {
+    WaveformSessionConfig cfg = fast_config(c.antennas);
+    if (c.free_running) cfg.radio.clocks = ClockDistribution::free_running();
+    cfg.reader.averaging_periods = 10;
+    const Scenario scen =
+        c.gastric ? swine_gastric_scenario(calib::kSwineStandoffM)
+                  : air_scenario(2.0);
+    Rng rng(100 * c.antennas + 10 * c.free_running + c.gastric);
+    WaveformSession session(cfg, rng);
+    Fnv1a h;
+    for (int round = 0; round < 6; ++round) {
+      session.new_trial(rng);
+      add_report(h, session.run(scen, standard_tag(), rng));
+      const SensorReadReport read =
+          session.run_sensor_read(scen, standard_tag(), round * 10.0, rng);
+      read_ok += read.read_ok;
+      add_report(h, read);
+    }
+    EXPECT_EQ(h.value(), c.digest)
+        << (c.free_running ? "free-running" : "octoclock") << " N="
+        << c.antennas << (c.gastric ? " gastric" : " air") << " 0x"
+        << std::hex << h.value();
+  }
+  EXPECT_GT(read_ok, 0);  // the grid reaches the decoded-words path
 }
 
 }  // namespace

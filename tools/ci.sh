@@ -18,10 +18,11 @@
 #     --time-scale beside a wall-clock sampler exits 2, and a campaign
 #     with --trials 0 or --range-trials 0 exits 2;
 #   - every soak exemplar replays to its recorded response hash;
-#   - the suite under ASan and TSan, and a Debug spot-check of the DSP,
+#   - the suite under ASan+UBSan and TSan, and a Debug spot-check of the DSP,
 #     radio, waveform-session, Gen2, impairment/link-session, campaign, cib,
 #     service and telemetry suites (other legs are NDEBUG);
-#   - a traced sweep whose metrics/trace artifacts are smoke-checked;
+#   - a traced `ivnet vitals --rounds 4` whose metrics/trace artifacts are
+#     smoke-checked;
 #   - campaign kill-and-resume and a 3-shard fleet with one worker
 #     SIGKILL'd, each cmp-equal to the uninterrupted run at 1/2/8 threads;
 #   - with gcovr installed, a line-coverage floor on src/ivnet/gen2,
@@ -32,7 +33,7 @@
 #   COVERAGE_LINE_FLOOR   gcovr --fail-under-line  (default: 80)
 #   IVNET_COVERAGE        ON forces the coverage stage: missing gcovr is
 #                         then a hard failure instead of a skip
-#   ARTIFACT_DIR          where sweep artifacts land (default: build-ci/artifacts)
+#   ARTIFACT_DIR          where artifacts land (default: build-ci/artifacts)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -300,7 +301,9 @@ test -s "$ARTIFACT_DIR/SOAK_exemplars.jsonl" || {
 }
 build-ci/tools/ivnet replay-exemplar --in "$ARTIFACT_DIR/SOAK_exemplars.jsonl"
 
-echo "=== ci: AddressSanitizer ==="
+echo "=== ci: AddressSanitizer + UndefinedBehaviorSanitizer ==="
+# IVNET_SANITIZE=address also builds with -fsanitize=undefined
+# -fno-sanitize-recover=undefined, so any undefined behaviour fails the test.
 build_and_test build-asan -DIVNET_SANITIZE=address
 
 echo "=== ci: ThreadSanitizer ==="
@@ -309,15 +312,16 @@ build_and_test build-tsan -DIVNET_SANITIZE=thread
 echo "=== ci: Debug spot-check (input validation with asserts enabled) ==="
 # The default/ASan/TSan legs build RelWithDebInfo (NDEBUG), which is where
 # the fir design validation used to vanish. Pin that the throwing contracts
-# (fir design, RadioArray::transmit_through's gain count), the fused radio
-# kernel's byte-identity, the session's sample rates, the record kernels'
-# samples-per-level asserts and the link session's pinned digests hold in
-# an assert-enabled Debug build too.
+# (fir design, RadioArray::tune's offset count and transmit_through's gain
+# count), the fused radio kernel's byte-identity, the session's sample
+# rates and pinned digests, the record kernels' samples-per-level asserts
+# and the link session's pinned digests hold in an assert-enabled Debug
+# build too.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test sdr_test waveform_session_test gen2_test gen2_golden_test impair_test campaign_test campaign_shard_test cib_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
 ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|sdr_test|waveform_session_test|gen2_test|gen2_golden_test|impair_test|campaign_test|campaign_shard_test|cib_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
 
-echo "=== ci: traced sweep artifacts ==="
+echo "=== ci: traced vitals artifacts (ivnet vitals --rounds 4) ==="
 mkdir -p "$ARTIFACT_DIR"
 build-ci/tools/ivnet vitals --rounds 4 \
     --metrics-out "$ARTIFACT_DIR/metrics.json" \
