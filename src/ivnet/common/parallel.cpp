@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -179,6 +180,25 @@ bool set_in_pool_worker(bool value) {
 void pool_run(std::size_t n, const std::function<void(std::size_t)>& f) {
   if (n == 0) return;
   pool().run(n, f);
+}
+
+void for_each_index_guarded(std::size_t n,
+                            const std::function<void(std::size_t)>& f) {
+  std::mutex error_mutex;
+  std::exception_ptr first_error;  // guarded by error_mutex
+  for_each_index(n, [&](std::size_t i) {
+    {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (first_error) return;
+    }
+    try {
+      f(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+  });
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace detail

@@ -73,6 +73,13 @@ void for_each_index(std::size_t n, F&& f) {
   pool_run(n, [&f](std::size_t i) { f(i); });
 }
 
+/// for_each_index for bodies that may throw. An exception cannot unwind
+/// through the pool, so the first one thrown is captured, indices not yet
+/// started are skipped, and it is rethrown once every started index has
+/// finished.
+void for_each_index_guarded(std::size_t n,
+                            const std::function<void(std::size_t)>& f);
+
 }  // namespace detail
 
 /// Marks the calling thread as a parallel-pool participant for the scope's

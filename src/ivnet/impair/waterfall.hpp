@@ -3,16 +3,26 @@
 // curves — the impaired-channel counterparts of the paper's Fig. 13/14
 // evaluation plots.
 //
-// All sweeps run each trial as one run_impaired_link_session on the shared
-// parallel pool, with counter-derived per-trial Rng streams, and all are
-// keyed by the TRIAL index only (not the sweep point), so every SNR /
-// depth / antenna point sees the same noise realizations scaled to its own
-// budget. These common random numbers make
-// the success-vs-SNR curves monotone in expectation AND in any single
-// deterministic run, which is what the end-to-end matrix test asserts.
+// Every sweep is keyed by the TRIAL index only (not the sweep point): trial
+// t of every point draws from Rng::stream(base, t), so every SNR / depth /
+// antenna point sees the same noise realizations scaled to its own budget.
+// These common random numbers make the success-vs-SNR curves monotone in
+// expectation AND in any single deterministic run, which is what the
+// end-to-end matrix test asserts.
+//
+// One trial loop, run_sweep_items, serves every sweep here and the
+// campaign's sweep cells. It runs trial-major: one unit of work is trial t
+// of every point that shares a stream base, on one thread, under one
+// signal::NoiseTapeScope. Those points make the same noise calls (same
+// generator state, same length), so the tape draws each trial's noise once
+// and replays it at every other point's power, byte for byte. Each point
+// then folds its trials in trial order, so results are bitwise identical
+// for any IVNET_THREADS.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,11 +68,61 @@ struct BerProbeResult {
 BerProbeResult ber_probe_trial(const ImpairedLinkConfig& link,
                                std::size_t payload_bits, Rng trial_rng);
 
+/// One sweep point for run_sweep_items.
+struct SweepItem {
+  ImpairedLinkConfig link;
+  std::uint64_t stream_base = 0;
+  std::size_t trials = 0;
+  /// Waterfall points: trial t runs the raw-BER probe (payload_bits long)
+  /// on Rng::stream(stream_base, 2t) and the session on stream 2t + 1.
+  /// Otherwise trial t runs the session on stream t.
+  bool ber_probe = false;
+  std::size_t payload_bits = 0;
+  /// Trial t emits its sim-trace events on track track_base + t.
+  std::uint32_t track_base = 0;
+};
+
+/// What one item's trials add up to, folded in trial order.
+struct SweepTally {
+  std::size_t bit_errors = 0;
+  std::size_t frame_errors = 0;
+  std::size_t successes = 0;
+  std::size_t retried_successes = 0;  ///< successes after >= 1 retry
+  long retries = 0;
+  long timeouts = 0;
+  double backoff_s = 0.0;  ///< left fold from +0, trial 0 first
+};
+
+/// The one trial loop of every sweep: result i is items[i]'s tally. Items
+/// that share a stream base form a group; one unit of work is trial t of
+/// every item in a group, run in list order on one thread under a noise
+/// tape (a group of one needs none), one unit per pool claim. Trials run in
+/// waves of 1,024, each folded before the next, so memory does not grow
+/// with the trial count. The first exception a trial throws is rethrown
+/// after the loop drains. Deterministic for any IVNET_THREADS.
+std::vector<SweepTally> run_sweep_items(std::span<const SweepItem> items);
+
+/// One sweep among several run together: its config, the stream base its
+/// trials key on (what the single-sweep form draws from its rng), and the
+/// sim-trace track of its first trial. Point p's trial t is on track
+/// track_base + p * trials + t.
+template <typename Config>
+struct SweepRun {
+  Config config;
+  std::uint64_t stream_base = 0;
+  std::uint32_t track_base = 0;
+};
+
 /// Sweep SNR. Consumes one rng draw (the stream base); trial t draws from
 /// Rng::stream sub-streams shared across all SNR points (common random
 /// numbers). Deterministic for any IVNET_THREADS.
 std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
                                               Rng& rng);
+
+/// Several waterfalls through one run_sweep_items call (same-base runs
+/// share their noise draws); result i belongs to runs[i].
+std::vector<std::vector<WaterfallPoint>> run_ber_waterfalls(
+    std::span<const SweepRun<WaterfallConfig>> runs);
 
 /// One cell of the media x SNR x antennas matrix.
 struct MatrixCell {
@@ -99,6 +159,11 @@ struct MatrixConfig {
 std::vector<MatrixCell> run_session_matrix(const MatrixConfig& config,
                                            Rng& rng);
 
+/// Several matrices through one run_sweep_items call; result i belongs to
+/// runs[i].
+std::vector<std::vector<MatrixCell>> run_session_matrices(
+    std::span<const SweepRun<MatrixConfig>> runs);
+
 /// One point of a success-vs-depth curve.
 struct DepthPoint {
   double depth_m = 0.0;
@@ -119,6 +184,11 @@ struct DepthSweepConfig {
 /// medium_loss_at_depth_db), common-random-numbers across depths.
 std::vector<DepthPoint> run_success_vs_depth(const DepthSweepConfig& config,
                                              Rng& rng);
+
+/// Several depth curves through one run_sweep_items call; result i belongs
+/// to runs[i].
+std::vector<std::vector<DepthPoint>> run_depth_sweeps(
+    std::span<const SweepRun<DepthSweepConfig>> runs);
 
 /// JSON emitters for the sweep results (stable field order; byte-equal
 /// output for byte-equal inputs, which the determinism suite relies on).

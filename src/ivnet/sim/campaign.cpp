@@ -8,9 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <stdexcept>
 #include <unordered_map>
@@ -36,9 +36,26 @@ std::string format_param(double value) {
 
 // --- Evaluator registry --------------------------------------------------
 
+/// One cell of a family handed to a batch evaluator: its spec and the
+/// sim-trace track of its trial 0.
+struct FamilyCell {
+  const CellSpec* spec = nullptr;
+  std::uint32_t track_base = 0;
+};
+
+/// Evaluates cells of one kind together; result i belongs to cells[i] and
+/// is byte-equal to what evaluating that cell alone returns.
+using BatchEvaluator =
+    std::vector<std::string> (*)(std::span<const FamilyCell> cells);
+
+struct Evaluators {
+  CellEvaluator single;
+  BatchEvaluator batch = nullptr;  ///< the built-in sweep kinds only
+};
+
 struct EvaluatorRegistry {
   std::mutex mutex;
-  std::unordered_map<std::string, CellEvaluator> evaluators;
+  std::unordered_map<std::string, Evaluators> evaluators;  // guarded by mutex
 
   static EvaluatorRegistry& instance() {
     static EvaluatorRegistry registry;
@@ -46,12 +63,39 @@ struct EvaluatorRegistry {
   }
 };
 
-CellEvaluator find_evaluator(const std::string& kind) {
+Evaluators find_evaluators(const std::string& kind) {
   auto& reg = EvaluatorRegistry::instance();
   std::lock_guard<std::mutex> lock(reg.mutex);
   const auto it = reg.evaluators.find(kind);
-  if (it == reg.evaluators.end()) return nullptr;
+  if (it == reg.evaluators.end()) return {};
   return it->second;
+}
+
+CellEvaluator find_evaluator(const std::string& kind) {
+  return find_evaluators(kind).single;
+}
+
+/// Registers `batch` for `kind`; the kind's single-cell evaluator is the
+/// batch on a one-cell span, so every path runs the same code.
+void register_batch_evaluator(const std::string& kind, BatchEvaluator batch) {
+  CellEvaluator single = [batch](const CellSpec& cell) {
+    const FamilyCell one{&cell, 0};
+    return std::move(batch({&one, 1}).front());
+  };
+  auto& reg = EvaluatorRegistry::instance();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  reg.evaluators[kind] = {std::move(single), batch};
+}
+
+/// Default trial counts of the built-in kinds, for cells without a
+/// `trials` parameter.
+std::size_t cell_trials(const CellSpec& cell) {
+  static const std::unordered_map<std::string, double> kDefaults = {
+      {"gain", 150.0},     {"range", 15.0}, {"waterfall", 32.0},
+      {"matrix", 24.0},    {"depth", 32.0}, {"burst_retry", 200.0}};
+  const auto it = kDefaults.find(cell.kind);
+  return static_cast<std::size_t>(
+      cell.param_num("trials", it == kDefaults.end() ? 0.0 : it->second));
 }
 
 // --- Journal -------------------------------------------------------------
@@ -164,45 +208,20 @@ class JournalWriter {
   std::FILE* file_ = nullptr;
 };
 
-/// The evaluator for every cell of `spec`, resolved up front: a bad kind
+/// The evaluators for every cell of `spec`, resolved up front: a bad kind
 /// must fail before any work (and never from inside the pool, where
 /// exceptions cannot propagate).
-std::vector<CellEvaluator> resolve_evaluators(const CampaignSpec& spec) {
+std::vector<Evaluators> resolve_evaluators(const CampaignSpec& spec) {
   register_builtin_cell_evaluators();
-  std::vector<CellEvaluator> evaluators(spec.cells.size());
+  std::vector<Evaluators> evaluators(spec.cells.size());
   for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    evaluators[i] = find_evaluator(spec.cells[i].kind);
-    if (!evaluators[i]) {
+    evaluators[i] = find_evaluators(spec.cells[i].kind);
+    if (!evaluators[i].single) {
       throw std::invalid_argument("campaign: no evaluator for kind '" +
                                   spec.cells[i].kind + "'");
     }
   }
   return evaluators;
-}
-
-/// Run `cell(j)` for every j in [0, n) through the pool's one dispatch path
-/// (one cell per claim, or inline when the pool cannot help), without
-/// parallel_for's telemetry counts. Exceptions (an evaluator throwing, a
-/// journal append that cannot be made durable) cannot unwind through the
-/// pool: the first one is captured, the remaining cells are skipped, and it
-/// rethrows at the end.
-void run_cells(std::size_t n, const std::function<void(std::size_t)>& cell) {
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto guarded = [&](std::size_t j) {
-    {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (first_error) return;
-    }
-    try {
-      cell(j);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  detail::for_each_index(n, guarded);
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace
@@ -296,7 +315,7 @@ void register_cell_evaluator(const std::string& kind,
                              CellEvaluator evaluator) {
   auto& reg = EvaluatorRegistry::instance();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  reg.evaluators[kind] = std::move(evaluator);
+  reg.evaluators[kind] = {std::move(evaluator), nullptr};
 }
 
 bool has_cell_evaluator(const std::string& kind) {
@@ -454,7 +473,7 @@ CellOutcome resolve_cell(const CellSpec& spec,
 
 CampaignReport run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options) {
-  const std::vector<CellEvaluator> evaluators = resolve_evaluators(spec);
+  const std::vector<Evaluators> evaluators = resolve_evaluators(spec);
   CampaignReport report;
   report.name = spec.name;
   report.cells_total = spec.cells.size();
@@ -507,21 +526,71 @@ CampaignReport run_campaign(const CampaignSpec& spec,
   obs::count("campaign.cells.resumed", report.cells_resumed);
   obs::count("campaign.cache.misses", pending.size());
 
-  run_cells(pending.size(), [&](std::size_t pi) {
-    const std::size_t i = pending[pi];
+  // Pending cells of a batch kind run as families: the cells that share
+  // (kind, seed) and so their trial streams. The others run one per claim.
+  std::vector<std::size_t> lone;
+  std::vector<std::vector<std::size_t>> families;
+  std::map<std::pair<std::string, std::string>, std::size_t> family_of;
+  for (const std::size_t i : pending) {
+    if (evaluators[i].batch == nullptr) {
+      lone.push_back(i);
+      continue;
+    }
+    const CellSpec& cell = spec.cells[i];
+    const auto [it, added] = family_of.try_emplace(
+        {cell.kind, cell.param("seed", "")}, families.size());
+    if (added) families.emplace_back();
+    families[it->second].push_back(i);
+  }
+
+  auto finish = [&](std::size_t i, std::string result, double seconds) {
     CellOutcome& out = report.outcomes[i];
-    const auto t0 = std::chrono::steady_clock::now();
-    out.result_json = evaluators[i](out.spec);
-    const double dt = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+    out.result_json = std::move(result);
     out.source = CellSource::kComputed;
-    obs::observe("campaign.cell.seconds", dt);
+    obs::observe("campaign.cell.seconds", seconds);
     // Journal BEFORE the memo cache: once any code path can observe the
     // result, its journal line is already durable.
     journal.append(out.spec, out.hash, out.result_json);
     cache.insert(out.hash, out.result_json);
+  };
+  detail::for_each_index_guarded(lone.size(), [&](std::size_t li) {
+    const std::size_t i = lone[li];
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string result = evaluators[i].single(spec.cells[i]);
+    finish(i, std::move(result),
+           std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+               .count());
   });
+
+  // One family at a time, each one dispatch of trial-major units across
+  // the pool (called from inside a pool claim, a family would run on one
+  // thread). Its cells are journaled once the whole family is done, so a
+  // kill loses at most the family in flight. Sim-trace tracks follow the
+  // cumulative trials of the cells before each cell in spec order, so they
+  // do not depend on which cells were resumed.
+  std::vector<std::uint32_t> track_base(spec.cells.size());
+  std::uint32_t next_track = 0;
+  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+    track_base[i] = next_track;
+    next_track += static_cast<std::uint32_t>(cell_trials(spec.cells[i]));
+  }
+  for (const auto& family : families) {
+    std::vector<FamilyCell> cells;
+    for (const std::size_t i : family) {
+      cells.push_back({&spec.cells[i], track_base[i]});
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::string> results = evaluators[family.front()].batch(cells);
+    // A family's cells share its wall time equally.
+    const double share =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count() /
+        static_cast<double>(family.size());
+    for (std::size_t k = 0; k < family.size(); ++k) {
+      finish(family[k], std::move(results[k]), share);
+    }
+  }
   report.cells_computed = pending.size();
 
   for (const std::size_t i : duplicates) {
@@ -674,7 +743,7 @@ ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,
   if (options.n_shards == 0 || shard >= options.n_shards) {
     throw std::invalid_argument("campaign: shard index out of range");
   }
-  const std::vector<CellEvaluator> evaluators = resolve_evaluators(spec);
+  const std::vector<Evaluators> evaluators = resolve_evaluators(spec);
 
   // Resolution order, per shard: journal (EVERY shard's — the whole
   // fleet's finished work counts as resumed) -> memo cache -> compute.
@@ -722,7 +791,7 @@ ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,
     const bool from_cache = cache.lookup(hash, &result);
     if (!from_cache) {
       const auto t0 = std::chrono::steady_clock::now();
-      result = evaluators[i](cell);
+      result = evaluators[i].single(cell);
       dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                .count();
       obs::observe("campaign.cell.seconds", dt);
@@ -747,10 +816,12 @@ ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,
   };
   // Own shard first; only a worker whose backlog has drained starts
   // stealing, so stealing strictly helps stragglers.
-  run_cells(own.size(),
-            [&](std::size_t j) { compute_cell(own[j], /*stolen=*/false); });
-  run_cells(others.size(),
-            [&](std::size_t j) { compute_cell(others[j], /*stolen=*/true); });
+  detail::for_each_index_guarded(
+      own.size(),
+      [&](std::size_t j) { compute_cell(own[j], /*stolen=*/false); });
+  detail::for_each_index_guarded(
+      others.size(),
+      [&](std::size_t j) { compute_cell(others[j], /*stolen=*/true); });
 
   obs::count("campaign.cells.computed", report.cells_computed);
   obs::count("campaign.cells.resumed", report.cells_resumed);
@@ -828,7 +899,7 @@ std::string eval_gain(const CellSpec& cell) {
   const auto tag = tag_from(cell);
   const auto plan = FrequencyPlan::paper_default().truncated(
       static_cast<std::size_t>(cell.param_num("antennas", 8)));
-  const auto trials = static_cast<std::size_t>(cell.param_num("trials", 150));
+  const std::size_t trials = cell_trials(cell);
   Rng rng(static_cast<std::uint64_t>(cell.param_num("seed", 9)));
   const auto results = run_gain_trials(scenario, tag, plan, trials, rng);
   const auto cib = summarize_cib(results);
@@ -848,7 +919,7 @@ std::string eval_range(const CellSpec& cell) {
   const auto tag = tag_from(cell);
   const auto plan = FrequencyPlan::paper_default().truncated(
       static_cast<std::size_t>(cell.param_num("antennas", 8)));
-  const auto trials = static_cast<std::size_t>(cell.param_num("trials", 15));
+  const std::size_t trials = cell_trials(cell);
   const bool water = cell.param("medium", "air") == "water";
   Rng rng(static_cast<std::uint64_t>(cell.param_num("seed", 13)));
   const double max_m =
@@ -864,103 +935,128 @@ std::string eval_range(const CellSpec& cell) {
   return w.str();
 }
 
-std::string eval_waterfall(const CellSpec& cell) {
-  WaterfallConfig config;
-  config.snr_points_db = {cell.param_num("snr_db", 30.0)};
-  config.trials_per_point =
-      static_cast<std::size_t>(cell.param_num("trials", 32));
-  config.link.recovery = RecoveryPolicy::retries(
-      static_cast<std::size_t>(cell.param_num("retries", 2)));
-  // Same seed across SNR cells => same Rng::stream trial sub-streams: the
-  // common-random-numbers coupling that keeps the waterfall monotone.
-  Rng rng(static_cast<std::uint64_t>(cell.param_num("seed", 13)));
-  const auto points = run_ber_waterfall(config, rng);
-  const auto& p = points.front();
-  JsonWriter w;
-  w.begin_object();
-  w.field("ber", p.ber);
-  w.field("per", p.per);
-  w.field("session_success", p.session_success_rate);
-  w.field("mean_retries", p.mean_retries);
-  w.field("trials", p.trials);
-  w.end_object();
-  return w.str();
-}
-
-std::string eval_matrix(const CellSpec& cell) {
-  MatrixConfig config;
-  config.media = {{cell.param("medium", "water"),
-                   cell.param_num("loss_db", 2.0)}};
-  config.snr_points_db = {cell.param_num("snr_db", 30.0)};
-  config.antenna_counts = {
-      static_cast<std::size_t>(cell.param_num("antennas", 1))};
-  config.trials_per_cell =
-      static_cast<std::size_t>(cell.param_num("trials", 24));
-  config.link.recovery = RecoveryPolicy::retries(
-      static_cast<std::size_t>(cell.param_num("retries", 2)));
-  Rng rng(static_cast<std::uint64_t>(cell.param_num("seed", 17)));
-  const auto cells = run_session_matrix(config, rng);
-  const auto& c = cells.front();
-  JsonWriter w;
-  w.begin_object();
-  w.field("success_rate", c.success_rate);
-  w.field("mean_retries", c.mean_retries);
-  w.field("recovered_by_retry", c.recovered_by_retry);
-  w.field("trials", c.trials);
-  w.end_object();
-  return w.str();
-}
-
-std::string eval_depth(const CellSpec& cell) {
-  DepthSweepConfig config;
-  config.depths_m = {cell.param_num("depth_m", 0.05)};
-  config.trials_per_point =
-      static_cast<std::size_t>(cell.param_num("trials", 32));
-  config.link.num_antennas =
-      static_cast<std::size_t>(cell.param_num("antennas", 10));
-  config.link.recovery = RecoveryPolicy::retries(
-      static_cast<std::size_t>(cell.param_num("retries", 1)));
-  Rng rng(static_cast<std::uint64_t>(cell.param_num("seed", 29)));
-  const auto points = run_success_vs_depth(config, rng);
-  const auto& p = points.front();
-  JsonWriter w;
-  w.begin_object();
-  w.field("loss_db", p.medium_loss_db);
-  w.field("success_rate", p.success_rate);
-  w.field("mean_retries", p.mean_retries);
-  w.end_object();
-  return w.str();
-}
-
-std::string eval_burst_retry(const CellSpec& cell) {
-  ImpairedLinkConfig config;
-  config.snr_db = cell.param_num("snr_db", 30.0);
-  config.impair.bursts = {
-      .rate_hz = cell.param_num("burst_rate_hz", 150.0),
-      .mean_duration_s = cell.param_num("burst_duration_s", 5e-4),
-      .depth_db = cell.param_num("burst_depth_db", 40.0)};
-  config.recovery = RecoveryPolicy::retries(
-      static_cast<std::size_t>(cell.param_num("retries", 0)));
-  const auto trials = static_cast<std::size_t>(cell.param_num("trials", 200));
-  const auto seed = static_cast<std::uint64_t>(cell.param_num("seed", 23));
-  std::size_t ok = 0, timeouts = 0;
-  double backoff = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    Rng rng = Rng::stream(seed, t);
-    const auto report = run_impaired_link_session(config, rng);
-    ok += report.success;
-    timeouts += report.recovery.timeouts;
-    backoff += report.recovery.backoff_total_s;
+std::vector<std::string> eval_waterfall(std::span<const FamilyCell> cells) {
+  std::vector<SweepRun<WaterfallConfig>> runs;
+  for (const FamilyCell& family_cell : cells) {
+    const CellSpec& cell = *family_cell.spec;
+    WaterfallConfig config;
+    config.snr_points_db = {cell.param_num("snr_db", 30.0)};
+    config.trials_per_point = cell_trials(cell);
+    config.link.recovery = RecoveryPolicy::retries(
+        static_cast<std::size_t>(cell.param_num("retries", 2)));
+    // Same seed across SNR cells => same Rng::stream trial sub-streams: the
+    // common-random-numbers coupling that keeps the waterfall monotone.
+    Rng rng(static_cast<std::uint64_t>(cell.param_num("seed", 13)));
+    runs.push_back({std::move(config), rng(), family_cell.track_base});
   }
-  JsonWriter w;
-  w.begin_object();
-  w.field("success", static_cast<double>(ok) / static_cast<double>(trials));
-  w.field("timeouts",
-          static_cast<double>(timeouts) / static_cast<double>(trials));
-  w.field("backoff_ms", 1e3 * backoff / static_cast<double>(trials));
-  w.field("trials", trials);
-  w.end_object();
-  return w.str();
+  std::vector<std::string> results;
+  for (const auto& points : run_ber_waterfalls(runs)) {
+    const auto& p = points.front();
+    JsonWriter w;
+    w.begin_object();
+    w.field("ber", p.ber);
+    w.field("per", p.per);
+    w.field("session_success", p.session_success_rate);
+    w.field("mean_retries", p.mean_retries);
+    w.field("trials", p.trials);
+    w.end_object();
+    results.push_back(w.str());
+  }
+  return results;
+}
+
+std::vector<std::string> eval_matrix(std::span<const FamilyCell> cells) {
+  std::vector<SweepRun<MatrixConfig>> runs;
+  for (const FamilyCell& family_cell : cells) {
+    const CellSpec& cell = *family_cell.spec;
+    MatrixConfig config;
+    config.media = {{cell.param("medium", "water"),
+                     cell.param_num("loss_db", 2.0)}};
+    config.snr_points_db = {cell.param_num("snr_db", 30.0)};
+    config.antenna_counts = {
+        static_cast<std::size_t>(cell.param_num("antennas", 1))};
+    config.trials_per_cell = cell_trials(cell);
+    config.link.recovery = RecoveryPolicy::retries(
+        static_cast<std::size_t>(cell.param_num("retries", 2)));
+    Rng rng(static_cast<std::uint64_t>(cell.param_num("seed", 17)));
+    runs.push_back({std::move(config), rng(), family_cell.track_base});
+  }
+  std::vector<std::string> results;
+  for (const auto& matrix : run_session_matrices(runs)) {
+    const auto& c = matrix.front();
+    JsonWriter w;
+    w.begin_object();
+    w.field("success_rate", c.success_rate);
+    w.field("mean_retries", c.mean_retries);
+    w.field("recovered_by_retry", c.recovered_by_retry);
+    w.field("trials", c.trials);
+    w.end_object();
+    results.push_back(w.str());
+  }
+  return results;
+}
+
+std::vector<std::string> eval_depth(std::span<const FamilyCell> cells) {
+  std::vector<SweepRun<DepthSweepConfig>> runs;
+  for (const FamilyCell& family_cell : cells) {
+    const CellSpec& cell = *family_cell.spec;
+    DepthSweepConfig config;
+    config.depths_m = {cell.param_num("depth_m", 0.05)};
+    config.trials_per_point = cell_trials(cell);
+    config.link.num_antennas =
+        static_cast<std::size_t>(cell.param_num("antennas", 10));
+    config.link.recovery = RecoveryPolicy::retries(
+        static_cast<std::size_t>(cell.param_num("retries", 1)));
+    Rng rng(static_cast<std::uint64_t>(cell.param_num("seed", 29)));
+    runs.push_back({std::move(config), rng(), family_cell.track_base});
+  }
+  std::vector<std::string> results;
+  for (const auto& curve : run_depth_sweeps(runs)) {
+    const auto& p = curve.front();
+    JsonWriter w;
+    w.begin_object();
+    w.field("loss_db", p.medium_loss_db);
+    w.field("success_rate", p.success_rate);
+    w.field("mean_retries", p.mean_retries);
+    w.end_object();
+    results.push_back(w.str());
+  }
+  return results;
+}
+
+std::vector<std::string> eval_burst_retry(std::span<const FamilyCell> cells) {
+  std::vector<SweepItem> items;
+  for (const FamilyCell& family_cell : cells) {
+    const CellSpec& cell = *family_cell.spec;
+    ImpairedLinkConfig link;
+    link.snr_db = cell.param_num("snr_db", 30.0);
+    link.impair.bursts = {
+        .rate_hz = cell.param_num("burst_rate_hz", 150.0),
+        .mean_duration_s = cell.param_num("burst_duration_s", 5e-4),
+        .depth_db = cell.param_num("burst_depth_db", 40.0)};
+    link.recovery = RecoveryPolicy::retries(
+        static_cast<std::size_t>(cell.param_num("retries", 0)));
+    // Trial t runs its session on Rng::stream(seed, t).
+    items.push_back(
+        {.link = std::move(link),
+         .stream_base = static_cast<std::uint64_t>(cell.param_num("seed", 23)),
+         .trials = cell_trials(cell),
+         .track_base = family_cell.track_base});
+  }
+  const std::vector<SweepTally> tallies = run_sweep_items(items);
+  std::vector<std::string> results;
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const double n = static_cast<double>(items[k].trials);
+    JsonWriter w;
+    w.begin_object();
+    w.field("success", static_cast<double>(tallies[k].successes) / n);
+    w.field("timeouts", static_cast<double>(tallies[k].timeouts) / n);
+    w.field("backoff_ms", 1e3 * tallies[k].backoff_s / n);
+    w.field("trials", items[k].trials);
+    w.end_object();
+    results.push_back(w.str());
+  }
+  return results;
 }
 
 }  // namespace
@@ -970,10 +1066,10 @@ void register_builtin_cell_evaluators() {
   std::call_once(once, [] {
     register_cell_evaluator("gain", eval_gain);
     register_cell_evaluator("range", eval_range);
-    register_cell_evaluator("waterfall", eval_waterfall);
-    register_cell_evaluator("matrix", eval_matrix);
-    register_cell_evaluator("depth", eval_depth);
-    register_cell_evaluator("burst_retry", eval_burst_retry);
+    register_batch_evaluator("waterfall", eval_waterfall);
+    register_batch_evaluator("matrix", eval_matrix);
+    register_batch_evaluator("depth", eval_depth);
+    register_batch_evaluator("burst_retry", eval_burst_retry);
   });
 }
 

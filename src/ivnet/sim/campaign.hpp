@@ -1,6 +1,6 @@
 // Sweep-campaign engine: declarative (scenario x plan x trials x seed)
-// grids evaluated as independent cells, sharded across the shared thread
-// pool, journaled to an append-only JSONL checkpoint, and memoized in a
+// grids evaluated as independent cells on the shared thread pool,
+// journaled to an append-only JSONL checkpoint, and memoized in a
 // process-wide cache keyed by a content hash of each cell's inputs.
 //
 //   * A CELL is one (evaluator kind, parameter map) pair. Parameters are
@@ -19,10 +19,18 @@
 //     cells are still appended to the journal so every journal is a
 //     self-contained checkpoint of its own campaign.
 //
+//   * A FAMILY is the pending cells of one built-in sweep kind (waterfall,
+//     matrix, depth, burst_retry) that share a `seed`, and so their trial
+//     streams. run_campaign computes a family in one trial-major pass
+//     (impair/waterfall.hpp's run_sweep_items), drawing each trial's noise
+//     once for all its cells; the cell stays the unit of the journal, the
+//     cache and the shards.
+//
 // Determinism contract: evaluators must be pure functions of the CellSpec
 // (all randomness from an Rng seeded by a `seed` parameter, trial loops on
 // counter-derived Rng::stream sub-streams), so a cell's result text is
-// independent of thread count, evaluation order, and which campaign asked.
+// independent of thread count, evaluation order, which campaign asked, and
+// whether its family computed it with other cells or alone.
 #pragma once
 
 #include <cstdint>
@@ -130,9 +138,14 @@ struct CampaignReport {
   std::string results_json() const;
 };
 
-/// Run every cell of `spec`: resolve from journal, then memo cache, and
-/// shard the remainder across the shared pool (one cell per pool claim).
-/// Each completed cell is appended to the journal and fsync'd before it can
+/// Run every cell of `spec`: resolve from journal, then memo cache, then
+/// compute the rest. Cells of other kinds run one per pool claim; each
+/// family of sweep cells then runs as one dispatch of (family, trial) units
+/// across the pool, one family after another in the spec order of their
+/// first cells, and is journaled once complete (a kill loses at most the
+/// family in flight). Trial t of the cell at spec index i emits its
+/// sim-trace events on track (sum of `trials` of cells 0..i-1) + t. Each
+/// computed cell is appended to the journal and fsync'd before it can
 /// appear in any final output. Throws std::invalid_argument when a cell
 /// kind has no registered evaluator.
 CampaignReport run_campaign(const CampaignSpec& spec,

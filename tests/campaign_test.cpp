@@ -9,13 +9,20 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "ivnet/common/json.hpp"
 #include "ivnet/common/parallel.hpp"
+#include "ivnet/common/rng.hpp"
+#include "ivnet/impair/link_session.hpp"
 #include "ivnet/obs/metrics.hpp"
 #include "ivnet/obs/obs.hpp"
+#include "ivnet/obs/trace.hpp"
 #include "ivnet/sim/campaign.hpp"
 
 namespace ivnet {
@@ -346,6 +353,203 @@ TEST_F(CampaignTest, BuiltinGainCellIsDeterministicAcrossThreads) {
   const std::string eight = run_campaign(spec).results_json();
   EXPECT_EQ(one, eight);
   EXPECT_NE(one.find("\"p50\":"), std::string::npos);
+}
+
+// --- Sweep families ---------------------------------------------------------
+
+CellSpec sweep_cell(const char* kind, std::size_t seed, std::size_t trials,
+                    std::size_t retries) {
+  CellSpec cell(kind);
+  cell.set("seed", seed).set("trials", trials).set("retries", retries);
+  return cell;
+}
+
+/// Two seed families per sweep kind, one of them mixing `trials` and
+/// `retries`, a lone-seed waterfall cell, and a non-sweep cell between
+/// them.
+CampaignSpec family_spec() {
+  CampaignSpec spec;
+  spec.name = "families";
+  for (const double snr : {30.0, 12.0, 4.0}) {
+    spec.cells.push_back(sweep_cell("waterfall", 13, 5, 2).set("snr_db", snr));
+  }
+  spec.cells.push_back(sweep_cell("waterfall", 14, 4, 1).set("snr_db", 24.0));
+  spec.cells.push_back(synth_cell(1.0, 2.0));
+  spec.cells.push_back(sweep_cell("waterfall", 14, 6, 2).set("snr_db", 8.0));
+  spec.cells.push_back(sweep_cell("waterfall", 99, 3, 2).set("snr_db", 10.0));
+  const struct {
+    const char* medium;
+    double loss_db;
+    double snr_db;
+    std::size_t antennas;
+  } matrix[] = {{"water", 2.0, 30.0, 1},
+                {"muscle", 6.0, 10.0, 3},
+                {"gastric", 9.0, 0.0, 10}};
+  for (const std::size_t seed : {17u, 18u}) {
+    for (const auto& m : matrix) {
+      spec.cells.push_back(sweep_cell("matrix", seed, 4, 2)
+                               .set("medium", m.medium)
+                               .set("loss_db", m.loss_db)
+                               .set("snr_db", m.snr_db)
+                               .set("antennas", m.antennas));
+    }
+  }
+  for (const std::size_t seed : {29u, 30u}) {
+    for (const double depth : {0.02, 0.10}) {
+      spec.cells.push_back(sweep_cell("depth", seed, 4, 1)
+                               .set("depth_m", depth)
+                               .set("antennas", std::size_t{10}));
+    }
+  }
+  for (const std::size_t seed : {23u, 24u}) {
+    for (const std::size_t retries : {0u, 2u}) {
+      spec.cells.push_back(sweep_cell("burst_retry", seed, 6 + retries, retries)
+                               .set("snr_db", 30.0)
+                               .set("burst_rate_hz", 150.0)
+                               .set("burst_duration_s", 5e-4)
+                               .set("burst_depth_db", 40.0));
+    }
+  }
+  return spec;
+}
+
+TEST_F(CampaignTest, SweepFamiliesMatchLoneCellsAtAnyThreadCount) {
+  // A family computes its cells together over one noise tape; each result
+  // must still be the bytes the cell's own evaluator gives alone.
+  register_builtin_cell_evaluators();
+  const CampaignSpec spec = family_spec();
+  std::vector<std::string> alone;
+  for (const CellSpec& cell : spec.cells) {
+    alone.push_back(resolve_cell(cell, "").result_json);
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    CellCache::instance().clear();
+    set_parallel_threads(threads);
+    const CampaignReport report = run_campaign(spec);
+    EXPECT_EQ(report.cells_computed, spec.cells.size());
+    ASSERT_EQ(report.outcomes.size(), spec.cells.size());
+    for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+      EXPECT_EQ(report.outcomes[i].result_json, alone[i])
+          << "cell " << i << " (" << spec.cells[i].kind << ") at " << threads
+          << " threads";
+    }
+  }
+}
+
+TEST_F(CampaignTest, HalfJournaledFamilyResumesByteIdentical) {
+  register_builtin_cell_evaluators();
+  const std::string path = temp_journal("half_family");
+  const CampaignSpec spec = family_spec();
+  set_parallel_threads(2);
+  const std::string reference = run_campaign(spec, {path, true}).results_json();
+
+  // Keep the journal records of every other cell of the first matrix
+  // family (and everything outside it), as if the run had died there.
+  std::set<std::uint64_t> dropped;
+  bool drop = false;
+  for (const CellSpec& cell : spec.cells) {
+    if (cell.kind == "matrix" && cell.param("seed", "") == "17") {
+      if (drop) dropped.insert(cell.content_hash());
+      drop = !drop;
+    }
+  }
+  ASSERT_FALSE(dropped.empty());
+  std::vector<std::string> kept;
+  {
+    std::ifstream in(path, std::ios::binary);
+    for (std::string line; std::getline(in, line);) {
+      const std::uint64_t hash =
+          std::strtoull(line.substr(9, 16).c_str(), nullptr, 16);
+      if (dropped.count(hash) == 0) kept.push_back(line);
+    }
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (const std::string& line : kept) out << line << '\n';
+  }
+
+  CellCache::instance().clear();
+  set_parallel_threads(4);
+  const CampaignReport resumed = run_campaign(spec, {path, false});
+  EXPECT_EQ(resumed.cells_computed, dropped.size());
+  EXPECT_EQ(resumed.cells_resumed, spec.cells.size() - dropped.size());
+  EXPECT_EQ(resumed.results_json(), reference);
+  EXPECT_EQ(read_campaign_journal(path).size(), spec.cells.size());
+  std::remove(path.c_str());
+}
+
+TEST_F(CampaignTest, BurstCellAcrossTrialWavesEqualsTheSerialFold) {
+  // 1,030 trials span two of the sweep kernel's trial waves; the cell must
+  // still equal the serial per-trial fold, double backoff sum included.
+  register_builtin_cell_evaluators();
+  const CellSpec cell = sweep_cell("burst_retry", 23, 1030, 1)
+                            .set("snr_db", 30.0)
+                            .set("burst_rate_hz", 150.0)
+                            .set("burst_duration_s", 5e-4)
+                            .set("burst_depth_db", 40.0);
+  ImpairedLinkConfig config;
+  config.snr_db = 30.0;
+  config.impair.bursts = {
+      .rate_hz = 150.0, .mean_duration_s = 5e-4, .depth_db = 40.0};
+  config.recovery = RecoveryPolicy::retries(1);
+  std::size_t ok = 0;
+  std::size_t timeouts = 0;
+  double backoff = 0.0;
+  for (std::size_t t = 0; t < 1030; ++t) {
+    Rng rng = Rng::stream(23, t);
+    const auto report = run_impaired_link_session(config, rng);
+    ok += report.success;
+    timeouts += report.recovery.timeouts;
+    backoff += report.recovery.backoff_total_s;
+  }
+  JsonWriter w;
+  w.begin_object();
+  w.field("success", static_cast<double>(ok) / 1030.0);
+  w.field("timeouts", static_cast<double>(timeouts) / 1030.0);
+  w.field("backoff_ms", 1e3 * backoff / 1030.0);
+  w.field("trials", std::size_t{1030});
+  w.end_object();
+  set_parallel_threads(4);
+  EXPECT_EQ(resolve_cell(cell, "").result_json, w.str());
+}
+
+/// The JSON object value of `key` in `doc` (the snapshot emitter never puts
+/// braces inside strings), or "" when absent.
+std::string extract_object(const std::string& doc, const std::string& key) {
+  const std::size_t at = doc.find("\"" + key + "\":{");
+  if (at == std::string::npos) return "";
+  const std::size_t open = doc.find('{', at);
+  int depth = 0;
+  for (std::size_t i = open; i < doc.size(); ++i) {
+    if (doc[i] == '{') ++depth;
+    if (doc[i] == '}' && --depth == 0) return doc.substr(open, i - open + 1);
+  }
+  return "";
+}
+
+TEST_F(CampaignTest, X13SimTraceAndCountersByteStableAcrossThreads) {
+  // Every (cell, trial) of a campaign has its own sim-trace track, based on
+  // the trials of the cells before it, so the exported trace does not
+  // depend on which thread ran what.
+  const CampaignSpec spec = x13_campaign(4);
+  auto run = [&](std::size_t threads) {
+    CellCache::instance().clear();
+    set_parallel_threads(threads);
+    obs::MetricsRegistry registry;
+    obs::Tracer tracer(obs::TraceClock::kSim);
+    obs::install({&registry, &tracer});
+    const std::string results = run_campaign(spec).results_json();
+    obs::install_null();
+    return results + "\n" +
+           extract_object(registry.snapshot_json(), "counters") + "\n" +
+           tracer.to_json();
+  };
+  const std::string reference = run(1);
+  EXPECT_NE(reference.find("\"name\":\"charge\""), std::string::npos);
+  EXPECT_NE(reference.find("\"waterfall.sweeps\":7"), std::string::npos);
+  for (const std::size_t threads : {2u, 4u, 4u}) {
+    EXPECT_EQ(run(threads), reference) << threads << " threads";
+  }
 }
 
 // --- Journal durability and byte fidelity ----------------------------------

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ivnet/common/rng.hpp"
@@ -268,48 +269,186 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+/// Runs the sampler at one instruction-set level for the scope's lifetime.
+class ScopedGaussIsa {
+ public:
+  explicit ScopedGaussIsa(signal::GaussIsa isa)
+      : previous_(signal::detail::force_gauss_isa(isa)) {}
+  ~ScopedGaussIsa() { signal::detail::force_gauss_isa(previous_); }
+  ScopedGaussIsa(const ScopedGaussIsa&) = delete;
+  ScopedGaussIsa& operator=(const ScopedGaussIsa&) = delete;
+
+ private:
+  signal::GaussIsa previous_;
+};
+
+const char* isa_name(signal::GaussIsa isa) {
+  return isa == signal::GaussIsa::kBaseline ? "baseline" : "avx2+fma";
+}
+
+TEST(Gauss, LevelsIncludeBaselineAndReportTheChoice) {
+  const auto levels = signal::detail::gauss_isa_levels();
+  ASSERT_FALSE(levels.empty());
+  EXPECT_EQ(levels.front(), signal::GaussIsa::kBaseline);
+  for (const auto isa : levels) {
+    ScopedGaussIsa level(isa);
+    EXPECT_EQ(signal::gauss_simd_enabled(),
+              isa == signal::GaussIsa::kAvx2Fma);
+  }
+}
+
 TEST(Gauss, FillsBitwiseMatchPerDrawReference) {
-  // The definition the tiled AVX2 passes and the scalar fallback must both
-  // reproduce byte for byte: one raw draw per sample, fused into the source
-  // sample, leaving the generator where n calls of rng() would. The sizes
-  // straddle the 4-sample packing and the 256-draw tile.
-  for (const std::size_t n :
-       {0, 1, 3, 4, 5, 255, 256, 257, 259, 1023, 4096, 65537}) {
-    for (const std::uint64_t seed : {1ull, 99ull, 0x9e3779b97f4a7c15ull}) {
-      for (const double sigma : {0.0, 1e-3, 1.0, 3.5}) {
-        std::vector<double> src(n);
-        Rng source(seed ^ 0x5a5aull);
-        for (double& v : src) v = source.uniform(-2.0, 2.0);
-        Rng ref(seed);
-        std::vector<double> expected(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          expected[i] =
-              std::fma(sigma, signal::normal_from_bits(ref()), src[i]);
-        }
+  // The definition every instruction-set level must reproduce byte for
+  // byte: one raw draw per sample, fused into the source sample, leaving
+  // the generator where n calls of rng() would. The sizes straddle the
+  // 4-sample packing and the 256-draw tile.
+  for (const auto isa : signal::detail::gauss_isa_levels()) {
+    SCOPED_TRACE(isa_name(isa));
+    ScopedGaussIsa level(isa);
+    for (const std::size_t n :
+         {0, 1, 3, 4, 5, 255, 256, 257, 259, 1023, 4096, 65537}) {
+      for (const std::uint64_t seed : {1ull, 99ull, 0x9e3779b97f4a7c15ull}) {
+        for (const double sigma : {0.0, 1e-3, 1.0, 3.5}) {
+          std::vector<double> src(n);
+          Rng source(seed ^ 0x5a5aull);
+          for (double& v : src) v = source.uniform(-2.0, 2.0);
+          Rng ref(seed);
+          std::vector<double> expected(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            expected[i] =
+                std::fma(sigma, signal::normal_from_bits(ref()), src[i]);
+          }
 
-        Rng in_place_rng(seed);
-        std::vector<double> in_place = src;
-        signal::axpy_awgn(in_place_rng, sigma, in_place);
-        Rng aliased_rng(seed);
-        std::vector<double> aliased = src;
-        signal::axpy_awgn_onto(aliased_rng, sigma, aliased.data(), aliased);
-        Rng separate_rng(seed);
-        std::vector<double> separate(n);
-        signal::axpy_awgn_onto(separate_rng, sigma, src.data(), separate);
+          Rng in_place_rng(seed);
+          std::vector<double> in_place = src;
+          signal::axpy_awgn(in_place_rng, sigma, in_place);
+          Rng aliased_rng(seed);
+          std::vector<double> aliased = src;
+          signal::axpy_awgn_onto(aliased_rng, sigma, aliased.data(), aliased);
+          Rng separate_rng(seed);
+          std::vector<double> separate(n);
+          signal::axpy_awgn_onto(separate_rng, sigma, src.data(), separate);
 
-        EXPECT_TRUE(same_bytes(in_place, expected))
-            << "in place n " << n << " seed " << seed << " sigma " << sigma;
-        EXPECT_TRUE(same_bytes(aliased, expected))
-            << "aliased n " << n << " seed " << seed << " sigma " << sigma;
-        EXPECT_TRUE(same_bytes(separate, expected))
-            << "separate n " << n << " seed " << seed << " sigma " << sigma;
-        for (const Rng* rng : {&in_place_rng, &aliased_rng, &separate_rng}) {
-          EXPECT_EQ(rng->raw_state(), ref.raw_state())
-              << "n " << n << " seed " << seed << " sigma " << sigma;
+          EXPECT_TRUE(same_bytes(in_place, expected))
+              << "in place n " << n << " seed " << seed << " sigma " << sigma;
+          EXPECT_TRUE(same_bytes(aliased, expected))
+              << "aliased n " << n << " seed " << seed << " sigma " << sigma;
+          EXPECT_TRUE(same_bytes(separate, expected))
+              << "separate n " << n << " seed " << seed << " sigma " << sigma;
+          for (const Rng* rng : {&in_place_rng, &aliased_rng, &separate_rng}) {
+            EXPECT_EQ(rng->raw_state(), ref.raw_state())
+                << "n " << n << " seed " << seed << " sigma " << sigma;
+          }
         }
       }
     }
   }
+}
+
+/// One sampler call from generator `start`: in place over a copy of `src`,
+/// or onto a separate buffer. Returns the output and the end state.
+std::pair<std::vector<double>, Rng> sample(const Rng& start, double sigma,
+                                           const std::vector<double>& src,
+                                           bool in_place) {
+  Rng rng = start;
+  std::vector<double> out = src;
+  if (in_place) {
+    signal::axpy_awgn(rng, sigma, out);
+  } else {
+    signal::axpy_awgn_onto(rng, sigma, src.data(), out);
+  }
+  return {std::move(out), rng};
+}
+
+TEST(Gauss, TapeReplaysBitwiseAtAnySigma) {
+  // A tape hit must write exactly what a fresh draw writes, at whatever
+  // sigma, and leave the generator where the draw would: recorded at one
+  // sigma, replayed at another, against the tape-free result.
+  for (const auto isa : signal::detail::gauss_isa_levels()) {
+    SCOPED_TRACE(isa_name(isa));
+    ScopedGaussIsa level(isa);
+    for (const std::size_t n : {0, 1, 3, 4, 255, 256, 257, 4097}) {
+      for (const bool in_place : {true, false}) {
+        std::vector<double> src(n);
+        Rng source(n + 7);
+        for (double& v : src) v = source.uniform(-2.0, 2.0);
+        const Rng start = Rng::stream(42, n);
+        const auto fresh_record = sample(start, 0.5, src, in_place);
+        const auto fresh_replay = sample(start, 2.0, src, in_place);
+
+        signal::NoiseTapeScope tape;
+        const auto recorded = sample(start, 0.5, src, in_place);
+        const std::size_t entries = signal::detail::noise_tape_size();
+        const auto replayed = sample(start, 2.0, src, in_place);
+        EXPECT_EQ(signal::detail::noise_tape_size(), entries)
+            << "n " << n << ": the second call must replay, not record";
+        EXPECT_TRUE(same_bytes(recorded.first, fresh_record.first))
+            << "n " << n << " in_place " << in_place;
+        EXPECT_TRUE(same_bytes(replayed.first, fresh_replay.first))
+            << "n " << n << " in_place " << in_place;
+        EXPECT_EQ(recorded.second.raw_state(), fresh_record.second.raw_state())
+            << "n " << n;
+        EXPECT_EQ(replayed.second.raw_state(), fresh_replay.second.raw_state())
+            << "n " << n;
+      }
+    }
+  }
+}
+
+TEST(Gauss, TapeKeysOnFullStateAndLength) {
+  const std::vector<double> src(300, 0.125);
+  const Rng a = Rng::stream(7, 0);
+  const Rng b = Rng::stream(7, 1);
+  signal::NoiseTapeScope tape;
+  (void)sample(a, 1.0, src, false);
+  EXPECT_EQ(signal::detail::noise_tape_size(), 1u);
+
+  // Same state, another length: a fresh draw, with the state that length
+  // reaches.
+  const std::vector<double> shorter(257, 0.125);
+  const auto got_len = sample(a, 1.5, shorter, false);
+  EXPECT_EQ(signal::detail::noise_tape_size(), 2u);
+  Rng ref_len = a;
+  std::vector<double> want_len(257);
+  for (std::size_t i = 0; i < want_len.size(); ++i) {
+    want_len[i] = std::fma(1.5, signal::normal_from_bits(ref_len()), 0.125);
+  }
+  EXPECT_TRUE(same_bytes(got_len.first, want_len));
+  EXPECT_EQ(got_len.second.raw_state(), ref_len.raw_state());
+
+  // Another state, same length: a fresh draw from that state.
+  const auto got_state = sample(b, 1.0, src, false);
+  EXPECT_EQ(signal::detail::noise_tape_size(), 3u);
+  Rng ref_state = b;
+  std::vector<double> want_state(src.size());
+  for (std::size_t i = 0; i < want_state.size(); ++i) {
+    want_state[i] = std::fma(1.0, signal::normal_from_bits(ref_state()), 0.125);
+  }
+  EXPECT_TRUE(same_bytes(got_state.first, want_state));
+  EXPECT_EQ(got_state.second.raw_state(), ref_state.raw_state());
+}
+
+TEST(Gauss, TapeForgetsEverythingWhenItsScopeEnds) {
+  const std::vector<double> src(64, 0.0);
+  EXPECT_EQ(signal::detail::noise_tape_size(), 0u);
+  {
+    signal::NoiseTapeScope tape;
+    (void)sample(Rng(1), 1.0, src, true);
+    {
+      signal::NoiseTapeScope joined;  // joins the live tape
+      (void)sample(Rng(2), 1.0, src, true);
+    }
+    EXPECT_EQ(signal::detail::noise_tape_size(), 2u)
+        << "a nested scope must not clear the tape it joined";
+  }
+  EXPECT_EQ(signal::detail::noise_tape_size(), 0u);
+  (void)sample(Rng(1), 1.0, src, true);  // no tape: nothing recorded
+  EXPECT_EQ(signal::detail::noise_tape_size(), 0u);
+  signal::NoiseTapeScope next;
+  EXPECT_EQ(signal::detail::noise_tape_size(), 0u);
+  (void)sample(Rng(1), 1.0, src, true);
+  EXPECT_EQ(signal::detail::noise_tape_size(), 1u)
+      << "a new scope must draw afresh, not replay the last scope's calls";
 }
 
 TEST(Gauss, LanesFillEachLaneLikeOneFill) {

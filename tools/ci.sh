@@ -19,12 +19,16 @@
 #     with --trials 0 or --range-trials 0 exits 2;
 #   - every soak exemplar replays to its recorded response hash;
 #   - the suite under ASan+UBSan and TSan, and a Debug spot-check of the DSP,
-#     radio, waveform-session, Gen2, impairment/link-session, campaign, cib,
-#     service and telemetry suites (other legs are NDEBUG);
+#     radio, waveform-session, Gen2, impairment/link-session, sweep
+#     (determinism, impairment matrix), campaign, cib, service and telemetry
+#     suites (other legs are NDEBUG);
 #   - a traced `ivnet vitals --rounds 4` whose metrics/trace artifacts are
 #     smoke-checked;
 #   - campaign kill-and-resume and a 3-shard fleet with one worker
 #     SIGKILL'd, each cmp-equal to the uninterrupted run at 1/2/8 threads;
+#   - an x13 campaign at IVNET_THREADS 1/2/nproc whose results and sim
+#     traces cmp equal and whose metrics snapshots match except for the
+#     wall-clock campaign.cell.seconds;
 #   - with gcovr installed, a line-coverage floor on src/ivnet/gen2,
 #     src/ivnet/impair and src/ivnet/obs.
 #
@@ -318,8 +322,8 @@ echo "=== ci: Debug spot-check (input validation with asserts enabled) ==="
 # and the link session's pinned digests hold in an assert-enabled Debug
 # build too.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
-cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test sdr_test waveform_session_test gen2_test gen2_golden_test impair_test campaign_test campaign_shard_test cib_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
-ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|sdr_test|waveform_session_test|gen2_test|gen2_golden_test|impair_test|campaign_test|campaign_shard_test|cib_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
+cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test sdr_test waveform_session_test gen2_test gen2_golden_test impair_test impair_matrix_test determinism_test campaign_test campaign_shard_test cib_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
+ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|sdr_test|waveform_session_test|gen2_test|gen2_golden_test|impair_test|impair_matrix_test|determinism_test|campaign_test|campaign_shard_test|cib_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
 
 echo "=== ci: traced vitals artifacts (ivnet vitals --rounds 4) ==="
 mkdir -p "$ARTIFACT_DIR"
@@ -427,6 +431,50 @@ cmp "$SHARD_DIR/ref.json" "$SHARD_DIR/merged_only.json" || {
   exit 1
 }
 echo "ci: 3-shard fleet byte-identical across 1/2/8 threads after worker SIGKILL"
+
+echo "=== ci: x13 campaign artifacts across thread counts ==="
+# Same-seed sweep cells run as trial-major families over a per-thread noise
+# tape; which thread runs which (family, trial) unit must not show in any
+# artifact. Results and sim traces cmp equal at 1, 2 and nproc threads; the
+# metrics snapshots match except for campaign.cell.seconds, the only
+# wall-clock series.
+X13_DIR="$ARTIFACT_DIR/campaign-x13"
+mkdir -p "$X13_DIR"
+for threads in 1 2 "$(nproc)"; do
+  IVNET_THREADS=$threads build-ci/tools/ivnet campaign run --bench x13 \
+      --trials 24 --fresh --journal "$X13_DIR/x13_$threads.jsonl" \
+      --out "$X13_DIR/x13_$threads.json" \
+      --metrics-out "$X13_DIR/metrics_$threads.json" \
+      --trace-out "$X13_DIR/trace_$threads.json" --trace-clock sim \
+      > /dev/null
+done
+for threads in 2 "$(nproc)"; do
+  for artifact in x13 trace; do
+    cmp "$X13_DIR/${artifact}_1.json" "$X13_DIR/${artifact}_$threads.json" || {
+      echo "ci: x13 $artifact differs between 1 and $threads threads" >&2
+      exit 1
+    }
+  done
+done
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$X13_DIR"/metrics_1.json "$X13_DIR/metrics_2.json" \
+      "$X13_DIR/metrics_$(nproc).json" <<'PY'
+import json, sys
+def stable(path):
+    snapshot = json.load(open(path))
+    snapshot["histograms"].pop("campaign.cell.seconds", None)
+    return snapshot
+reference = stable(sys.argv[1])
+assert reference["counters"].get("campaign.cells.computed"), reference
+for path in sys.argv[2:]:
+    assert stable(path) == reference, f"{path} differs from {sys.argv[1]}"
+print(f"ci: x13 metrics equal across thread counts "
+      f"({len(reference['counters'])} counters)")
+PY
+else
+  echo "ci: python3 not installed, x13 metrics snapshots not compared"
+fi
+echo "ci: x13 results and sim trace byte-identical at 1/2/$(nproc) threads"
 
 # Coverage gates only where the tool exists — the growth container has no
 # gcovr — unless the caller asked for coverage explicitly, in which case a
