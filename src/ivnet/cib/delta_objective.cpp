@@ -1,3 +1,10 @@
+// The delta evaluator's state, and its baseline instruction-set level.
+//
+// This translation unit compiles delta_impl.hpp's block kernels with
+// -O3 -ffp-contract=off and no -mavx2 on every build type
+// (src/CMakeLists.txt), so it runs on any x86-64 CPU; delta_avx2.cpp
+// compiles the same kernels with AVX2, and kernels() picks one as
+// common/isa.hpp chooses.
 #include "ivnet/cib/delta_objective.hpp"
 
 #include <algorithm>
@@ -6,93 +13,29 @@
 #include <stdexcept>
 #include <string>
 
+#include "ivnet/cib/delta_impl.hpp"
+#include "ivnet/common/isa.hpp"
 #include "ivnet/common/parallel.hpp"
-#include "ivnet/common/units.hpp"
 #include "ivnet/obs/obs.hpp"
 
 namespace ivnet {
 namespace {
 
-/// Same anchor cadence as cib/objective.cpp and signal/phasor.hpp: the
-/// incremental rotation is re-anchored from cos/sin every 4096 steps so
-/// multiplicative drift stays O(4096 * eps).
-constexpr std::size_t kRenormInterval = 4096;
+using detail::DeltaKernels;
+using detail::kBlockTrials;
+using detail::ToneMove;
 
-/// Fixed-point resolution of a tone sample: 2^40. Tone re/im lie in
-/// [-1, 1] (plus O(kRenormInterval * eps) rotation drift), so a quantized
-/// sample fits in 41 bits and sums of up to 2^12 tones stay below 2^53 —
-/// the range where both the int64 sum and its double conversion are exact.
-constexpr double kQuantScale = 1099511627776.0;       // 2^40
-constexpr double kInvQuantScale = 1.0 / kQuantScale;  // exact power of two
-
-/// Tones the build adds per pass over a trial's lanes.
-constexpr std::size_t kToneGroup = 4;
-
-std::int64_t quantize(double v) {
-  return detail::exact_llround(v * kQuantScale);
+/// The running level's kernels. The AVX2 table exists whenever that level
+/// can be chosen.
+const DeltaKernels& kernels() {
+  return isa_level() == IsaLevel::kAvx2Fma ? *detail::avx2_delta_kernels()
+                                           : detail::kLevelKernels;
 }
 
-/// One tone being subtracted (sign -1) or added (sign +1) by a move.
-struct MoveAdj {
-  double offset_hz = 0.0;
-  double phase = 0.0;
-  std::int64_t sign = 0;
-  // Rotation state (filled by trial_peak).
-  double re = 0.0, im = 0.0, cre = 0.0, cim = 0.0;
-};
-
-/// Adds the G tones `e^{j(2 pi offsets_hz[k] t + phases[k])}`, each sample
-/// quantized, into the lanes in one pass. Every tone keeps its own rotation
-/// op sequence (the one trial_peak runs), and the quantized samples are
-/// integers, so how tones are grouped never changes the lanes.
-template <std::size_t G>
-void accumulate_group(std::int64_t* wre, std::int64_t* wim, std::size_t steps,
-                      double dt, const double* offsets_hz,
-                      const double* phases) {
-  double w[G], cre[G], cim[G], re[G], im[G];
-  for (std::size_t k = 0; k < G; ++k) {
-    w[k] = kTwoPi * offsets_hz[k] * dt;
-    cre[k] = std::cos(w[k]);
-    cim[k] = std::sin(w[k]);
-    re[k] = std::cos(phases[k]);
-    im[k] = std::sin(phases[k]);
-  }
-  for (std::size_t s = 0; s < steps; ++s) {
-    if (s != 0 && s % kRenormInterval == 0) {
-      for (std::size_t k = 0; k < G; ++k) {
-        const double ph = phases[k] + w[k] * static_cast<double>(s);
-        re[k] = std::cos(ph);
-        im[k] = std::sin(ph);
-      }
-    }
-    std::int64_t qr = 0;
-    std::int64_t qi = 0;
-    for (std::size_t k = 0; k < G; ++k) {
-      qr += quantize(re[k]);
-      qi += quantize(im[k]);
-      const double r = re[k] * cre[k] - im[k] * cim[k];
-      im[k] = re[k] * cim[k] + im[k] * cre[k];
-      re[k] = r;
-    }
-    wre[s] += qr;
-    wim[s] += qi;
-  }
-}
-
-/// Adds every tone of `offsets_hz` (tone i with phases[i]) into the lanes,
-/// kToneGroup at a time, then the remaining tones one at a time.
-void accumulate_tones(std::int64_t* wre, std::int64_t* wim, std::size_t steps,
-                      double dt, std::span<const double> offsets_hz,
-                      const double* phases) {
-  const std::size_t n = offsets_hz.size();
-  std::size_t i = 0;
-  for (; i + kToneGroup <= n; i += kToneGroup) {
-    accumulate_group<kToneGroup>(wre, wim, steps, dt, &offsets_hz[i],
-                                 &phases[i]);
-  }
-  for (; i < n; ++i) {
-    accumulate_group<1>(wre, wim, steps, dt, &offsets_hz[i], &phases[i]);
-  }
+/// Block b of a [block][row][lane] array with `rows` rows per block.
+template <typename T>
+T* block_of(T* data, std::size_t rows, std::size_t b) {
+  return data + b * rows * kBlockTrials;
 }
 
 /// Throws std::out_of_range unless `tone` indexes the offset set (checked
@@ -105,77 +48,12 @@ void check_tone(std::size_t tone, std::size_t n) {
   }
 }
 
-/// Scans one trial's envelope from the fixed-point lanes, with up to two
-/// move adjustments applied on the fly, and returns the parabolic-refined
-/// peak amplitude (same refinement as peak_envelope in cib/objective.cpp).
-/// When `wre`/`wim` are non-null the adjusted sums are written back
-/// (aliasing sre/sim is fine: each sample is read before it is written).
-double trial_peak(const std::int64_t* sre, const std::int64_t* sim,
-                  std::int64_t* wre, std::int64_t* wim, std::size_t steps,
-                  double dt, MoveAdj* adj, std::size_t n_adj) {
-  for (std::size_t a = 0; a < n_adj; ++a) {
-    const double w = kTwoPi * adj[a].offset_hz * dt;
-    adj[a].cre = std::cos(w);
-    adj[a].cim = std::sin(w);
-    adj[a].re = std::cos(adj[a].phase);
-    adj[a].im = std::sin(adj[a].phase);
-  }
-  double best_sq = -1.0;
-  std::size_t best = 0;
-  double prev_sq = 0.0;
-  double y0 = 0.0;  // squared envelope one sample before the peak
-  double y2 = 0.0;  // ... and one sample after
-  bool capture_next = false;
-  for (std::size_t s = 0; s < steps; ++s) {
-    std::int64_t qr = sre[s];
-    std::int64_t qi = sim[s];
-    for (std::size_t a = 0; a < n_adj; ++a) {
-      if (s != 0 && s % kRenormInterval == 0) {
-        const double ph = adj[a].phase +
-                          kTwoPi * adj[a].offset_hz * dt *
-                              static_cast<double>(s);
-        adj[a].re = std::cos(ph);
-        adj[a].im = std::sin(ph);
-      }
-      qr += adj[a].sign * quantize(adj[a].re);
-      qi += adj[a].sign * quantize(adj[a].im);
-      const double r = adj[a].re * adj[a].cre - adj[a].im * adj[a].cim;
-      adj[a].im = adj[a].re * adj[a].cim + adj[a].im * adj[a].cre;
-      adj[a].re = r;
-    }
-    if (wre != nullptr) {
-      wre[s] = qr;
-      wim[s] = qi;
-    }
-    const double x = static_cast<double>(qr) * kInvQuantScale;
-    const double y = static_cast<double>(qi) * kInvQuantScale;
-    const double sq = x * x + y * y;
-    if (capture_next) {
-      y2 = sq;
-      capture_next = false;
-    }
-    if (sq > best_sq) {
-      best_sq = sq;
-      best = s;
-      y0 = prev_sq;
-      capture_next = true;
-    }
-    prev_sq = sq;
-  }
-  if (best == 0 || best + 1 >= steps) return std::sqrt(best_sq);
-  const double y1 = best_sq;
-  const double denom = y0 - 2.0 * y1 + y2;
-  if (std::abs(denom) < 1e-12) return std::sqrt(y1);
-  const double delta = 0.5 * (y0 - y2) / denom;
-  const double peak_sq = y1 - 0.25 * (y0 - y2) * delta;
-  return std::sqrt(std::max(peak_sq, y1));
-}
-
-/// Sequential trial-order mean: bitwise identical across pool sizes.
-double trial_mean(std::span<const double> peaks) {
+/// Sequential trial-order mean of the first `trials` peaks (the rest are
+/// ghost lanes): bitwise identical across pool sizes.
+double trial_mean(const std::vector<double>& peaks, std::size_t trials) {
   double total = 0.0;
-  for (double p : peaks) total += p;
-  return total / static_cast<double>(std::max<std::size_t>(1, peaks.size()));
+  for (std::size_t t = 0; t < trials; ++t) total += peaks[t];
+  return total / static_cast<double>(std::max<std::size_t>(1, trials));
 }
 
 }  // namespace
@@ -202,10 +80,11 @@ DeltaEnvelopeState::DeltaEnvelopeState(std::span<const double> offsets_hz,
 
   const std::size_t n = offsets_.size();
   const std::size_t trials = config_.mc_trials;
-  phases_.resize(trials * n);
-  sum_re_.assign(trials * steps_, 0);
-  sum_im_.assign(trials * steps_, 0);
-  peaks_.resize(trials);
+  blocks_ = (trials + kBlockTrials - 1) / kBlockTrials;
+  phases_.assign(blocks_ * n * kBlockTrials, 0.0);  // ghost lanes: phase 0
+  sum_re_.reset(new std::int64_t[blocks_ * steps_ * kBlockTrials]);
+  sum_im_.reset(new std::int64_t[blocks_ * steps_ * kBlockTrials]);
+  peaks_.resize(blocks_ * kBlockTrials);
 
   // Phase draws mirror peak_amplitude_samples: one stream base from a
   // score_seed Rng, one counter-derived sub-stream per trial, tone i pairs
@@ -213,51 +92,58 @@ DeltaEnvelopeState::DeltaEnvelopeState(std::span<const double> offsets_hz,
   Rng seed_rng(config_.score_seed);
   const std::uint64_t base = seed_rng();
   obs::count("planner.evals");
-  parallel_for(trials, [&](std::size_t t) {
-    Rng trial_rng = Rng::stream(base, t);
-    double* phases = phases_.data() + t * n;
-    for (std::size_t i = 0; i < n; ++i) phases[i] = trial_rng.phase();
-    std::int64_t* wre = sum_re_.data() + t * steps_;
-    std::int64_t* wim = sum_im_.data() + t * steps_;
-    accumulate_tones(wre, wim, steps_, dt_, offsets_, phases);
-    peaks_[t] = trial_peak(wre, wim, nullptr, nullptr, steps_, dt_, nullptr,
-                           0);
+  const DeltaKernels& k = kernels();
+  parallel_for(blocks_, [&](std::size_t b) {
+    double* phases = block_of(phases_.data(), n, b);
+    for (std::size_t l = 0; l < kBlockTrials; ++l) {
+      const std::size_t t = b * kBlockTrials + l;
+      if (t >= trials) break;
+      Rng trial_rng = Rng::stream(base, t);
+      for (std::size_t i = 0; i < n; ++i) {
+        phases[i * kBlockTrials + l] = trial_rng.phase();
+      }
+    }
+    std::int64_t* re = block_of(sum_re_.get(), steps_, b);
+    std::int64_t* im = block_of(sum_im_.get(), steps_, b);
+    std::fill_n(re, steps_ * kBlockTrials, 0);
+    std::fill_n(im, steps_ * kBlockTrials, 0);
+    k.accumulate(re, im, steps_, dt_, offsets_.data(), n, phases);
+    k.scan(re, im, steps_, dt_, nullptr, nullptr, nullptr,
+           &peaks_[b * kBlockTrials]);
   });
-  score_ = trial_mean(peaks_);
+  score_ = trial_mean(peaks_, trials);
 }
 
 double DeltaEnvelopeState::score_move(std::size_t tone,
                                       double new_offset_hz) const {
-  check_tone(tone, offsets_.size());
   const std::size_t n = offsets_.size();
-  const double old_offset = offsets_[tone];
+  check_tone(tone, n);
   obs::count("planner.evals");
-  std::vector<double> peaks(config_.mc_trials);
-  parallel_for(config_.mc_trials, [&](std::size_t t) {
-    MoveAdj adj[2];
-    adj[0] = {old_offset, phases_[t * n + tone], -1};
-    adj[1] = {new_offset_hz, phases_[t * n + tone], +1};
-    peaks[t] = trial_peak(sum_re_.data() + t * steps_,
-                          sum_im_.data() + t * steps_, nullptr, nullptr,
-                          steps_, dt_, adj, 2);
+  const DeltaKernels& k = kernels();
+  std::vector<double> peaks(blocks_ * kBlockTrials);
+  parallel_for(blocks_, [&](std::size_t b) {
+    const ToneMove move{offsets_[tone], new_offset_hz,
+                        block_of(phases_.data(), n, b) + tone * kBlockTrials};
+    k.scan(block_of(sum_re_.get(), steps_, b),
+           block_of(sum_im_.get(), steps_, b), steps_, dt_, &move, nullptr,
+           nullptr, &peaks[b * kBlockTrials]);
   });
-  return trial_mean(peaks);
+  return trial_mean(peaks, config_.mc_trials);
 }
 
 void DeltaEnvelopeState::commit_move(std::size_t tone, double new_offset_hz) {
-  check_tone(tone, offsets_.size());
   const std::size_t n = offsets_.size();
-  const double old_offset = offsets_[tone];
-  parallel_for(config_.mc_trials, [&](std::size_t t) {
-    MoveAdj adj[2];
-    adj[0] = {old_offset, phases_[t * n + tone], -1};
-    adj[1] = {new_offset_hz, phases_[t * n + tone], +1};
-    std::int64_t* wre = sum_re_.data() + t * steps_;
-    std::int64_t* wim = sum_im_.data() + t * steps_;
-    peaks_[t] = trial_peak(wre, wim, wre, wim, steps_, dt_, adj, 2);
+  check_tone(tone, n);
+  const DeltaKernels& k = kernels();
+  parallel_for(blocks_, [&](std::size_t b) {
+    const ToneMove move{offsets_[tone], new_offset_hz,
+                        block_of(phases_.data(), n, b) + tone * kBlockTrials};
+    std::int64_t* re = block_of(sum_re_.get(), steps_, b);
+    std::int64_t* im = block_of(sum_im_.get(), steps_, b);
+    k.scan(re, im, steps_, dt_, &move, re, im, &peaks_[b * kBlockTrials]);
   });
   offsets_[tone] = new_offset_hz;
-  score_ = trial_mean(peaks_);
+  score_ = trial_mean(peaks_, config_.mc_trials);
 }
 
 double DeltaEnvelopeState::full_score(
@@ -268,18 +154,38 @@ double DeltaEnvelopeState::full_score(
         std::to_string(offsets_hz.size()) + " offsets for a state of " +
         std::to_string(offsets_.size()) + " tones");
   }
-  const std::size_t n = offsets_hz.size();
   obs::count("planner.evals");
-  std::vector<double> peaks(config_.mc_trials);
-  parallel_for(config_.mc_trials, [&](std::size_t t) {
-    std::vector<std::int64_t> wre(steps_, 0);
-    std::vector<std::int64_t> wim(steps_, 0);
-    accumulate_tones(wre.data(), wim.data(), steps_, dt_, offsets_hz,
-                     phases_.data() + t * n);
-    peaks[t] = trial_peak(wre.data(), wim.data(), nullptr, nullptr, steps_,
-                          dt_, nullptr, 0);
+  const DeltaKernels& k = kernels();
+  std::vector<double> peaks(blocks_ * kBlockTrials);
+  parallel_for(blocks_, [&](std::size_t b) {
+    std::vector<std::int64_t> re(steps_ * kBlockTrials, 0);
+    std::vector<std::int64_t> im(steps_ * kBlockTrials, 0);
+    k.accumulate(re.data(), im.data(), steps_, dt_, offsets_hz.data(),
+                 offsets_hz.size(),
+                 block_of(phases_.data(), offsets_hz.size(), b));
+    k.scan(re.data(), im.data(), steps_, dt_, nullptr, nullptr, nullptr,
+           &peaks[b * kBlockTrials]);
   });
-  return trial_mean(peaks);
+  return trial_mean(peaks, config_.mc_trials);
 }
 
+namespace detail {
+
+void quantizer_llround(std::span<const double> x,
+                       std::span<std::int64_t> q) {
+  if (q.size() != x.size()) {
+    throw std::invalid_argument("quantizer_llround: size mismatch");
+  }
+  const DeltaKernels& k = kernels();
+  for (std::size_t i = 0; i < x.size(); i += kBlockTrials) {
+    const std::size_t m = std::min(kBlockTrials, x.size() - i);
+    double in[kBlockTrials] = {};
+    std::int64_t out[kBlockTrials];
+    std::copy_n(x.data() + i, m, in);
+    k.llround(in, out);
+    std::copy_n(out, m, q.data() + i);
+  }
+}
+
+}  // namespace detail
 }  // namespace ivnet

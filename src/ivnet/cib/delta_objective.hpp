@@ -9,16 +9,15 @@
 //
 // Exactness contract (the property the planner tests memcmp): the per-step
 // partial sums are held in FIXED-POINT int64 lanes (each tone sample is
-// quantized once at 2^-40 resolution, see kQuantScale, rounded by
-// detail::exact_llround, which equals std::llround bit for bit). Integer
-// addition is exact and associative, so a sum reached through any history
-// of subtract-old/add-new updates — or a build that adds tones several at a
-// time — is bit-identical to a from-scratch rebuild over the same tone set,
-// which floating-point accumulation cannot guarantee. Dequantizing
-// (`double(sum) * 2^-40`) is exact too (sums stay far below 2^53 and the
-// scale is a power of two), so the envelope values, the per-trial peaks,
-// and the final score stream are memcmp-identical between the delta path
-// and `full_score`, the retained full evaluation.
+// quantized once at 2^-40 resolution and rounded exactly as std::llround
+// rounds). Integer addition is exact and associative, so a sum reached
+// through any history of subtract-old/add-new updates — or a build that adds
+// tones several at a time — is bit-identical to a from-scratch rebuild over
+// the same tone set, which floating-point accumulation cannot guarantee.
+// Dequantizing (`double(sum) * 2^-40`) is exact too (sums stay below 2^53
+// and the scale is a power of two), so the envelope values, the per-trial
+// peaks, and the final score stream are memcmp-identical between the delta
+// path and `full_score`, the retained full evaluation.
 //
 // Accuracy contract: quantization costs at most 2^-41 per tone sample
 // (~1e-10 absolute on an N-tone envelope), pinned against the original
@@ -28,12 +27,17 @@
 // parabolic refinement all mirror cib/objective.cpp, and the tone rotation
 // uses the same anchor-every-4096-steps policy as signal/phasor.hpp.
 //
-// Layout: structure-of-arrays — one int64 re lane and one im lane per
-// trial, `steps` samples each, contiguous per trial so the per-trial update
-// is a single linear pass.
+// Layout: trials in blocks of four, one trial per vector lane, stored
+// [block][step][lane] with one int64 re array and one im array, so a block's
+// update is one linear pass. The trial count is padded to whole blocks with
+// ghost lanes, whose peaks never enter the score. The block kernels
+// (cib/delta_impl.hpp) are built twice, for the baseline ISA and for AVX2,
+// and run at the level common/isa.hpp chooses; both levels, and the
+// per-trial scalar oracle in tests/naive_delta.hpp, give the same bytes.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -54,29 +58,26 @@ struct DeltaEvalConfig {
 
 namespace detail {
 
-/// std::llround(x), bit for bit, for |x| < 2^53, inline instead of a libm
-/// call. Truncation gives q; x - q is then exactly the fractional part, and
-/// a half or more in either direction steps q away from zero (so ties round
-/// away from zero, and x = 0.5 - 2^-54 still rounds to 0).
-inline std::int64_t exact_llround(double x) {
-  const auto q = static_cast<std::int64_t>(x);
-  const double r = x - static_cast<double>(q);
-  return q + (r >= 0.5) - (r <= -0.5);
-}
+/// Test hook: q[i] = the quantizer's rounding of x[i] at the running
+/// instruction-set level, which equals std::llround(x[i]) bit for bit for
+/// |x[i]| < 2^51 (quantized tone samples stay within +-1.001 * 2^40).
+/// Throws std::invalid_argument unless x and q have the same size.
+void quantizer_llround(std::span<const double> x, std::span<std::int64_t> q);
 
 }  // namespace detail
 
 /// Per-trial fixed-point partial sums of the Eq. 6 envelope over the
 /// evaluation grid, supporting O(steps)-per-trial single-offset moves.
 /// Not thread-safe for concurrent mutation; the build, score_move,
-/// commit_move and full_score parallelize internally over trials, one trial
-/// per pool claim (deterministic at any IVNET_THREADS: per-trial slots,
-/// trial-order reduction).
+/// commit_move and full_score parallelize internally over blocks of four
+/// trials, one block per pool claim (deterministic at any IVNET_THREADS:
+/// per-trial slots, trial-order reduction).
 class DeltaEnvelopeState {
  public:
   /// Grid ceiling for the planner. The state holds 16 bytes per
-  /// (trial, sample), so memory is mc_trials * steps * 16 — at this
-  /// ceiling and 32 trials that is 64 MiB; size mc_trials accordingly.
+  /// (trial, sample), with trials padded to whole blocks of four, so memory
+  /// is ceil(mc_trials / 4) * 4 * steps * 16 — at this ceiling and 32
+  /// trials that is 64 MiB; size mc_trials accordingly.
   static constexpr std::size_t kMaxPlannerSteps = 1u << 17;
 
   /// ~16 samples per cycle of the fastest allowed beat (the same heuristic
@@ -121,11 +122,14 @@ class DeltaEnvelopeState {
   DeltaEvalConfig config_;
   std::size_t steps_ = 0;
   double dt_ = 0.0;
+  std::size_t blocks_ = 0;       ///< ceil(mc_trials / 4)
   std::vector<double> offsets_;  ///< current set, tone order
-  std::vector<double> phases_;   ///< trials x n, phases_[t * n + i]
-  std::vector<std::int64_t> sum_re_;  ///< trials x steps fixed-point lanes
-  std::vector<std::int64_t> sum_im_;
-  std::vector<double> peaks_;  ///< per-trial refined peak amplitude
+  std::vector<double> phases_;   ///< [block][tone][lane]; ghost lanes 0
+  /// [block][step][lane] fixed point. Each block's claim zeroes its own
+  /// part, so the pages are first touched by the thread that works on them.
+  std::unique_ptr<std::int64_t[]> sum_re_;
+  std::unique_ptr<std::int64_t[]> sum_im_;
+  std::vector<double> peaks_;  ///< [block][lane] refined peak amplitude
   double score_ = 0.0;
 };
 

@@ -1,6 +1,6 @@
 // Deterministic inverse-CDF Gaussian sampler (see gauss.hpp for the why):
-// the public entry points, the baseline-ISA kernels, the run-time choice
-// of level, and the per-thread noise tape.
+// the public entry points, the baseline-ISA kernels, and the per-thread
+// noise tape. The level runs as common/isa.hpp chooses.
 //
 // This translation unit is compiled with -O3 -ffp-contract=off and no
 // -mavx2/-mfma on every build type (src/CMakeLists.txt), so it runs on any
@@ -11,9 +11,9 @@
 #include "ivnet/signal/gauss.hpp"
 
 #include <array>
-#include <atomic>
-#include <stdexcept>
+#include <vector>
 
+#include "ivnet/common/isa.hpp"
 #include "ivnet/signal/gauss_impl.hpp"
 
 namespace ivnet::signal {
@@ -46,33 +46,11 @@ void apply_baseline(double sigma, const double* g, const double* src,
 constexpr GaussKernels kBaselineKernels{draw_onto_baseline,
                                         fill_normals_baseline, apply_baseline};
 
-bool cpu_has_avx2_fma() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-/// The AVX2+FMA level when this build has it and the CPU runs it. The CPU
-/// check comes first: the AVX2 unit is not entered on a CPU without AVX2.
-const GaussKernels* avx2_level() {
-  static const GaussKernels* const level =
-      cpu_has_avx2_fma() ? detail::avx2_gauss_kernels() : nullptr;
-  return level;
-}
-
-std::atomic<const GaussKernels*> g_kernels{nullptr};
-
+/// The running level's kernels (common/isa.hpp). The AVX2 table exists
+/// whenever that level can be chosen.
 const GaussKernels& kernels() {
-  const GaussKernels* k = g_kernels.load(std::memory_order_relaxed);
-  if (k == nullptr) {
-    const GaussKernels* avx2 = avx2_level();
-    k = avx2 != nullptr ? avx2 : &kBaselineKernels;
-    g_kernels.store(k, std::memory_order_relaxed);
-  }
-  return *k;
+  return isa_level() == IsaLevel::kAvx2Fma ? *detail::avx2_gauss_kernels()
+                                           : kBaselineKernels;
 }
 
 // --- Noise tape ----------------------------------------------------------
@@ -164,30 +142,12 @@ NoiseTapeScope::~NoiseTapeScope() {
   t_live_tape = nullptr;
 }
 
-bool gauss_simd_enabled() { return &kernels() != &kBaselineKernels; }
+bool gauss_simd_enabled() { return isa_level() == IsaLevel::kAvx2Fma; }
 
 namespace detail {
 
-std::vector<GaussIsa> gauss_isa_levels() {
-  std::vector<GaussIsa> levels{GaussIsa::kBaseline};
-  if (avx2_level() != nullptr) levels.push_back(GaussIsa::kAvx2Fma);
-  return levels;
-}
-
 std::size_t noise_tape_size() {
   return t_live_tape == nullptr ? 0 : t_live_tape->entries.size();
-}
-
-GaussIsa force_gauss_isa(GaussIsa isa) {
-  const GaussIsa previous =
-      gauss_simd_enabled() ? GaussIsa::kAvx2Fma : GaussIsa::kBaseline;
-  const GaussKernels* k =
-      isa == GaussIsa::kAvx2Fma ? avx2_level() : &kBaselineKernels;
-  if (k == nullptr) {
-    throw std::invalid_argument("gauss: AVX2+FMA level unavailable here");
-  }
-  g_kernels.store(k, std::memory_order_relaxed);
-  return previous;
 }
 
 }  // namespace detail

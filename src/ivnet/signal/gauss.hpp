@@ -22,7 +22,7 @@
 //     reader/OobReader::decode   the out-of-band reader's receive noise
 //   Rng::normal is left for scalar parameter draws only.
 //
-// Two instruction-set levels, chosen once from the CPU:
+// Two instruction-set levels, run as common/isa.hpp chooses:
 //   * AVX2+FMA (gauss_avx2.cpp): tiled passes over one generator. The raw
 //     draws are made one after another into an L1 tile (the order rng()
 //     gives), the central rational and the queued tail draws are evaluated
@@ -51,7 +51,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "ivnet/common/rng.hpp"
 
@@ -100,27 +99,15 @@ class NoiseTapeScope {
   bool outermost_;
 };
 
-/// True when the sampler runs its AVX2+FMA level (chosen once from the
-/// CPU). Purely informational (bench tables): results are identical
-/// either way.
+/// True when the sampler runs its AVX2+FMA level (isa_level()). Purely
+/// informational (bench tables): results are identical either way.
 bool gauss_simd_enabled();
 
-/// The sampler's instruction-set levels.
-enum class GaussIsa : std::uint8_t { kBaseline, kAvx2Fma };
-
 namespace detail {
-
-/// Levels this build can run on this CPU, baseline first.
-std::vector<GaussIsa> gauss_isa_levels();
 
 /// Calls recorded on the calling thread's live noise tape; 0 when no
 /// NoiseTapeScope is open there. For tests.
 std::size_t noise_tape_size();
-
-/// Test hook: run the sampler at `isa` (one of gauss_isa_levels()) from now
-/// on; returns the level that was active. Call only while no other thread
-/// samples.
-GaussIsa force_gauss_isa(GaussIsa isa);
 
 }  // namespace detail
 }  // namespace ivnet::signal

@@ -20,6 +20,7 @@
 #include "ivnet/sim/planner.hpp"
 #include "ivnet/svc/loadgen.hpp"
 #include "ivnet/svc/service.hpp"
+#include "scoped_isa.hpp"
 
 namespace ivnet {
 namespace {
@@ -110,7 +111,7 @@ TEST_F(DeterminismTest, AnnealedOptimizerBitwiseAcrossPoolSizes) {
   // determinism contract: one stream base per optimize call, one counter
   // stream per restart, trial-order reductions — so the winning plan is
   // byte-identical whether the restarts ran sequentially (pool of 1) or
-  // fanned out (8).
+  // fanned out (8), and at every instruction-set level the host offers.
   OptimizerConfig cfg;
   cfg.num_antennas = 12;
   cfg.mc_trials = 8;
@@ -125,15 +126,20 @@ TEST_F(DeterminismTest, AnnealedOptimizerBitwiseAcrossPoolSizes) {
   set_parallel_threads(1);
   const auto reference = run();
   EXPECT_EQ(reference.offsets_hz.size(), 12u);
-  for (std::size_t threads : kPoolSizes) {
-    set_parallel_threads(threads);
-    const auto result = run();
-    EXPECT_EQ(result.offsets_hz, reference.offsets_hz)
-        << "pool size " << threads;
-    EXPECT_EQ(result.score, reference.score) << "pool size " << threads;
-    EXPECT_EQ(result.rms_hz, reference.rms_hz) << "pool size " << threads;
-    EXPECT_EQ(result.evaluations, reference.evaluations)
-        << "pool size " << threads;
+  for (const IsaLevel isa : detail::isa_levels()) {
+    ScopedIsaLevel level(isa);
+    for (std::size_t threads : kPoolSizes) {
+      set_parallel_threads(threads);
+      const auto result = run();
+      EXPECT_EQ(result.offsets_hz, reference.offsets_hz)
+          << isa_name(isa) << ", pool size " << threads;
+      EXPECT_EQ(result.score, reference.score)
+          << isa_name(isa) << ", pool size " << threads;
+      EXPECT_EQ(result.rms_hz, reference.rms_hz)
+          << isa_name(isa) << ", pool size " << threads;
+      EXPECT_EQ(result.evaluations, reference.evaluations)
+          << isa_name(isa) << ", pool size " << threads;
+    }
   }
 }
 

@@ -1,8 +1,10 @@
 // Large-N frequency planner: the delta evaluator's memcmp contract against
-// the retained full evaluation, the annealed search's structure and
-// infeasibility handling, default_steps/planner_steps boundaries, and the
-// content-hashed plan store (miss -> compute -> journal; hit -> zero
-// evaluations, byte-identical plan record, across simulated restarts).
+// the per-trial scalar oracle (naive_delta.hpp) and the retained full
+// evaluation at every instruction-set level, the annealed search's
+// structure and infeasibility handling, default_steps/planner_steps
+// boundaries, and the content-hashed plan store (miss -> compute ->
+// journal; hit -> zero evaluations, byte-identical plan record, across
+// simulated restarts).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ivnet/cib/delta_objective.hpp"
@@ -22,6 +25,8 @@
 #include "ivnet/sim/campaign.hpp"
 #include "ivnet/sim/planner.hpp"
 #include "ivnet/svc/service.hpp"
+#include "naive_delta.hpp"
+#include "scoped_isa.hpp"
 
 namespace ivnet {
 namespace {
@@ -42,22 +47,42 @@ std::vector<double> spread_set(std::size_t n, double cap) {
 
 // ------------------------------------------------- delta vs full evaluation
 
-TEST(DeltaObjectiveTest, DeltaScoreStreamMemcmpEqualsFullRebuild) {
-  // Random move/commit sequences at several (N, trials) shapes, including
-  // ragged trial counts that do not divide the worker count: every
+TEST(DeltaObjectiveTest, DeltaScoreStreamMemcmpEqualsOracleAndRebuild) {
+  // Random move/commit sequences at every instruction-set level and at
+  // several (N, trials) shapes: trial counts from one block with three ghost
+  // lanes to ragged counts that do not divide the block or the worker
+  // count, on a small grid, plus two grids long enough to re-anchor the
+  // tone rotation (every 4096 steps) twice. The build score, every
   // score_move and every post-commit score() must be bit-identical to the
-  // from-scratch full_score rebuild of the same offset set.
-  const std::size_t kAntennas[] = {2, 10, 64};
-  const std::size_t kTrialCounts[] = {1, 7, 33};
-  for (const std::size_t n : kAntennas) {
-    for (const std::size_t trials : kTrialCounts) {
+  // per-trial scalar oracle and to the from-scratch full_score rebuild of
+  // the same offset set.
+  struct Shape {
+    std::size_t n, trials, steps;
+  };
+  std::vector<Shape> shapes;
+  for (const std::size_t n : {2, 10, 64, 128}) {
+    for (const std::size_t trials : {1, 2, 3, 4, 5, 7, 33}) {
+      shapes.push_back({n, trials, 512});
+    }
+  }
+  shapes.push_back({10, 5, 9000});
+  shapes.push_back({64, 7, 8193});
+  for (const IsaLevel isa : detail::isa_levels()) {
+    ScopedIsaLevel level(isa);
+    for (const auto& [n, trials, steps] : shapes) {
+      SCOPED_TRACE(::testing::Message() << isa_name(isa) << " n=" << n
+                                        << " trials=" << trials
+                                        << " steps=" << steps);
       const double cap = 64.0 + static_cast<double>(n);
       DeltaEvalConfig eval;
       eval.mc_trials = trials;
-      eval.steps = 512;  // small grid: the contract is exact at any size
+      eval.steps = steps;
       DeltaEnvelopeState state(spread_set(n, cap), eval);
-      EXPECT_TRUE(bit_equal(state.score(), state.full_score(state.offsets_hz())))
-          << "n=" << n << " trials=" << trials << " (initial build)";
+      naive::DeltaOracle oracle(spread_set(n, cap), eval);
+      EXPECT_TRUE(bit_equal(state.score(), oracle.score())) << "build";
+      EXPECT_TRUE(
+          bit_equal(state.score(), state.full_score(state.offsets_hz())))
+          << "build vs rebuild";
 
       Rng walk(1000 + n * 10 + trials);
       for (std::size_t m = 0; m < 12; ++m) {
@@ -65,25 +90,112 @@ TEST(DeltaObjectiveTest, DeltaScoreStreamMemcmpEqualsFullRebuild) {
             walk.uniform_int(0, static_cast<std::int64_t>(n) - 1));
         const double proposed = static_cast<double>(
             walk.uniform_int(0, static_cast<std::int64_t>(cap)));
-        // Probe without mutating: the probe must equal the oracle score of
-        // the probed set.
+        // Probe without mutating: the probe must equal the oracle's probe
+        // and the rebuild score of the probed set.
         std::vector<double> probed(state.offsets_hz().begin(),
                                    state.offsets_hz().end());
         probed[tone] = proposed;
         const double probe = state.score_move(tone, proposed);
+        EXPECT_TRUE(bit_equal(probe, oracle.score_move(tone, proposed)))
+            << "move " << m;
         EXPECT_TRUE(bit_equal(probe, state.full_score(probed)))
-            << "n=" << n << " trials=" << trials << " move " << m;
+            << "move " << m << " vs rebuild";
         if (m % 2 == 0) {
           // Commit: score() must land exactly on the probe, and stay
-          // memcmp-equal to the rebuild despite the accumulated history.
+          // memcmp-equal to the oracle and the rebuild despite the
+          // accumulated history.
           state.commit_move(tone, proposed);
-          EXPECT_TRUE(bit_equal(state.score(), probe))
-              << "n=" << n << " trials=" << trials << " commit " << m;
+          oracle.commit_move(tone, proposed);
+          EXPECT_TRUE(bit_equal(state.score(), probe)) << "commit " << m;
+          EXPECT_TRUE(bit_equal(state.score(), oracle.score()))
+              << "commit " << m << " vs oracle";
           EXPECT_TRUE(
               bit_equal(state.score(), state.full_score(state.offsets_hz())))
-              << "n=" << n << " trials=" << trials << " rebuild " << m;
+              << "commit " << m << " vs rebuild";
         }
       }
+    }
+  }
+}
+
+/// Offsets that put tone i of trial 0 (phases as naive::delta_phases draws
+/// them) at angle 2 pi (i + 1) on step `at` of a `steps`-step grid over
+/// 1 s, so that trial's envelope peaks there at the tone count.
+std::vector<double> aligned_offsets(const std::vector<double>& phases,
+                                    std::size_t at, std::size_t steps) {
+  const double t = static_cast<double>(at) / static_cast<double>(steps);
+  std::vector<double> offsets(phases.size());
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    offsets[i] = (static_cast<double>(i + 1) - phases[i] / kTwoPi) / t;
+  }
+  return offsets;
+}
+
+TEST(DeltaObjectiveTest, LaneSumsPastTwoToThe51StayExact) {
+  // 4,096 tones lined up on step 128 of trial 0: that lane's sum reaches
+  // ~2^52, where a dequantization exact only below 2^51 would bend the
+  // peak. Every level must still match the oracle bit for bit.
+  constexpr std::size_t kTones = 4096;
+  DeltaEvalConfig eval;
+  eval.mc_trials = 5;
+  eval.steps = 256;
+  const std::vector<double> phases =
+      naive::delta_phases(eval.score_seed, 1, kTones);
+  const std::vector<double> offsets = aligned_offsets(phases, 128, 256);
+  naive::DeltaOracle oracle(offsets, eval);
+  ASSERT_GT(oracle.max_abs_sum(), std::int64_t{1} << 51);
+  const std::pair<std::size_t, double> moves[] = {
+      {17, 3.5}, {4095, 9000.25}, {0, offsets[0] + 0.125}};
+  std::vector<double> scores{oracle.score()};
+  for (const auto& [tone, hz] : moves) {
+    scores.push_back(oracle.score_move(tone, hz));
+    oracle.commit_move(tone, hz);
+    scores.push_back(oracle.score());
+  }
+  for (const IsaLevel isa : detail::isa_levels()) {
+    SCOPED_TRACE(isa_name(isa));
+    ScopedIsaLevel level(isa);
+    DeltaEnvelopeState state(offsets, eval);
+    std::vector<double> got{state.score()};
+    for (const auto& [tone, hz] : moves) {
+      got.push_back(state.score_move(tone, hz));
+      state.commit_move(tone, hz);
+      got.push_back(state.score());
+    }
+    ASSERT_EQ(got.size(), scores.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_TRUE(bit_equal(got[k], scores[k]))
+          << "score " << k << ": " << got[k] << " vs " << scores[k];
+    }
+  }
+}
+
+TEST(DeltaObjectiveTest, PeakOnAnyGridStepMatchesTheOracle) {
+  // Trial 0's envelope peaks on step `at`, for every `at` of a grid that
+  // spans several scan tiles, so the running peak meets its maximum and the
+  // samples either side of it at every position once, tile edges and the
+  // last step included. The other four trials, one of them in a second
+  // block beside three ghost lanes, stay random. The build and a move must
+  // match the oracle at every level.
+  constexpr std::size_t kTones = 16;
+  DeltaEvalConfig eval;
+  eval.mc_trials = 5;
+  eval.steps = 520;
+  const std::vector<double> phases =
+      naive::delta_phases(eval.score_seed, 1, kTones);
+  for (std::size_t at = 1; at < eval.steps; ++at) {
+    const std::vector<double> offsets =
+        aligned_offsets(phases, at, eval.steps);
+    const naive::DeltaOracle oracle(offsets, eval);
+    const double built = oracle.score();
+    const double moved = oracle.score_move(3, offsets[3] + 0.25);
+    for (const IsaLevel isa : detail::isa_levels()) {
+      ScopedIsaLevel level(isa);
+      const DeltaEnvelopeState state(offsets, eval);
+      EXPECT_TRUE(bit_equal(state.score(), built))
+          << isa_name(isa) << ": build, peak on step " << at;
+      EXPECT_TRUE(bit_equal(state.score_move(3, offsets[3] + 0.25), moved))
+          << isa_name(isa) << ": move, peak near step " << at;
     }
   }
 }
@@ -177,30 +289,25 @@ TEST(DeltaObjectiveTest, FullScoreRejectsAWrongSizedSet) {
       std::invalid_argument);
 }
 
-TEST(DeltaObjectiveTest, ExactLlroundEqualsLibmLlround) {
-  // Every tone sample is quantized through detail::exact_llround; one
-  // differing bit would make new plans disagree with the stored ones.
-  std::size_t checked = 0;
-  std::size_t mismatches = 0;
-  double first_bad = 0.0;
-  const auto check = [&](double x) {
-    ++checked;
-    if (detail::exact_llround(x) != std::llround(x)) {
-      if (mismatches++ == 0) first_bad = x;
-    }
-  };
+TEST(DeltaObjectiveTest, QuantizerRoundingEqualsLibmLlroundAtEveryLevel) {
+  // Every tone sample is quantized through the block kernels' rounding; one
+  // differing bit would make new plans disagree with the stored ones. Its
+  // domain is |x| < 2^51 (quantized samples stay within +-1.001 * 2^40).
+  std::vector<double> inputs;
   const auto with_neighbours = [&](double x) {
-    check(x);
-    check(std::nextafter(x, std::numeric_limits<double>::infinity()));
-    check(std::nextafter(x, -std::numeric_limits<double>::infinity()));
+    inputs.push_back(x);
+    inputs.push_back(std::nextafter(x, std::numeric_limits<double>::infinity()));
+    inputs.push_back(
+        std::nextafter(x, -std::numeric_limits<double>::infinity()));
   };
   const double scale = std::ldexp(1.0, 40);  // the lanes' 2^40
   for (const double x :
        {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
         -std::numeric_limits<double>::denorm_min(),
         std::numeric_limits<double>::min(),
-        -std::numeric_limits<double>::min(), 0.5, 1.0, scale, 1.001 * scale,
-        std::ldexp(1.0, 52), std::ldexp(1.0, 53) - 1.0}) {
+        -std::numeric_limits<double>::min(), 0.5, 1.0, 1.5, 2.5, scale,
+        1.001 * scale, std::ldexp(1.0, 50) + 0.5, std::ldexp(1.0, 51) - 1.0,
+        std::ldexp(1.0, 51) - 0.5}) {
     with_neighbours(x);
     with_neighbours(-x);
   }
@@ -216,11 +323,24 @@ TEST(DeltaObjectiveTest, ExactLlroundEqualsLibmLlround) {
   }
   // Tone samples as the lanes see them: re/im in +-1.001, times 2^40.
   for (int i = 0; i < 700000; ++i) {
-    check((2.002 * rng.uniform() - 1.001) * scale);
+    inputs.push_back((2.002 * rng.uniform() - 1.001) * scale);
   }
-  EXPECT_GE(checked, 1000000u);
-  EXPECT_EQ(mismatches, 0u) << "first mismatch at " << std::hexfloat
-                            << first_bad;
+  ASSERT_GE(inputs.size(), 1000000u);
+  for (const IsaLevel isa : detail::isa_levels()) {
+    SCOPED_TRACE(isa_name(isa));
+    ScopedIsaLevel level(isa);
+    std::vector<std::int64_t> got(inputs.size());
+    detail::quantizer_llround(inputs, got);
+    std::size_t mismatches = 0;
+    double first_bad = 0.0;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (got[i] != std::llround(inputs[i]) && mismatches++ == 0) {
+        first_bad = inputs[i];
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "first mismatch at " << std::hexfloat
+                              << first_bad;
+  }
 }
 
 // --------------------------------------------------- default_steps ceiling

@@ -18,6 +18,7 @@
 #include "ivnet/signal/goertzel.hpp"
 #include "ivnet/signal/noise.hpp"
 #include "ivnet/signal/waveform.hpp"
+#include "scoped_isa.hpp"
 
 namespace ivnet {
 namespace {
@@ -269,31 +270,14 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// Runs the sampler at one instruction-set level for the scope's lifetime.
-class ScopedGaussIsa {
- public:
-  explicit ScopedGaussIsa(signal::GaussIsa isa)
-      : previous_(signal::detail::force_gauss_isa(isa)) {}
-  ~ScopedGaussIsa() { signal::detail::force_gauss_isa(previous_); }
-  ScopedGaussIsa(const ScopedGaussIsa&) = delete;
-  ScopedGaussIsa& operator=(const ScopedGaussIsa&) = delete;
-
- private:
-  signal::GaussIsa previous_;
-};
-
-const char* isa_name(signal::GaussIsa isa) {
-  return isa == signal::GaussIsa::kBaseline ? "baseline" : "avx2+fma";
-}
-
 TEST(Gauss, LevelsIncludeBaselineAndReportTheChoice) {
-  const auto levels = signal::detail::gauss_isa_levels();
+  const auto levels = detail::isa_levels();
   ASSERT_FALSE(levels.empty());
-  EXPECT_EQ(levels.front(), signal::GaussIsa::kBaseline);
+  EXPECT_EQ(levels.front(), IsaLevel::kBaseline);
   for (const auto isa : levels) {
-    ScopedGaussIsa level(isa);
-    EXPECT_EQ(signal::gauss_simd_enabled(),
-              isa == signal::GaussIsa::kAvx2Fma);
+    ScopedIsaLevel level(isa);
+    EXPECT_EQ(isa_level(), isa);
+    EXPECT_EQ(signal::gauss_simd_enabled(), isa == IsaLevel::kAvx2Fma);
   }
 }
 
@@ -302,9 +286,9 @@ TEST(Gauss, FillsBitwiseMatchPerDrawReference) {
   // byte: one raw draw per sample, fused into the source sample, leaving
   // the generator where n calls of rng() would. The sizes straddle the
   // 4-sample packing and the 256-draw tile.
-  for (const auto isa : signal::detail::gauss_isa_levels()) {
+  for (const auto isa : detail::isa_levels()) {
     SCOPED_TRACE(isa_name(isa));
-    ScopedGaussIsa level(isa);
+    ScopedIsaLevel level(isa);
     for (const std::size_t n :
          {0, 1, 3, 4, 5, 255, 256, 257, 259, 1023, 4096, 65537}) {
       for (const std::uint64_t seed : {1ull, 99ull, 0x9e3779b97f4a7c15ull}) {
@@ -364,9 +348,9 @@ TEST(Gauss, TapeReplaysBitwiseAtAnySigma) {
   // A tape hit must write exactly what a fresh draw writes, at whatever
   // sigma, and leave the generator where the draw would: recorded at one
   // sigma, replayed at another, against the tape-free result.
-  for (const auto isa : signal::detail::gauss_isa_levels()) {
+  for (const auto isa : detail::isa_levels()) {
     SCOPED_TRACE(isa_name(isa));
-    ScopedGaussIsa level(isa);
+    ScopedIsaLevel level(isa);
     for (const std::size_t n : {0, 1, 3, 4, 255, 256, 257, 4097}) {
       for (const bool in_place : {true, false}) {
         std::vector<double> src(n);

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The CI pipeline, runnable locally. Stages, in order:
-#   - default build + full test suite, then the suite at IVNET_THREADS
-#     1/2/nproc and pinned to one CPU;
+#   - default build + full test suite;
+#   - the instruction-set split: no VEX instruction in a baseline-level
+#     object, no weak symbol in an AVX2-level one;
+#   - the suite at IVNET_THREADS 1/2/nproc and pinned to one CPU;
 #   - the telemetry-overhead gate (bench_service: <= 3% CPU per request at
 #     the sign-test 95% upper end, identical responses);
 #   - a 10k-request `ivnet serve` soak with live telemetry that must shed
@@ -15,8 +17,9 @@
 #   - CLI flags: 64-bit seeds stay exact, a malformed value exits 2, a
 #     negative value after a flag is that flag's value, a bare
 #     --closed-loop runs 4 x workers, an oversize window or a bad
-#     --time-scale beside a wall-clock sampler exits 2, and a campaign
-#     with --trials 0 or --range-trials 0 exits 2;
+#     --time-scale beside a wall-clock sampler exits 2, a campaign with
+#     --trials 0 or --range-trials 0 exits 2, and a plan with --trials,
+#     --moves or --restarts 0 or --antennas 0 or 1 exits 2 naming the flag;
 #   - every soak exemplar replays to its recorded response hash;
 #   - the suite under ASan+UBSan and TSan, and a Debug spot-check of the DSP,
 #     radio, waveform-session, Gen2, impairment/link-session, sweep
@@ -55,6 +58,31 @@ build_and_test() {
 
 echo "=== ci: default build ==="
 build_and_test build-ci
+
+echo "=== ci: instruction-set split (baseline vs AVX2 objects) ==="
+# The AVX2 units run only after common/isa.cpp finds AVX2 on the CPU, so a
+# CPU without it never enters them. Two slips would still fault there: a
+# VEX-encoded instruction in a baseline-level object, or a weak symbol in an
+# AVX2-level object (an inline or template copy the linker may hand to the
+# baseline callers too).
+OBJ_DIR=build-ci/src/CMakeFiles/ivnet.dir/ivnet
+for obj in signal/gauss.cpp.o cib/delta_objective.cpp.o; do
+  vex=$(objdump -d --no-show-raw-insn "$OBJ_DIR/$obj" |
+      awk -F'\t' 'NF>1{print $2}' | grep -c '^v' || true)
+  if [[ "$vex" -ne 0 ]]; then
+    echo "ci: baseline object $obj holds $vex VEX instructions" >&2
+    exit 1
+  fi
+done
+for obj in signal/gauss_avx2.cpp.o cib/delta_avx2.cpp.o; do
+  weak=$(nm --defined-only "$OBJ_DIR/$obj" | awk '$2 ~ /^[WwVvu]$/' | wc -l)
+  if [[ "$weak" -ne 0 ]]; then
+    echo "ci: AVX2 object $obj defines $weak weak symbols:" >&2
+    nm -C --defined-only "$OBJ_DIR/$obj" | awk '$2 ~ /^[WwVvu]$/' >&2
+    exit 1
+  fi
+done
+echo "ci: baseline objects hold no VEX instruction, AVX2 objects no weak symbol"
 
 echo "=== ci: tier-1 at fixed pool sizes and on one CPU ==="
 # Tests may assert only facts that hold under any thread schedule, so the
@@ -293,7 +321,21 @@ for zero in "x13 --trials 0" "fig9 --trials 0" "fig13 --range-trials 0"; do
     exit 1
   fi
 done
-echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2"
+# A plan count the search cannot honour (no trials, no moves, no restarts,
+# fewer than two antennas) is refused by name rather than clamped.
+for bad in "--trials 0" "--moves 0" "--restarts 0" "--antennas 0" \
+    "--antennas 1"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is one flag and its value
+  build-ci/tools/ivnet plan $bad > /dev/null \
+      2> "$ARTIFACT_DIR/plan_bad_count.txt" || rc=$?
+  if [[ "$rc" -ne 2 ]] || ! grep -q -- "${bad% *}" \
+      "$ARTIFACT_DIR/plan_bad_count.txt"; then
+    echo "ci: ivnet plan $bad exited $rc, expected 2 naming ${bad% *}" >&2
+    exit 1
+  fi
+done
+echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2, plan counts below their minimum exit 2"
 
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency

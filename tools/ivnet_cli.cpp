@@ -117,6 +117,16 @@ struct Args {
   }
 };
 
+/// A count flag below `minimum` is a bad value like a malformed one (a
+/// campaign of zero trials would report statistics of nothing; a plan of
+/// one antenna has no beat to search). Throws FlagError naming the flag.
+std::size_t count_flag(const Args& args, const std::string& name,
+                       std::size_t fallback, std::size_t minimum = 1) {
+  const auto count = args.get_num<std::size_t>(name, fallback);
+  if (count < minimum) throw FlagError(name, args.get(name, ""));
+  return count;
+}
+
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
@@ -182,14 +192,10 @@ int cmd_plan(const Args& args) {
   // two runs' outputs `cmp` equal). Without --journal the plan is still
   // memoized for this process.
   FrequencyPlanRequest request;
-  request.antennas =
-      std::max<std::size_t>(2, args.get_num<std::size_t>("antennas", 10));
-  request.mc_trials =
-      std::max<std::size_t>(1, args.get_num<std::size_t>("trials", 48));
-  request.moves =
-      std::max<std::size_t>(1, args.get_num<std::size_t>("moves", 400));
-  request.restarts =
-      std::max<std::size_t>(1, args.get_num<std::size_t>("restarts", 2));
+  request.antennas = count_flag(args, "antennas", 10, 2);
+  request.mc_trials = count_flag(args, "trials", 48);
+  request.moves = count_flag(args, "moves", 400);
+  request.restarts = count_flag(args, "restarts", 2);
   request.seed = args.get_num<std::uint64_t>("seed", 7);
 
   FrequencyPlanOutcome plan;
@@ -443,25 +449,15 @@ int cmd_deploy(const Args& args) {
   return plan.feasible ? 0 : 1;
 }
 
-/// A trial-count flag: zero trials would report statistics of nothing
-/// (null rates, zero percentiles, ranges never searched), so it is a bad
-/// value like a malformed one.
-std::size_t trials_flag(const Args& args, const std::string& name,
-                        std::size_t fallback) {
-  const auto trials = args.get_num<std::size_t>(name, fallback);
-  if (trials == 0) throw FlagError(name, args.get(name, ""));
-  return trials;
-}
-
 /// Build the requested figure campaign. Unknown bench => empty name.
 CampaignSpec campaign_from(const Args& args) {
   const std::string bench = args.get("bench", "fig9");
-  if (bench == "fig9") return fig9_campaign(trials_flag(args, "trials", 150));
+  if (bench == "fig9") return fig9_campaign(count_flag(args, "trials", 150));
   if (bench == "fig13") {
-    return fig13_campaign(trials_flag(args, "trials", 150),
-                          trials_flag(args, "range-trials", 15));
+    return fig13_campaign(count_flag(args, "trials", 150),
+                          count_flag(args, "range-trials", 15));
   }
-  if (bench == "x13") return x13_campaign(trials_flag(args, "trials", 48));
+  if (bench == "x13") return x13_campaign(count_flag(args, "trials", 48));
   return {};
 }
 
