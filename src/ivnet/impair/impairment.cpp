@@ -7,7 +7,6 @@
 #include "ivnet/common/units.hpp"
 #include "ivnet/obs/obs.hpp"
 #include "ivnet/signal/gauss.hpp"
-#include "ivnet/signal/noise.hpp"
 
 namespace ivnet {
 namespace {
@@ -55,12 +54,6 @@ void apply_awgn(std::vector<double>& x, double snr_db, Rng& rng) {
   add_real_awgn(x, signal_mean_power(x), snr_db, rng);
 }
 
-void apply_awgn(Waveform& wave, double snr_db, Rng& rng) {
-  const double noise_power = awgn_power(mean_power(wave), snr_db);
-  if (noise_power < 0.0) return;
-  add_awgn(wave, noise_power, rng);
-}
-
 void apply_carrier_offset(std::vector<double>& x, double sample_rate_hz,
                           double cfo_hz, double phase0_rad) {
   if (cfo_hz == 0.0 && phase0_rad == 0.0) return;
@@ -70,28 +63,11 @@ void apply_carrier_offset(std::vector<double>& x, double sample_rate_hz,
   }
 }
 
-void apply_carrier_offset(Waveform& wave, double cfo_hz, double phase0_rad) {
-  if (cfo_hz == 0.0 && phase0_rad == 0.0) return;
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    const double t = wave.time_of(i);
-    wave.samples[i] *= std::polar(1.0, kTwoPi * cfo_hz * t + phase0_rad);
-  }
-}
-
 void apply_phase_noise(std::vector<double>& x, double sample_rate_hz,
                        double linewidth_hz, Rng& rng) {
   if (linewidth_hz <= 0.0) return;
   const auto phi = phase_walk(x.size(), sample_rate_hz, linewidth_hz, rng);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] *= std::cos(phi[i]);
-}
-
-void apply_phase_noise(Waveform& wave, double linewidth_hz, Rng& rng) {
-  if (linewidth_hz <= 0.0) return;
-  const auto phi =
-      phase_walk(wave.size(), wave.sample_rate_hz, linewidth_hz, rng);
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    wave.samples[i] *= std::polar(1.0, phi[i]);
-  }
 }
 
 std::vector<double> apply_clock_drift(std::span<const double> x,
@@ -245,45 +221,6 @@ std::vector<double> ImpairmentChain::apply(
   add_real_awgn(x, clean ? *clean_power : signal_mean_power(x), config_.snr_db,
                 rng);
   return x;
-}
-
-Waveform ImpairmentChain::apply(const Waveform& in, Rng& rng,
-                                ImpairmentTrace* trace) const {
-  Waveform out;
-  out.sample_rate_hz = in.sample_rate_hz;
-  if (config_.clock_drift_ppm == 0.0) {
-    out.samples = in.samples;
-  } else {
-    // Drift the real and imaginary rails on the same interpolation grid.
-    std::vector<double> re(in.size()), im(in.size());
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      re[i] = in.samples[i].real();
-      im[i] = in.samples[i].imag();
-    }
-    const auto re_d = apply_clock_drift(re, config_.clock_drift_ppm);
-    const auto im_d = apply_clock_drift(im, config_.clock_drift_ppm);
-    out.samples.resize(re_d.size());
-    for (std::size_t i = 0; i < re_d.size(); ++i) {
-      out.samples[i] = cplx(re_d[i], im_d[i]);
-    }
-  }
-  apply_carrier_offset(out, config_.cfo_hz, config_.cfo_phase_rad);
-  apply_phase_noise(out, config_.phase_noise_linewidth_hz, rng);
-  if (config_.bursts.rate_hz > 0.0 && config_.bursts.mean_duration_s > 0.0 &&
-      !out.empty()) {
-    // Reuse the real-path burst machinery on an all-ones mask.
-    std::vector<double> mask(out.size(), 1.0);
-    std::size_t erased = 0;
-    const std::size_t bursts = apply_burst_erasures(
-        mask, out.sample_rate_hz, config_.bursts, rng, &erased);
-    for (std::size_t i = 0; i < out.size(); ++i) out.samples[i] *= mask[i];
-    if (trace != nullptr) {
-      trace->bursts += bursts;
-      trace->erased_samples += erased;
-    }
-  }
-  apply_awgn(out, config_.snr_db, rng);
-  return out;
 }
 
 }  // namespace ivnet

@@ -6,9 +6,9 @@
 // offset and oscillator phase noise after its downconversion, sample-clock
 // drift between tag and reader, burst erasures from body motion, and
 // harvester brownout when the rail sags mid-reply. Each impairment here is
-// a standalone primitive; ImpairmentChain composes an arbitrary subset and
-// can wrap any real envelope or IQ stream between the CIB transmitter, the
-// tag state machine, and the oob_reader RX chain.
+// a standalone primitive on a real record; ImpairmentChain composes an
+// arbitrary subset and wraps the link session's real envelopes (the PIE
+// downlink the tag hears, the FM0/Miller uplink the oob_reader decodes).
 //
 // Determinism: every stochastic primitive draws from an explicitly passed
 // Rng, so an impaired run is reproducible from a seed and safe inside the
@@ -23,7 +23,6 @@
 
 #include "ivnet/common/rng.hpp"
 #include "ivnet/harvester/transient.hpp"
-#include "ivnet/signal/waveform.hpp"
 
 namespace ivnet {
 
@@ -92,24 +91,16 @@ double signal_mean_power(std::span<const double> x);
 /// draws through signal/gauss: one raw Rng draw per real lane.
 void apply_awgn(std::vector<double>& x, double snr_db, Rng& rng);
 
-/// Complex AWGN at `snr_db` relative to the waveform's mean power: add_awgn
-/// (signal/noise.hpp) with that noise power, 2 draws per sample.
-void apply_awgn(Waveform& wave, double snr_db, Rng& rng);
-
 /// Residual CFO on a REAL downconverted baseband: x[i] *= cos(2*pi*f*t+p0).
 /// (After a real mixer, an offset carrier beats against the signal.)
 void apply_carrier_offset(std::vector<double>& x, double sample_rate_hz,
                           double cfo_hz, double phase0_rad);
 
-/// CFO on complex baseband: rotate by exp(j*(2*pi*f*t + p0)).
-void apply_carrier_offset(Waveform& wave, double cfo_hz, double phase0_rad);
-
 /// Random-walk phase noise of Lorentzian linewidth `linewidth_hz`: phase
-/// increments are N(0, 2*pi*linewidth/fs) per sample, one draw each. Real
-/// signals are multiplied by cos(phi), complex ones rotated by exp(j*phi).
+/// increments are N(0, 2*pi*linewidth/fs) per sample, one draw each, and
+/// the signal is multiplied by cos(phi).
 void apply_phase_noise(std::vector<double>& x, double sample_rate_hz,
                        double linewidth_hz, Rng& rng);
-void apply_phase_noise(Waveform& wave, double linewidth_hz, Rng& rng);
 
 /// Resample `x` as seen through a receiver whose clock runs `drift_ppm`
 /// fast (positive) or slow (negative), via linear interpolation. The output
@@ -148,8 +139,8 @@ std::vector<bool> brownout_gate(std::span<const double> supply_envelope_v,
 /// Zero x[i] wherever gate[i] is off (sizes may differ; the overlap is used).
 void apply_brownout(std::vector<double>& x, const std::vector<bool>& gate);
 
-/// Applies a fixed ImpairmentConfig to real or complex streams, in the
-/// physical order a receiver sees them: clock drift, then CFO, then phase
+/// Applies a fixed ImpairmentConfig to real records, in the physical
+/// order a receiver sees them: clock drift, then CFO, then phase
 /// noise, then burst erasures, then AWGN. Brownout is NOT applied here — it
 /// needs the supply envelope, which is a different stream; use
 /// brownout_gate/apply_brownout (the session layer does).
@@ -170,8 +161,6 @@ class ImpairmentChain {
       std::vector<double> x, double sample_rate_hz, Rng& rng,
       ImpairmentTrace* trace = nullptr,
       std::optional<double> clean_power = std::nullopt) const;
-  Waveform apply(const Waveform& in, Rng& rng,
-                 ImpairmentTrace* trace = nullptr) const;
 
  private:
   ImpairmentConfig config_;

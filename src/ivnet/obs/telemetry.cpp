@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "ivnet/common/json.hpp"
@@ -338,35 +338,50 @@ std::string exemplar_json(const Exemplar& e) {
   return w.str();
 }
 
+namespace {
+
+/// The raw value after `"key":`, up to the next `,` or `}`, with JSON
+/// whitespace trimmed; empty when the key is absent.
+std::string_view find_token(std::string_view line, std::string_view key) {
+  const std::string needle = '"' + std::string(key) + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string_view::npos) return {};
+  std::string_view value = line.substr(at + needle.size());
+  value = value.substr(0, value.find_first_of(",}"));
+  constexpr std::string_view kSpace = " \t\r\n";
+  value.remove_prefix(std::min(value.find_first_not_of(kSpace), value.size()));
+  value = value.substr(0, value.find_last_not_of(kSpace) + 1);
+  return value;
+}
+
+/// Parses all of `text` as a decimal integer that fits T: no sign,
+/// fraction, exponent or trailing character.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, out);
+  return ec == std::errc() && end == last;
+}
+
+}  // namespace
+
 bool parse_exemplar_line(std::string_view line, Exemplar& out) {
-  if (line.find("\"seed\"") == std::string_view::npos ||
-      line.find("\"response_hash\"") == std::string_view::npos) {
+  Exemplar e;
+  if (!parse_whole(find_token(line, "id"), e.id) ||
+      !parse_whole(find_token(line, "kind"), e.kind) ||
+      !parse_whole(find_token(line, "trials"), e.trials) ||
+      !parse_whole(find_token(line, "antennas"), e.antennas) ||
+      !parse_whole(json_find_string(line, "seed", ""), e.seed) ||
+      !parse_whole(json_find_string(line, "response_hash", ""),
+                   e.response_hash)) {
     return false;
   }
-  const double bad = std::nan("");
-  const double id = json_find_number(line, "id", bad);
-  const double kind = json_find_number(line, "kind", bad);
-  const double trials = json_find_number(line, "trials", bad);
-  const double antennas = json_find_number(line, "antennas", bad);
-  if (std::isnan(id) || std::isnan(kind) || std::isnan(trials) ||
-      std::isnan(antennas)) {
-    return false;
-  }
-  const std::string seed = json_find_string(line, "seed", "");
-  const std::string hash = json_find_string(line, "response_hash", "");
-  if (seed.empty() || hash.empty()) return false;
-  out = Exemplar{};
-  out.id = static_cast<std::uint64_t>(id);
-  out.kind = static_cast<std::uint32_t>(kind);
-  out.trials = static_cast<std::uint32_t>(trials);
-  out.antennas = static_cast<std::uint32_t>(antennas);
-  out.seed = std::strtoull(seed.c_str(), nullptr, 10);
-  out.response_hash = std::strtoull(hash.c_str(), nullptr, 10);
-  out.snr_db = json_find_number(line, "snr_db", 0.0);
-  out.medium_loss_db = json_find_number(line, "medium_loss_db", 0.0);
-  out.t_s = json_find_number(line, "t_s", 0.0);
-  out.queue_wait_s = json_find_number(line, "queue_wait_s", 0.0);
-  out.service_s = json_find_number(line, "service_s", 0.0);
+  e.snr_db = json_find_number(line, "snr_db", 0.0);
+  e.medium_loss_db = json_find_number(line, "medium_loss_db", 0.0);
+  e.t_s = json_find_number(line, "t_s", 0.0);
+  e.queue_wait_s = json_find_number(line, "queue_wait_s", 0.0);
+  e.service_s = json_find_number(line, "service_s", 0.0);
+  out = e;
   return true;
 }
 

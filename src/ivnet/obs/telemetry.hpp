@@ -251,8 +251,11 @@ class ServiceTelemetry {
 /// in (see parse_exemplar_line).
 std::string exemplar_json(const Exemplar& exemplar);
 
-/// Parse one exemplar_json line back. Returns false when required fields
-/// are missing (blank lines, headers). Tolerates surrounding whitespace.
+/// Parse one exemplar_json line back. Returns false when a required field
+/// is missing (blank lines, headers) or malformed: id, kind, trials and
+/// antennas must be decimal integers that fit their fields, and seed and
+/// response_hash decimal strings that fit 64 bits, each with nothing else
+/// in the value. Tolerates surrounding whitespace.
 bool parse_exemplar_line(std::string_view line, Exemplar& out);
 
 }  // namespace ivnet::obs

@@ -1,13 +1,11 @@
 #include "ivnet/signal/fir.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
 #include "ivnet/common/units.hpp"
 #include "ivnet/signal/fir_core.hpp"
-#include "ivnet/signal/phasor.hpp"
 
 namespace ivnet {
 namespace {
@@ -52,29 +50,6 @@ std::vector<double> design_lowpass(double cutoff_hz, double sample_rate_hz,
   return taps;
 }
 
-std::vector<double> design_bandpass(double low_hz, double high_hz,
-                                    double sample_rate_hz, std::size_t num_taps) {
-  if (!(low_hz >= 0.0 && low_hz < high_hz)) {
-    invalid("band edges must satisfy 0 <= low_hz < high_hz: got [" +
-            std::to_string(low_hz) + ", " + std::to_string(high_hz) + "]");
-  }
-  if (!(high_hz <= sample_rate_hz / 2.0)) {
-    invalid("high_hz must be <= sample_rate_hz/2: got " +
-            std::to_string(high_hz) + " at fs " +
-            std::to_string(sample_rate_hz));
-  }
-  auto lp = design_lowpass((high_hz - low_hz) / 2.0, sample_rate_hz, num_taps);
-  const double center = (low_hz + high_hz) / 2.0;
-  const auto mid = static_cast<double>(lp.size() - 1) / 2.0;
-  // Shift the low-pass prototype up to the band center (real modulation, so
-  // this creates a symmetric band-pass; gain at center doubles, renormalize).
-  for (std::size_t n = 0; n < lp.size(); ++n) {
-    const double k = static_cast<double>(n) - mid;
-    lp[n] *= 2.0 * std::cos(kTwoPi * center * k / sample_rate_hz);
-  }
-  return lp;
-}
-
 void fir_filter(const Waveform& wave, std::span<const double> taps,
                 Waveform& out, DspWorkspace& ws) {
   const std::size_t n = wave.samples.size();
@@ -82,7 +57,7 @@ void fir_filter(const Waveform& wave, std::span<const double> taps,
   out.samples.resize(n);
   // SoA: a complex sample convolved with real taps is two independent real
   // convolutions; split lanes keep the core loop's loads contiguous.
-  ScopedBuffer<double> re(ws, n), im(ws, n), out_re(ws, n), out_im(ws, n);
+  ScopedBuffer re(ws, n), im(ws, n), out_re(ws, n), out_im(ws, n);
   for (std::size_t i = 0; i < n; ++i) {
     re.data()[i] = wave.samples[i].real();
     im.data()[i] = wave.samples[i].imag();
@@ -92,63 +67,6 @@ void fir_filter(const Waveform& wave, std::span<const double> taps,
   for (std::size_t i = 0; i < n; ++i) {
     out.samples[i] = cplx{out_re.data()[i], out_im.data()[i]};
   }
-}
-
-Waveform fir_filter(const Waveform& wave, std::span<const double> taps) {
-  Waveform out;
-  fir_filter(wave, taps, out, DspWorkspace::tls());
-  return out;
-}
-
-void fir_filter(std::span<const double> x, std::span<const double> taps,
-                std::vector<double>& out) {
-  out.resize(x.size());
-  detail::fir_same(x.data(), x.size(), taps.data(), taps.size(), out.data());
-}
-
-std::vector<double> fir_filter(std::span<const double> x,
-                               std::span<const double> taps) {
-  std::vector<double> out;
-  fir_filter(x, taps, out);
-  return out;
-}
-
-SawFilter::SawFilter(double center_hz, double bandwidth_hz, double rejection_db,
-                     double sample_rate_hz)
-    : center_hz_(center_hz),
-      bandwidth_hz_(bandwidth_hz),
-      rejection_db_(rejection_db),
-      sample_rate_hz_(sample_rate_hz),
-      lowpass_taps_(design_lowpass(bandwidth_hz / 2.0, sample_rate_hz, 101)) {}
-
-void SawFilter::apply(const Waveform& in, Waveform& out,
-                      DspWorkspace& ws) const {
-  // Shift the passband down to DC, low-pass, shift back. Add a small leakage
-  // of the unfiltered input to model finite stopband rejection.
-  const double dphi = -kTwoPi * center_hz_ / sample_rate_hz_;
-  Waveform shifted;
-  shifted.sample_rate_hz = in.sample_rate_hz;
-  shifted.samples = ws.acquire_cplx(in.samples.size());
-  PhasorRotator rot(0.0, dphi);
-  for (std::size_t i = 0; i < in.samples.size(); ++i) {
-    shifted.samples[i] = in.samples[i] * rot.value();
-    rot.advance();
-  }
-  fir_filter(shifted, lowpass_taps_, out, ws);
-  ws.release(std::move(shifted.samples));
-
-  const double leak = db_to_amplitude(-rejection_db_);
-  PhasorRotator unrot(0.0, -dphi);
-  for (std::size_t i = 0; i < out.samples.size(); ++i) {
-    out.samples[i] = out.samples[i] * unrot.value() + leak * in.samples[i];
-    unrot.advance();
-  }
-}
-
-Waveform SawFilter::apply(const Waveform& in) const {
-  Waveform out;
-  apply(in, out, DspWorkspace::tls());
-  return out;
 }
 
 }  // namespace ivnet

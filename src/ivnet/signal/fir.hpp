@@ -1,14 +1,17 @@
-// FIR filter design and the SAW band-filter model the out-of-band reader uses
-// to reject CIB self-jamming (Sec. 5(b): "high-rejection SAW filter").
+// Windowed-sinc FIR design and the complex "same"-aligned FIR kernel.
 //
-// The fir_filter kernels here are the three-region fast path: edge outputs
-// (where the tap window overhangs the signal) run the textbook
-// bounds-checked loop, interior outputs run a branch-free core with no
-// bounds checks, and the complex overload processes split re/im (SoA)
-// lanes. Per-output accumulation order is unchanged, so results are
-// bitwise-identical to the naive loop — pinned against the retained oracles
-// in signal/naive_dsp.hpp by tests/dsp_fastpath_test.cpp. See
-// docs/ARCHITECTURE.md, "DSP fast path".
+// No session, campaign or service request filters in the sample domain:
+// the out-of-band reader models its SAW filter as a scalar rejection
+// (reader/oob_reader.hpp). This kernel and decimate (resampler.hpp) stay
+// for the benchmark's FIR probes.
+//
+// fir_filter is the three-region fast path: edge outputs (where the tap
+// window overhangs the signal) run the textbook bounds-checked loop,
+// interior outputs run a branch-free core with no bounds checks, and the
+// re/im parts run as split (SoA) lanes. Per-output accumulation order is
+// unchanged, so results are bitwise-identical to the naive loop — pinned
+// against the oracle in tests/naive_dsp.hpp by tests/dsp_fastpath_test.cpp.
+// See docs/ARCHITECTURE.md, "DSP fast path".
 #pragma once
 
 #include <cstddef>
@@ -26,63 +29,11 @@ namespace ivnet {
 std::vector<double> design_lowpass(double cutoff_hz, double sample_rate_hz,
                                    std::size_t num_taps);
 
-/// Band-pass FIR taps centered on [low_hz, high_hz]. Throws
-/// std::invalid_argument unless 0 <= low_hz < high_hz <= sample_rate_hz/2.
-std::vector<double> design_bandpass(double low_hz, double high_hz,
-                                    double sample_rate_hz, std::size_t num_taps);
-
 /// Convolve a complex waveform with real taps ("same" alignment: output has
-/// the same length, group delay compensated by (num_taps-1)/2 samples).
-/// Scratch comes from DspWorkspace::tls().
-Waveform fir_filter(const Waveform& wave, std::span<const double> taps);
-
-/// As above, writing into `out` (resized; must not alias `wave`) with
-/// split-lane scratch checked out of `ws`.
+/// the same length, group delay compensated by (num_taps-1)/2 samples),
+/// writing into `out` (resized; must not alias `wave`) with split-lane
+/// scratch checked out of `ws`.
 void fir_filter(const Waveform& wave, std::span<const double> taps,
                 Waveform& out, DspWorkspace& ws);
-
-/// Real-signal version of fir_filter.
-std::vector<double> fir_filter(std::span<const double> x,
-                               std::span<const double> taps);
-
-/// As above, writing into `out` (resized; must not alias `x`).
-void fir_filter(std::span<const double> x, std::span<const double> taps,
-                std::vector<double>& out);
-
-/// Model of a high-rejection SAW band filter: passes the complex-baseband
-/// band [center - bw/2, center + bw/2] and attenuates everything else by
-/// `stopband_rejection_db`. Implemented as an FIR band-pass plus a floor
-/// leakage term so rejection is finite, as in real SAW devices.
-///
-/// The passband shift/unshift phasors re-anchor from std::polar every
-/// PhasorRotator::kRenormInterval samples (the CIB envelope kernel's
-/// policy), so rotation error stays bounded over arbitrarily long captures.
-class SawFilter {
- public:
-  /// @param center_hz    Passband center at complex baseband.
-  /// @param bandwidth_hz Passband width.
-  /// @param rejection_db Stopband rejection (positive dB, typically 40-60).
-  /// @param sample_rate_hz Operating sample rate.
-  SawFilter(double center_hz, double bandwidth_hz, double rejection_db,
-            double sample_rate_hz);
-
-  /// Scratch comes from DspWorkspace::tls().
-  Waveform apply(const Waveform& in) const;
-
-  /// As above, writing into `out` (resized; must not alias `in`) with
-  /// scratch checked out of `ws`.
-  void apply(const Waveform& in, Waveform& out, DspWorkspace& ws) const;
-
-  double center_hz() const { return center_hz_; }
-  double bandwidth_hz() const { return bandwidth_hz_; }
-  double rejection_db() const { return rejection_db_; }
-
- private:
-  double center_hz_;
-  double bandwidth_hz_;
-  double rejection_db_;
-  double sample_rate_hz_;
-  std::vector<double> lowpass_taps_;  // applied after shifting passband to DC
-};
 
 }  // namespace ivnet

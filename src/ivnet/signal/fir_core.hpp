@@ -14,7 +14,7 @@
 // order, and the checked loop SKIPS out-of-range terms exactly as the naive
 // kernel does, so each output is produced by the identical sequence of
 // floating-point operations: results are bitwise-identical to the naive
-// oracle (signal/naive_dsp.hpp), which tests/dsp_fastpath_test.cpp pins.
+// oracle (tests/naive_dsp.hpp), which tests/dsp_fastpath_test.cpp pins.
 //
 // The interior runs in L1-resident output tiles, accumulated tap-by-tap
 // (the "outer product" form): for each tap, one contiguous

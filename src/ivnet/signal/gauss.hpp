@@ -16,8 +16,6 @@
 //   sampler; its callers are
 //     impair/apply_awgn          real envelopes (the session engine's noise)
 //     signal/add_awgn            complex samples as interleaved re/im lanes
-//                                (impair's complex apply_awgn and
-//                                sdr/RxChain's thermal noise delegate here)
 //     impair/apply_phase_noise   random-walk increments, then a prefix sum
 //     reader/OobReader::decode   the out-of-band reader's receive noise
 //   Rng::normal is left for scalar parameter draws only.

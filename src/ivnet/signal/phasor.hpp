@@ -16,13 +16,11 @@
 //                      lanes are seeded from each device's rotator (value,
 //                      step) and re-anchored through anchor()
 //   signal/waveform    make_tone, make_multitone (amplitude applied outside)
-//   signal/iq.cpp      apply_impairments (CFO), remove_cfo
-//   signal/goertzel    goertzel (the single-bin DFT kernel)
-//   signal/fir.cpp     SawFilter::apply (band shift/unshift)
 //
 // Drift regression: tests pin the 2^20-step error below 1e-9 for the
-// rotator and for each site above (the naive product drifts ~100x worse
-// and keeps growing).
+// rotator, for each site above and for the tests' single-bin DFT
+// (tests/goertzel.hpp); the naive product drifts ~100x worse and keeps
+// growing.
 #pragma once
 
 #include <complex>

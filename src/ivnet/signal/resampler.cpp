@@ -1,25 +1,18 @@
 #include "ivnet/signal/resampler.hpp"
 
 #include <cassert>
-#include <cmath>
-#include <numeric>
 
-#include "ivnet/common/units.hpp"
 #include "ivnet/signal/fir.hpp"
 #include "ivnet/signal/fir_core.hpp"
 
 namespace ivnet {
 
-/// The ONE anti-alias design both decimate overloads share. The two copies
-/// used to spell the cutoff differently (`0.45 * out_rate / 2.0 * 2.0` vs
-/// `0.45 * out_rate`) — numerically equal, but only by accident of the
-/// stray `/ 2.0 * 2.0`, and each hardcoded 63 taps, which leaves the
-/// Hamming transition band (~3.3/N of the input rate) straddling the new
-/// Nyquist at large factors. Audited design: cutoff at 90% of the
-/// post-decimation Nyquist (0.45 * out_rate) with 34*factor + 1 taps, so
-/// the transition band ends AT the new Nyquist and anything that would
-/// alias sits in the >= 50 dB Hamming stopband (the alias-rejection test
-/// pins >= 40 dB).
+/// Cutoff at 90% of the post-decimation Nyquist (0.45 * out_rate) with
+/// 34*factor + 1 taps: the Hamming transition band (~3.3/N of the input
+/// rate) ends AT the new Nyquist, so anything that would alias sits in the
+/// >= 50 dB Hamming stopband (the alias-rejection test pins >= 40 dB). A
+/// fixed tap count would leave the transition band straddling the new
+/// Nyquist at large factors.
 std::vector<double> decimation_taps(double in_rate_hz, std::size_t factor) {
   const double out_rate = in_rate_hz / static_cast<double>(factor);
   return design_lowpass(0.45 * out_rate, in_rate_hz, 34 * factor + 1);
@@ -35,8 +28,7 @@ Waveform decimate(const Waveform& in, std::size_t factor, DspWorkspace& ws) {
   out.sample_rate_hz = in.sample_rate_hz / static_cast<double>(factor);
   out.samples.resize(out_len);
   // SoA split + decimating FIR: only the kept output samples are computed.
-  ScopedBuffer<double> re(ws, n), im(ws, n), out_re(ws, out_len),
-      out_im(ws, out_len);
+  ScopedBuffer re(ws, n), im(ws, n), out_re(ws, out_len), out_im(ws, out_len);
   for (std::size_t i = 0; i < n; ++i) {
     re.data()[i] = in.samples[i].real();
     im.data()[i] = in.samples[i].imag();
@@ -47,124 +39,6 @@ Waveform decimate(const Waveform& in, std::size_t factor, DspWorkspace& ws) {
                        out_im.data());
   for (std::size_t k = 0; k < out_len; ++k) {
     out.samples[k] = cplx{out_re.data()[k], out_im.data()[k]};
-  }
-  return out;
-}
-
-Waveform decimate(const Waveform& in, std::size_t factor) {
-  return decimate(in, factor, DspWorkspace::tls());
-}
-
-std::vector<double> decimate(std::span<const double> in, std::size_t factor,
-                             double sample_rate_hz) {
-  assert(factor >= 1);
-  if (factor == 1) return std::vector<double>(in.begin(), in.end());
-  const auto taps = decimation_taps(sample_rate_hz, factor);
-  std::vector<double> out((in.size() + factor - 1) / factor);
-  detail::fir_decimate(in.data(), in.size(), taps.data(), taps.size(), factor,
-                       out.data());
-  return out;
-}
-
-RationalResampler::RationalResampler(std::size_t up, std::size_t down,
-                                     std::size_t taps_per_phase) {
-  assert(up >= 1 && down >= 1);
-  const std::size_t g = std::gcd(up, down);
-  up_ = up / g;
-  down_ = down / g;
-  // Prototype low-pass at the tighter of the two Nyquists, designed at the
-  // (virtual) upsampled rate. Normalized cutoff: 0.45 / max(up, down).
-  const double virtual_rate = static_cast<double>(up_);
-  const double cutoff =
-      0.45 * virtual_rate / static_cast<double>(std::max(up_, down_));
-  taps_ = design_lowpass(cutoff, virtual_rate, up_ * taps_per_phase);
-  // Gain compensation: zero-stuffing loses a factor of up.
-  for (auto& t : taps_) t *= static_cast<double>(up_);
-  // Polyphase decomposition: output phase p (virtual index = p mod up)
-  // convolves input samples with taps p, p+up, p+2up, ... in ascending
-  // prototype order — the only taps the zero-stuffed stream can hit there.
-  phase_taps_.resize(up_);
-  for (std::size_t p = 0; p < up_; ++p) {
-    for (std::size_t t = p; t < taps_.size(); t += up_) {
-      phase_taps_[p].push_back(taps_[t]);
-    }
-  }
-}
-
-void RationalResampler::apply(std::span<const double> in,
-                              std::vector<double>& out) const {
-  if (up_ == 1 && down_ == 1) {
-    out.assign(in.begin(), in.end());
-    return;
-  }
-  const std::size_t out_len = in.size() * up_ / down_;  // floor: see header
-  out.resize(out_len);
-  const std::size_t half = taps_.size() / 2;
-  const std::size_t in_n = in.size();
-  for (std::size_t n = 0; n < out_len; ++n) {
-    // Virtual upsampled index of this output sample, group-delay shifted.
-    const std::size_t vph = n * down_ + half;
-    const std::size_t phase = vph % up_;
-    // Input sample hit by the first bank tap (largest source index).
-    const std::size_t src0 = vph / up_;
-    const std::vector<double>& bank = phase_taps_[phase];
-    // bank[k] pairs with in[src0 - k]; clip k to the input's extent. The
-    // ascending-k walk visits the prototype taps in the same ascending
-    // order the naive zero-stuffed scan does, so the accumulation is
-    // bitwise-identical.
-    const std::size_t k_begin = src0 >= in_n ? src0 - (in_n - 1) : 0;
-    const std::size_t k_end = std::min(bank.size(), src0 + 1);
-    double acc = 0.0;
-    for (std::size_t k = k_begin; k < k_end; ++k) {
-      acc += bank[k] * in[src0 - k];
-    }
-    out[n] = acc;
-  }
-}
-
-std::vector<double> RationalResampler::apply(std::span<const double> in) const {
-  std::vector<double> out;
-  apply(in, out);
-  return out;
-}
-
-Waveform RationalResampler::apply(const Waveform& in, DspWorkspace& ws) const {
-  const std::size_t n = in.samples.size();
-  ScopedBuffer<double> re(ws, n), im(ws, n), re_out(ws, 0), im_out(ws, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    re.data()[i] = in.samples[i].real();
-    im.data()[i] = in.samples[i].imag();
-  }
-  apply(*re, *re_out);
-  apply(*im, *im_out);
-  Waveform out;
-  out.sample_rate_hz =
-      in.sample_rate_hz * static_cast<double>(up_) / static_cast<double>(down_);
-  out.samples.resize(re_out.size());
-  for (std::size_t i = 0; i < re_out.size(); ++i) {
-    out.samples[i] = cplx{re_out.data()[i], im_out.data()[i]};
-  }
-  return out;
-}
-
-Waveform RationalResampler::apply(const Waveform& in) const {
-  return apply(in, DspWorkspace::tls());
-}
-
-std::vector<double> fractional_delay(std::span<const double> in,
-                                     double delay_samples) {
-  std::vector<double> out(in.size(), 0.0);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const double src = static_cast<double>(i) - delay_samples;
-    const auto lo = static_cast<std::ptrdiff_t>(std::floor(src));
-    const double frac = src - std::floor(src);
-    const auto n = static_cast<std::ptrdiff_t>(in.size());
-    const double a =
-        (lo >= 0 && lo < n) ? in[static_cast<std::size_t>(lo)] : 0.0;
-    const double b = (lo + 1 >= 0 && lo + 1 < n)
-                         ? in[static_cast<std::size_t>(lo + 1)]
-                         : 0.0;
-    out[i] = a * (1.0 - frac) + b * frac;
   }
   return out;
 }

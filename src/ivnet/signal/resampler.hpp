@@ -1,19 +1,16 @@
-// Sample-rate conversion: integer decimation with anti-alias filtering and
-// rational (L/M) polyphase resampling. Used by the receive chain to bring
-// the 800 kHz capture rate down to the backscatter decoder's rate, and by
-// experiments that run the harvester at a decimated envelope rate.
+// Integer decimation with anti-alias filtering.
 //
-// Both decimate overloads and RationalResampler::apply run polyphase fast
-// paths: decimation evaluates the anti-alias FIR only at the kept output
-// samples (factor x fewer MACs), and the resampler indexes per-phase tap
-// banks instead of stepping over the zero-stuffed prototype tap by tap.
-// Per-output accumulation order matches the naive kernels, so results are
-// bitwise-identical — pinned against signal/naive_dsp.hpp oracles by
+// No session, campaign or service request changes sample rate: decimate
+// stays, beside fir_filter (fir.hpp), for the benchmark's FIR probes.
+//
+// decimate runs the polyphase fast path: it evaluates the anti-alias FIR
+// only at the kept output samples (factor x fewer MACs). Per-output
+// accumulation order matches the filter-everything kernel, so results are
+// bitwise-identical — pinned against the tests/naive_dsp.hpp oracle by
 // tests/dsp_fastpath_test.cpp. See docs/ARCHITECTURE.md, "DSP fast path".
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "ivnet/signal/dsp_workspace.hpp"
@@ -21,84 +18,15 @@
 
 namespace ivnet {
 
-/// The shared anti-alias design both decimate overloads use: cutoff at 90%
-/// of the post-decimation Nyquist (0.45 * out_rate) with 34*factor + 1
-/// taps. Exposed so the test/bench oracles can reproduce decimation
-/// exactly; production code should call decimate().
+/// The anti-alias design decimate uses: cutoff at 90% of the
+/// post-decimation Nyquist (0.45 * out_rate) with 34*factor + 1 taps.
+/// Exposed so the test oracle can reproduce decimation exactly.
 std::vector<double> decimation_taps(double in_rate_hz, std::size_t factor);
 
 /// Decimate by `factor` with a windowed-sinc anti-alias low-pass (cutoff at
-/// 0.45 * output Nyquist). factor == 1 returns the input unchanged.
-/// Output length is ceil(in.size() / factor) (kept indices 0, factor, ...).
-/// Scratch comes from DspWorkspace::tls().
-Waveform decimate(const Waveform& in, std::size_t factor);
-
-/// As above with split-lane scratch checked out of `ws`.
+/// 0.45 * output Nyquist), split-lane scratch checked out of `ws`.
+/// factor == 1 returns the input unchanged. Output length is
+/// ceil(in.size() / factor) (kept indices 0, factor, ...).
 Waveform decimate(const Waveform& in, std::size_t factor, DspWorkspace& ws);
-
-/// Real-signal decimation with the same anti-alias filtering.
-std::vector<double> decimate(std::span<const double> in, std::size_t factor,
-                             double sample_rate_hz);
-
-/// Rational resampler: output rate = input rate * up / down.
-///
-/// Classic polyphase structure: conceptually upsample by `up` (zero
-/// stuffing), low-pass at min(pi/up, pi/down), downsample by `down` — but
-/// computed without materializing the upsampled stream. The constructor
-/// splits the prototype low-pass into `up` per-phase tap banks
-/// (bank p = prototype taps p, p+up, p+2up, ...); each output sample reads
-/// exactly one bank, so no zero-stuffed taps are ever visited.
-class RationalResampler {
- public:
-  /// @param up, down  Rate ratio (reduced internally by their gcd).
-  /// @param taps_per_phase  Filter sharpness (8-16 typical).
-  RationalResampler(std::size_t up, std::size_t down,
-                    std::size_t taps_per_phase = 12);
-
-  std::size_t up() const { return up_; }
-  std::size_t down() const { return down_; }
-
-  /// The prototype low-pass (length ~ up * taps_per_phase, rounded up to
-  /// odd, gain-compensated by up). Exposed for the test/bench oracles.
-  std::span<const double> prototype_taps() const { return taps_; }
-
-  /// Resample a whole buffer (stateless convenience; group delay trimmed).
-  ///
-  /// Length contract: the output has exactly
-  ///     out_len = floor(in.size() * up / down)
-  /// samples — integer division, so up to (down-1)/up of a sample's worth
-  /// of virtual output positions at the tail are dropped, never rounded
-  /// up. Output sample n is the polyphase filter evaluated at virtual
-  /// upsampled index n * down. Examples: 3/2 of 5 samples -> 7 (not 7.5
-  /// rounded to 8); 7/5 of 9 -> 12; 2/5 of 2 -> 0 (empty output).
-  std::vector<double> apply(std::span<const double> in) const;
-
-  /// As above, writing into `out` (resized; must not alias `in`).
-  void apply(std::span<const double> in, std::vector<double>& out) const;
-
-  /// Complex overload: the two lanes are resampled independently through
-  /// the real path (scratch from `ws`; the convenience overload uses
-  /// DspWorkspace::tls()). Same length contract as the real overload.
-  Waveform apply(const Waveform& in) const;
-  Waveform apply(const Waveform& in, DspWorkspace& ws) const;
-
- private:
-  std::size_t up_;
-  std::size_t down_;
-  std::vector<double> taps_;  // prototype low-pass, length up * taps_per_phase
-  /// phase_taps_[p][k] = taps_[p + k*up_]: the bank output phase p reads.
-  std::vector<std::vector<double>> phase_taps_;
-};
-
-/// Linear-interpolation fractional delay (sub-sample timing alignment for
-/// the backscatter decoder).
-///
-/// Boundary behavior: the input is treated as zero outside [0, n). A
-/// sample whose (fractional) source position falls before the first or
-/// after the last input sample interpolates against that implicit zero, so
-/// delays >= n (or <= -n) yield an all-zero output, and negative delays
-/// shift the signal earlier with zero-fill at the tail.
-std::vector<double> fractional_delay(std::span<const double> in,
-                                     double delay_samples);
 
 }  // namespace ivnet

@@ -271,8 +271,9 @@ void InventoryService::handle(Request request, std::size_t ring) {
 
   StageTimings stages;
   const FlightHook hook{config_.flight, ring, telemetry_now(request)};
+  DspWorkspace workspace;
   Response response =
-      execute_request(config_, request, DspWorkspace::tls(), &stages,
+      execute_request(config_, request, workspace, &stages,
                       config_.flight != nullptr ? &hook : nullptr);
   response.queue_wait_s = queue_wait_s;
   response.service_s =

@@ -168,9 +168,10 @@ struct FlightHook {
 /// worker runs, exposed so `ivnet replay-exemplar` and tests re-execute a
 /// captured request deterministically. The response is a pure function of
 /// (config.link, request): worker count, queue depth, and arrival order
-/// never change response bytes. `workspace` is unused: sessions keep their own scratch, and the
-/// parameter stays only so existing callers compile. Wall timings in the
-/// response are left zero — the caller owns queue_wait_s/service_s.
+/// never change response bytes. `workspace` is unused: sessions keep their
+/// own scratch, and the parameter stays only until the benchmark's serve
+/// replay stops passing one. Wall timings in the response are left zero —
+/// the caller owns queue_wait_s/service_s.
 Response execute_request(const ServiceConfig& config, const Request& request,
                          DspWorkspace& workspace,
                          StageTimings* stages = nullptr,

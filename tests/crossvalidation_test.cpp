@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "goertzel.hpp"
 #include "ivnet/cib/baseline.hpp"
 #include "ivnet/cib/objective.hpp"
 #include "ivnet/common/units.hpp"
@@ -12,7 +13,6 @@
 #include "ivnet/harvester/transient.hpp"
 #include "ivnet/media/medium.hpp"
 #include "ivnet/signal/envelope.hpp"
-#include "ivnet/signal/goertzel.hpp"
 #include "ivnet/signal/waveform.hpp"
 
 namespace ivnet {

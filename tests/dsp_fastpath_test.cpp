@@ -1,8 +1,7 @@
-// Pins the DSP fast path (three-region FIR, polyphase decimate, per-phase
-// rational resampler, CorrelationNeedle, PhasorRotator and its oscillator
-// sites, DspWorkspace) against the retained naive oracles in
-// signal/naive_dsp.hpp, and the fused RadioArray::transmit_through against
-// receive(transmit()).
+// Pins the DSP fast path (three-region FIR, polyphase decimate,
+// CorrelationNeedle, PhasorRotator and its oscillator sites, DspWorkspace)
+// against the naive oracles in naive_dsp.hpp, and the fused
+// RadioArray::transmit_through against receive(transmit()).
 //
 // The bitwise-equivalence policy (docs/ARCHITECTURE.md, "DSP fast path"):
 // a kernel rewrite may reorganize WHICH outputs are computed and how loops
@@ -18,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "goertzel.hpp"
 #include "ivnet/common/rng.hpp"
 #include "ivnet/common/units.hpp"
 #include "ivnet/gen2/commands.hpp"
@@ -27,11 +27,9 @@
 #include "ivnet/sdr/radio.hpp"
 #include "ivnet/signal/correlate.hpp"
 #include "ivnet/signal/fir.hpp"
-#include "ivnet/signal/goertzel.hpp"
-#include "ivnet/signal/iq.hpp"
-#include "ivnet/signal/naive_dsp.hpp"
 #include "ivnet/signal/phasor.hpp"
 #include "ivnet/signal/resampler.hpp"
+#include "naive_dsp.hpp"
 
 namespace ivnet {
 namespace {
@@ -54,16 +52,6 @@ Waveform random_wave(std::size_t n, std::uint64_t seed, double fs = 800e3) {
   return w;
 }
 
-void expect_bitwise_eq(std::span<const double> got,
-                       std::span<const double> want, const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
-        << what << ": sample " << i << " got " << got[i] << " want "
-        << want[i];
-  }
-}
-
 void expect_bitwise_eq(const Waveform& got, const Waveform& want,
                        const char* what) {
   ASSERT_EQ(got.samples.size(), want.samples.size()) << what;
@@ -75,154 +63,109 @@ void expect_bitwise_eq(const Waveform& got, const Waveform& want,
   }
 }
 
+/// fir_filter through `ws`, returning the output.
+Waveform filter(const Waveform& w, std::span<const double> taps,
+                DspWorkspace& ws) {
+  Waveform out;
+  fir_filter(w, taps, out, ws);
+  return out;
+}
+
 // --- Three-region FIR vs the bounds-checked oracle. -----------------------
 
-TEST(FirFastPath, RealBitwiseMatchesNaiveAcrossLengths) {
-  const auto taps = design_lowpass(40e3, 800e3, 31);
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{5},
-                        std::size_t{64}, std::size_t{1001}}) {
-    const auto x = random_signal(n, 7 + n);
-    expect_bitwise_eq(fir_filter(x, taps), naive::fir_filter(x, taps),
-                      "real fir");
-  }
-}
-
-TEST(FirFastPath, RealBitwiseMatchesNaiveEvenTapCount) {
-  // fir_filter accepts arbitrary (including even-length, asymmetric) tap
-  // spans even though design_lowpass only emits odd counts.
-  const std::vector<double> taps = {0.31, -0.2, 0.52, 0.11, -0.07, 0.4};
-  for (std::size_t n : {std::size_t{3}, std::size_t{6}, std::size_t{257}}) {
-    const auto x = random_signal(n, 100 + n);
-    expect_bitwise_eq(fir_filter(x, taps), naive::fir_filter(x, taps),
-                      "even-tap fir");
-  }
-}
-
 TEST(FirFastPath, ComplexBitwiseMatchesNaive) {
+  DspWorkspace ws;
   const auto taps = design_lowpass(40e3, 800e3, 101);
   for (std::size_t n : {std::size_t{0}, std::size_t{3}, std::size_t{257},
                         std::size_t{4096}}) {
     const auto w = random_wave(n, 11 + n);
-    expect_bitwise_eq(fir_filter(w, taps), naive::fir_filter(w, taps),
+    expect_bitwise_eq(filter(w, taps, ws), naive::fir_filter(w, taps),
                       "complex fir");
+  }
+  const auto short_taps = design_lowpass(40e3, 800e3, 31);
+  for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{64},
+                        std::size_t{1001}}) {
+    const auto w = random_wave(n, 7 + n);
+    expect_bitwise_eq(filter(w, short_taps, ws),
+                      naive::fir_filter(w, short_taps), "31-tap fir");
+  }
+}
+
+TEST(FirFastPath, EvenTapCountBitwiseMatchesNaive) {
+  // fir_filter accepts arbitrary (including even-length, asymmetric) tap
+  // spans even though design_lowpass only emits odd counts.
+  const std::vector<double> taps = {0.31, -0.2, 0.52, 0.11, -0.07, 0.4};
+  DspWorkspace ws;
+  for (std::size_t n : {std::size_t{3}, std::size_t{6}, std::size_t{257}}) {
+    const auto w = random_wave(n, 100 + n);
+    expect_bitwise_eq(filter(w, taps, ws), naive::fir_filter(w, taps),
+                      "even-tap fir");
   }
 }
 
 TEST(FirFastPath, InputShorterThanFilterBitwiseMatchesNaive) {
   const auto taps = design_lowpass(40e3, 800e3, 101);
-  const auto x = random_signal(17, 3);
-  expect_bitwise_eq(fir_filter(x, taps), naive::fir_filter(x, taps),
+  const auto w = random_wave(17, 3);
+  DspWorkspace ws;
+  expect_bitwise_eq(filter(w, taps, ws), naive::fir_filter(w, taps),
                     "short-input fir");
 }
 
 TEST(FirFastPath, ImpulseResponseEqualsTaps) {
   // "Same" alignment: a centered impulse reproduces the taps in order,
-  // shifted by the group delay.
+  // shifted by the group delay, on each lane.
   const std::vector<double> taps = {0.1, -0.5, 1.0, 0.25, -0.125};
-  std::vector<double> x(64, 0.0);
+  Waveform x;
+  x.sample_rate_hz = 800e3;
+  x.samples.assign(64, cplx{0.0, 0.0});
   const std::size_t pos = 32;
-  x[pos] = 1.0;
-  const auto y = fir_filter(x, taps);
+  x.samples[pos] = cplx{1.0, -2.0};
+  DspWorkspace ws;
+  const auto y = filter(x, taps, ws);
   const std::size_t delay = (taps.size() - 1) / 2;
   for (std::size_t t = 0; t < taps.size(); ++t) {
-    EXPECT_DOUBLE_EQ(y[pos - delay + t], taps[t]) << "tap " << t;
+    EXPECT_DOUBLE_EQ(y.samples[pos - delay + t].real(), taps[t]) << "tap " << t;
+    EXPECT_DOUBLE_EQ(y.samples[pos - delay + t].imag(), -2.0 * taps[t])
+        << "tap " << t;
   }
 }
 
 TEST(FirFastPath, Linearity) {
   const auto taps = design_lowpass(60e3, 800e3, 41);
-  const auto x = random_signal(300, 21);
-  const auto y = random_signal(300, 22);
-  std::vector<double> mix(300);
-  for (std::size_t i = 0; i < mix.size(); ++i) mix[i] = 2.0 * x[i] - 0.5 * y[i];
-  const auto fx = fir_filter(x, taps);
-  const auto fy = fir_filter(y, taps);
-  const auto fmix = fir_filter(mix, taps);
-  for (std::size_t i = 0; i < mix.size(); ++i) {
-    EXPECT_NEAR(fmix[i], 2.0 * fx[i] - 0.5 * fy[i], 1e-12);
+  const auto x = random_wave(300, 21);
+  const auto y = random_wave(300, 22);
+  Waveform mix = x;
+  for (std::size_t i = 0; i < mix.samples.size(); ++i) {
+    mix.samples[i] = 2.0 * x.samples[i] - 0.5 * y.samples[i];
+  }
+  DspWorkspace ws;
+  const auto fx = filter(x, taps, ws);
+  const auto fy = filter(y, taps, ws);
+  const auto fmix = filter(mix, taps, ws);
+  for (std::size_t i = 0; i < mix.samples.size(); ++i) {
+    EXPECT_LT(std::abs(fmix.samples[i] -
+                       (2.0 * fx.samples[i] - 0.5 * fy.samples[i])),
+              1e-12);
   }
 }
 
 // --- Polyphase decimation vs filter-everything-then-discard. --------------
 
 TEST(DecimateFastPath, ComplexBitwiseMatchesNaive) {
+  DspWorkspace ws;
   for (std::size_t factor : {1u, 2u, 3u, 8u, 16u}) {
     const auto w = random_wave(3000, 40 + factor);
-    expect_bitwise_eq(decimate(w, factor), naive::decimate(w, factor),
+    expect_bitwise_eq(decimate(w, factor, ws), naive::decimate(w, factor),
                       "complex decimate");
-  }
-}
-
-TEST(DecimateFastPath, RealBitwiseMatchesNaive) {
-  const double fs = 800e3;
-  for (std::size_t factor : {1u, 2u, 3u, 8u, 16u}) {
-    const auto x = random_signal(3000, 60 + factor);
-    expect_bitwise_eq(decimate(x, factor, fs), naive::decimate(x, factor, fs),
-                      "real decimate");
   }
 }
 
 TEST(DecimateFastPath, InputShorterThanFilterBitwiseMatchesNaive) {
   // factor 16 designs 34*16+1 = 545 taps; a 100-sample input is all edges.
   const auto w = random_wave(100, 77);
-  expect_bitwise_eq(decimate(w, 16), naive::decimate(w, 16),
+  DspWorkspace ws;
+  expect_bitwise_eq(decimate(w, 16, ws), naive::decimate(w, 16),
                     "short-input decimate");
-}
-
-// --- Polyphase rational resampler vs the zero-stuffed scan. ---------------
-
-TEST(ResamplerFastPath, BitwiseMatchesNaive) {
-  struct Ratio {
-    std::size_t up, down;
-  };
-  for (const auto [up, down] : {Ratio{3, 2}, Ratio{7, 5}, Ratio{2, 5},
-                                Ratio{5, 3}, Ratio{1, 1}, Ratio{16, 1},
-                                Ratio{1, 8}}) {
-    const RationalResampler rs(up, down);
-    for (std::size_t n : {std::size_t{0}, std::size_t{9}, std::size_t{1000}}) {
-      const auto x = random_signal(n, up * 31 + down * 7 + n);
-      expect_bitwise_eq(rs.apply(x), naive::resample(rs, x),
-                        "rational resample");
-    }
-  }
-}
-
-TEST(ResamplerFastPath, ComplexLanesMatchRealPath) {
-  const RationalResampler rs(7, 5);
-  const auto w = random_wave(500, 99, 10e3);
-  std::vector<double> re(w.samples.size()), im(w.samples.size());
-  for (std::size_t i = 0; i < w.samples.size(); ++i) {
-    re[i] = w.samples[i].real();
-    im[i] = w.samples[i].imag();
-  }
-  const auto out = rs.apply(w);
-  const auto re_out = rs.apply(re);
-  const auto im_out = rs.apply(im);
-  ASSERT_EQ(out.samples.size(), re_out.size());
-  EXPECT_DOUBLE_EQ(out.sample_rate_hz, 14e3);
-  for (std::size_t i = 0; i < re_out.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out.samples[i].real(), re_out[i]);
-    EXPECT_DOUBLE_EQ(out.samples[i].imag(), im_out[i]);
-  }
-}
-
-TEST(ResamplerLengthContract, FloorsOutputLength) {
-  // out_len = floor(n * up / down), documented in resampler.hpp. The
-  // off-by-one-prone ratios: 3/2 and 7/5 produce fractional virtual
-  // lengths for odd/most n.
-  struct Case {
-    std::size_t up, down, n, want;
-  };
-  for (const auto [up, down, n, want] :
-       {Case{3, 2, 5, 7}, Case{3, 2, 4, 6}, Case{3, 2, 1, 1},
-        Case{7, 5, 9, 12}, Case{7, 5, 5, 7}, Case{7, 5, 4, 5},
-        Case{2, 5, 4, 1}, Case{2, 5, 2, 0}, Case{2, 5, 0, 0}}) {
-    const RationalResampler rs(up, down);
-    const auto x = random_signal(n, 123 + n);
-    EXPECT_EQ(rs.apply(x).size(), want)
-        << up << "/" << down << " of " << n << " samples";
-    EXPECT_EQ(rs.apply(x).size(), n * up / down);
-  }
 }
 
 // --- CorrelationNeedle vs per-offset normalized_correlation. --------------
@@ -264,8 +207,7 @@ TEST(CorrelateFastPath, BestCorrelationFindsEmbeddedNeedle) {
 // --- PhasorRotator drift regression (satellite). --------------------------
 
 TEST(Phasor, RenormBoundsDriftAtTwoToTwentySteps) {
-  // One full SawFilter-scale rotation: 2^20 advances of a 0.37 rad step.
-  // The re-anchored phasor must sit within 1e-9 of the exact value; the
+  // 2^20 advances of a 0.37 rad step. The re-anchored phasor must sit within 1e-9 of the exact value; the
   // bare product accumulates ~steps * eps and is orders of magnitude off
   // the unit circle by then.
   const double dphi = 0.37;
@@ -284,9 +226,9 @@ TEST(Phasor, RenormBoundsDriftAtTwoToTwentySteps) {
   // far out has drifted past the anchored error bound.
   EXPECT_LT(std::abs(rot.value() - exact), std::abs(bare - exact));
 
-  // The same bound at each of the six oscillator sites built on the
-  // rotator, at the same 0.37 rad/sample: sample 2^20 (a re-anchor) and
-  // sample 2^20 - 1 (4095 steps into the last unanchored run).
+  // The same bound at each oscillator site built on the rotator, and at the
+  // tests' goertzel, at the same 0.37 rad/sample: sample 2^20 (a re-anchor)
+  // and sample 2^20 - 1 (4095 steps into the last unanchored run).
   const double fs = 800e3;
   const double f = dphi * fs / kTwoPi;
   const double step_rad = kTwoPi * f / fs;
@@ -300,10 +242,6 @@ TEST(Phasor, RenormBoundsDriftAtTwoToTwentySteps) {
           << site << " at sample " << k;
     }
   };
-  Waveform ones;
-  ones.sample_rate_hz = fs;
-  ones.samples.assign(n, cplx{1.0, 0.0});
-
   const Waveform tone = make_tone(f, 0.4, n, fs);
   expect_phase("make_tone", [&](std::size_t k) { return tone.samples[k]; },
                0.4, step_rad);
@@ -313,17 +251,6 @@ TEST(Phasor, RenormBoundsDriftAtTwoToTwentySteps) {
                [&](std::size_t k) { return multi.samples[k]; }, 0.4,
                step_rad);
 
-  IqImpairments cfo;
-  cfo.cfo_hz = f;
-  const Waveform impaired = apply_impairments(ones, cfo);
-  expect_phase("apply_impairments",
-               [&](std::size_t k) { return impaired.samples[k]; }, 0.0,
-               step_rad);
-  Waveform derotated = ones;
-  remove_cfo(derotated, f);
-  expect_phase("remove_cfo",
-               [&](std::size_t k) { return derotated.samples[k]; }, 0.0,
-               -step_rad);
   // An impulse at sample k makes goertzel return that sample's phasor / n.
   expect_phase("goertzel",
                [&](std::size_t k) {
@@ -546,30 +473,31 @@ TEST(DspWorkspace, BestFitCheckoutRecyclesSmallestFit) {
 TEST(DspWorkspace, ScopedBufferReturnsOnScopeExit) {
   DspWorkspace ws;
   {
-    ScopedBuffer<double> a(ws, 64);
-    ScopedBuffer<cplx> b(ws, 32);
+    ScopedBuffer a(ws, 64);
+    ScopedBuffer b(ws, 32);
     EXPECT_EQ(a.size(), 64u);
     EXPECT_EQ(b.size(), 32u);
     EXPECT_EQ(ws.pooled_real(), 0u);
-    EXPECT_EQ(ws.pooled_cplx(), 0u);
   }
-  EXPECT_EQ(ws.pooled_real(), 1u);
-  EXPECT_EQ(ws.pooled_cplx(), 1u);
+  EXPECT_EQ(ws.pooled_real(), 2u);
 }
 
 TEST(DspWorkspace, SteadyStateFilteringDoesNotGrowPools) {
-  // Repeated SawFilter::apply calls through one workspace settle onto a
-  // fixed set of buffers.
+  // Repeated fir_filter and decimate calls through one workspace settle
+  // onto a fixed set of buffers.
   DspWorkspace ws;
-  const SawFilter saw(0.0, 40e3, 50.0, 800e3);
+  const auto taps = design_lowpass(40e3, 800e3, 63);
   const auto in = random_wave(4096, 31);
   Waveform out;
-  saw.apply(in, out, ws);
-  const std::size_t real_after_one = ws.pooled_real();
-  const std::size_t cplx_after_one = ws.pooled_cplx();
-  for (int i = 0; i < 5; ++i) saw.apply(in, out, ws);
-  EXPECT_EQ(ws.pooled_real(), real_after_one);
-  EXPECT_EQ(ws.pooled_cplx(), cplx_after_one);
+  fir_filter(in, taps, out, ws);
+  decimate(in, 4, ws);
+  const std::size_t pooled_after_one = ws.pooled_real();
+  EXPECT_EQ(pooled_after_one, 4u);
+  for (int i = 0; i < 5; ++i) {
+    fir_filter(in, taps, out, ws);
+    decimate(in, 4, ws);
+  }
+  EXPECT_EQ(ws.pooled_real(), pooled_after_one);
 }
 
 }  // namespace

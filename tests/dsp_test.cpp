@@ -1,22 +1,24 @@
-// Tests for the DSP additions: resampling (signal/resampler), quadrature
-// impairments and their correctors (signal/iq), and the SDR receive chain
-// (sdr/rx_chain).
+// Checks decimate's anti-alias filter end to end: an in-band tone survives,
+// an aliasing tone is removed, factor 1 is the identity, and a tone just
+// past the new Nyquist comes out >= 40 dB down. dsp_fastpath_test pins the
+// same kernel bitwise against its naive oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "goertzel.hpp"
 #include "ivnet/common/units.hpp"
-#include "ivnet/sdr/rx_chain.hpp"
-#include "ivnet/signal/goertzel.hpp"
-#include "ivnet/signal/iq.hpp"
+#include "ivnet/signal/dsp_workspace.hpp"
 #include "ivnet/signal/resampler.hpp"
+#include "ivnet/signal/waveform.hpp"
 
 namespace ivnet {
 namespace {
 
 TEST(Decimate, PreservesInBandTone) {
   const auto tone = make_tone(1000.0, 0.0, 8192, 80e3);
-  const auto out = decimate(tone, 4);
+  DspWorkspace ws;
+  const auto out = decimate(tone, 4, ws);
   EXPECT_DOUBLE_EQ(out.sample_rate_hz, 20e3);
   EXPECT_EQ(out.size(), tone.size() / 4);
   EXPECT_NEAR(std::abs(goertzel(out, 1000.0)), 1.0, 0.05);
@@ -26,235 +28,35 @@ TEST(Decimate, SuppressesAliasingTone) {
   // 35 kHz at 80 kS/s would alias to -5 kHz after /4; the anti-alias filter
   // must remove it first.
   const auto tone = make_tone(35e3, 0.0, 8192, 80e3);
-  const auto out = decimate(tone, 4);
+  DspWorkspace ws;
+  const auto out = decimate(tone, 4, ws);
   EXPECT_LT(std::abs(goertzel(out, -5e3)), 0.05);
 }
 
 TEST(Decimate, FactorOneIsIdentity) {
   const auto tone = make_tone(100.0, 0.3, 64, 1e3);
-  const auto out = decimate(tone, 1);
+  DspWorkspace ws;
+  const auto out = decimate(tone, 1, ws);
   EXPECT_EQ(out.samples, tone.samples);
 }
 
-TEST(Decimate, RealSignalVariant) {
-  std::vector<double> ramp(4096);
-  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = 1.0;
-  const auto out = decimate(ramp, 8, 80e3);
-  EXPECT_EQ(out.size(), ramp.size() / 8);
-  EXPECT_NEAR(out[out.size() / 2], 1.0, 0.01);  // DC preserved
-}
-
 TEST(Decimate, AliasRejectionAtLeast40dB) {
-  // The two decimate overloads now share one audited anti-alias design
-  // (cutoff 0.45 * out_rate, 34 * factor + 1 taps). A tone 10% above the
-  // post-decimation Nyquist must come out >= 40 dB down at its alias bin.
+  // decimation_taps puts the cutoff at 0.45 * out_rate with 34 * factor + 1
+  // taps. A tone 10% above the post-decimation Nyquist must come out
+  // >= 40 dB down at its alias bin.
   const double fs = 80e3;
+  DspWorkspace ws;
   for (std::size_t factor : {2u, 4u, 8u}) {
     const double out_rate = fs / static_cast<double>(factor);
     const double tone_hz = 1.1 * (out_rate / 2.0);
     const auto tone = make_tone(tone_hz, 0.0, 1 << 14, fs);
-    const auto out = decimate(tone, factor);
+    const auto out = decimate(tone, factor, ws);
     // A complex tone above the new Nyquist wraps to tone_hz - out_rate.
     const double alias = std::abs(goertzel(out, tone_hz - out_rate));
     EXPECT_LT(amplitude_to_db(alias), -40.0)
         << "factor " << factor << ": alias only "
         << amplitude_to_db(alias) << " dB down";
   }
-}
-
-TEST(Decimate, RealOverloadSharesAliasRejection) {
-  // Same contract through the real-span overload: an above-Nyquist cosine
-  // must come out >= 40 dB below its input RMS.
-  const double fs = 80e3;
-  const std::size_t factor = 4;
-  const double tone_hz = 1.1 * (fs / factor / 2.0);
-  std::vector<double> x(1 << 14);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::cos(kTwoPi * tone_hz * static_cast<double>(i) / fs);
-  }
-  const auto out = decimate(x, factor, fs);
-  double acc = 0.0;
-  // Skip the filter edges: transient samples are not steady-state.
-  const std::size_t margin = 64;
-  for (std::size_t i = margin; i + margin < out.size(); ++i) acc += out[i] * out[i];
-  const double rms =
-      std::sqrt(acc / static_cast<double>(out.size() - 2 * margin));
-  const double in_rms = 1.0 / std::sqrt(2.0);
-  EXPECT_LT(amplitude_to_db(rms / in_rms), -40.0);
-}
-
-TEST(RationalResampler, UpsampleKeepsTone) {
-  const RationalResampler rs(3, 2);
-  const auto tone = make_tone(500.0, 0.0, 4096, 10e3);
-  const auto out = rs.apply(tone);
-  EXPECT_DOUBLE_EQ(out.sample_rate_hz, 15e3);
-  EXPECT_NEAR(static_cast<double>(out.size()),
-              static_cast<double>(tone.size()) * 1.5, 2.0);
-  EXPECT_NEAR(std::abs(goertzel(out, 500.0)), 1.0, 0.05);
-}
-
-TEST(RationalResampler, ReducesByGcd) {
-  const RationalResampler rs(4, 2);
-  EXPECT_EQ(rs.up(), 2u);
-  EXPECT_EQ(rs.down(), 1u);
-}
-
-TEST(RationalResampler, DownsamplePreservesDc) {
-  const RationalResampler rs(2, 5);
-  const std::vector<double> dc(4000, 3.0);
-  const auto out = rs.apply(dc);
-  EXPECT_NEAR(static_cast<double>(out.size()), 4000.0 * 2.0 / 5.0, 2.0);
-  EXPECT_NEAR(out[out.size() / 2], 3.0, 0.05);
-}
-
-TEST(FractionalDelay, IntegerDelayShifts) {
-  const std::vector<double> x = {0, 0, 1, 0, 0, 0};
-  const auto y = fractional_delay(x, 2.0);
-  EXPECT_NEAR(y[4], 1.0, 1e-12);
-  EXPECT_NEAR(y[2], 0.0, 1e-12);
-}
-
-TEST(FractionalDelay, HalfSampleInterpolates) {
-  const std::vector<double> x = {0, 0, 1, 0, 0, 0};
-  const auto y = fractional_delay(x, 0.5);
-  EXPECT_NEAR(y[2], 0.5, 1e-12);
-  EXPECT_NEAR(y[3], 0.5, 1e-12);
-}
-
-TEST(FractionalDelay, NegativeDelayShiftsEarlierAndZeroFillsTail) {
-  const std::vector<double> x = {0, 0, 1, 0, 4, 5};
-  const auto y = fractional_delay(x, -2.0);
-  ASSERT_EQ(y.size(), x.size());
-  EXPECT_NEAR(y[0], 1.0, 1e-12);  // x[2] advanced two samples
-  EXPECT_NEAR(y[2], 4.0, 1e-12);
-  EXPECT_NEAR(y[3], 5.0, 1e-12);
-  // Samples past the end of the input read the zero-filled boundary.
-  EXPECT_EQ(y[4], 0.0);
-  EXPECT_EQ(y[5], 0.0);
-}
-
-TEST(FractionalDelay, DelayBeyondLengthIsAllZeros) {
-  const std::vector<double> x = {1, 2, 3, 4};
-  for (const double d : {4.0, 9.5, -4.0, -100.25}) {
-    const auto y = fractional_delay(x, d);
-    ASSERT_EQ(y.size(), x.size()) << "delay " << d;
-    for (const double v : y) EXPECT_EQ(v, 0.0) << "delay " << d;
-  }
-}
-
-TEST(FractionalDelay, BoundaryStraddleInterpolatesAgainstZero) {
-  // A fractional delay one half-sample past the edge blends the edge
-  // sample with the implicit zero outside the signal.
-  const std::vector<double> x = {8.0, 0, 0, 6.0};
-  const auto y = fractional_delay(x, 0.5);
-  EXPECT_NEAR(y[0], 4.0, 1e-12);  // 0.5 * x[-1=0] + 0.5 * x[0]
-  const auto z = fractional_delay(x, -0.5);
-  EXPECT_NEAR(z[3], 3.0, 1e-12);  // 0.5 * x[3] + 0.5 * x[4=0]
-}
-
-TEST(Iq, DcOffsetInjectedAndRemoved) {
-  IqImpairments imp;
-  imp.dc_i = 0.2;
-  imp.dc_q = -0.1;
-  auto wave = apply_impairments(make_tone(1000.0, 0.0, 4096, 100e3), imp);
-  const cplx dc = remove_dc(wave);
-  EXPECT_NEAR(dc.real(), 0.2, 0.01);
-  EXPECT_NEAR(dc.imag(), -0.1, 0.01);
-}
-
-TEST(Iq, ImbalanceCreatesImageToneAndCorrectionRemovesIt) {
-  IqImpairments imp;
-  imp.gain_imbalance_db = 1.0;
-  imp.phase_skew_rad = 0.05;
-  auto wave = apply_impairments(make_tone(5e3, 0.4, 32768, 100e3), imp);
-  const double irr_before = image_rejection_ratio_db(wave, 5e3);
-  EXPECT_LT(irr_before, 35.0);  // visible image
-  correct_iq_imbalance(wave);
-  const double irr_after = image_rejection_ratio_db(wave, 5e3);
-  EXPECT_GT(irr_after, irr_before + 15.0);
-}
-
-TEST(Iq, CleanSignalHasHugeIrr) {
-  const auto wave = make_tone(5e3, 0.0, 16384, 100e3);
-  EXPECT_GT(image_rejection_ratio_db(wave, 5e3), 60.0);
-}
-
-TEST(Iq, CfoEstimatedAndRemoved) {
-  IqImpairments imp;
-  imp.cfo_hz = 123.0;
-  auto wave = apply_impairments(make_tone(0.0, 0.7, 16384, 100e3), imp);
-  const double est = estimate_cfo(wave);
-  EXPECT_NEAR(est, 123.0, 1.0);
-  remove_cfo(wave, est);
-  EXPECT_NEAR(std::abs(estimate_cfo(wave)), 0.0, 1.0);
-}
-
-TEST(RxChain, CleanChainPassesSignal) {
-  RxChainConfig cfg;
-  cfg.saturation_amplitude = 10.0;
-  const RxChain chain(cfg);
-  Rng rng(1);
-  auto tone = make_tone(5e3, 0.0, 8192, 800e3);
-  scale(tone, {0.1, 0.0});
-  const auto capture = chain.process(tone, rng);
-  EXPECT_FALSE(capture.clipped);
-  EXPECT_NEAR(std::abs(goertzel(capture.samples, 5e3)), 0.1, 0.01);
-}
-
-TEST(RxChain, ClipsStrongSignal) {
-  RxChainConfig cfg;
-  cfg.saturation_amplitude = 0.5;
-  const RxChain chain(cfg);
-  Rng rng(2);
-  auto tone = make_tone(5e3, 0.0, 2048, 800e3);
-  scale(tone, {2.0, 0.0});
-  const auto capture = chain.process(tone, rng);
-  EXPECT_TRUE(capture.clipped);
-  EXPECT_LE(peak_amplitude(capture.samples), 0.51);
-}
-
-TEST(RxChain, SawRejectsOutOfBandInterferer) {
-  RxChainConfig cfg;
-  cfg.saw_center_hz = 0.0;
-  cfg.saw_bandwidth_hz = 80e3;
-  cfg.saw_rejection_db = 50.0;
-  cfg.saturation_amplitude = 10.0;
-  cfg.correct_iq = false;  // keep the interferer measurement clean
-  const RxChain chain(cfg);
-  Rng rng(3);
-  Waveform mix = make_tone(5e3, 0.0, 16384, 800e3);       // wanted
-  accumulate(mix, make_tone(300e3, 1.0, 16384, 800e3));   // jammer
-  const auto capture = chain.process(mix, rng);
-  const double wanted = std::abs(goertzel(capture.samples, 5e3));
-  const double jam = std::abs(goertzel(capture.samples, 300e3));
-  EXPECT_GT(wanted, 0.8);
-  EXPECT_LT(jam / wanted, 0.05);
-}
-
-TEST(RxChain, DecimationChangesRate) {
-  RxChainConfig cfg;
-  cfg.decimation = 4;
-  cfg.saturation_amplitude = 10.0;
-  const RxChain chain(cfg);
-  Rng rng(4);
-  const auto tone = make_tone(5e3, 0.0, 8192, 800e3);
-  const auto capture = chain.process(tone, rng);
-  EXPECT_DOUBLE_EQ(capture.samples.sample_rate_hz, 200e3);
-  EXPECT_EQ(capture.samples.size(), 2048u);
-}
-
-TEST(RxChain, ImpairedChainStillDeliversToneAfterCorrection) {
-  RxChainConfig cfg;
-  cfg.impairments.dc_i = 0.05;
-  cfg.impairments.gain_imbalance_db = 0.8;
-  cfg.impairments.phase_skew_rad = 0.04;
-  cfg.saturation_amplitude = 10.0;
-  const RxChain chain(cfg);
-  Rng rng(5);
-  auto tone = make_tone(5e3, 0.2, 32768, 800e3);
-  const auto capture = chain.process(tone, rng);
-  EXPECT_GT(image_rejection_ratio_db(capture.samples, 5e3), 30.0);
-  EXPECT_LT(std::abs(capture.removed_dc - cplx{0.05, 0.0}), 0.02);
 }
 
 }  // namespace

@@ -15,9 +15,9 @@
 #include "ivnet/gen2/crc.hpp"
 #include "ivnet/gen2/fm0.hpp"
 #include "ivnet/gen2/miller.hpp"
-#include "ivnet/gen2/naive_gen2.hpp"
 #include "ivnet/gen2/pie.hpp"
 #include "ivnet/gen2/tag_sm.hpp"
+#include "naive_gen2.hpp"
 
 namespace ivnet::gen2 {
 namespace {
@@ -241,7 +241,7 @@ TEST(Fm0, DecodeAcrossSampleRates) {
 }
 
 // The one-pass record kernels and the streaming PIE slicer against the
-// loops they replaced (gen2/naive_gen2.hpp): records memcmp-equal, decode
+// loops they replaced (naive_gen2.hpp): records memcmp-equal, decode
 // results equal field by field, doubles by their bits.
 
 bool same_samples(const std::vector<double>& a, const std::vector<double>& b) {

@@ -165,7 +165,7 @@ TEST(Awgn, ApplyAwgnConsumesOneDrawPerSample) {
     std::vector<double> x(n, 1.0);
     Rng rng(7);
     apply_awgn(x, 20.0, rng);
-    EXPECT_EQ(rng.raw_state(), state_after(7, n)) << "apply_awgn (real)";
+    EXPECT_EQ(rng.raw_state(), state_after(7, n)) << "apply_awgn";
   }
   {
     Waveform w = wave;
@@ -174,25 +174,10 @@ TEST(Awgn, ApplyAwgnConsumesOneDrawPerSample) {
     EXPECT_EQ(rng.raw_state(), state_after(7, 2 * n)) << "add_awgn";
   }
   {
-    Waveform w = wave;
-    Rng rng(7);
-    apply_awgn(w, 20.0, rng);
-    EXPECT_EQ(rng.raw_state(), state_after(7, 2 * n))
-        << "apply_awgn (complex)";
-  }
-  {
     std::vector<double> x(n, 1.0);
     Rng rng(7);
     apply_phase_noise(x, 1e6, 100.0, rng);
-    EXPECT_EQ(rng.raw_state(), state_after(7, n))
-        << "apply_phase_noise (real)";
-  }
-  {
-    Waveform w = wave;
-    Rng rng(7);
-    apply_phase_noise(w, 100.0, rng);
-    EXPECT_EQ(rng.raw_state(), state_after(7, n))
-        << "apply_phase_noise (complex)";
+    EXPECT_EQ(rng.raw_state(), state_after(7, n)) << "apply_phase_noise";
   }
   {
     const std::vector<double> reflection(n, 0.5);

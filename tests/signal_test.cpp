@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "goertzel.hpp"
 #include "ivnet/common/rng.hpp"
 #include "ivnet/common/units.hpp"
 #include "ivnet/gen2/fm0.hpp"
@@ -15,7 +16,6 @@
 #include "ivnet/signal/envelope.hpp"
 #include "ivnet/signal/fir.hpp"
 #include "ivnet/signal/gauss.hpp"
-#include "ivnet/signal/goertzel.hpp"
 #include "ivnet/signal/noise.hpp"
 #include "ivnet/signal/waveform.hpp"
 #include "scoped_isa.hpp"
@@ -199,29 +199,12 @@ TEST(Correlate, FindsFm0PreambleAtFinalValidOffset) {
 
 TEST(Fir, LowpassPassesDcRejectsHighFrequency) {
   const auto taps = design_lowpass(500.0, 10e3, 63);
-  const auto dc = fir_filter(make_tone(0.0, 0.0, 512, 10e3), taps);
-  const auto hf = fir_filter(make_tone(3000.0, 0.0, 512, 10e3), taps);
+  DspWorkspace ws;
+  Waveform dc, hf;
+  fir_filter(make_tone(0.0, 0.0, 512, 10e3), taps, dc, ws);
+  fir_filter(make_tone(3000.0, 0.0, 512, 10e3), taps, hf, ws);
   EXPECT_NEAR(std::abs(dc.samples[256]), 1.0, 0.01);
   EXPECT_LT(std::abs(hf.samples[256]), 0.02);
-}
-
-TEST(Fir, BandpassSelectsBand) {
-  const auto taps = design_bandpass(1800.0, 2200.0, 10e3, 101);
-  const auto in_band = fir_filter(make_tone(2000.0, 0.0, 1024, 10e3), taps);
-  const auto out_band = fir_filter(make_tone(500.0, 0.0, 1024, 10e3), taps);
-  EXPECT_GT(std::abs(in_band.samples[512]), 0.8);
-  EXPECT_LT(std::abs(out_band.samples[512]), 0.05);
-}
-
-TEST(Fir, SawFilterRejectsOutOfBand) {
-  SawFilter saw(0.0, 40e3, 50.0, 800e3);
-  const auto pass = saw.apply(make_tone(5e3, 0.0, 4096, 800e3));
-  const auto stop = saw.apply(make_tone(200e3, 0.0, 4096, 800e3));
-  const double pass_amp = std::abs(pass.samples[2048]);
-  const double stop_amp = std::abs(stop.samples[2048]);
-  EXPECT_GT(pass_amp, 0.9);
-  // Rejection should be at least ~35 dB and bounded by the leakage floor.
-  EXPECT_LT(amplitude_to_db(stop_amp / pass_amp), -35.0);
 }
 
 TEST(Fir, DesignLowpassRejectsInvalidArgumentsInReleaseToo) {
@@ -235,18 +218,6 @@ TEST(Fir, DesignLowpassRejectsInvalidArgumentsInReleaseToo) {
   EXPECT_THROW(design_lowpass(500.0, 10e3, 0), std::invalid_argument);
   EXPECT_THROW(design_lowpass(500.0, 0.0, 63), std::invalid_argument);
   EXPECT_NO_THROW(design_lowpass(4999.0, 10e3, 1));
-}
-
-TEST(Fir, DesignBandpassRejectsInvalidBandEdges) {
-  EXPECT_THROW(design_bandpass(2200.0, 1800.0, 10e3, 101),
-               std::invalid_argument);
-  EXPECT_THROW(design_bandpass(2000.0, 2000.0, 10e3, 101),
-               std::invalid_argument);
-  EXPECT_THROW(design_bandpass(-10.0, 2000.0, 10e3, 101),
-               std::invalid_argument);
-  EXPECT_THROW(design_bandpass(1800.0, 5001.0, 10e3, 101),
-               std::invalid_argument);
-  EXPECT_NO_THROW(design_bandpass(0.0, 2000.0, 10e3, 101));
 }
 
 TEST(Noise, AwgnPowerMatchesRequest) {
@@ -490,12 +461,6 @@ TEST(Goertzel, PicksToneAmplitudeAndRejectsOthers) {
   scale(wave, {0.5, 0.0});
   EXPECT_NEAR(std::abs(goertzel(wave, 1234.0)), 0.5, 1e-3);
   EXPECT_LT(std::abs(goertzel(wave, 4321.0)), 0.01);
-}
-
-TEST(Goertzel, BandPowerCoversTone) {
-  const auto wave = make_tone(1000.0, 0.0, 8192, 100e3);
-  EXPECT_GT(band_power(wave, 900.0, 1100.0, 17), 0.5);
-  EXPECT_LT(band_power(wave, 5000.0, 6000.0, 17), 0.01);
 }
 
 // Property sweep: multitone peak amplitude never exceeds the tone count.

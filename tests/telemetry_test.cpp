@@ -11,6 +11,7 @@
 #include <csignal>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ivnet/common/json.hpp"
@@ -244,6 +245,66 @@ TEST(ExemplarJson, ParseRejectsBlankAndForeignLines) {
   EXPECT_FALSE(parse_exemplar_line("# comment", out));
   // A JSON object missing the identity anchors is not an exemplar.
   EXPECT_FALSE(parse_exemplar_line("{\"id\":1,\"kind\":0}", out));
+}
+
+TEST(ExemplarJson, ParseRejectsFieldsOutsideTheirRange) {
+  // Replay copies each field into its request slot, so a value its field
+  // cannot hold, or one with anything after its digits, must reject the
+  // line, not wrap, truncate or stop at the junk.
+  Exemplar e;
+  e.id = 7;
+  e.kind = 1;
+  e.trials = 2;
+  e.antennas = 3;
+  e.seed = 5;
+  e.response_hash = 9;
+  const std::string line = exemplar_json(e);
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string edited = line;
+    const std::size_t at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return edited.replace(at, from.size(), to);
+  };
+  Exemplar out;
+  for (const auto& [from, to] : std::vector<std::pair<std::string,
+                                                      std::string>>{
+           {"\"kind\":1", "\"kind\":-1"},
+           {"\"kind\":1", "\"kind\":4294967296"},
+           {"\"kind\":1", "\"kind\":1x"},
+           {"\"kind\":1", "\"kind\":"},
+           {"\"trials\":2", "\"trials\":4294967297"},
+           {"\"trials\":2", "\"trials\":2.5"},
+           {"\"trials\":2", "\"trials\":2e0"},
+           {"\"antennas\":3", "\"antennas\":-3"},
+           {"\"id\":7", "\"id\":-1"},
+           {"\"id\":7", "\"id\":0.5"},
+           {"\"id\":7", "\"id\":18446744073709551616"},
+           {"\"seed\":\"5\"", "\"seed\":\"5x\""},
+           {"\"seed\":\"5\"", "\"seed\":\"-5\""},
+           {"\"seed\":\"5\"", "\"seed\":\" 5\""},
+           {"\"seed\":\"5\"", "\"seed\":\"18446744073709551616\""},
+           {"\"response_hash\":\"9\"", "\"response_hash\":\"\""},
+           {"\"response_hash\":\"9\"", "\"response_hash\":\"0x9\""},
+       }) {
+    EXPECT_FALSE(parse_exemplar_line(with(from, to), out)) << to;
+  }
+  // Each field's own limits still parse; the request's narrower kind and
+  // antenna ranges are replay-exemplar's to check.
+  ASSERT_TRUE(parse_exemplar_line(with("\"trials\":2", "\"trials\":4294967295"),
+                                  out));
+  EXPECT_EQ(out.trials, 4294967295u);
+  ASSERT_TRUE(parse_exemplar_line(
+      with("\"seed\":\"5\"", "\"seed\":\"18446744073709551615\""), out));
+  EXPECT_EQ(out.seed, 18446744073709551615ull);
+  ASSERT_TRUE(parse_exemplar_line(with("\"kind\":1", "\"kind\":3"), out));
+  EXPECT_EQ(out.kind, 3u);
+  ASSERT_TRUE(
+      parse_exemplar_line(with("\"antennas\":3", "\"antennas\":65538"), out));
+  EXPECT_EQ(out.antennas, 65538u);
+  // Integers read exactly, past 2^53 too, and JSON spacing is allowed.
+  ASSERT_TRUE(parse_exemplar_line(
+      with("\"id\":7", "\"id\": 9007199254740993 "), out));
+  EXPECT_EQ(out.id, 9007199254740993ull);
 }
 
 // ---------------------------------------------------------------------------

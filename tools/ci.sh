@@ -4,6 +4,9 @@
 #   - the instruction-set split: no VEX instruction in a baseline-level
 #     object, no weak symbol in an AVX2-level one;
 #   - the suite at IVNET_THREADS 1/2/nproc and pinned to one CPU;
+#   - the benchmark: perfbench's unit tests, and its driver built and run
+#     traced on every workload for one second, which must report
+#     "correct": true;
 #   - the telemetry-overhead gate (bench_service: <= 3% CPU per request at
 #     the sign-test 95% upper end, identical responses);
 #   - a 10k-request `ivnet serve` soak with live telemetry that must shed
@@ -19,9 +22,11 @@
 #     --closed-loop runs 4 x workers, an oversize window or a bad
 #     --time-scale beside a wall-clock sampler exits 2, a campaign with
 #     --trials 0 or --range-trials 0 exits 2, and a plan with --trials,
-#     --moves or --restarts 0 or --antennas 0 or 1 exits 2 naming the flag;
+#     --moves or --restarts 0 or --antennas 0 or 1 exits 2 naming the flag,
+#     and replay-exemplar exits 2 on an exemplar whose kind, trials or
+#     antennas its request cannot hold;
 #   - every soak exemplar replays to its recorded response hash;
-#   - the suite under ASan+UBSan and TSan, and a Debug spot-check of the DSP,
+#   - the suite under ASan+UBSan and TSan, and a Debug spot-check of the FIR,
 #     radio, waveform-session, Gen2, impairment/link-session, sweep
 #     (determinism, impairment matrix), campaign, cib, service and telemetry
 #     suites (other legs are NDEBUG);
@@ -95,6 +100,27 @@ for threads in 1 2 "$(nproc)"; do
 done
 echo "ci: ctest under taskset -c 0"
 taskset -c 0 ctest --test-dir build-ci --output-on-failure
+
+echo "=== ci: benchmark build and smoke run ==="
+# perfbench builds its own driver against src/ and is the only caller of
+# some library entry points (the FIR probes), so a library change can break
+# the benchmark alone. One traced second per workload builds the driver,
+# runs every probe and checks every output.
+mkdir -p "$ARTIFACT_DIR"
+if command -v python3 >/dev/null 2>&1; then
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
+  CARGO_TARGET_DIR=build-ci/bench python3 perfbench/run.py --workload all \
+      --seed 1 --seconds 1 --trace 1 > "$ARTIFACT_DIR/perfbench_smoke.txt"
+  python3 - "$ARTIFACT_DIR/perfbench_smoke.txt" <<'PY'
+import json, sys
+result = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert result["correct"] is True, result
+print(f"ci: perfbench correct, {result['failed']} of "
+      f"{result['attempted']} operations failed")
+PY
+else
+  echo "ci: python3 not installed, skipping the benchmark smoke run"
+fi
 
 echo "=== ci: telemetry overhead gate (<= 3% CPU per request) ==="
 # The full observability stack (rolling windows + exemplar store + flight
@@ -335,7 +361,24 @@ for bad in "--trials 0" "--moves 0" "--restarts 0" "--antennas 0" \
     exit 1
   fi
 done
-echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2, plan counts below their minimum exit 2"
+# An exemplar field its request slot cannot hold (a negative kind, trials
+# past 32 bits, antennas past 16 bits, a kind past kPlan) exits 2 instead
+# of replaying a wrapped or truncated request, even beside a good line.
+first_exemplar=$(head -n 1 "$ARTIFACT_DIR/SOAK_exemplars.jsonl")
+for edit in 's/"kind":[0-9]*/"kind":-1/' 's/"kind":[0-9]*/"kind":3/' \
+    's/"trials":[0-9]*/"trials":4294967297/' \
+    's/"antennas":[0-9]*/"antennas":65538/'; do
+  { echo "$first_exemplar"; sed "$edit" <<< "$first_exemplar"; } \
+      > "$ARTIFACT_DIR/bad_exemplar.jsonl"
+  rc=0
+  build-ci/tools/ivnet replay-exemplar --in "$ARTIFACT_DIR/bad_exemplar.jsonl" \
+      > /dev/null 2>&1 || rc=$?
+  if [[ "$rc" -ne 2 ]]; then
+    echo "ci: replay-exemplar with $edit exited $rc, expected 2" >&2
+    exit 1
+  fi
+done
+echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2, plan counts below their minimum exit 2, out-of-range exemplars exit 2"
 
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency
@@ -356,8 +399,8 @@ echo "=== ci: ThreadSanitizer ==="
 build_and_test build-tsan -DIVNET_SANITIZE=thread
 
 echo "=== ci: Debug spot-check (input validation with asserts enabled) ==="
-# The default/ASan/TSan legs build RelWithDebInfo (NDEBUG), which is where
-# the fir design validation used to vanish. Pin that the throwing contracts
+# The default/ASan/TSan legs build RelWithDebInfo (NDEBUG), where an
+# assert-only input check would vanish. Pin that the throwing contracts
 # (fir design, RadioArray::tune's offset count and transmit_through's gain
 # count), the fused radio kernel's byte-identity, the session's sample
 # rates and pinned digests, the record kernels' samples-per-level asserts

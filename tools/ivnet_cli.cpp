@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -906,13 +907,21 @@ int cmd_replay_exemplar(const Args& args) {
   }
   std::vector<obs::Exemplar> exemplars;
   std::size_t start = 0;
-  while (start <= text.size()) {
+  for (std::size_t line_no = 1; start <= text.size(); ++line_no) {
     std::size_t end = text.find('\n', start);
     if (end == std::string::npos) end = text.size();
     const std::string_view line(text.data() + start, end - start);
     obs::Exemplar exemplar;
     if (obs::parse_exemplar_line(line, exemplar)) {
       exemplars.push_back(exemplar);
+    } else if (line.find('{') != std::string_view::npos) {
+      // A JSON record that does not parse is a damaged exemplar, not a
+      // blank or header line: replaying the rest would hide it.
+      std::fprintf(stderr,
+                   "ivnet replay-exemplar: %s:%zu: not a well-formed "
+                   "exemplar\n",
+                   in.c_str(), line_no);
+      return 2;
     }
     if (end == text.size()) break;
     start = end + 1;
@@ -938,6 +947,25 @@ int cmd_replay_exemplar(const Args& args) {
   if (exemplars.empty()) {
     std::fprintf(stderr, "ivnet replay-exemplar: no exemplars selected\n");
     return 2;
+  }
+  // The parser bounds each field by its Exemplar width; a Request is
+  // narrower: three kinds and a 16-bit antenna count.
+  for (const obs::Exemplar& exemplar : exemplars) {
+    const auto id = static_cast<unsigned long long>(exemplar.id);
+    if (exemplar.kind > static_cast<std::uint32_t>(svc::RequestKind::kPlan)) {
+      std::fprintf(stderr,
+                   "ivnet replay-exemplar: exemplar id %llu: kind %u is not "
+                   "a request kind (0-2)\n",
+                   id, exemplar.kind);
+      return 2;
+    }
+    if (exemplar.antennas > std::numeric_limits<std::uint16_t>::max()) {
+      std::fprintf(stderr,
+                   "ivnet replay-exemplar: exemplar id %llu: antennas %u "
+                   "exceeds 65535\n",
+                   id, exemplar.antennas);
+      return 2;
+    }
   }
 
   // Re-execute through the exact service code path. The response is a pure
