@@ -1,13 +1,13 @@
-// The delta evaluator's AVX2 level (see delta_impl.hpp for the why).
+// The block kernels' AVX2 level (see delta_impl.hpp for the why).
 //
 // This translation unit alone is compiled with -O3 -mavx2 -ffp-contract=off
-// and no -mfma (src/CMakeLists.txt), and delta_objective.cpp calls into it
+// and no -mfma (src/CMakeLists.txt), and block_kernels() returns its table
 // only when isa_level() reports AVX2. It holds no code of its own: the
-// kernels are delta_impl.hpp's, so both levels run one source.
+// kernels are delta_impl.hpp's, so every level runs one source.
 #include "ivnet/cib/delta_impl.hpp"
 
 namespace ivnet::detail {
 
-const DeltaKernels* avx2_delta_kernels() { return &kLevelKernels; }
+const BlockKernels* avx2_block_kernels() { return &kLevelKernels; }
 
 }  // namespace ivnet::detail

@@ -1,72 +1,45 @@
-// Private to the delta evaluator's two translation units:
-// delta_objective.cpp (baseline ISA) and delta_avx2.cpp (AVX2). Not for
-// other includers.
+// Private to the block kernels' three translation units:
+// delta_objective.cpp (baseline ISA), delta_avx2.cpp (AVX2) and
+// delta_avx512.cpp (AVX-512F). Not for other includers; the table they fill
+// is cib/block_kernels.hpp.
 //
-// The kernels work on one block of four Monte-Carlo trials, one trial per
+// The kernels work on one block of eight Monte-Carlo trials, one trial per
 // vector lane, written once in GCC vector extensions (+, -, * and compares
-// act per lane with the scalar IEEE semantics; the baseline unit runs each
-// 4-lane vector as two SSE2 halves). Every trial rotates a tone by the same
-// step, so the four lanes run one op sequence, and each lane op is the
-// elementwise image of the per-trial scalar sequence that
-// tests/naive_delta.hpp keeps as the oracle:
-//   * multiplies and adds stay separate, never fused (both units build with
-//     -ffp-contract=off, and neither gets -mfma);
+// act per lane with the scalar IEEE semantics; a unit whose registers are
+// narrower than the block runs each op part by part). Every trial rotates a
+// tone by the same step, so the eight lanes run one op sequence, and each
+// lane op is the elementwise image of a per-trial scalar sequence the tests
+// keep as the oracle: tests/naive_delta.hpp for the delta evaluator's
+// kernels, and cib/objective.cpp's scan_envelope_sq (behind peak_envelope)
+// for the Eq. 6 scan:
+//   * multiplies and adds stay separate, never fused (every unit builds with
+//     -ffp-contract=off, and none gets -mfma);
 //   * the quantizer rounds exactly as std::llround does (llround_lanes);
 //   * sums are int64, and their conversion to double is exact below 2^53
 //     (to_double);
+//   * the Eq. 6 scan sums its tones from +0 in tone order, as the scalar
+//     loop does;
 //   * cos and sin are the same libm calls, one lane at a time.
-// So lanes, peaks and scores are the same bytes at either level.
+// So lanes, peaks, counts and scores are the same bytes at every level.
 //
-// Everything after the table has internal linkage, so each unit compiles its
-// own copy with its own flags. With external (inline) linkage the linker
-// would keep one copy per helper, and could hand the baseline path an
-// AVX2-encoded one that faults on a CPU without AVX2. For the same reason
-// nothing here may instantiate a template outside the anonymous namespace.
+// Everything below has internal linkage, so each unit compiles its own copy
+// with its own flags. With external (inline) linkage the linker would keep
+// one copy per helper, and could hand the baseline path an AVX2-encoded one
+// that faults on a CPU without AVX2. For the same reason nothing here may
+// instantiate a template outside the anonymous namespace.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 
+#include "ivnet/cib/block_kernels.hpp"
 #include "ivnet/common/units.hpp"
 
 namespace ivnet::detail {
-
-/// One tone that score_move/commit_move moves, seen from one block.
-struct ToneMove {
-  double old_hz = 0.0;
-  double new_hz = 0.0;
-  const double* phases = nullptr;  ///< the tone's phase in each lane
-};
-
-/// One instruction-set level of the delta evaluator. A block's lanes are
-/// `steps` rows of four int64, one per trial; re and im sit in two arrays.
-struct DeltaKernels {
-  /// Adds tones [0, n) into a block's lanes: tone i at offsets_hz[i], with
-  /// phase phases[4 * i + l] in lane l, each sample quantized.
-  void (*accumulate)(std::int64_t* re, std::int64_t* im, std::size_t steps,
-                     double dt, const double* offsets_hz, std::size_t n,
-                     const double* phases);
-  /// Writes each lane's refined peak envelope amplitude to peaks[0, 4).
-  /// With a `move`, the old tone comes out of the sums and the new one goes
-  /// in on the fly; with out_re/out_im as well, the adjusted sums are
-  /// written there (they may alias re/im: each row is read before it is
-  /// written).
-  void (*scan)(const std::int64_t* re, const std::int64_t* im,
-               std::size_t steps, double dt, const ToneMove* move,
-               std::int64_t* out_re, std::int64_t* out_im, double* peaks);
-  /// q[l] = the quantizer's rounding of x[l] for four values.
-  void (*llround)(const double* x, std::int64_t* q);
-};
-
-/// The AVX2 level (delta_avx2.cpp). Call only when isa_level() is kAvx2Fma.
-const DeltaKernels* avx2_delta_kernels();
-
 namespace {
-
-/// Trials per block: one per vector lane.
-constexpr std::size_t kBlockTrials = 4;
 
 /// Same anchor cadence as cib/objective.cpp and signal/phasor.hpp: the
 /// incremental rotation is re-anchored from cos/sin every 4096 steps so
@@ -80,7 +53,7 @@ constexpr std::size_t kRenormInterval = 4096;
 constexpr double kQuantScale = 0x1p40;
 constexpr double kInvQuantScale = 0x1p-40;
 
-/// Tiles of kTile steps: the build keeps a tile of a block's lanes (64 bytes
+/// Tiles of kTile steps: the build keeps a tile of a block's lanes (128 bytes
 /// a step) in L1 while every tone of a chunk adds into it, and the scan
 /// buffers a tile's squared envelope for the running peak. kTile divides
 /// kRenormInterval, so no tile straddles a re-anchor.
@@ -92,13 +65,16 @@ static_assert(kRenormInterval % kTile == 0);
 
 // --- Lanes ---------------------------------------------------------------
 //
-// The unit's native vector is 256-bit where it is built with AVX
-// (delta_avx2.cpp) and 128-bit SSE2 otherwise. GCC lowers a compare on a
-// vector wider than the target's registers one element at a time, so a
-// block's four lanes are held as kParts native vectors, and every op below
+// The unit's native vector is 512-bit where it is built with AVX-512F
+// (delta_avx512.cpp), 256-bit where it is built with AVX (delta_avx2.cpp)
+// and 128-bit SSE2 otherwise. GCC lowers a compare on a vector wider than
+// the target's registers one element at a time, so a block's eight lanes
+// are held as kParts native vectors (one, two or four), and every op below
 // runs part by part.
 
-#if defined(__AVX__)
+#if defined(__AVX512F__)
+constexpr std::size_t kNativeLanes = 8;
+#elif defined(__AVX__)
 constexpr std::size_t kNativeLanes = 4;
 #else
 constexpr std::size_t kNativeLanes = 2;
@@ -109,12 +85,12 @@ using NativeD = double __attribute__((vector_size(8 * kNativeLanes)));
 using NativeI = std::int64_t __attribute__((vector_size(8 * kNativeLanes)));
 using NativeU = std::uint64_t __attribute__((vector_size(8 * kNativeLanes)));
 
-/// Four doubles, one per trial of a block.
+/// Eight doubles, one per trial of a block.
 struct Lanes {
   NativeD v[kParts];
 };
 
-/// Four int64, one per trial: fixed-point sums, or masks (-1 where true).
+/// Eight int64, one per trial: fixed-point sums, or masks (-1 where true).
 struct Ints {
   NativeI v[kParts];
 };
@@ -170,6 +146,13 @@ inline Ints operator-(Ints a, Ints b) {
 inline Ints greater(Lanes a, Lanes b) {
   Ints r;
   for (std::size_t p = 0; p < kParts; ++p) r.v[p] = a.v[p] > b.v[p];
+  return r;
+}
+
+/// -1 in the lanes where a >= b (0 where either is NaN).
+inline Ints at_least(Lanes a, Lanes b) {
+  Ints r;
+  for (std::size_t p = 0; p < kParts; ++p) r.v[p] = a.v[p] >= b.v[p];
   return r;
 }
 
@@ -276,7 +259,7 @@ inline Lanes to_double(Ints q) {
   return r;
 }
 
-/// One tone in a block's four lanes: its value at the current step and its
+/// One tone in a block's lanes: its value at the current step and its
 /// per-step rotation, which is the same in every lane.
 struct Tone {
   Lanes re, im;
@@ -294,8 +277,8 @@ struct Tone {
 
   /// The value at step s from cos/sin of the exact phase.
   void anchor(std::size_t s) {
-    alignas(32) double r[kBlockTrials];
-    alignas(32) double i[kBlockTrials];
+    alignas(64) double r[kBlockTrials];
+    alignas(64) double i[kBlockTrials];
     for (std::size_t l = 0; l < kBlockTrials; ++l) {
       const double ph =
           s == 0 ? phases[l] : phases[l] + w * static_cast<double>(s);
@@ -442,7 +425,7 @@ void scan_lanes(const std::int64_t* re, const std::int64_t* im,
     new_tone.start(move->new_hz, dt, move->phases);
   }
   RunningPeak peak;
-  alignas(32) double sq[kTile * kBlockTrials];
+  alignas(64) double sq[kTile * kBlockTrials];
   for (std::size_t s0 = 0; s0 < steps; s0 += kTile) {
     const std::size_t rows = steps - s0 < kTile ? steps - s0 : kTile;
     if constexpr (kMove) {
@@ -488,12 +471,146 @@ void scan(const std::int64_t* re, const std::int64_t* im, std::size_t steps,
   }
 }
 
-void llround4(const double* x, std::int64_t* q) {
+void llround_block(const double* x, std::int64_t* q) {
   store_ints(q, llround_lanes(load_lanes(x)));
 }
 
+// --- The Eq. 6 scan --------------------------------------------------------
+//
+// scan_envelope_sq (cib/objective.cpp) for a block of trials: each step sums
+// the tones from +0 in tone order, squares the sum's re and im, and rotates
+// every tone by its step; every kRenormInterval steps the tones re-anchor
+// from cos/sin of the exact phase. Lane l is trial l's scalar loop, op for
+// op.
+
+/// One Eq. 6 tone in a block's lanes: its value at the current step and its
+/// per-step rotation e^{jw}, broadcast to every lane once, at the start.
+struct Eq6Tone {
+  Lanes re, im;
+  Lanes cre, cim;
+
+  /// The value one step after (r, i): (r, i) * e^{jw}, as (ac - bd, ad + bc).
+  /// The outputs may be r and i.
+  void next(Lanes r, Lanes i, Lanes& out_re, Lanes& out_im) const {
+    out_re = r * cre - i * cim;
+    out_im = r * cim + i * cre;
+  }
+};
+
+/// Tones a block's scan keeps in a fixed array on the stack (the paper's
+/// sets have at most 10); larger sets keep theirs on the heap.
+constexpr std::size_t kEq6FixedTones = 64;
+
+/// Tone value at step s in every lane: cos/sin of phase + w * s, where w is
+/// the tone's radians per step (scan_envelope_sq's anchor, amplitude 1).
+void eq6_anchor(Eq6Tone& tone, double w, const double* lane_phases,
+                std::size_t s) {
+  alignas(64) double r[kBlockTrials];
+  alignas(64) double i[kBlockTrials];
+  for (std::size_t l = 0; l < kBlockTrials; ++l) {
+    const double ph = lane_phases[l] + w * static_cast<double>(s);
+    r[l] = std::cos(ph);
+    i[l] = std::sin(ph);
+  }
+  tone.re = load_lanes(r);
+  tone.im = load_lanes(i);
+}
+
+/// Runs the scan over a block, handing each tile's squared envelope
+/// (`rows` rows of kBlockTrials, row r holding step s0 + r) to
+/// sink(sq, rows, s0).
+template <typename Sink>
+void eq6_scan(const double* offsets_hz, std::size_t n, const double* phases,
+              std::size_t steps, double dt, Sink&& sink) {
+  Eq6Tone fixed[kEq6FixedTones];
+  std::unique_ptr<Eq6Tone[]> spilled;
+  Eq6Tone* tones = fixed;
+  if (n > kEq6FixedTones) {
+    spilled.reset(new Eq6Tone[n]);
+    tones = spilled.get();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = kTwoPi * offsets_hz[i] * dt;
+    tones[i].cre = splat(std::cos(w));
+    tones[i].cim = splat(std::sin(w));
+    eq6_anchor(tones[i], w, phases + kBlockTrials * i, 0);
+  }
+  alignas(64) double sq[kTile * kBlockTrials];
+  for (std::size_t s0 = 0; s0 < steps; s0 += kTile) {
+    const std::size_t rows = steps - s0 < kTile ? steps - s0 : kTile;
+    if (s0 != 0 && s0 % kRenormInterval == 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        eq6_anchor(tones[i], kTwoPi * offsets_hz[i] * dt,
+                   phases + kBlockTrials * i, s0);
+      }
+    }
+    // Two steps per pass over the tones: each step's sums are one chain of
+    // dependent adds, and two independent chains let one's latency hide
+    // behind the other's. Each step still adds its tones in order.
+    std::size_t r = 0;
+    for (; r + 2 <= rows; r += 2) {
+      Lanes re0 = splat(0.0), im0 = splat(0.0);
+      Lanes re1 = splat(0.0), im1 = splat(0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        Eq6Tone& t = tones[i];
+        Lanes next_re, next_im;
+        t.next(t.re, t.im, next_re, next_im);
+        re0 = re0 + t.re;
+        im0 = im0 + t.im;
+        re1 = re1 + next_re;
+        im1 = im1 + next_im;
+        t.next(next_re, next_im, t.re, t.im);
+      }
+      store_lanes(sq + kBlockTrials * r, re0 * re0 + im0 * im0);
+      store_lanes(sq + kBlockTrials * (r + 1), re1 * re1 + im1 * im1);
+    }
+    for (; r < rows; ++r) {
+      Lanes sum_re = splat(0.0), sum_im = splat(0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        Eq6Tone& t = tones[i];
+        sum_re = sum_re + t.re;
+        sum_im = sum_im + t.im;
+        t.next(t.re, t.im, t.re, t.im);
+      }
+      store_lanes(sq + kBlockTrials * r, sum_re * sum_re + sum_im * sum_im);
+    }
+    sink(sq, rows, s0);
+  }
+}
+
+void envelope_peaks(const double* offsets_hz, std::size_t n,
+                    const double* phases, std::size_t steps, double dt,
+                    double* peaks) {
+  RunningPeak peak;
+  eq6_scan(offsets_hz, n, phases, steps, dt,
+           [&peak](const double* sq, std::size_t rows, std::size_t s0) {
+             peak.add_tile(sq, rows, s0);
+           });
+  for (std::size_t l = 0; l < kBlockTrials; ++l) {
+    peaks[l] = peak.refined(l, steps);
+  }
+}
+
+void envelope_above(const double* offsets_hz, std::size_t n,
+                    const double* phases, std::size_t steps, double dt,
+                    double threshold_sq, std::uint64_t* counts) {
+  const Lanes threshold = splat(threshold_sq);
+  Ints above = splat_ints(0);
+  eq6_scan(offsets_hz, n, phases, steps, dt,
+           [&](const double* sq, std::size_t rows, std::size_t) {
+             for (std::size_t r = 0; r < rows; ++r) {
+               above = above - at_least(load_lanes(sq + kBlockTrials * r),
+                                        threshold);
+             }
+           });
+  for (std::size_t l = 0; l < kBlockTrials; ++l) {
+    counts[l] = static_cast<std::uint64_t>(lane(above, l));
+  }
+}
+
 /// This unit's level.
-constexpr DeltaKernels kLevelKernels{accumulate, scan, llround4};
+constexpr BlockKernels kLevelKernels{accumulate, scan, llround_block,
+                                     envelope_peaks, envelope_above};
 
 }  // namespace
 }  // namespace ivnet::detail

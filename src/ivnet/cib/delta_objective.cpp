@@ -1,10 +1,11 @@
-// The delta evaluator's state, and its baseline instruction-set level.
+// The delta evaluator's state, and the block kernels' baseline
+// instruction-set level.
 //
 // This translation unit compiles delta_impl.hpp's block kernels with
 // -O3 -ffp-contract=off and no -mavx2 on every build type
-// (src/CMakeLists.txt), so it runs on any x86-64 CPU; delta_avx2.cpp
-// compiles the same kernels with AVX2, and kernels() picks one as
-// common/isa.hpp chooses.
+// (src/CMakeLists.txt), so it runs on any x86-64 CPU; delta_avx2.cpp and
+// delta_avx512.cpp compile the same kernels with AVX2 and AVX-512F, and
+// block_kernels() picks one as common/isa.hpp chooses.
 #include "ivnet/cib/delta_objective.hpp"
 
 #include <algorithm>
@@ -21,16 +22,10 @@
 namespace ivnet {
 namespace {
 
-using detail::DeltaKernels;
+using detail::BlockKernels;
+using detail::block_kernels;
 using detail::kBlockTrials;
 using detail::ToneMove;
-
-/// The running level's kernels. The AVX2 table exists whenever that level
-/// can be chosen.
-const DeltaKernels& kernels() {
-  return isa_level() == IsaLevel::kAvx2Fma ? *detail::avx2_delta_kernels()
-                                           : detail::kLevelKernels;
-}
 
 /// Block b of a [block][row][lane] array with `rows` rows per block.
 template <typename T>
@@ -81,7 +76,7 @@ DeltaEnvelopeState::DeltaEnvelopeState(std::span<const double> offsets_hz,
   const std::size_t n = offsets_.size();
   const std::size_t trials = config_.mc_trials;
   blocks_ = (trials + kBlockTrials - 1) / kBlockTrials;
-  phases_.assign(blocks_ * n * kBlockTrials, 0.0);  // ghost lanes: phase 0
+  phases_.resize(blocks_ * n * kBlockTrials);
   sum_re_.reset(new std::int64_t[blocks_ * steps_ * kBlockTrials]);
   sum_im_.reset(new std::int64_t[blocks_ * steps_ * kBlockTrials]);
   peaks_.resize(blocks_ * kBlockTrials);
@@ -92,17 +87,10 @@ DeltaEnvelopeState::DeltaEnvelopeState(std::span<const double> offsets_hz,
   Rng seed_rng(config_.score_seed);
   const std::uint64_t base = seed_rng();
   obs::count("planner.evals");
-  const DeltaKernels& k = kernels();
+  const BlockKernels& k = block_kernels();
   parallel_for(blocks_, [&](std::size_t b) {
     double* phases = block_of(phases_.data(), n, b);
-    for (std::size_t l = 0; l < kBlockTrials; ++l) {
-      const std::size_t t = b * kBlockTrials + l;
-      if (t >= trials) break;
-      Rng trial_rng = Rng::stream(base, t);
-      for (std::size_t i = 0; i < n; ++i) {
-        phases[i * kBlockTrials + l] = trial_rng.phase();
-      }
-    }
+    detail::draw_block_phases(base, b, trials, n, phases);
     std::int64_t* re = block_of(sum_re_.get(), steps_, b);
     std::int64_t* im = block_of(sum_im_.get(), steps_, b);
     std::fill_n(re, steps_ * kBlockTrials, 0);
@@ -119,7 +107,7 @@ double DeltaEnvelopeState::score_move(std::size_t tone,
   const std::size_t n = offsets_.size();
   check_tone(tone, n);
   obs::count("planner.evals");
-  const DeltaKernels& k = kernels();
+  const BlockKernels& k = block_kernels();
   std::vector<double> peaks(blocks_ * kBlockTrials);
   parallel_for(blocks_, [&](std::size_t b) {
     const ToneMove move{offsets_[tone], new_offset_hz,
@@ -134,7 +122,7 @@ double DeltaEnvelopeState::score_move(std::size_t tone,
 void DeltaEnvelopeState::commit_move(std::size_t tone, double new_offset_hz) {
   const std::size_t n = offsets_.size();
   check_tone(tone, n);
-  const DeltaKernels& k = kernels();
+  const BlockKernels& k = block_kernels();
   parallel_for(blocks_, [&](std::size_t b) {
     const ToneMove move{offsets_[tone], new_offset_hz,
                         block_of(phases_.data(), n, b) + tone * kBlockTrials};
@@ -155,7 +143,7 @@ double DeltaEnvelopeState::full_score(
         std::to_string(offsets_.size()) + " tones");
   }
   obs::count("planner.evals");
-  const DeltaKernels& k = kernels();
+  const BlockKernels& k = block_kernels();
   std::vector<double> peaks(blocks_ * kBlockTrials);
   parallel_for(blocks_, [&](std::size_t b) {
     std::vector<std::int64_t> re(steps_ * kBlockTrials, 0);
@@ -171,12 +159,39 @@ double DeltaEnvelopeState::full_score(
 
 namespace detail {
 
+const BlockKernels& block_kernels() {
+  switch (isa_level()) {
+    case IsaLevel::kAvx512:
+      return *avx512_block_kernels();
+    case IsaLevel::kAvx2Fma:
+      return *avx2_block_kernels();
+    case IsaLevel::kBaseline:
+      break;
+  }
+  return kLevelKernels;
+}
+
+void draw_block_phases(std::uint64_t base, std::size_t b, std::size_t trials,
+                       std::size_t n, double* phases) {
+  for (std::size_t l = 0; l < kBlockTrials; ++l) {
+    const std::size_t t = b * kBlockTrials + l;
+    if (t >= trials) {
+      for (std::size_t i = 0; i < n; ++i) phases[i * kBlockTrials + l] = 0.0;
+      continue;
+    }
+    Rng trial_rng = Rng::stream(base, t);
+    for (std::size_t i = 0; i < n; ++i) {
+      phases[i * kBlockTrials + l] = trial_rng.phase();
+    }
+  }
+}
+
 void quantizer_llround(std::span<const double> x,
                        std::span<std::int64_t> q) {
   if (q.size() != x.size()) {
     throw std::invalid_argument("quantizer_llround: size mismatch");
   }
-  const DeltaKernels& k = kernels();
+  const BlockKernels& k = block_kernels();
   for (std::size_t i = 0; i < x.size(); i += kBlockTrials) {
     const std::size_t m = std::min(kBlockTrials, x.size() - i);
     double in[kBlockTrials] = {};

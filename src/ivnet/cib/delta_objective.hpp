@@ -27,12 +27,15 @@
 // parabolic refinement all mirror cib/objective.cpp, and the tone rotation
 // uses the same anchor-every-4096-steps policy as signal/phasor.hpp.
 //
-// Layout: trials in blocks of four, one trial per vector lane, stored
-// [block][step][lane] with one int64 re array and one im array, so a block's
-// update is one linear pass. The trial count is padded to whole blocks with
-// ghost lanes, whose peaks never enter the score. The block kernels
-// (cib/delta_impl.hpp) are built twice, for the baseline ISA and for AVX2,
-// and run at the level common/isa.hpp chooses; both levels, and the
+// Layout: trials in blocks of eight (cib/block_kernels.hpp's kBlockTrials),
+// one trial per lane of a 512-bit vector, stored [block][step][lane] with
+// one int64 re array and one im array, so a block's update is one linear
+// pass. The width is the same at every instruction-set level, so the layout
+// never depends on the level that runs it. The trial count is padded to
+// whole blocks with ghost lanes, whose peaks never enter the score. The
+// block kernels (cib/delta_impl.hpp) are built three times, for the
+// baseline ISA (four SSE2 parts per block), AVX2 (two) and AVX-512F (one),
+// and run at the level common/isa.hpp chooses; every level, and the
 // per-trial scalar oracle in tests/naive_delta.hpp, give the same bytes.
 #pragma once
 
@@ -69,15 +72,16 @@ void quantizer_llround(std::span<const double> x, std::span<std::int64_t> q);
 /// Per-trial fixed-point partial sums of the Eq. 6 envelope over the
 /// evaluation grid, supporting O(steps)-per-trial single-offset moves.
 /// Not thread-safe for concurrent mutation; the build, score_move,
-/// commit_move and full_score parallelize internally over blocks of four
+/// commit_move and full_score parallelize internally over blocks of eight
 /// trials, one block per pool claim (deterministic at any IVNET_THREADS:
 /// per-trial slots, trial-order reduction).
 class DeltaEnvelopeState {
  public:
   /// Grid ceiling for the planner. The state holds 16 bytes per
-  /// (trial, sample), with trials padded to whole blocks of four, so memory
-  /// is ceil(mc_trials / 4) * 4 * steps * 16 — at this ceiling and 32
-  /// trials that is 64 MiB; size mc_trials accordingly.
+  /// (trial, sample), with trials padded to whole blocks of eight, so
+  /// memory is ceil(mc_trials / 8) * 8 * steps * 16 — at this ceiling and
+  /// 32 trials that is 64 MiB (as at 25 to 31 trials: ghost lanes cost
+  /// memory too); size mc_trials accordingly.
   static constexpr std::size_t kMaxPlannerSteps = 1u << 17;
 
   /// ~16 samples per cycle of the fastest allowed beat (the same heuristic
@@ -122,7 +126,7 @@ class DeltaEnvelopeState {
   DeltaEvalConfig config_;
   std::size_t steps_ = 0;
   double dt_ = 0.0;
-  std::size_t blocks_ = 0;       ///< ceil(mc_trials / 4)
+  std::size_t blocks_ = 0;       ///< ceil(mc_trials / 8)
   std::vector<double> offsets_;  ///< current set, tone order
   std::vector<double> phases_;   ///< [block][tone][lane]; ghost lanes 0
   /// [block][step][lane] fixed point. Each block's claim zeroes its own

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
+#include "ivnet/cib/block_kernels.hpp"
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/common/units.hpp"
 #include "ivnet/obs/obs.hpp"
@@ -39,6 +41,9 @@ class Scratch {
 /// each. Structure-of-arrays layout (separate re/im lanes) with a fused
 /// sum+rotate loop the compiler can autovectorize; phasors are re-anchored
 /// from std::polar every kRenormInterval steps to kill multiplicative drift.
+/// One trial at a time: the batch estimators run the block kernels' Eq. 6
+/// scan (cib/delta_impl.hpp), whose every lane is this loop op for op, and
+/// the tests pin them to it.
 template <typename PerSample>
 void scan_envelope_sq(std::span<const double> offsets_hz,
                       std::span<const double> phases,
@@ -83,6 +88,28 @@ void scan_envelope_sq(std::span<const double> offsets_hz,
     }
     per_sample(s, sum_re * sum_re + sum_im * sum_im);
   }
+}
+
+constexpr std::size_t kLanes = detail::kBlockTrials;
+
+/// `trials` rounded up to whole blocks of kLanes.
+std::size_t padded_trials(std::size_t trials) {
+  return (trials + kLanes - 1) / kLanes * kLanes;
+}
+
+/// Runs per_block(b, phases) for each block b of kLanes trials, one block
+/// per pool claim, with the block's phase draws (detail::draw_block_phases:
+/// lane l is trial kLanes * b + l). Ghost lanes' results are never read.
+template <typename PerBlock>
+void for_each_trial_block(std::size_t n, std::size_t trials,
+                          std::uint64_t base, PerBlock&& per_block) {
+  const std::size_t blocks = padded_trials(trials) / kLanes;
+  std::vector<double> phases(blocks * n * kLanes);
+  parallel_for(blocks, [&](std::size_t b) {
+    double* block = phases.data() + b * n * kLanes;
+    detail::draw_block_phases(base, b, trials, n, block);
+    per_block(b, block);
+  });
 }
 
 }  // namespace
@@ -170,19 +197,18 @@ SampleSet peak_amplitude_samples(std::span<const double> offsets_hz,
   obs::count("cib.peak_samples.calls");
   obs::count("cib.peak_samples.trials", trials);
   const std::uint64_t base = rng();
-  std::vector<double> peaks(trials);
-  parallel_for(trials, [&](std::size_t k) {
-    Rng trial_rng = Rng::stream(base, k);
-    Scratch scratch;
-    double* phases = scratch.get(n);
-    for (std::size_t i = 0; i < n; ++i) phases[i] = trial_rng.phase();
-    peaks[k] = peak_envelope(offsets_hz, std::span<const double>(phases, n),
-                             t_max_s, steps);
+  const double dt = t_max_s / static_cast<double>(steps);
+  const detail::BlockKernels& k = detail::block_kernels();
+  std::vector<double> peaks(padded_trials(trials));
+  for_each_trial_block(n, trials, base, [&](std::size_t b,
+                                            const double* phases) {
+    k.envelope_peaks(offsets_hz.data(), n, phases, steps, dt,
+                     &peaks[b * kLanes]);
   });
   SampleSet set;
-  for (double p : peaks) {
-    set.add(p);
-    obs::observe("cib.peak_amplitude", p);
+  for (std::size_t t = 0; t < trials; ++t) {
+    set.add(peaks[t]);
+    obs::observe("cib.peak_amplitude", peaks[t]);
   }
   return set;
 }
@@ -211,22 +237,18 @@ double expected_conduction_fraction(std::span<const double> offsets_hz,
   obs::count("cib.conduction.trials", trials);
   const double threshold_sq = threshold_amplitude * threshold_amplitude;
   const std::uint64_t base = rng();
-  std::vector<double> fractions(trials);
-  parallel_for(trials, [&](std::size_t k) {
-    Rng trial_rng = Rng::stream(base, k);
-    Scratch scratch;
-    double* phases = scratch.get(n);
-    for (std::size_t i = 0; i < n; ++i) phases[i] = trial_rng.phase();
-    std::size_t above = 0;
-    scan_envelope_sq(offsets_hz, std::span<const double>(phases, n),
-                     /*amplitudes=*/{}, t_max_s, steps,
-                     [&above, threshold_sq](std::size_t, double sq) {
-                       if (sq >= threshold_sq) ++above;
-                     });
-    fractions[k] = static_cast<double>(above) / static_cast<double>(steps);
+  const double dt = t_max_s / static_cast<double>(steps);
+  const detail::BlockKernels& k = detail::block_kernels();
+  std::vector<std::uint64_t> above(padded_trials(trials));
+  for_each_trial_block(n, trials, base, [&](std::size_t b,
+                                            const double* phases) {
+    k.envelope_above(offsets_hz.data(), n, phases, steps, dt, threshold_sq,
+                     &above[b * kLanes]);
   });
   double total = 0.0;  // sequential sum: bitwise identical across pool sizes
-  for (double f : fractions) total += f;
+  for (std::size_t t = 0; t < trials; ++t) {
+    total += static_cast<double>(above[t]) / static_cast<double>(steps);
+  }
   return total / static_cast<double>(std::max<std::size_t>(1, trials));
 }
 

@@ -44,9 +44,13 @@ double max_envelope(std::span<const double> offsets_hz,
 /// Monte-Carlo samples of the per-trial peak AMPLITUDE, phases drawn
 /// uniformly — the inner max of Eq. 6 sampled across channel conditions.
 ///
-/// Trials run on the shared thread pool. `rng` is consumed exactly once (a
-/// stream base); each trial draws its phases from Rng::stream(base, trial),
-/// so the result is bitwise identical for any IVNET_THREADS value.
+/// Trials run on the shared thread pool in blocks of eight, one block per
+/// pool claim, through the block kernels' Eq. 6 scan (cib/block_kernels.hpp)
+/// at the instruction-set level common/isa.hpp chooses. `rng` is consumed
+/// exactly once (a stream base); each trial draws its phases from
+/// Rng::stream(base, trial), and each trial's peak is bitwise the
+/// peak_envelope of those phases, so the result is the same bytes for any
+/// IVNET_THREADS value and at every level.
 SampleSet peak_amplitude_samples(std::span<const double> offsets_hz,
                                  std::size_t trials, Rng& rng,
                                  double t_max_s = 1.0);
@@ -64,7 +68,10 @@ double expected_peak_power_gain(std::span<const double> offsets_hz,
 
 /// Two-stage steady objective: E_beta[ fraction of the period the envelope
 /// exceeds `threshold_amplitude` ] (threshold in units of one antenna's
-/// amplitude, i.e. the normalized diode threshold Vth / |h|).
+/// amplitude, i.e. the normalized diode threshold Vth / |h|). A sample
+/// counts when its squared envelope is at or above the squared threshold.
+/// Trials, streams and the block scan as in peak_amplitude_samples; the
+/// per-trial fractions are summed in trial order.
 double expected_conduction_fraction(std::span<const double> offsets_hz,
                                     double threshold_amplitude,
                                     std::size_t trials, Rng& rng,

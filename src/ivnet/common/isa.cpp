@@ -21,6 +21,33 @@ bool avx2_fma_available() {
 #endif
 }
 
+/// True when the AVX2+FMA level is available, the CPU (and its OS, which
+/// must save the zmm state; the probe checks both) runs AVX-512F, and this
+/// build compiled the AVX-512 unit (IVNET_HAVE_AVX512_UNITS, set only
+/// beside IVNET_HAVE_AVX2_UNITS). avx2_fma_available() initializes the
+/// CPU probe first.
+bool avx512_available() {
+#if IVNET_HAVE_AVX512_UNITS && (defined(__x86_64__) || defined(__i386__))
+  static const bool available =
+      avx2_fma_available() && __builtin_cpu_supports("avx512f");
+  return available;
+#else
+  return false;
+#endif
+}
+
+bool available(IsaLevel level) {
+  switch (level) {
+    case IsaLevel::kBaseline:
+      return true;
+    case IsaLevel::kAvx2Fma:
+      return avx2_fma_available();
+    case IsaLevel::kAvx512:
+      return avx512_available();
+  }
+  return false;
+}
+
 /// The running level plus one; 0 until the first call probes the CPU.
 std::atomic<std::uint8_t> g_level{0};
 
@@ -33,8 +60,7 @@ std::uint8_t encode(IsaLevel level) {
 IsaLevel isa_level() {
   std::uint8_t level = g_level.load(std::memory_order_relaxed);
   if (level == 0) {
-    level = encode(avx2_fma_available() ? IsaLevel::kAvx2Fma
-                                        : IsaLevel::kBaseline);
+    level = encode(detail::isa_levels().back());
     g_level.store(level, std::memory_order_relaxed);
   }
   return static_cast<IsaLevel>(level - 1);
@@ -43,14 +69,17 @@ IsaLevel isa_level() {
 namespace detail {
 
 std::vector<IsaLevel> isa_levels() {
-  std::vector<IsaLevel> levels{IsaLevel::kBaseline};
-  if (avx2_fma_available()) levels.push_back(IsaLevel::kAvx2Fma);
+  std::vector<IsaLevel> levels;
+  for (const IsaLevel level :
+       {IsaLevel::kBaseline, IsaLevel::kAvx2Fma, IsaLevel::kAvx512}) {
+    if (available(level)) levels.push_back(level);
+  }
   return levels;
 }
 
 IsaLevel force_isa_level(IsaLevel level) {
-  if (level == IsaLevel::kAvx2Fma && !avx2_fma_available()) {
-    throw std::invalid_argument("isa: AVX2+FMA level unavailable here");
+  if (!available(level)) {
+    throw std::invalid_argument("isa: level unavailable here");
   }
   const IsaLevel previous = isa_level();
   g_level.store(encode(level), std::memory_order_relaxed);

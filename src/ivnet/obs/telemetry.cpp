@@ -363,6 +363,12 @@ bool parse_whole(std::string_view text, T& out) {
   return ec == std::errc() && end == last;
 }
 
+/// Parses all of `text` as a finite JSON-style number: no trailing
+/// character, no inf or nan.
+bool parse_whole_finite(std::string_view text, double& out) {
+  return parse_whole(text, out) && std::isfinite(out);
+}
+
 }  // namespace
 
 bool parse_exemplar_line(std::string_view line, Exemplar& out) {
@@ -373,11 +379,12 @@ bool parse_exemplar_line(std::string_view line, Exemplar& out) {
       !parse_whole(find_token(line, "antennas"), e.antennas) ||
       !parse_whole(json_find_string(line, "seed", ""), e.seed) ||
       !parse_whole(json_find_string(line, "response_hash", ""),
-                   e.response_hash)) {
+                   e.response_hash) ||
+      !parse_whole_finite(find_token(line, "snr_db"), e.snr_db) ||
+      !parse_whole_finite(find_token(line, "medium_loss_db"),
+                          e.medium_loss_db)) {
     return false;
   }
-  e.snr_db = json_find_number(line, "snr_db", 0.0);
-  e.medium_loss_db = json_find_number(line, "medium_loss_db", 0.0);
   e.t_s = json_find_number(line, "t_s", 0.0);
   e.queue_wait_s = json_find_number(line, "queue_wait_s", 0.0);
   e.service_s = json_find_number(line, "service_s", 0.0);

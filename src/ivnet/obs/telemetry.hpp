@@ -253,9 +253,10 @@ std::string exemplar_json(const Exemplar& exemplar);
 
 /// Parse one exemplar_json line back. Returns false when a required field
 /// is missing (blank lines, headers) or malformed: id, kind, trials and
-/// antennas must be decimal integers that fit their fields, and seed and
-/// response_hash decimal strings that fit 64 bits, each with nothing else
-/// in the value. Tolerates surrounding whitespace.
+/// antennas must be decimal integers that fit their fields, seed and
+/// response_hash decimal strings that fit 64 bits, and snr_db and
+/// medium_loss_db finite numbers (replay feeds both to the request), each
+/// with nothing else in the value. Tolerates surrounding whitespace.
 bool parse_exemplar_line(std::string_view line, Exemplar& out);
 
 }  // namespace ivnet::obs

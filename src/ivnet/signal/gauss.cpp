@@ -46,11 +46,12 @@ void apply_baseline(double sigma, const double* g, const double* src,
 constexpr GaussKernels kBaselineKernels{draw_onto_baseline,
                                         fill_normals_baseline, apply_baseline};
 
-/// The running level's kernels (common/isa.hpp). The AVX2 table exists
-/// whenever that level can be chosen.
+/// The running level's kernels (common/isa.hpp). The sampler has no
+/// AVX-512 unit: that level, which implies AVX2 and FMA, runs the AVX2
+/// table, which exists whenever either level can be chosen.
 const GaussKernels& kernels() {
-  return isa_level() == IsaLevel::kAvx2Fma ? *detail::avx2_gauss_kernels()
-                                           : kBaselineKernels;
+  return isa_level() == IsaLevel::kBaseline ? kBaselineKernels
+                                            : *detail::avx2_gauss_kernels();
 }
 
 // --- Noise tape ----------------------------------------------------------
@@ -142,7 +143,7 @@ NoiseTapeScope::~NoiseTapeScope() {
   t_live_tape = nullptr;
 }
 
-bool gauss_simd_enabled() { return isa_level() == IsaLevel::kAvx2Fma; }
+bool gauss_simd_enabled() { return isa_level() != IsaLevel::kBaseline; }
 
 namespace detail {
 

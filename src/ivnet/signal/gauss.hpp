@@ -97,8 +97,10 @@ class NoiseTapeScope {
   bool outermost_;
 };
 
-/// True when the sampler runs its AVX2+FMA level (isa_level()). Purely
-/// informational (bench tables): results are identical either way.
+/// True when the sampler runs its AVX2+FMA kernels: at any isa_level()
+/// above baseline (the AVX-512 level runs them too; the sampler has no
+/// AVX-512 unit). Purely informational (bench tables): results are
+/// identical either way.
 bool gauss_simd_enabled();
 
 namespace detail {

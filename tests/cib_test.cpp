@@ -1,12 +1,18 @@
 // Tests for ivnet/cib — the paper's core contribution. Covers the frequency
-// plan and Eq. 9 constraint, the Eq. 6 objective, the optimizer, baselines,
-// and the two-stage extension.
+// plan and Eq. 9 constraint, the Eq. 6 objective (and its block kernels
+// against the per-trial scan at every instruction-set level), the
+// optimizer, baselines, and the two-stage extension.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "ivnet/cib/baseline.hpp"
+#include "ivnet/cib/block_kernels.hpp"
 #include "ivnet/cib/frequency_plan.hpp"
 #include "ivnet/cib/objective.hpp"
 #include "ivnet/cib/optimizer.hpp"
@@ -15,6 +21,7 @@
 #include "ivnet/common/units.hpp"
 #include "ivnet/gen2/commands.hpp"
 #include "ivnet/gen2/pie.hpp"
+#include "scoped_isa.hpp"
 
 namespace ivnet {
 namespace {
@@ -164,6 +171,229 @@ TEST(Objective, EnvelopePeriodicity) {
   const auto env = cib_envelope(offsets, phases, {}, 2.0, 2000);
   for (std::size_t i = 0; i < 1000; i += 50) {
     EXPECT_NEAR(env[i], env[i + 1000], 1e-6);
+  }
+}
+
+// ----------------------------------------------- Eq. 6 block kernels
+//
+// peak_amplitude_samples and expected_conduction_fraction run the Eq. 6
+// scan eight trials per block (cib/block_kernels.hpp). Every lane must be
+// the per-trial scan's bytes: peaks memcmp-equal to peak_envelope, counts
+// equal to a per-trial count of the same squared envelope.
+
+bool bit_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// One trial's squared envelope, sample by sample, in the per-trial scan's
+/// op order (cib/objective.cpp's scan_envelope_sq at unit amplitudes):
+/// tones summed from +0 in order, each rotated by its step, re-anchored
+/// every 4,096 steps. Its square roots are pinned to cib_envelope, so its
+/// counts are the per-trial path's.
+std::vector<double> trial_envelope_sq(std::span<const double> offsets,
+                                      std::span<const double> phases,
+                                      double t_max, std::size_t steps) {
+  const std::size_t n = offsets.size();
+  const double dt = t_max / static_cast<double>(steps);
+  std::vector<double> re(n), im(n), cre(n), cim(n), sq(steps);
+  const auto anchor = [&](std::size_t s) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double ph =
+          phases[i] + kTwoPi * offsets[i] * dt * static_cast<double>(s);
+      re[i] = std::cos(ph);
+      im[i] = std::sin(ph);
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = kTwoPi * offsets[i] * dt;
+    cre[i] = std::cos(w);
+    cim[i] = std::sin(w);
+  }
+  anchor(0);
+  for (std::size_t s = 0; s < steps; ++s) {
+    if (s != 0 && s % 4096 == 0) anchor(s);
+    double sum_re = 0.0;
+    double sum_im = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      sum_re += re[i];
+      sum_im += im[i];
+      const double r = re[i] * cre[i] - im[i] * cim[i];
+      im[i] = re[i] * cim[i] + im[i] * cre[i];
+      re[i] = r;
+    }
+    sq[s] = sum_re * sum_re + sum_im * sum_im;
+  }
+  return sq;
+}
+
+std::uint64_t count_at_least(const std::vector<double>& sq, double floor_sq) {
+  std::uint64_t above = 0;
+  for (const double v : sq) above += v >= floor_sq ? 1 : 0;
+  return above;
+}
+
+/// Checks one block at every level: each lane's peak against peak_envelope
+/// and, for each threshold, its count against the per-trial count, with
+/// trial_envelope_sq pinned to cib_envelope on the way.
+void expect_block_matches_per_trial(const std::vector<double>& offsets,
+                                    const std::vector<double>& phases,
+                                    std::size_t steps,
+                                    const std::vector<double>& thresholds_sq) {
+  constexpr std::size_t kLanes = detail::kBlockTrials;
+  const std::size_t n = offsets.size();
+  const double dt = 1.0 / static_cast<double>(steps);
+  double want_peaks[kLanes];
+  std::vector<std::uint64_t> want_counts;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    std::vector<double> lane_phases(n);
+    for (std::size_t i = 0; i < n; ++i) lane_phases[i] = phases[kLanes * i + l];
+    want_peaks[l] = peak_envelope(offsets, lane_phases, 1.0, steps);
+    const std::vector<double> sq =
+        trial_envelope_sq(offsets, lane_phases, 1.0, steps);
+    const std::vector<double> env =
+        cib_envelope(offsets, lane_phases, {}, 1.0, steps);
+    for (std::size_t s = 0; s < steps; ++s) {
+      ASSERT_TRUE(bit_equal(std::sqrt(sq[s]), env[s]))
+          << "reference scan differs from cib_envelope at step " << s;
+    }
+    for (const double t : thresholds_sq) {
+      want_counts.push_back(count_at_least(sq, t));
+    }
+  }
+  for (const IsaLevel isa : detail::isa_levels()) {
+    SCOPED_TRACE(isa_name(isa));
+    ScopedIsaLevel level(isa);
+    const detail::BlockKernels& k = detail::block_kernels();
+    double peaks[kLanes];
+    k.envelope_peaks(offsets.data(), n, phases.data(), steps, dt, peaks);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      EXPECT_TRUE(bit_equal(peaks[l], want_peaks[l]))
+          << "lane " << l << ": " << peaks[l] << " vs " << want_peaks[l];
+    }
+    for (std::size_t t = 0; t < thresholds_sq.size(); ++t) {
+      std::uint64_t counts[kLanes];
+      k.envelope_above(offsets.data(), n, phases.data(), steps, dt,
+                       thresholds_sq[t], counts);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        EXPECT_EQ(counts[l], want_counts[l * thresholds_sq.size() + t])
+            << "lane " << l << ", threshold^2 " << thresholds_sq[t];
+      }
+    }
+  }
+}
+
+/// Offsets 3 + 7i Hz, and block phases [tone][lane] that line lane 0's
+/// tones up on step `at` (phase -w_i * at) while lanes 1-7 stay random.
+std::vector<double> phases_peaking_at(const std::vector<double>& offsets,
+                                      std::size_t at, std::size_t steps,
+                                      Rng& rng) {
+  constexpr std::size_t kLanes = detail::kBlockTrials;
+  const double dt = 1.0 / static_cast<double>(steps);
+  std::vector<double> phases(offsets.size() * kLanes);
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    phases[kLanes * i] =
+        -(kTwoPi * offsets[i] * dt * static_cast<double>(at));
+    for (std::size_t l = 1; l < kLanes; ++l) {
+      phases[kLanes * i + l] = rng.phase();
+    }
+  }
+  return phases;
+}
+
+TEST(Eq6BlockKernels, PeakOnEveryStepOfThreeTilesMatchesPerTrialScan) {
+  // Lane 0's sixteen tones line up on step `at`, for every step of a grid
+  // that spans three 256-step scan tiles, so the running peak meets its
+  // maximum (and the samples either side of it) on the first step, the
+  // last, and both sides of each tile edge. Counts are checked at the
+  // peak's own squared value (a tie that must count) and at bands below.
+  constexpr std::size_t kSteps = 520;
+  std::vector<double> offsets(16);
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    offsets[i] = 3.0 + 7.0 * static_cast<double>(i);
+  }
+  Rng rng(17);
+  for (std::size_t at = 0; at < kSteps; ++at) {
+    SCOPED_TRACE(::testing::Message() << "peak on step " << at);
+    const std::vector<double> phases =
+        phases_peaking_at(offsets, at, kSteps, rng);
+    std::vector<double> lane0(offsets.size());
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+      lane0[i] = phases[detail::kBlockTrials * i];
+    }
+    const double top = trial_envelope_sq(offsets, lane0, 1.0, kSteps)[at];
+    expect_block_matches_per_trial(offsets, phases, kSteps,
+                                   {top, 16.0, 64.0});
+    if (HasFailure()) return;
+  }
+}
+
+TEST(Eq6BlockKernels, PeaksAcrossTheReanchorMatchPerTrialScan) {
+  // A 9,000-step grid re-anchors the tone rotation at steps 4,096 and
+  // 8,192; lane 0 peaks on either side of each re-anchor and on the last
+  // step.
+  constexpr std::size_t kSteps = 9000;
+  std::vector<double> offsets(10);
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    offsets[i] = 3.0 + 7.0 * static_cast<double>(i);
+  }
+  Rng rng(19);
+  for (const std::size_t at : {1u, 4095u, 4096u, 4097u, 8191u, 8192u, 8999u}) {
+    SCOPED_TRACE(::testing::Message() << "peak on step " << at);
+    expect_block_matches_per_trial(
+        offsets, phases_peaking_at(offsets, at, kSteps, rng), kSteps,
+        {9.0, 49.0});
+  }
+}
+
+TEST(Eq6BlockKernels, BatchEstimatorsMatchPerTrialPathAtEveryLevel) {
+  // peak_amplitude_samples and expected_conduction_fraction against the
+  // per-trial path (trial t's phases from Rng::stream(base, t), base the
+  // caller rng's first draw): trial counts around the block width, tone
+  // counts from one to past the stack-held 64, on grids that re-anchor.
+  constexpr std::uint64_t kSeed = 29;
+  constexpr std::size_t kMaxTrials = 33;
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 33u, 128u}) {
+    std::vector<double> offsets(n, 0.0);
+    for (std::size_t i = 1; i < n; ++i) {
+      offsets[i] = std::floor(613.0 * static_cast<double>(i) /
+                              static_cast<double>(n - 1));
+    }
+    const std::size_t steps = default_steps(offsets, 1.0);
+    const double threshold = std::sqrt(static_cast<double>(n));
+    const std::uint64_t base = Rng(kSeed)();
+    std::vector<double> want_peaks(kMaxTrials);
+    std::vector<double> want_fractions(kMaxTrials);
+    for (std::size_t t = 0; t < kMaxTrials; ++t) {
+      Rng trial_rng = Rng::stream(base, t);
+      std::vector<double> phases(n);
+      for (auto& p : phases) p = trial_rng.phase();
+      want_peaks[t] = peak_envelope(offsets, phases, 1.0, steps);
+      want_fractions[t] =
+          static_cast<double>(count_at_least(
+              trial_envelope_sq(offsets, phases, 1.0, steps),
+              threshold * threshold)) /
+          static_cast<double>(steps);
+    }
+    for (const IsaLevel isa : detail::isa_levels()) {
+      ScopedIsaLevel level(isa);
+      for (const std::size_t trials : {1u, 7u, 8u, 9u, 16u, 17u, 33u}) {
+        SCOPED_TRACE(::testing::Message() << isa_name(isa) << " n=" << n
+                                          << " trials=" << trials);
+        Rng rng(kSeed);
+        const SampleSet got = peak_amplitude_samples(offsets, trials, rng);
+        ASSERT_EQ(got.size(), trials);
+        for (std::size_t t = 0; t < trials; ++t) {
+          EXPECT_TRUE(bit_equal(got.values()[t], want_peaks[t]))
+              << "trial " << t;
+        }
+        double total = 0.0;
+        for (std::size_t t = 0; t < trials; ++t) total += want_fractions[t];
+        Rng rng2(kSeed);
+        EXPECT_TRUE(bit_equal(
+            expected_conduction_fraction(offsets, threshold, trials, rng2),
+            total / static_cast<double>(trials)));
+      }
+    }
   }
 }
 

@@ -51,6 +51,10 @@ class DeterminismTest : public ::testing::Test {
   void TearDown() override { set_parallel_threads(0); }
 };
 
+// The Eq. 6 estimators and the hill-climb run the block kernels, so each
+// result must be one reference at every pool size and at every
+// instruction-set level the host offers.
+
 TEST_F(DeterminismTest, ExpectedPeakAmplitudeBitwiseAcrossPoolSizes) {
   const auto plan = FrequencyPlan::paper_default();
   auto run = [&] {
@@ -60,9 +64,13 @@ TEST_F(DeterminismTest, ExpectedPeakAmplitudeBitwiseAcrossPoolSizes) {
   set_parallel_threads(1);
   const double reference = run();
   EXPECT_GT(reference, 0.0);
-  for (std::size_t threads : kPoolSizes) {
-    set_parallel_threads(threads);
-    EXPECT_EQ(run(), reference) << "pool size " << threads;
+  for (const IsaLevel isa : detail::isa_levels()) {
+    ScopedIsaLevel level(isa);
+    for (std::size_t threads : kPoolSizes) {
+      set_parallel_threads(threads);
+      EXPECT_EQ(run(), reference)
+          << isa_name(isa) << ", pool size " << threads;
+    }
   }
 }
 
@@ -74,9 +82,13 @@ TEST_F(DeterminismTest, ConductionFractionBitwiseAcrossPoolSizes) {
   };
   set_parallel_threads(1);
   const double reference = run();
-  for (std::size_t threads : kPoolSizes) {
-    set_parallel_threads(threads);
-    EXPECT_EQ(run(), reference) << "pool size " << threads;
+  for (const IsaLevel isa : detail::isa_levels()) {
+    ScopedIsaLevel level(isa);
+    for (std::size_t threads : kPoolSizes) {
+      set_parallel_threads(threads);
+      EXPECT_EQ(run(), reference)
+          << isa_name(isa) << ", pool size " << threads;
+    }
   }
 }
 
@@ -94,15 +106,20 @@ TEST_F(DeterminismTest, OptimizerBitwiseAcrossPoolSizes) {
   set_parallel_threads(1);
   const auto reference = run();
   EXPECT_EQ(reference.offsets_hz.size(), 6u);
-  for (std::size_t threads : kPoolSizes) {
-    set_parallel_threads(threads);
-    const auto result = run();
-    EXPECT_EQ(result.offsets_hz, reference.offsets_hz)
-        << "pool size " << threads;
-    EXPECT_EQ(result.score, reference.score) << "pool size " << threads;
-    EXPECT_EQ(result.rms_hz, reference.rms_hz) << "pool size " << threads;
-    EXPECT_EQ(result.evaluations, reference.evaluations)
-        << "pool size " << threads;
+  for (const IsaLevel isa : detail::isa_levels()) {
+    ScopedIsaLevel level(isa);
+    for (std::size_t threads : kPoolSizes) {
+      set_parallel_threads(threads);
+      const auto result = run();
+      EXPECT_EQ(result.offsets_hz, reference.offsets_hz)
+          << isa_name(isa) << ", pool size " << threads;
+      EXPECT_EQ(result.score, reference.score)
+          << isa_name(isa) << ", pool size " << threads;
+      EXPECT_EQ(result.rms_hz, reference.rms_hz)
+          << isa_name(isa) << ", pool size " << threads;
+      EXPECT_EQ(result.evaluations, reference.evaluations)
+          << isa_name(isa) << ", pool size " << threads;
+    }
   }
 }
 

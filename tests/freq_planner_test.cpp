@@ -49,8 +49,9 @@ std::vector<double> spread_set(std::size_t n, double cap) {
 
 TEST(DeltaObjectiveTest, DeltaScoreStreamMemcmpEqualsOracleAndRebuild) {
   // Random move/commit sequences at every instruction-set level and at
-  // several (N, trials) shapes: trial counts from one block with three ghost
-  // lanes to ragged counts that do not divide the block or the worker
+  // several (N, trials) shapes: trial counts from one trial beside seven
+  // ghost lanes, through one and two full 8-trial blocks and either side of
+  // each, to ragged counts that do not divide the block or the worker
   // count, on a small grid, plus two grids long enough to re-anchor the
   // tone rotation (every 4096 steps) twice. The build score, every
   // score_move and every post-commit score() must be bit-identical to the
@@ -61,11 +62,12 @@ TEST(DeltaObjectiveTest, DeltaScoreStreamMemcmpEqualsOracleAndRebuild) {
   };
   std::vector<Shape> shapes;
   for (const std::size_t n : {2, 10, 64, 128}) {
-    for (const std::size_t trials : {1, 2, 3, 4, 5, 7, 33}) {
+    for (const std::size_t trials :
+         {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33}) {
       shapes.push_back({n, trials, 512});
     }
   }
-  shapes.push_back({10, 5, 9000});
+  shapes.push_back({10, 9, 9000});
   shapes.push_back({64, 7, 8193});
   for (const IsaLevel isa : detail::isa_levels()) {
     ScopedIsaLevel level(isa);
@@ -174,12 +176,12 @@ TEST(DeltaObjectiveTest, PeakOnAnyGridStepMatchesTheOracle) {
   // Trial 0's envelope peaks on step `at`, for every `at` of a grid that
   // spans several scan tiles, so the running peak meets its maximum and the
   // samples either side of it at every position once, tile edges and the
-  // last step included. The other four trials, one of them in a second
-  // block beside three ghost lanes, stay random. The build and a move must
+  // last step included. The other eight trials, one of them in a second
+  // block beside seven ghost lanes, stay random. The build and a move must
   // match the oracle at every level.
   constexpr std::size_t kTones = 16;
   DeltaEvalConfig eval;
-  eval.mc_trials = 5;
+  eval.mc_trials = 9;
   eval.steps = 520;
   const std::vector<double> phases =
       naive::delta_phases(eval.score_seed, 1, kTones);

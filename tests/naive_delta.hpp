@@ -1,5 +1,5 @@
 // Reference implementation of the delta evaluator's kernels — a TEST-ONLY
-// oracle for the 4-trial block kernels in cib/delta_impl.hpp.
+// oracle for the 8-trial block kernels in cib/delta_impl.hpp.
 //
 // These are the per-trial scalar kernels the block kernels replaced: one
 // trial's lanes at a time, built a few tones per pass (accumulate_group),

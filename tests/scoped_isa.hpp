@@ -20,7 +20,15 @@ class ScopedIsaLevel {
 };
 
 inline const char* isa_name(IsaLevel level) {
-  return level == IsaLevel::kBaseline ? "baseline" : "avx2+fma";
+  switch (level) {
+    case IsaLevel::kBaseline:
+      return "baseline";
+    case IsaLevel::kAvx2Fma:
+      return "avx2+fma";
+    case IsaLevel::kAvx512:
+      return "avx512";
+  }
+  return "unknown";
 }
 
 }  // namespace ivnet

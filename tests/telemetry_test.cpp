@@ -257,6 +257,8 @@ TEST(ExemplarJson, ParseRejectsFieldsOutsideTheirRange) {
   e.trials = 2;
   e.antennas = 3;
   e.seed = 5;
+  e.snr_db = 14.0;
+  e.medium_loss_db = -3.25;
   e.response_hash = 9;
   const std::string line = exemplar_json(e);
   const auto with = [&](const std::string& from, const std::string& to) {
@@ -285,6 +287,16 @@ TEST(ExemplarJson, ParseRejectsFieldsOutsideTheirRange) {
            {"\"seed\":\"5\"", "\"seed\":\"18446744073709551616\""},
            {"\"response_hash\":\"9\"", "\"response_hash\":\"\""},
            {"\"response_hash\":\"9\"", "\"response_hash\":\"0x9\""},
+           // The request's SNR and loss: present, whole and finite, or a
+           // replay would run a different request than the one recorded.
+           {"\"snr_db\":14,", ""},
+           {"\"snr_db\":14", "\"snr_db\":14x"},
+           {"\"snr_db\":14", "\"snr_db\":"},
+           {"\"snr_db\":14", "\"snr_db\":inf"},
+           {"\"snr_db\":14", "\"snr_db\":nan"},
+           {"\"medium_loss_db\":-3.25,", ""},
+           {"\"medium_loss_db\":-3.25", "\"medium_loss_db\":-3.25.5"},
+           {"\"medium_loss_db\":-3.25", "\"medium_loss_db\":-1e999"},
        }) {
     EXPECT_FALSE(parse_exemplar_line(with(from, to), out)) << to;
   }
@@ -301,6 +313,11 @@ TEST(ExemplarJson, ParseRejectsFieldsOutsideTheirRange) {
   ASSERT_TRUE(
       parse_exemplar_line(with("\"antennas\":3", "\"antennas\":65538"), out));
   EXPECT_EQ(out.antennas, 65538u);
+  // SNR and loss take any finite JSON number.
+  ASSERT_TRUE(
+      parse_exemplar_line(with("\"snr_db\":14", "\"snr_db\":1.4e1"), out));
+  EXPECT_EQ(out.snr_db, 14.0);
+  EXPECT_EQ(out.medium_loss_db, -3.25);
   // Integers read exactly, past 2^53 too, and JSON spacing is allowed.
   ASSERT_TRUE(parse_exemplar_line(
       with("\"id\":7", "\"id\": 9007199254740993 "), out));

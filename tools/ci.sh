@@ -2,7 +2,8 @@
 # The CI pipeline, runnable locally. Stages, in order:
 #   - default build + full test suite;
 #   - the instruction-set split: no VEX instruction in a baseline-level
-#     object, no weak symbol in an AVX2-level one;
+#     object, no EVEX instruction in an AVX2-level one, and no weak symbol
+#     in an AVX2- or AVX-512-level one;
 #   - the suite at IVNET_THREADS 1/2/nproc and pinned to one CPU;
 #   - the benchmark: perfbench's unit tests, and its driver built and run
 #     traced on every workload for one second, which must report
@@ -24,7 +25,8 @@
 #     --trials 0 or --range-trials 0 exits 2, and a plan with --trials,
 #     --moves or --restarts 0 or --antennas 0 or 1 exits 2 naming the flag,
 #     and replay-exemplar exits 2 on an exemplar whose kind, trials or
-#     antennas its request cannot hold;
+#     antennas its request cannot hold, or whose SNR or medium loss is
+#     missing or not a whole finite number;
 #   - every soak exemplar replays to its recorded response hash;
 #   - the suite under ASan+UBSan and TSan, and a Debug spot-check of the FIR,
 #     radio, waveform-session, Gen2, impairment/link-session, sweep
@@ -64,14 +66,17 @@ build_and_test() {
 echo "=== ci: default build ==="
 build_and_test build-ci
 
-echo "=== ci: instruction-set split (baseline vs AVX2 objects) ==="
-# The AVX2 units run only after common/isa.cpp finds AVX2 on the CPU, so a
-# CPU without it never enters them. Two slips would still fault there: a
-# VEX-encoded instruction in a baseline-level object, or a weak symbol in an
-# AVX2-level object (an inline or template copy the linker may hand to the
-# baseline callers too).
+echo "=== ci: instruction-set split (baseline, AVX2 and AVX-512 objects) ==="
+# Each wide unit runs only after common/isa.cpp finds its level on the CPU,
+# so a CPU without the level never enters it. Three slips would still fault
+# there: a VEX-encoded instruction in a baseline-level object; an
+# EVEX-encoded one (a zmm, mask or xmm/ymm16-31 register) in an AVX2-level
+# object, which must run on CPUs without AVX-512; or a weak symbol in a wide
+# object (an inline or template copy the linker may hand to a narrower
+# level's callers too). cib/objective.cpp calls the block kernels and holds
+# the per-trial Eq. 6 scan, so it is baseline-level too.
 OBJ_DIR=build-ci/src/CMakeFiles/ivnet.dir/ivnet
-for obj in signal/gauss.cpp.o cib/delta_objective.cpp.o; do
+for obj in signal/gauss.cpp.o cib/delta_objective.cpp.o cib/objective.cpp.o; do
   vex=$(objdump -d --no-show-raw-insn "$OBJ_DIR/$obj" |
       awk -F'\t' 'NF>1{print $2}' | grep -c '^v' || true)
   if [[ "$vex" -ne 0 ]]; then
@@ -80,14 +85,25 @@ for obj in signal/gauss.cpp.o cib/delta_objective.cpp.o; do
   fi
 done
 for obj in signal/gauss_avx2.cpp.o cib/delta_avx2.cpp.o; do
+  evex=$(objdump -d --no-show-raw-insn "$OBJ_DIR/$obj" |
+      awk -F'\t' 'NF>1{print $2}' |
+      grep -cE '%zmm|%k[0-7]|%[xy]mm(1[6-9]|2[0-9]|3[01])' || true)
+  if [[ "$evex" -ne 0 ]]; then
+    echo "ci: AVX2 object $obj holds $evex EVEX instructions" >&2
+    exit 1
+  fi
+done
+for obj in signal/gauss_avx2.cpp.o cib/delta_avx2.cpp.o \
+    cib/delta_avx512.cpp.o; do
   weak=$(nm --defined-only "$OBJ_DIR/$obj" | awk '$2 ~ /^[WwVvu]$/' | wc -l)
   if [[ "$weak" -ne 0 ]]; then
-    echo "ci: AVX2 object $obj defines $weak weak symbols:" >&2
+    echo "ci: wide object $obj defines $weak weak symbols:" >&2
     nm -C --defined-only "$OBJ_DIR/$obj" | awk '$2 ~ /^[WwVvu]$/' >&2
     exit 1
   fi
 done
-echo "ci: baseline objects hold no VEX instruction, AVX2 objects no weak symbol"
+echo "ci: baseline objects hold no VEX instruction, AVX2 objects no EVEX" \
+    "instruction, wide objects no weak symbol"
 
 echo "=== ci: tier-1 at fixed pool sizes and on one CPU ==="
 # Tests may assert only facts that hold under any thread schedule, so the
@@ -363,11 +379,15 @@ for bad in "--trials 0" "--moves 0" "--restarts 0" "--antennas 0" \
 done
 # An exemplar field its request slot cannot hold (a negative kind, trials
 # past 32 bits, antennas past 16 bits, a kind past kPlan) exits 2 instead
-# of replaying a wrapped or truncated request, even beside a good line.
+# of replaying a wrapped or truncated request, even beside a good line; so
+# does a missing or malformed SNR or medium loss, which would otherwise
+# replay a different request and report a hash mismatch.
 first_exemplar=$(head -n 1 "$ARTIFACT_DIR/SOAK_exemplars.jsonl")
 for edit in 's/"kind":[0-9]*/"kind":-1/' 's/"kind":[0-9]*/"kind":3/' \
     's/"trials":[0-9]*/"trials":4294967297/' \
-    's/"antennas":[0-9]*/"antennas":65538/'; do
+    's/"antennas":[0-9]*/"antennas":65538/' \
+    's/"snr_db":[^,]*,//' 's/"snr_db":\([^,]*\),/"snr_db":\1x,/' \
+    's/"medium_loss_db":[^,]*,//'; do
   { echo "$first_exemplar"; sed "$edit" <<< "$first_exemplar"; } \
       > "$ARTIFACT_DIR/bad_exemplar.jsonl"
   rc=0
@@ -378,7 +398,7 @@ for edit in 's/"kind":[0-9]*/"kind":-1/' 's/"kind":[0-9]*/"kind":3/' \
     exit 1
   fi
 done
-echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2, plan counts below their minimum exit 2, out-of-range exemplars exit 2"
+echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2, plan counts below their minimum exit 2, out-of-range or malformed exemplars exit 2"
 
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency
