@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -69,10 +70,6 @@ Evaluators find_evaluators(const std::string& kind) {
   const auto it = reg.evaluators.find(kind);
   if (it == reg.evaluators.end()) return {};
   return it->second;
-}
-
-CellEvaluator find_evaluator(const std::string& kind) {
-  return find_evaluators(kind).single;
 }
 
 /// Registers `batch` for `kind`; the kind's single-cell evaluator is the
@@ -157,16 +154,25 @@ bool balanced_json_object(const std::string& text) {
   return false;
 }
 
-/// Drop any newline-less tail (a record torn by a crash mid-write) so the
-/// next append starts on a record boundary. No-op on missing/clean files.
-void truncate_torn_tail(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return;
+/// The bytes of the file at `path`; empty when it is missing. Binary mode:
+/// the journal reader and the torn-tail truncator walk the same byte
+/// offsets, so a result text carrying \r bytes can never make them disagree
+/// about where a record ends.
+std::string read_file_bytes(const std::string& path) {
   std::string content;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return content;
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
   std::fclose(f);
+  return content;
+}
+
+/// Drop any newline-less tail (a record torn by a crash mid-write) so the
+/// next append starts on a record boundary. No-op on missing/clean files.
+void truncate_torn_tail(const std::string& path) {
+  const std::string content = read_file_bytes(path);
   if (content.empty() || content.back() == '\n') return;
   const std::size_t last_nl = content.find_last_of('\n');
   const std::size_t keep = last_nl == std::string::npos ? 0 : last_nl + 1;
@@ -222,6 +228,81 @@ std::vector<Evaluators> resolve_evaluators(const CampaignSpec& spec) {
     }
   }
   return evaluators;
+}
+
+/// The one cell runner of run_campaign and the shard workers: groups the
+/// cells `pending` marks (unique, unresolved) into lone cells and (kind,
+/// seed) families, owned by shard `content_hash % n_shards` of their first
+/// spec cell. Owned units run first, then the rest (stolen): lone cells one
+/// per pool claim, then each family as one top-level dispatch (inside a
+/// pool claim it would run on one thread). `claim` returns the cells of a
+/// unit to compute; `finish` takes each result, a family's once the family
+/// is done. Returns how many pending cells `shard` owns.
+template <typename Claim, typename Finish>
+std::size_t run_cells(const CampaignSpec& spec,
+                      const std::vector<Evaluators>& evaluators,
+                      const std::vector<bool>& pending, std::size_t shard,
+                      std::size_t n_shards, Claim&& claim, Finish&& finish) {
+  // (owned, pending cells) per unit, in spec order of first cells. A
+  // cell's sim-trace track follows the trials of the cells before it.
+  std::vector<std::pair<bool, std::vector<std::size_t>>> units;
+  std::map<std::pair<std::string, std::string>, std::size_t> family_of;
+  std::vector<std::uint32_t> track_base(spec.cells.size());
+  std::uint32_t next_track = 0;
+  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+    const CellSpec& cell = spec.cells[i];
+    track_base[i] = next_track;
+    next_track += static_cast<std::uint32_t>(cell_trials(cell));
+    std::size_t u = units.size();
+    if (evaluators[i].batch != nullptr) {
+      u = family_of.try_emplace({cell.kind, cell.param("seed", "")}, u)
+              .first->second;
+    } else if (!pending[i]) {
+      continue;
+    }
+    if (u == units.size()) {
+      units.emplace_back(cell.content_hash() % n_shards == shard,
+                         std::vector<std::size_t>{});
+    }
+    if (pending[i]) units[u].second.push_back(i);
+  }
+
+  const auto run_unit = [&](const std::vector<std::size_t>& unit,
+                            bool stolen) {
+    const std::vector<std::size_t> cells = claim(unit, stolen);
+    if (cells.empty()) return;
+    const Evaluators& evaluator = evaluators[cells.front()];
+    std::vector<FamilyCell> family;
+    for (const std::size_t i : cells) {
+      family.push_back({&spec.cells[i], track_base[i]});
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::string> results =
+        evaluator.batch ? evaluator.batch(family)
+                        : std::vector{evaluator.single(*family.front().spec)};
+    // A family's cells share its wall time equally.
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count() /
+        static_cast<double>(cells.size());
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      obs::observe("campaign.cell.seconds", seconds);
+      finish(cells[k], std::move(results[k]), seconds, stolen);
+    }
+  };
+  std::size_t owned = 0;
+  for (const bool stolen : {false, true}) {
+    std::vector<const std::vector<std::size_t>*> lone, families;
+    for (const auto& [own, cells] : units) {
+      if (cells.empty() || own == stolen) continue;
+      if (own) owned += cells.size();
+      (evaluators[cells.front()].batch ? families : lone).push_back(&cells);
+    }
+    detail::for_each_index_guarded(
+        lone.size(), [&](std::size_t k) { run_unit(*lone[k], stolen); });
+    for (const auto* family : families) run_unit(*family, stolen);
+  }
+  return owned;
 }
 
 }  // namespace
@@ -319,7 +400,7 @@ void register_cell_evaluator(const std::string& kind,
 }
 
 bool has_cell_evaluator(const std::string& kind) {
-  return find_evaluator(kind) != nullptr;
+  return find_evaluators(kind).single != nullptr;
 }
 
 CellCache& CellCache::instance() {
@@ -345,26 +426,11 @@ void CellCache::clear() {
   results_.clear();
 }
 
-std::size_t CellCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return results_.size();
-}
-
 // --- Journal reader ------------------------------------------------------
 
 std::vector<JournalEntry> read_campaign_journal(const std::string& path) {
   std::vector<JournalEntry> entries;
-  // Binary mode, matching truncate_torn_tail: both walk the same byte
-  // offsets, so a result text carrying \r bytes can never make the reader
-  // and the truncator disagree about where a record ends.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return entries;
-  std::string content;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
-
+  const std::string content = read_file_bytes(path);
   std::size_t pos = 0;
   while (pos < content.size()) {
     const std::size_t eol = content.find('\n', pos);
@@ -453,7 +519,7 @@ CellOutcome resolve_cell(const CellSpec& spec,
   if (CellCache::instance().lookup(outcome.hash, &outcome.result_json)) {
     outcome.source = CellSource::kCache;
   } else {
-    const CellEvaluator evaluator = find_evaluator(spec.kind);
+    const CellEvaluator evaluator = find_evaluators(spec.kind).single;
     if (!evaluator) {
       throw std::invalid_argument("campaign: no evaluator for kind '" +
                                   spec.kind + "'");
@@ -491,7 +557,7 @@ CampaignReport run_campaign(const CampaignSpec& spec,
   // Serial resolution pass in spec order, so resumed/cache-hit counts are
   // deterministic for any thread count: journal first, then the memo
   // cache, then schedule the first instance of each remaining hash.
-  std::vector<std::size_t> pending;  // first instances to compute
+  std::vector<bool> pending(spec.cells.size());  // first instances to compute
   std::unordered_map<std::uint64_t, std::size_t> scheduled;  // hash -> index
   std::vector<std::size_t> duplicates;  // later instances of scheduled hashes
   for (std::size_t i = 0; i < spec.cells.size(); ++i) {
@@ -519,79 +585,26 @@ CampaignReport run_campaign(const CampaignSpec& spec,
       continue;
     }
     scheduled.emplace(out.hash, i);
-    pending.push_back(i);
+    pending[i] = true;
+    ++report.cells_computed;
   }
 
   obs::count("campaign.cells.total", report.cells_total);
   obs::count("campaign.cells.resumed", report.cells_resumed);
-  obs::count("campaign.cache.misses", pending.size());
+  obs::count("campaign.cache.misses", report.cells_computed);
 
-  // Pending cells of a batch kind run as families: the cells that share
-  // (kind, seed) and so their trial streams. The others run one per claim.
-  std::vector<std::size_t> lone;
-  std::vector<std::vector<std::size_t>> families;
-  std::map<std::pair<std::string, std::string>, std::size_t> family_of;
-  for (const std::size_t i : pending) {
-    if (evaluators[i].batch == nullptr) {
-      lone.push_back(i);
-      continue;
-    }
-    const CellSpec& cell = spec.cells[i];
-    const auto [it, added] = family_of.try_emplace(
-        {cell.kind, cell.param("seed", "")}, families.size());
-    if (added) families.emplace_back();
-    families[it->second].push_back(i);
-  }
-
-  auto finish = [&](std::size_t i, std::string result, double seconds) {
-    CellOutcome& out = report.outcomes[i];
-    out.result_json = std::move(result);
-    out.source = CellSource::kComputed;
-    obs::observe("campaign.cell.seconds", seconds);
-    // Journal BEFORE the memo cache: once any code path can observe the
-    // result, its journal line is already durable.
-    journal.append(out.spec, out.hash, out.result_json);
-    cache.insert(out.hash, out.result_json);
-  };
-  detail::for_each_index_guarded(lone.size(), [&](std::size_t li) {
-    const std::size_t i = lone[li];
-    const auto t0 = std::chrono::steady_clock::now();
-    std::string result = evaluators[i].single(spec.cells[i]);
-    finish(i, std::move(result),
-           std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-               .count());
-  });
-
-  // One family at a time, each one dispatch of trial-major units across
-  // the pool (called from inside a pool claim, a family would run on one
-  // thread). Its cells are journaled once the whole family is done, so a
-  // kill loses at most the family in flight. Sim-trace tracks follow the
-  // cumulative trials of the cells before each cell in spec order, so they
-  // do not depend on which cells were resumed.
-  std::vector<std::uint32_t> track_base(spec.cells.size());
-  std::uint32_t next_track = 0;
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    track_base[i] = next_track;
-    next_track += static_cast<std::uint32_t>(cell_trials(spec.cells[i]));
-  }
-  for (const auto& family : families) {
-    std::vector<FamilyCell> cells;
-    for (const std::size_t i : family) {
-      cells.push_back({&spec.cells[i], track_base[i]});
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::string> results = evaluators[family.front()].batch(cells);
-    // A family's cells share its wall time equally.
-    const double share =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count() /
-        static_cast<double>(family.size());
-    for (std::size_t k = 0; k < family.size(); ++k) {
-      finish(family[k], std::move(results[k]), share);
-    }
-  }
-  report.cells_computed = pending.size();
+  // One shard and no claims file: every pending cell is this run's.
+  run_cells(spec, evaluators, pending, /*shard=*/0, /*n_shards=*/1,
+            [](const std::vector<std::size_t>& cells, bool) { return cells; },
+            [&](std::size_t i, std::string result, double, bool) {
+              CellOutcome& out = report.outcomes[i];
+              out.result_json = std::move(result);
+              out.source = CellSource::kComputed;
+              // Journal BEFORE the memo cache: once any code path can observe
+              // the result, its journal line is already durable.
+              journal.append(out.spec, out.hash, out.result_json);
+              cache.insert(out.hash, out.result_json);
+            });
 
   for (const std::size_t i : duplicates) {
     CellOutcome& out = report.outcomes[i];
@@ -621,8 +634,10 @@ class ClaimsFile {
  public:
   explicit ClaimsFile(std::string path) : path_(std::move(path)) {}
 
-  /// True when this worker won the claim on `hash` (nobody held it).
-  bool claim(std::uint64_t hash, std::size_t shard) {
+  /// Claims every one of `hashes` that nobody holds, in one critical
+  /// section, and returns those this worker won, in order.
+  std::vector<std::uint64_t> claim(std::span<const std::uint64_t> hashes,
+                                   std::size_t shard) {
     static std::mutex process_mutex;
     std::lock_guard<std::mutex> guard(process_mutex);
     const int fd = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
@@ -640,23 +655,26 @@ class ClaimsFile {
         throw std::runtime_error("campaign: claims lock failed on " + path_);
       }
     }
-    bool won = false;
+    std::vector<std::uint64_t> won;
     try {
       const std::string content = read_all(fd);
-      const std::string hex = hash_hex(hash);
-      won = !holds_claim(content, hex);
-      if (won) {
-        std::string line;
-        // A SIGKILL mid-claim leaves a newline-less tail; starting on a
-        // fresh line keeps this claim parseable (the torn one stays
-        // conservative garbage and its cell falls to the next resume).
-        if (!content.empty() && content.back() != '\n') line += '\n';
-        line += hex;
-        line += ' ';
-        line += std::to_string(shard);
-        line += '\n';
-        append_durable(fd, line);
+      std::unordered_set<std::string> held;  // each line's first 16 bytes
+      for (std::size_t pos = 0, eol = 0; pos < content.size(); pos = eol + 1) {
+        eol = std::min(content.find('\n', pos), content.size());
+        if (eol - pos >= 16) held.insert(content.substr(pos, 16));
       }
+      std::string lines;
+      // A SIGKILL mid-claim leaves a newline-less tail; starting on a
+      // fresh line keeps these claims parseable (the torn one stays
+      // conservative garbage and its cell falls to the next resume).
+      if (!content.empty() && content.back() != '\n') lines += '\n';
+      for (const std::uint64_t hash : hashes) {
+        const std::string hex = hash_hex(hash);
+        if (!held.insert(hex).second) continue;
+        won.push_back(hash);
+        lines += hex + ' ' + std::to_string(shard) + '\n';
+      }
+      if (!won.empty()) append_durable(fd, lines);
     } catch (...) {
       ::close(fd);  // releases the fcntl lock
       throw;
@@ -675,21 +693,6 @@ class ClaimsFile {
     }
     if (n < 0) throw std::runtime_error("campaign: claims read failed");
     return content;
-  }
-
-  /// True when some line of `content` already claims `hex`.
-  static bool holds_claim(const std::string& content, const std::string& hex) {
-    std::size_t pos = 0;
-    while (pos < content.size()) {
-      std::size_t eol = content.find('\n', pos);
-      if (eol == std::string::npos) eol = content.size();
-      if (eol - pos >= hex.size() &&
-          content.compare(pos, hex.size(), hex) == 0) {
-        return true;
-      }
-      pos = eol + 1;
-    }
-    return false;
   }
 
   static void append_durable(int fd, const std::string& line) {
@@ -745,8 +748,8 @@ ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,
   }
   const std::vector<Evaluators> evaluators = resolve_evaluators(spec);
 
-  // Resolution order, per shard: journal (EVERY shard's — the whole
-  // fleet's finished work counts as resumed) -> memo cache -> compute.
+  // Resolution order, per shard: journal (EVERY shard's — the whole fleet's
+  // finished work counts as resumed) -> claim -> memo cache -> compute.
   std::unordered_set<std::uint64_t> journaled;
   for (std::size_t k = 0; k < options.n_shards; ++k) {
     for (const auto& entry :
@@ -763,65 +766,60 @@ ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,
   ShardWorkerReport report;
   report.shard = shard;
 
-  // Unique unresolved cells in spec order, split owned / stealable.
-  std::vector<std::size_t> own, others;
+  // Unique unresolved cells in spec order.
+  std::vector<std::uint64_t> hashes(spec.cells.size());
+  std::vector<bool> pending(spec.cells.size());
   std::unordered_set<std::uint64_t> seen;
   for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    const std::uint64_t hash = spec.cells[i].content_hash();
-    if (!seen.insert(hash).second) continue;
-    if (journaled.count(hash) > 0) {
+    hashes[i] = spec.cells[i].content_hash();
+    if (!seen.insert(hashes[i]).second) continue;
+    if (journaled.count(hashes[i]) > 0) {
       ++report.cells_resumed;
       continue;
     }
-    if (hash % options.n_shards == shard) {
-      own.push_back(i);
-    } else {
-      others.push_back(i);
-    }
+    pending[i] = true;
   }
-  report.cells_owned = own.size();
 
   std::mutex state_mutex;
-  auto compute_cell = [&](std::size_t i, bool stolen) {
-    const CellSpec& cell = spec.cells[i];
-    const std::uint64_t hash = cell.content_hash();
-    if (!claims.claim(hash, shard)) return;  // another worker has it
-    std::string result;
-    double dt = 0.0;
-    const bool from_cache = cache.lookup(hash, &result);
-    if (!from_cache) {
-      const auto t0 = std::chrono::steady_clock::now();
-      result = evaluators[i].single(cell);
-      dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-               .count();
-      obs::observe("campaign.cell.seconds", dt);
-    }
-    // Cache-resolved cells still land in this shard's journal, so the
-    // merged journal set replays the whole campaign on its own.
-    std::string extras = "\"shard\":" + std::to_string(shard) +
-                         ",\"stolen\":" + (stolen ? "1" : "0") +
-                         ",\"t_s\":" + format_param(dt) + ",";
-    journal.append(cell, hash, result, extras);
-    if (!from_cache) cache.insert(hash, result);
+  // Journal (then memoize) one won cell; a cache-resolved one took no time.
+  auto record = [&](std::size_t i, std::string result, double seconds,
+                    bool stolen, bool computed) {
+    journal.append(spec.cells[i], hashes[i], result,
+                   "\"shard\":" + std::to_string(shard) +
+                       ",\"stolen\":" + (stolen ? "1" : "0") +
+                       ",\"t_s\":" + format_param(seconds) + ",");
+    if (computed) cache.insert(hashes[i], std::move(result));
     std::lock_guard<std::mutex> lock(state_mutex);
-    if (from_cache) {
-      ++report.cells_from_cache;
-    } else {
-      ++report.cells_computed;
-      if (stolen) {
-        ++report.cells_stolen;
-        obs::count("campaign.cells.stolen");
-      }
+    ++(computed ? report.cells_computed : report.cells_from_cache);
+    if (computed && stolen) {
+      ++report.cells_stolen;
+      obs::count("campaign.cells.stolen");
     }
   };
-  // Own shard first; only a worker whose backlog has drained starts
-  // stealing, so stealing strictly helps stragglers.
-  detail::for_each_index_guarded(
-      own.size(),
-      [&](std::size_t j) { compute_cell(own[j], /*stolen=*/false); });
-  detail::for_each_index_guarded(
-      others.size(),
-      [&](std::size_t j) { compute_cell(others[j], /*stolen=*/true); });
+  // A unit's cells are claimed in one critical section. A won cell the memo
+  // cache holds still lands in this shard's journal, so the merged journal
+  // set replays the whole campaign on its own; only the rest are computed.
+  auto claim = [&](const std::vector<std::size_t>& cells, bool stolen) {
+    std::vector<std::uint64_t> unit_hashes;
+    for (const std::size_t i : cells) unit_hashes.push_back(hashes[i]);
+    const std::vector<std::uint64_t> won = claims.claim(unit_hashes, shard);
+    std::vector<std::size_t> compute;
+    for (const std::size_t i : cells) {
+      std::string result;
+      if (std::find(won.begin(), won.end(), hashes[i]) == won.end()) continue;
+      if (cache.lookup(hashes[i], &result)) {
+        record(i, std::move(result), 0.0, stolen, /*computed=*/false);
+      } else {
+        compute.push_back(i);
+      }
+    }
+    return compute;
+  };
+  report.cells_owned = run_cells(
+      spec, evaluators, pending, shard, options.n_shards, claim,
+      [&](std::size_t i, std::string result, double seconds, bool stolen) {
+        record(i, std::move(result), seconds, stolen, /*computed=*/true);
+      });
 
   obs::count("campaign.cells.computed", report.cells_computed);
   obs::count("campaign.cells.resumed", report.cells_resumed);

@@ -21,10 +21,10 @@
 //
 //   * A FAMILY is the pending cells of one built-in sweep kind (waterfall,
 //     matrix, depth, burst_retry) that share a `seed`, and so their trial
-//     streams. run_campaign computes a family in one trial-major pass
-//     (impair/waterfall.hpp's run_sweep_items), drawing each trial's noise
-//     once for all its cells; the cell stays the unit of the journal, the
-//     cache and the shards.
+//     streams. run_campaign and the shard workers compute a family in one
+//     trial-major pass (impair/waterfall.hpp's run_sweep_items), drawing
+//     each trial's noise once for all its cells. A shard worker claims a
+//     family whole; the cell stays the unit of the journal and the cache.
 //
 // Determinism contract: evaluators must be pure functions of the CellSpec
 // (all randomness from an Rng seeded by a `seed` parameter, trial loops on
@@ -89,7 +89,6 @@ class CellCache {
   bool lookup(std::uint64_t hash, std::string* result_json) const;
   void insert(std::uint64_t hash, std::string result_json);
   void clear();
-  std::size_t size() const;
 
  private:
   CellCache() = default;
@@ -184,16 +183,16 @@ struct JournalEntry {
 std::vector<JournalEntry> read_campaign_journal(const std::string& path);
 
 // --- Distributed campaigns -----------------------------------------------
-// N cooperating worker processes split one campaign: every unique cell is
-// OWNED by shard `content_hash % n_shards`, each worker appends to its own
-// journal `<path>.shard<k>.jsonl` (same durable-append + torn-tail rules as
-// the single-process journal), and a worker that drains its own shard
-// STEALS unfinished cells from the others through an fcntl-locked claims
-// file `<path>.claims` — one claim line per cell, so every cell is computed
-// exactly once per run generation whatever the interleaving. The
-// coordinator merges all shard journals in spec order; the merged results
-// JSON is byte-identical to a single-process run at any shard count x
-// thread count.
+// N cooperating worker processes split one campaign: every lone cell or
+// family is OWNED by shard `content_hash % n_shards` of its first spec cell,
+// each worker appends to its own journal `<path>.shard<k>.jsonl` (same
+// durable-append + torn-tail rules as the single-process journal), and a
+// worker that drains its own units STEALS unfinished ones from the others
+// through an fcntl-locked claims file `<path>.claims` — one claim line per
+// cell, a unit's in one critical section, so every cell is computed exactly
+// once per run generation whatever the interleaving. The coordinator merges
+// all shard journals in spec order; the merged results JSON is
+// byte-identical to a single-process run at any shard count x thread count.
 
 /// Shard layout shared by every worker and the coordinator.
 struct ShardOptions {
@@ -216,17 +215,18 @@ void reset_campaign_claims(const ShardOptions& options);
 
 struct ShardWorkerReport {
   std::size_t shard = 0;
-  std::size_t cells_owned = 0;     ///< unique unresolved cells this shard owns
+  std::size_t cells_owned = 0;     ///< unique unresolved cells of owned units
   std::size_t cells_computed = 0;  ///< evaluated by this worker (own + stolen)
   std::size_t cells_stolen = 0;    ///< computed cells owned by another shard
   std::size_t cells_from_cache = 0;  ///< journaled from the memo cache
   std::size_t cells_resumed = 0;   ///< already in some shard journal
 };
 
-/// Run ONE worker's share of `spec`: resolve every cell journal (all
-/// shards) -> memo cache -> compute, claiming each cell through the claims
-/// file before evaluating. Own-shard cells first (in spec order, sharded
-/// across the thread pool), then steal the other shards' unfinished cells.
+/// Run ONE worker's share of `spec` with run_campaign's cell runner: every
+/// shard's journal -> claim -> memo cache -> compute. A unit's cells are
+/// claimed in one claims-file critical section; a family partly won runs as
+/// a smaller family with the same bytes and `t_s` its share of the family's
+/// wall time. Owned units first, then the others' unfinished ones (stolen).
 /// Throws std::invalid_argument for an unknown kind and std::runtime_error
 /// when a journal append cannot be made durable.
 ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,

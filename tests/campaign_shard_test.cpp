@@ -1,9 +1,10 @@
 // Tests for the distributed campaign machinery (sim/campaign): shard
 // ownership and merge byte-determinism across shard x thread counts, the
 // claims-file work-stealing protocol (exactly-once under concurrent
-// workers, solo worker drains every foreign backlog), merge accounting for
-// missing cells, shard-journal torn-tail recovery, journal shard metadata,
-// and the obs:: counter surface of a fleet run.
+// workers, solo worker drains every foreign backlog), whole-family claims
+// of the built-in sweep kinds (a partly won family computes the rest),
+// merge accounting for missing cells, shard-journal torn-tail recovery,
+// journal shard metadata, and the obs:: counter surface of a fleet run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -88,6 +90,56 @@ CampaignSpec balanced_spec(std::size_t n_shards, std::size_t per_shard) {
   return spec;
 }
 
+CellSpec sweep_cell(const char* kind, std::size_t seed, std::size_t trials,
+                    std::size_t retries) {
+  CellSpec spec(kind);
+  spec.set("seed", seed).set("trials", trials).set("retries", retries);
+  return spec;
+}
+
+/// Two seeds per built-in sweep kind, each seed a family of two or three
+/// cells, with a lone shardsynth cell between them.
+CampaignSpec family_spec() {
+  CampaignSpec spec;
+  spec.name = "shardfamilies";
+  for (const std::size_t seed : {13u, 14u}) {
+    for (const double snr : {30.0, 8.0, 2.0}) {
+      spec.cells.push_back(
+          sweep_cell("waterfall", seed, 4, 2).set("snr_db", snr));
+    }
+  }
+  spec.cells.push_back(cell(1.0, 2.0));
+  for (const std::size_t seed : {17u, 18u}) {
+    spec.cells.push_back(sweep_cell("matrix", seed, 4, 2)
+                             .set("medium", "water")
+                             .set("loss_db", 2.0)
+                             .set("snr_db", 30.0)
+                             .set("antennas", std::size_t{1}));
+    spec.cells.push_back(sweep_cell("matrix", seed, 4, 2)
+                             .set("medium", "gastric")
+                             .set("loss_db", 9.0)
+                             .set("snr_db", 0.0)
+                             .set("antennas", std::size_t{10}));
+  }
+  for (const std::size_t seed : {29u, 30u}) {
+    for (const double depth : {0.02, 0.10}) {
+      spec.cells.push_back(sweep_cell("depth", seed, 4, 1)
+                               .set("depth_m", depth)
+                               .set("antennas", std::size_t{10}));
+    }
+  }
+  for (const std::size_t seed : {23u, 24u}) {
+    for (const std::size_t retries : {0u, 2u}) {
+      spec.cells.push_back(sweep_cell("burst_retry", seed, 6 + retries, retries)
+                               .set("snr_db", 30.0)
+                               .set("burst_rate_hz", 150.0)
+                               .set("burst_duration_s", 5e-4)
+                               .set("burst_depth_db", 40.0));
+    }
+  }
+  return spec;
+}
+
 std::string temp_base(const std::string& name) {
   return testing::TempDir() + "campaign_shard_" + name + ".jsonl";
 }
@@ -156,6 +208,107 @@ TEST_F(CampaignShardTest, MergedFleetIsByteIdenticalAtAnyShardAndThreadCount) {
     }
     remove_shard_files(base, shards);
   }
+}
+
+TEST_F(CampaignShardTest, FamilyFleetsMergeByteIdenticalAndJournalCellsOnce) {
+  // Workers claim and compute the sweep kinds' (kind, seed) families whole;
+  // however the families fall to the shards, the merge equals the
+  // single-process run and no cell is journaled twice.
+  const CampaignSpec spec = family_spec();
+  std::set<std::uint64_t> unique;
+  for (const auto& c : spec.cells) unique.insert(c.content_hash());
+  const std::string reference = run_campaign(spec).results_json();
+
+  const std::string base = temp_base("families");
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{4}}) {
+      set_parallel_threads(threads);
+      CellCache::instance().clear();
+      remove_shard_files(base, shards);
+      const ShardOptions options{base, shards, /*fresh=*/true};
+      EXPECT_EQ(run_fleet(spec, options).results_json(), reference)
+          << "diverged at " << shards << " shards x " << threads
+          << " threads";
+      std::map<std::uint64_t, std::size_t> records;
+      for (std::size_t k = 0; k < shards; ++k) {
+        for (const JournalEntry& entry :
+             read_campaign_journal(shard_journal_path(base, k))) {
+          ++records[entry.hash];
+        }
+      }
+      EXPECT_EQ(records.size(), unique.size());
+      for (const auto& [hash, count] : records) {
+        EXPECT_EQ(count, 1u) << "cell " << hash << " journaled " << count
+                             << " times at " << shards << " shards x "
+                             << threads << " threads";
+      }
+    }
+    remove_shard_files(base, shards);
+  }
+}
+
+TEST_F(CampaignShardTest, HeldFamilyCellIsLeftToTheNextClaimsGeneration) {
+  register_builtin_cell_evaluators();
+  const CampaignSpec spec = family_spec();
+  const std::string reference = run_campaign(spec).results_json();
+  CellCache::instance().clear();
+  std::map<std::uint64_t, std::string> alone;
+  for (const CellSpec& c : spec.cells) {
+    alone[c.content_hash()] = resolve_cell(c, "").result_json;
+  }
+  CellCache::instance().clear();
+
+  // The second cell of the first matrix family, claimed by shard 1 as if
+  // it were computing it.
+  std::vector<std::size_t> matrix;
+  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+    if (spec.cells[i].kind == "matrix") matrix.push_back(i);
+  }
+  const std::size_t held = matrix.at(1);
+  const std::uint64_t held_hash = spec.cells[held].content_hash();
+
+  const std::string base = temp_base("held");
+  remove_shard_files(base, 2);
+  const ShardOptions options{base, 2, /*fresh=*/true};
+  reset_campaign_claims(options);
+  {
+    char line[32];
+    std::snprintf(line, sizeof(line), "%016llx 1\n",
+                  static_cast<unsigned long long>(held_hash));
+    std::ofstream(shard_claims_path(base), std::ios::binary) << line;
+  }
+
+  // Shard 0 computes every other cell, the held cell's family included, and
+  // each result is the cell's lone bytes.
+  const ShardWorkerReport report = run_campaign_shard(spec, options, 0);
+  EXPECT_EQ(report.cells_computed, alone.size() - 1);
+  std::size_t records = 0;
+  for (const JournalEntry& entry :
+       read_campaign_journal(shard_journal_path(base, 0))) {
+    ++records;
+    EXPECT_NE(entry.hash, held_hash);
+    EXPECT_EQ(entry.result_json, alone.at(entry.hash));
+  }
+  EXPECT_EQ(records, alone.size() - 1);
+
+  ShardMergeReport merged = merge_campaign_shards(spec, options);
+  EXPECT_EQ(merged.cells_missing, 1u);
+  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+    EXPECT_EQ(merged.report.outcomes[i].result_json.empty(), i == held) << i;
+  }
+
+  // The next claims generation computes only the held cell.
+  const ShardOptions resume{base, 2, /*fresh=*/false};
+  reset_campaign_claims(resume);
+  CellCache::instance().clear();
+  const ShardWorkerReport resumed = run_campaign_shard(spec, resume, 0);
+  EXPECT_EQ(resumed.cells_computed, 1u);
+  EXPECT_EQ(resumed.cells_resumed, alone.size() - 1);
+  merged = merge_campaign_shards(spec, resume);
+  EXPECT_TRUE(merged.complete());
+  EXPECT_EQ(merged.report.results_json(), reference);
+  remove_shard_files(base, 2);
 }
 
 TEST_F(CampaignShardTest, FastWorkerStealsStragglerCellsExactlyOnce) {

@@ -401,7 +401,9 @@ TEST(AnnealedOptimizerTest, ProducesSortedDistinctFeasibleIntegerPlan) {
     EXPECT_EQ(f, std::floor(f)) << "integer lattice";
     distinct.insert(std::llround(f));
     sum_sq += f * f;
-    if (i > 0) EXPECT_GT(f, result.offsets_hz[i - 1]) << "sorted ascending";
+    if (i > 0) {
+      EXPECT_GT(f, result.offsets_hz[i - 1]) << "sorted ascending";
+    }
   }
   EXPECT_EQ(distinct.size(), result.offsets_hz.size());
   const double rms = std::sqrt(sum_sq / 32.0);

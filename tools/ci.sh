@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The CI pipeline, runnable locally. Stages, in order:
-#   - default build + full test suite;
+#   - default build (warnings are errors) + full test suite;
 #   - the instruction-set split: no VEX instruction in a baseline-level
 #     object, no EVEX instruction in an AVX2-level one, and no weak symbol
 #     in an AVX2- or AVX-512-level one;
@@ -22,7 +22,8 @@
 #     negative value after a flag is that flag's value, a bare
 #     --closed-loop runs 4 x workers, an oversize window or a bad
 #     --time-scale beside a wall-clock sampler exits 2, a campaign with
-#     --trials 0 or --range-trials 0 exits 2, and a plan with --trials,
+#     --trials 0, --range-trials 0 or --shards 0 or a worker with --shard
+#     past --shards exits 2, and a plan with --trials,
 #     --moves or --restarts 0 or --antennas 0 or 1 exits 2 naming the flag,
 #     and replay-exemplar exits 2 on an exemplar whose kind, trials or
 #     antennas its request cannot hold, or whose SNR or medium loss is
@@ -64,7 +65,7 @@ build_and_test() {
 }
 
 echo "=== ci: default build ==="
-build_and_test build-ci
+build_and_test build-ci -DIVNET_WERROR=ON
 
 echo "=== ci: instruction-set split (baseline, AVX2 and AVX-512 objects) ==="
 # Each wide unit runs only after common/isa.cpp finds its level on the CPU,
@@ -363,6 +364,21 @@ for zero in "x13 --trials 0" "fig9 --trials 0" "fig13 --range-trials 0"; do
     exit 1
   fi
 done
+# A fleet of no shards, or a worker for a shard past the fleet, is refused
+# by name rather than run as some other fleet.
+for bad in "run --shards 0" "worker --shards 2 --shard 5"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is a subcommand plus its flags
+  build-ci/tools/ivnet campaign $bad --bench fig9 --trials 2 \
+      --journal "$ARTIFACT_DIR/bad_shards.jsonl" > /dev/null \
+      2> "$ARTIFACT_DIR/bad_shards.txt" || rc=$?
+  flag=${bad##*--}
+  if [[ "$rc" -ne 2 ]] || ! grep -q -- "--${flag% *}\$" \
+      "$ARTIFACT_DIR/bad_shards.txt"; then
+    echo "ci: ivnet campaign $bad exited $rc, expected 2 naming --${flag% *}" >&2
+    exit 1
+  fi
+done
 # A plan count the search cannot honour (no trials, no moves, no restarts,
 # fewer than two antennas) is refused by name rather than clamped.
 for bad in "--trials 0" "--moves 0" "--restarts 0" "--antennas 0" \
@@ -398,7 +414,7 @@ for edit in 's/"kind":[0-9]*/"kind":-1/' 's/"kind":[0-9]*/"kind":3/' \
     exit 1
   fi
 done
-echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2, plan counts below their minimum exit 2, out-of-range or malformed exemplars exit 2"
+echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2, --shards 0 and --shard past --shards exit 2, plan counts below their minimum exit 2, out-of-range or malformed exemplars exit 2"
 
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency

@@ -494,8 +494,7 @@ int cmd_campaign(const Args& args) {
   }
   const std::string journal =
       args.get("journal", "campaign_" + spec.name + ".jsonl");
-  const auto shards =
-      std::max<std::size_t>(1, args.get_num<std::size_t>("shards", 1));
+  const std::size_t shards = count_flag(args, "shards", 1);
   ShardOptions shard_options;
   shard_options.journal_path = journal;
   shard_options.n_shards = shards;
@@ -551,6 +550,7 @@ int cmd_campaign(const Args& args) {
       return 2;
     }
     const auto shard = args.get_num<std::size_t>("shard", 0);
+    if (shard >= shards) throw FlagError("shard", args.get("shard", ""));
     try {
       const ShardWorkerReport report =
           run_campaign_shard(spec, shard_options, shard);
