@@ -1,6 +1,6 @@
 // Telemetry-overhead gate for the inventory service: the full observability
-// stack (rolling windows + exemplar store + flight recorder, sim clock — the
-// CI soak configuration) must cost at most 3% of the bare service's CPU time
+// stack (rolling windows + exemplar store + flight recorder — the CI soak
+// configuration) must cost at most 3% of the bare service's CPU time
 // per request, and must not change a single response byte.
 //
 // Two long-lived one-worker services, one bare and one instrumented, serve
@@ -101,7 +101,6 @@ class Side {
       flight_.emplace(config.workers + 1);
       config.telemetry = &*telemetry_;
       config.flight = &*flight_;
-      config.telemetry_clock = TelemetryClock::kSim;
     }
     service_.emplace(config, collector_.sink());
   }

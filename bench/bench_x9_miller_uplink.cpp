@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "ivnet/common/rng.hpp"
-#include "ivnet/gen2/fm0.hpp"
 #include "ivnet/gen2/miller.hpp"
 
 namespace {
@@ -23,19 +22,10 @@ double frame_success_rate(Miller mode, double sigma, int trials, Rng& rng) {
   int ok = 0;
   for (int k = 0; k < trials; ++k) {
     const Bits bits = random_bits(16, rng);
-    std::vector<double> sig =
-        mode == Miller::kFm0 ? fm0_modulate(bits, 40e3, 1.6e6)
-                             : miller_modulate(mode, bits, 40e3, 1.6e6);
+    std::vector<double> sig = uplink_modulate(mode, bits, 40e3, 1.6e6);
     for (auto& s : sig) s += rng.normal(0.0, sigma);
-    bool good = false;
-    if (mode == Miller::kFm0) {
-      const auto d = fm0_decode(sig, 16, 40e3, 1.6e6, 0.2);
-      good = d.valid && d.bits == bits;
-    } else {
-      const auto d = miller_decode(mode, sig, 16, 40e3, 1.6e6, 0.2);
-      good = d.valid && d.bits == bits;
-    }
-    ok += good;
+    const auto d = uplink_decode(mode, sig, 16, 40e3, 1.6e6, 0.2);
+    ok += d.valid && d.bits == bits;
   }
   return static_cast<double>(ok) / trials;
 }

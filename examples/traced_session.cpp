@@ -16,10 +16,10 @@ int main() {
   using namespace ivnet;
 
   // 1. Install a sink: a metrics registry for order-free aggregates and a
-  //    SIM-clock tracer (timestamps are the sessions' simulated seconds, so
-  //    the trace is reproducible — rerun it and diff the bytes).
+  //    tracer (timestamps are the sessions' simulated seconds, so the trace
+  //    is reproducible — rerun it and diff the bytes).
   obs::MetricsRegistry registry;
-  obs::Tracer tracer(obs::TraceClock::kSim);
+  obs::Tracer tracer;
   obs::install(obs::Sink{.metrics = &registry, .tracer = &tracer});
 
   // 2. A deliberately lossy link: low SNR, heavy burst erasures, and the

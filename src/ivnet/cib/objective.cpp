@@ -193,7 +193,6 @@ SampleSet peak_amplitude_samples(std::span<const double> offsets_hz,
   const std::size_t steps = default_steps(offsets_hz, t_max_s);
   // Hooks stay OUTSIDE the parallel trial body: the envelope kernel is the
   // repo's hottest loop and must not pay per-sample telemetry.
-  obs::ScopedSpan span("cib.peak_samples", "cib");
   obs::count("cib.peak_samples.calls");
   obs::count("cib.peak_samples.trials", trials);
   const std::uint64_t base = rng();
@@ -232,7 +231,6 @@ double expected_conduction_fraction(std::span<const double> offsets_hz,
                                     double t_max_s) {
   const std::size_t n = offsets_hz.size();
   const std::size_t steps = default_steps(offsets_hz, t_max_s);
-  obs::ScopedSpan span("cib.conduction", "cib");
   obs::count("cib.conduction.calls");
   obs::count("cib.conduction.trials", trials);
   const double threshold_sq = threshold_amplitude * threshold_amplitude;

@@ -173,7 +173,6 @@ OptimizerResult FrequencyOptimizer::finish(
 }
 
 OptimizerResult FrequencyOptimizer::optimize(Rng& rng) {
-  obs::ScopedSpan span("cib.optimize", "cib");
   obs::count("cib.optimize.calls");
   ensure_constraint_feasible();
   // Each restart hill-climbs from its own counter-derived proposal stream,
@@ -306,7 +305,6 @@ FrequencyOptimizer::RestartOutcome FrequencyOptimizer::run_annealed_restart(
 
 OptimizerResult FrequencyOptimizer::optimize_annealed(
     const AnnealConfig& anneal, Rng& rng) {
-  obs::ScopedSpan span("cib.optimize_annealed", "cib");
   obs::count("cib.optimize.calls");
   // Infeasibility surfaces here, before the fan-out, so the pool workers
   // never throw.

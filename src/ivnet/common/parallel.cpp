@@ -9,8 +9,6 @@
 #include <mutex>
 #include <thread>
 
-#include "ivnet/obs/obs.hpp"
-
 namespace ivnet {
 namespace {
 
@@ -47,13 +45,8 @@ class ThreadPool {
   std::size_t thread_count() const { return thread_count_; }
 
   void run(std::size_t n, const std::function<void(std::size_t)>& body) {
-    // Wall-clock only: queue wait (submit contention) and the run itself.
-    // Wall spans never feed byte-stable artifacts, so dispatch-dependent
-    // timing is fine here; metrics counters are not (see parallel_for).
-    obs::ScopedSpan queue_span("pool.queue", "parallel");
     // One job at a time; concurrent submissions queue up here.
     std::lock_guard<std::mutex> submit_lock(submit_mutex_);
-    obs::ScopedSpan run_span("pool.run", "parallel");
     auto job = std::make_shared<Job>();
     job->body = &body;
     job->n = n;

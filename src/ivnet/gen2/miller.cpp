@@ -93,11 +93,10 @@ std::vector<double> miller_modulate(Miller mode, const Bits& bits,
                           sample_rate_hz);
 }
 
-MillerDecodeResult miller_decode(Miller mode, std::span<const double> signal,
-                                 std::size_t num_bits, double blf_hz,
-                                 double sample_rate_hz,
-                                 double min_correlation) {
-  MillerDecodeResult result;
+Fm0DecodeResult miller_decode(Miller mode, std::span<const double> signal,
+                              std::size_t num_bits, double blf_hz,
+                              double sample_rate_hz, double min_correlation) {
+  Fm0DecodeResult result;
   const std::size_t m = miller_m(mode);
   const double chip_duration = 1.0 / (2.0 * blf_hz);
   const auto spc = static_cast<std::size_t>(
@@ -150,6 +149,23 @@ MillerDecodeResult miller_decode(Miller mode, std::span<const double> signal,
   }
   result.valid = true;
   return result;
+}
+
+std::vector<double> uplink_modulate(Miller mode, const Bits& bits,
+                                    double blf_hz, double sample_rate_hz) {
+  return mode == Miller::kFm0
+             ? fm0_modulate(bits, blf_hz, sample_rate_hz)
+             : miller_modulate(mode, bits, blf_hz, sample_rate_hz);
+}
+
+Fm0DecodeResult uplink_decode(Miller mode, std::span<const double> signal,
+                              std::size_t num_bits, double blf_hz,
+                              double sample_rate_hz, double min_correlation) {
+  return mode == Miller::kFm0
+             ? fm0_decode(signal, num_bits, blf_hz, sample_rate_hz,
+                          min_correlation)
+             : miller_decode(mode, signal, num_bits, blf_hz, sample_rate_hz,
+                             min_correlation);
 }
 
 double miller_processing_gain_db(Miller mode) {

@@ -20,6 +20,7 @@
 
 #include "ivnet/gen2/commands.hpp"
 #include "ivnet/gen2/crc.hpp"
+#include "ivnet/gen2/fm0.hpp"
 
 namespace ivnet::gen2 {
 
@@ -38,20 +39,20 @@ std::vector<bool> miller_encode_chips(Miller mode, const Bits& bits);
 std::vector<double> miller_modulate(Miller mode, const Bits& bits,
                                     double blf_hz, double sample_rate_hz);
 
-/// Decode result (mirrors Fm0DecodeResult).
-struct MillerDecodeResult {
-  bool valid = false;
-  Bits bits;
-  double preamble_correlation = 0.0;
-  std::size_t preamble_offset = 0;
-  bool inverted = false;
-};
-
 /// Correlation-gated Miller decoder.
-MillerDecodeResult miller_decode(Miller mode, std::span<const double> signal,
-                                 std::size_t num_bits, double blf_hz,
-                                 double sample_rate_hz,
-                                 double min_correlation = 0.8);
+Fm0DecodeResult miller_decode(Miller mode, std::span<const double> signal,
+                              std::size_t num_bits, double blf_hz,
+                              double sample_rate_hz,
+                              double min_correlation = 0.8);
+
+/// The uplink a Query's M field selects: FM0 for Miller::kFm0 (fm0_modulate
+/// / fm0_decode), Miller with M subcarrier cycles otherwise.
+std::vector<double> uplink_modulate(Miller mode, const Bits& bits,
+                                    double blf_hz, double sample_rate_hz);
+Fm0DecodeResult uplink_decode(Miller mode, std::span<const double> signal,
+                              std::size_t num_bits, double blf_hz,
+                              double sample_rate_hz,
+                              double min_correlation = 0.8);
 
 /// Processing gain of mode over FM0 in dB: 10*log10(M) (each bit carries M
 /// times more chip transitions at the same BLF).

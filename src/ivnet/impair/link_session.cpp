@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "ivnet/common/units.hpp"
-#include "ivnet/gen2/fm0.hpp"
 #include "ivnet/gen2/miller.hpp"
 #include "ivnet/obs/obs.hpp"
 
@@ -114,9 +113,7 @@ LinkSessionReport run_impaired_link_session(const ImpairedLinkConfig& config,
   auto demodulate = [&](const gen2::Bits& reply, Rng& att_rng)
       -> std::optional<gen2::Bits> {
     std::vector<double> tx =
-        config.uplink == gen2::Miller::kFm0
-            ? gen2::fm0_modulate(reply, config.blf_hz, fs)
-            : gen2::miller_modulate(config.uplink, reply, config.blf_hz, fs);
+        gen2::uplink_modulate(config.uplink, reply, config.blf_hz, fs);
     report.elapsed_s += static_cast<double>(tx.size()) / fs;
     // FM0 and Miller records are all +/-1 samples: mean power exactly 1.
     std::vector<double> rx = uplink_chain.apply(std::move(tx), fs, att_rng,
@@ -130,18 +127,7 @@ LinkSessionReport run_impaired_link_session(const ImpairedLinkConfig& config,
       apply_brownout(rx, brownout_gate(supply, fs, config.impair.brownout,
                                        &report.trace, &reply_rail));
     }
-    if (config.uplink == gen2::Miller::kFm0) {
-      const auto d = gen2::fm0_decode(rx, reply.size(), config.blf_hz, fs,
-                                      config.min_correlation);
-      report.last_correlation = d.preamble_correlation;
-      if (!d.valid || d.bits.size() != reply.size()) {
-        obs::count("link.decode.fail");
-        return std::nullopt;
-      }
-      obs::count("link.decode.ok");
-      return d.bits;
-    }
-    const auto d = gen2::miller_decode(config.uplink, rx, reply.size(),
+    const auto d = gen2::uplink_decode(config.uplink, rx, reply.size(),
                                        config.blf_hz, fs,
                                        config.min_correlation);
     report.last_correlation = d.preamble_correlation;

@@ -7,7 +7,6 @@
 
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/common/json.hpp"
-#include "ivnet/gen2/fm0.hpp"
 #include "ivnet/gen2/miller.hpp"
 #include "ivnet/obs/obs.hpp"
 #include "ivnet/signal/gauss.hpp"
@@ -75,33 +74,20 @@ BerProbeResult ber_probe_trial(const ImpairedLinkConfig& link,
   const ImpairmentChain chain(impair);
   const double fs = link.sample_rate_hz;
   std::vector<double> tx =
-      link.uplink == gen2::Miller::kFm0
-          ? gen2::fm0_modulate(payload, link.blf_hz, fs)
-          : gen2::miller_modulate(link.uplink, payload, link.blf_hz, fs);
+      gen2::uplink_modulate(link.uplink, payload, link.blf_hz, fs);
   // +/-1 records: mean power exactly 1.
   const auto rx = chain.apply(std::move(tx), fs, trial_rng, nullptr, 1.0);
 
   BerProbeResult t;
-  bool valid = false;
-  gen2::Bits decoded;
-  if (link.uplink == gen2::Miller::kFm0) {
-    auto d = gen2::fm0_decode(rx, payload_bits, link.blf_hz, fs,
-                              link.min_correlation);
-    valid = d.valid;
-    decoded = std::move(d.bits);
-  } else {
-    auto d = gen2::miller_decode(link.uplink, rx, payload_bits, link.blf_hz,
-                                 fs, link.min_correlation);
-    valid = d.valid;
-    decoded = std::move(d.bits);
-  }
-  if (!valid || decoded.size() != payload_bits) {
+  const auto d = gen2::uplink_decode(link.uplink, rx, payload_bits,
+                                     link.blf_hz, fs, link.min_correlation);
+  if (!d.valid || d.bits.size() != payload_bits) {
     t.bit_errors = payload_bits / 2;
     t.frame_error = true;
     return t;
   }
   for (std::size_t i = 0; i < payload_bits; ++i) {
-    if (decoded[i] != payload[i]) ++t.bit_errors;
+    if (d.bits[i] != payload[i]) ++t.bit_errors;
   }
   t.frame_error = t.bit_errors > 0;
   return t;
@@ -194,7 +180,6 @@ std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
 
 std::vector<std::vector<WaterfallPoint>> run_ber_waterfalls(
     std::span<const SweepRun<WaterfallConfig>> runs) {
-  obs::ScopedSpan sweep_span("waterfall.sweep", "impair");
   std::vector<SweepItem> items;
   for (const auto& run : runs) {
     obs::count("waterfall.sweeps");
@@ -247,7 +232,6 @@ std::vector<MatrixCell> run_session_matrix(const MatrixConfig& config,
 
 std::vector<std::vector<MatrixCell>> run_session_matrices(
     std::span<const SweepRun<MatrixConfig>> runs) {
-  obs::ScopedSpan sweep_span("matrix.sweep", "impair");
   std::vector<SweepItem> items;
   for (const auto& run : runs) {
     obs::count("matrix.sweeps");
@@ -310,7 +294,6 @@ std::vector<DepthPoint> run_success_vs_depth(const DepthSweepConfig& config,
 
 std::vector<std::vector<DepthPoint>> run_depth_sweeps(
     std::span<const SweepRun<DepthSweepConfig>> runs) {
-  obs::ScopedSpan sweep_span("depth.sweep", "impair");
   std::vector<SweepItem> items;
   for (const auto& run : runs) {
     obs::count("depth.sweeps");

@@ -22,9 +22,12 @@
 //    at a handler that opens a configured path, dumps, and re-raises with
 //    the default disposition (SA_RESETHAND), preserving the crash status.
 //
-// Timestamps are caller-supplied seconds on the same clock the telemetry
-// layer uses (wall since service epoch, or sim time), emitted as integer
-// microseconds — the unit Chrome trace viewers expect.
+// Timestamps are caller-supplied seconds, emitted as integer microseconds —
+// the unit Chrome trace viewers expect. The service stamps every event with
+// its request's offered schedule time, the clock the telemetry layer uses;
+// stage events add the wall time elapsed since execution began, so their
+// spans are real durations. This is the one trace with wall-measured
+// durations: obs/trace.hpp records simulated time only.
 #pragma once
 
 #include <atomic>

@@ -9,10 +9,10 @@
 // before destroying them. Hooks never allocate when the sink is null.
 //
 // Determinism: counters and histogram observations made from the parallel
-// trial loops record order-free quantities (see obs/metrics.hpp), and sim-
-// time trace events order by per-trial track (ScopedTrack), so snapshots
-// and sim traces are byte-stable across thread counts. Wall-clock spans
-// (ScopedSpan) are profiling data and are only emitted in wall-clock mode.
+// trial loops record order-free quantities (see obs/metrics.hpp), and trace
+// events are stamped in simulated time and ordered by per-trial track
+// (ScopedTrack), so snapshots and traces are byte-stable across thread
+// counts.
 #pragma once
 
 #include <atomic>
@@ -72,7 +72,7 @@ inline void observe(std::string_view name, double value,
 // --- Trace hooks ---------------------------------------------------------
 
 /// Simulated-time span/instant on the calling thread's current track.
-/// No-ops without a tracer or when the tracer runs on the wall clock.
+/// No-ops without a tracer.
 inline void sim_span(std::string_view name, std::string_view cat, double t0_s,
                      double t1_s) {
   if (Tracer* t = tracer()) t->sim_span(name, cat, t0_s, t1_s);
@@ -82,34 +82,6 @@ inline void sim_instant(std::string_view name, std::string_view cat,
                         double t_s) {
   if (Tracer* t = tracer()) t->sim_instant(name, cat, t_s);
 }
-
-/// RAII wall-clock span: records [construction, destruction) against the
-/// installed tracer. Inert when no tracer is installed or the tracer runs
-/// on simulated time. `name`/`cat` must outlive the scope (string
-/// literals at every call site).
-class ScopedSpan {
- public:
-  ScopedSpan(const char* name, const char* cat) : name_(name), cat_(cat) {
-    Tracer* t = tracer();
-    if (t != nullptr && t->clock() == TraceClock::kWall) {
-      tracer_ = t;
-      t0_us_ = t->now_us();
-    }
-  }
-  ~ScopedSpan() {
-    if (tracer_ != nullptr) {
-      tracer_->wall_span(name_, cat_, t0_us_, tracer_->now_us() - t0_us_);
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  const char* name_;
-  const char* cat_;
-  Tracer* tracer_ = nullptr;
-  double t0_us_ = 0.0;
-};
 
 /// Installs a sim-time track for the duration of one trial: sim events
 /// emitted underneath land on track `track` with a fresh sequence counter,

@@ -13,13 +13,12 @@
 // at construction no matter how long the service runs.
 //
 // Clock discipline: every ingest carries a caller-supplied timestamp in
-// SECONDS on an arbitrary monotone clock. The service feeds either wall
-// seconds since its own epoch (live operation) or the request's offered
-// schedule time (sim clock) — with the sim clock, counts, rates, and
-// exemplar identities in a window are pure functions of the schedule, so
-// the emitted time-series is reproducible run-to-run. Latency VALUES are
-// wall measurements either way and sit outside the byte-stability
-// contract (the formatting is fixed; the numbers are physics).
+// SECONDS. The service feeds each request's offered schedule time, so the
+// counts and rates in a window are pure functions of the schedule and the
+// emitted time-series is reproducible run-to-run. Latency VALUES are wall
+// measurements, and so is which requests an epoch keeps as its slowest
+// exemplars; both sit outside the byte-stability contract (the formatting
+// is fixed; the numbers are physics).
 //
 // Threading: one mutex per windowed object (same policy as Histogram).
 // Ingest is O(1) under the lock; a view merge is O(epochs x buckets).
@@ -131,7 +130,7 @@ struct Exemplar {
   double medium_loss_db = 0.0;
 
   // -- captured timings ---------------------------------------------------
-  double t_s = 0.0;           ///< completion time on the telemetry clock
+  double t_s = 0.0;           ///< the request's offered schedule time
   double queue_wait_s = 0.0;  ///< wall: accept -> worker pickup
   double service_s = 0.0;     ///< wall: execution on the worker
   /// Per-stage wall spans (kPlan: the optimize call; decode/inventory: one

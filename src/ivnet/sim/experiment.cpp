@@ -72,7 +72,6 @@ std::vector<GainTrial> run_gain_trials(const Scenario& scenario,
                                        const TagConfig& tag,
                                        const FrequencyPlan& plan,
                                        std::size_t trials, Rng& rng) {
-  obs::ScopedSpan span("sim.gain_trials", "sim");
   obs::count("sim.gain_trials.calls");
   obs::count("sim.gain_trials.trials", trials);
   const double v1 = single_antenna_voltage(scenario, tag, plan.center_hz());
@@ -119,9 +118,9 @@ PercentileSummary summarize_baseline(const std::vector<GainTrial>& trials) {
   return summarize(gains);
 }
 
-bool can_power_up(const Scenario& scenario, const TagConfig& tag,
-                  const FrequencyPlan& plan, std::size_t trials,
-                  double success_ratio, Rng& rng) {
+std::size_t power_up_count(const Scenario& scenario, const TagConfig& tag,
+                           const FrequencyPlan& plan, std::size_t trials,
+                           Rng& rng) {
   const TagDevice device(tag);
   const double threshold = device.min_peak_voltage();
   const double t_max = plan.period_s() > 0.0 ? plan.period_s() : 1.0;
@@ -139,6 +138,14 @@ bool can_power_up(const Scenario& scenario, const TagConfig& tag,
   parallel_for(trials, run_trial);
   std::size_t successes = 0;
   for (std::uint8_t p : powered) successes += p;
+  return successes;
+}
+
+bool can_power_up(const Scenario& scenario, const TagConfig& tag,
+                  const FrequencyPlan& plan, std::size_t trials,
+                  double success_ratio, Rng& rng) {
+  const std::size_t successes =
+      power_up_count(scenario, tag, plan, trials, rng);
   return static_cast<double>(successes) >=
          success_ratio * static_cast<double>(trials);
 }
@@ -185,7 +192,6 @@ double max_water_depth(const TagConfig& tag, const FrequencyPlan& plan,
 SessionReport run_gen2_session(const Scenario& scenario, const TagConfig& tag,
                                const SessionConfig& config, Rng& rng) {
   SessionReport report;
-  obs::ScopedSpan span("sim.gen2_session", "sim");
   // Session telemetry on every exit path (simulated quantities only).
   struct SessionTelemetry {
     SessionReport& r;

@@ -54,6 +54,13 @@ std::vector<GainTrial> run_gain_trials(const Scenario& scenario,
 PercentileSummary summarize_cib(const std::vector<GainTrial>& trials);
 PercentileSummary summarize_baseline(const std::vector<GainTrial>& trials);
 
+/// How many of `trials` blind channel draws bring the CIB peak voltage to
+/// the tag's threshold. Consumes one `rng` draw, the trial-stream base, so
+/// the count is bitwise identical for any thread count.
+std::size_t power_up_count(const Scenario& scenario, const TagConfig& tag,
+                           const FrequencyPlan& plan, std::size_t trials,
+                           Rng& rng);
+
 /// Power-up test: does the CIB peak voltage reach the tag's threshold in at
 /// least `success_ratio` of `trials` blind draws?
 bool can_power_up(const Scenario& scenario, const TagConfig& tag,

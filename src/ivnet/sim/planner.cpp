@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <mutex>
 
-#include "ivnet/cib/baseline.hpp"
 #include "ivnet/cib/objective.hpp"
 #include "ivnet/common/json.hpp"
 #include "ivnet/common/parallel.hpp"
@@ -25,22 +24,7 @@ namespace {
 double power_up_probability(const Scenario& scenario, const TagConfig& tag,
                             const FrequencyPlan& plan, std::size_t trials,
                             Rng& rng) {
-  const TagDevice device(tag);
-  const double threshold = device.min_peak_voltage();
-  const double t_max = plan.period_s() > 0.0 ? plan.period_s() : 1.0;
-  const std::uint64_t base = rng();
-  std::vector<std::uint8_t> powered(trials, 0);
-  parallel_for(trials, [&](std::size_t k) {
-    Rng trial_rng = Rng::stream(base, k);
-    const Channel channel = draw_scenario_channel(
-        scenario, tag, plan.num_antennas(), plan.center_hz(), trial_rng);
-    powered[k] =
-        cib_peak_amplitude(channel, plan.offsets_hz(), t_max) >= threshold
-            ? 1
-            : 0;
-  });
-  std::size_t ok = 0;
-  for (std::uint8_t p : powered) ok += p;
+  const std::size_t ok = power_up_count(scenario, tag, plan, trials, rng);
   return static_cast<double>(ok) / static_cast<double>(trials);
 }
 
@@ -246,7 +230,6 @@ void register_freq_plan_evaluator() {
 FrequencyPlanOutcome plan_frequencies(const FrequencyPlanRequest& request,
                                       const std::string& journal_path) {
   register_freq_plan_evaluator();
-  obs::ScopedSpan span("planner.plan", "planner");
   const CellSpec cell = freq_plan_cell(request);
   const auto t0 = std::chrono::steady_clock::now();
   const CellOutcome outcome = resolve_cell(cell, journal_path);

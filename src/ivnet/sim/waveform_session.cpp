@@ -133,7 +133,6 @@ SensorReadReport WaveformSession::run_sensor_read(const Scenario& scenario,
                                                   double sensor_time_s,
                                                   Rng& rng) {
   SensorReadReport report;
-  obs::ScopedSpan span("sim.sensor_read", "sim");
   // Session telemetry on every exit path (simulated quantities only).
   struct SessionTelemetry {
     SensorReadReport& r;

@@ -35,7 +35,7 @@ std::vector<ScheduledRequest> generate_schedule(const LoadGenConfig& config) {
     ScheduledRequest scheduled;
     scheduled.t_s = t_s;
     scheduled.state = state;
-    // Sim-clock telemetry attributes the request to its offered time.
+    // Service telemetry attributes the request to its offered time.
     scheduled.request.offered_t_s = t_s;
     scheduled.request.kind = load.kind;
     scheduled.request.trials = std::max<std::uint32_t>(1, load.trials);

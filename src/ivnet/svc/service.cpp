@@ -75,8 +75,8 @@ Response execute_request(const ServiceConfig& config, const Request& request,
   const auto start = std::chrono::steady_clock::now();
   obs::FlightRecorder* flight =
       (hook != nullptr) ? hook->flight : nullptr;
-  // Flight timestamps advance with wall time from the hook's base, so the
-  // intra-request spans are real durations on either telemetry clock.
+  // Flight timestamps advance with wall time from the request's offered
+  // time, so the intra-request spans are real durations.
   const auto flight_now = [&] {
     return hook->t0_s +
            seconds_between(start, std::chrono::steady_clock::now());
@@ -174,13 +174,6 @@ InventoryService::InventoryService(ServiceConfig config, CompletionSink sink)
 
 InventoryService::~InventoryService() { stop(); }
 
-double InventoryService::telemetry_now(const Request& request) const {
-  if (config_.telemetry_clock == TelemetryClock::kSim) {
-    return request.offered_t_s;
-  }
-  return seconds_between(epoch_, std::chrono::steady_clock::now());
-}
-
 bool InventoryService::submit(Request request) {
   if (stopping_.load(std::memory_order_acquire)) {
     obs::count("svc.rejected.stopped");
@@ -190,23 +183,23 @@ bool InventoryService::submit(Request request) {
   if (!queue_.try_push(request)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     obs::count("svc.rejected");
-    if (config_.telemetry != nullptr || config_.flight != nullptr) {
-      const double t = telemetry_now(request);
-      if (config_.telemetry != nullptr) config_.telemetry->on_shed(t);
-      if (config_.flight != nullptr) {
-        config_.flight->record(0, obs::FlightEvent::kShed, t, request.id);
-      }
+    if (config_.telemetry != nullptr) {
+      config_.telemetry->on_shed(request.offered_t_s);
+    }
+    if (config_.flight != nullptr) {
+      config_.flight->record(0, obs::FlightEvent::kShed, request.offered_t_s,
+                             request.id);
     }
     return false;
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
   obs::count("svc.accepted");
-  if (config_.telemetry != nullptr || config_.flight != nullptr) {
-    const double t = telemetry_now(request);
-    if (config_.telemetry != nullptr) config_.telemetry->on_accept(t);
-    if (config_.flight != nullptr) {
-      config_.flight->record(0, obs::FlightEvent::kEnqueue, t, request.id);
-    }
+  if (config_.telemetry != nullptr) {
+    config_.telemetry->on_accept(request.offered_t_s);
+  }
+  if (config_.flight != nullptr) {
+    config_.flight->record(0, obs::FlightEvent::kEnqueue, request.offered_t_s,
+                           request.id);
   }
   ready_.release();
   return true;
@@ -266,11 +259,11 @@ void InventoryService::handle(Request request, std::size_t ring) {
   obs::observe("svc.queue_wait", queue_wait_s);
   if (config_.flight != nullptr) {
     config_.flight->record(ring, obs::FlightEvent::kDequeue,
-                           telemetry_now(request), request.id);
+                           request.offered_t_s, request.id);
   }
 
   StageTimings stages;
-  const FlightHook hook{config_.flight, ring, telemetry_now(request)};
+  const FlightHook hook{config_.flight, ring, request.offered_t_s};
   DspWorkspace workspace;
   Response response =
       execute_request(config_, request, workspace, &stages,
@@ -289,7 +282,7 @@ void InventoryService::handle(Request request, std::size_t ring) {
   }
 
   if (config_.telemetry != nullptr) {
-    const double t = telemetry_now(request);
+    const double t = request.offered_t_s;
     obs::Exemplar exemplar;
     exemplar.kind = static_cast<std::uint32_t>(request.kind);
     exemplar.trials = request.trials;

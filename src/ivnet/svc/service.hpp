@@ -74,10 +74,9 @@ struct Request {
   std::uint64_t seed = 0;            ///< Rng::stream base for the trials
   double snr_db = 20.0;
   double medium_loss_db = 0.0;
-  /// Offered (schedule) time of the arrival in seconds — the sim-clock
-  /// timestamp telemetry attributes this request to when the service runs
-  /// with TelemetryClock::kSim. Stamped by generate_schedule(); ignored in
-  /// wall-clock mode.
+  /// Offered (schedule) time of the arrival in seconds — the timestamp
+  /// telemetry windows, exemplars and flight events attribute this request
+  /// to. Stamped by generate_schedule().
   double offered_t_s = 0.0;
   /// Stamped by submit(); queue wait is measured from this instant.
   std::chrono::steady_clock::time_point accepted_at{};
@@ -95,14 +94,6 @@ struct Response {
   double service_s = 0.0;           ///< wall: execution on the worker
 };
 
-/// Which clock stamps telemetry ingests (windows, exemplars, flight
-/// events). kWall uses wall seconds since service construction — the live
-/// operations view. kSim uses each request's offered_t_s — with a
-/// materialized schedule, window counts and exemplar identities become
-/// pure functions of the schedule (reproducible run-to-run); latency
-/// VALUES inside the windows are wall measurements either way.
-enum class TelemetryClock : std::uint8_t { kWall = 0, kSim = 1 };
-
 struct ServiceConfig {
   std::size_t workers = 4;
   std::size_t queue_depth = 256;  ///< rounded up to a power of two
@@ -111,12 +102,14 @@ struct ServiceConfig {
   ImpairedLinkConfig link;
   /// Optional live-telemetry bundle (obs/telemetry.hpp). Not owned; must
   /// outlive the service. Null = zero telemetry work on the hot path.
+  /// Ingests are stamped with each request's offered_t_s, so with a
+  /// materialized schedule the window counts are pure functions of the
+  /// schedule; latency VALUES are wall measurements.
   obs::ServiceTelemetry* telemetry = nullptr;
   /// Optional flight recorder (obs/flight_recorder.hpp). Not owned; ring 0
   /// is the submit path, ring 1 + w is worker w — size it with
   /// workers + 1 rings. Null = no events recorded.
   obs::FlightRecorder* flight = nullptr;
-  TelemetryClock telemetry_clock = TelemetryClock::kWall;
   /// Journal backing the kPlan plan store (sim/planner plan_frequencies):
   /// identical (antennas, seed) re-plans are memo hits either way, and a
   /// non-empty path makes them survive process restarts. Empty = in-memory
@@ -161,7 +154,7 @@ struct StageTimings {
 struct FlightHook {
   obs::FlightRecorder* flight = nullptr;
   std::size_t ring = 0;
-  double t0_s = 0.0;  ///< telemetry-clock time at execution start
+  double t0_s = 0.0;  ///< the request's offered_t_s
 };
 
 /// Execute one request synchronously — the exact code path a service
@@ -213,23 +206,12 @@ class InventoryService {
   std::uint64_t anomalies() const { return anomalies_.load(std::memory_order_relaxed); }
   std::size_t queue_capacity() const { return queue_.capacity(); }
   const ServiceConfig& config() const { return config_; }
-  /// Seconds since construction on the wall telemetry clock — the `now_s`
-  /// an external sampler should pass to the telemetry bundle's queries so
-  /// its windows line up with the service's wall-mode ingest timestamps.
-  double wall_time_s() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
-  }
 
  private:
   void worker_loop(std::size_t index);
   /// `ring` is the flight-recorder ring (1 + worker index; stop()'s inline
   /// drain reuses worker 0's).
   void handle(Request request, std::size_t ring);
-  /// Telemetry-clock timestamp for `request` right now: wall seconds since
-  /// construction, or the request's offered_t_s in sim mode.
-  double telemetry_now(const Request& request) const;
 
   ServiceConfig config_;
   CompletionSink sink_;
@@ -245,9 +227,6 @@ class InventoryService {
   std::mutex stop_mutex_;
   bool stopped_ = false;  // guarded by stop_mutex_
 
-  /// Wall epoch for TelemetryClock::kWall timestamps.
-  const std::chrono::steady_clock::time_point epoch_{
-      std::chrono::steady_clock::now()};
   /// True while the anomaly detectors are latched; edges count episodes.
   std::atomic<bool> anomaly_latched_{false};
   std::atomic<std::uint64_t> anomalies_{0};

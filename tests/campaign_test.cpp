@@ -536,7 +536,7 @@ TEST_F(CampaignTest, X13SimTraceAndCountersByteStableAcrossThreads) {
     CellCache::instance().clear();
     set_parallel_threads(threads);
     obs::MetricsRegistry registry;
-    obs::Tracer tracer(obs::TraceClock::kSim);
+    obs::Tracer tracer;
     obs::install({&registry, &tracer});
     const std::string results = run_campaign(spec).results_json();
     obs::install_null();

@@ -368,7 +368,7 @@ TEST_F(DeterminismTest, SimTraceByteEqualAcrossPoolSizes) {
   config.link.impair.bursts = {.rate_hz = 120.0, .mean_duration_s = 5e-4,
                                .depth_db = 40.0};
   auto run = [&] {
-    obs::Tracer tracer(obs::TraceClock::kSim);
+    obs::Tracer tracer;
     obs::install({.metrics = nullptr, .tracer = &tracer});
     Rng rng(97);
     (void)run_session_matrix(config, rng);
@@ -394,7 +394,7 @@ TEST_F(DeterminismTest, SnapshotAndTraceTogetherByteEqualAcrossPoolSizes) {
   config.link.recovery = RecoveryPolicy::retries(2);
   auto run = [&] {
     obs::MetricsRegistry registry;
-    obs::Tracer tracer(obs::TraceClock::kSim);
+    obs::Tracer tracer;
     obs::install({.metrics = &registry, .tracer = &tracer});
     Rng rng(31);
     (void)run_success_vs_depth(config, rng);

@@ -224,7 +224,6 @@ TEST(NullSink, HooksAreNoOpsWithoutInstall) {
   observe("nope", 1.0);
   sim_span("nope", "t", 0.0, 1.0);
   sim_instant("nope", "t", 0.0);
-  { ScopedSpan span("nope", "t"); }
   { ScopedTrack track(7); }
   EXPECT_EQ(metrics(), nullptr);
 }
@@ -279,41 +278,29 @@ TEST(NullSink, LateInstallWhileHooksRunIsRaceFree) {
   EXPECT_EQ(reg.counter("late.hits").value(), landed);
 }
 
-TEST(TracerTest, WallModeRecordsWallDropsSim) {
-  Tracer t(TraceClock::kWall);
-  t.wall_span("work", "cat", 10.0, 5.0);
-  t.sim_span("ignored", "cat", 0.0, 1.0);
-  EXPECT_EQ(t.event_count(), 1u);
-  const std::string json = t.to_json();
-  EXPECT_NE(json.find("\"name\":\"work\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":5"), std::string::npos);
-  EXPECT_EQ(json.find("ignored"), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-}
-
-TEST(TracerTest, SimModeRecordsSimDropsWall) {
-  Tracer t(TraceClock::kSim);
+TEST(TracerTest, RecordsSimSpansAndInstantsOnTheirTrack) {
+  Tracer t;
   install(Sink{.tracer = &t});
   {
     ScopedTrack track(3);
     sim_span("charge", "link", 0.0, 0.5);
     sim_instant("retry", "link", 0.6);
   }
-  { ScopedSpan span("wall_only", "cat"); }  // dropped: wrong clock
   install_null();
   EXPECT_EQ(t.event_count(), 2u);
   const std::string json = t.to_json();
   EXPECT_NE(json.find("\"tid\":3"), std::string::npos);
-  EXPECT_EQ(json.find("wall_only"), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   // Seconds in, microseconds out. 600000 prints as 6e+05: the writer's
   // shortest-round-trip formatter picks scientific when it is shorter.
   EXPECT_NE(json.find("\"ts\":6e+05"), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":5e+05"), std::string::npos);
 }
 
 TEST(TracerTest, SimExportOrdersByTrackThenSeq) {
   // Emit on tracks out of order; export must sort (track, seq).
-  Tracer t(TraceClock::kSim);
+  Tracer t;
   install(Sink{.tracer = &t});
   {
     ScopedTrack track(2);
@@ -337,7 +324,7 @@ TEST(TracerTest, SimExportOrdersByTrackThenSeq) {
 }
 
 TEST(TracerTest, ScopedTrackRestoresOuterTrack) {
-  Tracer t(TraceClock::kSim);
+  Tracer t;
   install(Sink{.tracer = &t});
   {
     ScopedTrack outer(10);
@@ -356,16 +343,6 @@ TEST(TracerTest, ScopedTrackRestoresOuterTrack) {
   const auto i0 = json.find("i0");
   EXPECT_LT(o0, o1);
   EXPECT_LT(o1, i0);
-}
-
-TEST(TracerTest, WallSpanMeasuresNonNegativeDuration) {
-  Tracer t(TraceClock::kWall);
-  install(Sink{.tracer = &t});
-  { ScopedSpan span("tick", "test"); }
-  install_null();
-  ASSERT_EQ(t.event_count(), 1u);
-  const std::string json = t.to_json();
-  EXPECT_NE(json.find("\"name\":\"tick\""), std::string::npos);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <semaphore>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -437,7 +438,6 @@ TEST(InventoryServiceTest, TelemetryObservesWithoutChangingResponses) {
     config.queue_depth = 64;
     config.telemetry = telemetry;
     config.flight = flight;
-    config.telemetry_clock = TelemetryClock::kSim;
     CaptureSink capture;
     InventoryService service(config, capture.sink());
     for (std::size_t i = 0; i < kRequests; ++i) {
@@ -459,7 +459,7 @@ TEST(InventoryServiceTest, TelemetryObservesWithoutChangingResponses) {
   const std::uint64_t instrumented = run(&telemetry, &flight);
   EXPECT_EQ(instrumented, bare);
 
-  // Sim clock: completions land in the epochs of their offered times.
+  // Completions land in the epochs of their offered times.
   EXPECT_EQ(telemetry.completed().total_over(60.0, 2.5), kRequests);
   EXPECT_GT(telemetry.exemplars().size(), 0u);
   // Every request leaves at least enqueue + dequeue in the rings.
@@ -483,6 +483,52 @@ TEST(InventoryServiceTest, TelemetryObservesWithoutChangingResponses) {
     EXPECT_EQ(response_hash(response), e.response_hash)
         << "exemplar id " << e.id << " did not replay to its recorded hash";
   }
+}
+
+TEST(InventoryServiceTest, TelemetryStampsEveryIngestWithTheOfferedTime) {
+  // Windows, exemplars and flight events attribute a request to its offered
+  // schedule time, whatever the wall clock reads: a schedule that starts at
+  // 100 s lands in the window ending at 101 s.
+  constexpr std::size_t kRequests = 10;
+  const auto offered_s = [](std::uint64_t id) {
+    return 100.0 + 0.1 * static_cast<double>(id);
+  };
+  ServiceConfig config;
+  obs::ServiceTelemetry telemetry;
+  obs::FlightRecorder flight(config.workers + 1, /*slots_per_ring=*/256);
+  config.telemetry = &telemetry;
+  config.flight = &flight;
+  {
+    InventoryService service(config, nullptr);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      Request request = decode_request(i, 2000 + 31 * i, /*trials=*/1);
+      request.offered_t_s = offered_s(i);
+      ASSERT_TRUE(service.submit(request));
+    }
+    service.stop();
+  }
+
+  EXPECT_EQ(telemetry.completed().total_over(10.0, 101.0), kRequests);
+  const std::vector<obs::Exemplar> exemplars = telemetry.exemplars();
+  ASSERT_FALSE(exemplars.empty());
+  for (const obs::Exemplar& e : exemplars) {
+    EXPECT_EQ(e.t_s, offered_s(e.id)) << "exemplar id " << e.id;
+  }
+  // One enqueue event per request, at the offered time in microseconds.
+  const std::string dump = flight.dump_json();
+  const std::string enqueue = "{\"name\":\"enqueue\"";
+  std::size_t enqueues = 0;
+  for (std::size_t at = dump.find(enqueue); at != std::string::npos;
+       at = dump.find(enqueue, at + 1)) {
+    const std::uint64_t ts_us =
+        std::stoull(dump.substr(dump.find("\"ts\":", at) + 5));
+    const std::uint64_t id =
+        std::stoull(dump.substr(dump.find("\"id\":", at) + 5));
+    EXPECT_EQ(ts_us, static_cast<std::uint64_t>(offered_s(id) * 1e6))
+        << "request " << id;
+    ++enqueues;
+  }
+  EXPECT_EQ(enqueues, kRequests);
 }
 
 }  // namespace

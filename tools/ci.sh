@@ -21,9 +21,10 @@
 #   - CLI flags: 64-bit seeds stay exact, a malformed value exits 2, a
 #     negative value after a flag is that flag's value, a bare
 #     --closed-loop runs 4 x workers, an oversize window or a bad
-#     --time-scale beside a wall-clock sampler exits 2, a campaign with
-#     --trials 0, --range-trials 0 or --shards 0 or a worker with --shard
-#     past --shards exits 2, and a plan with --trials,
+#     --time-scale beside a telemetry series exits 2, a flag the command
+#     does not read exits 2 naming it with no artifact written, a
+#     campaign with --trials 0, --range-trials 0 or --shards 0 or a worker
+#     with --shard past --shards exits 2, and a plan with --trials,
 #     --moves or --restarts 0 or --antennas 0 or 1 exits 2 naming the flag,
 #     and replay-exemplar exits 2 on an exemplar whose kind, trials or
 #     antennas its request cannot hold, or whose SNR or medium loss is
@@ -36,7 +37,8 @@
 #   - a traced `ivnet vitals --rounds 4` whose metrics/trace artifacts are
 #     smoke-checked;
 #   - campaign kill-and-resume and a 3-shard fleet with one worker
-#     SIGKILL'd, each cmp-equal to the uninterrupted run at 1/2/8 threads;
+#     SIGKILL'd once the fleet has journaled its first cell, each cmp-equal
+#     to the uninterrupted run at 1/2/8 threads;
 #   - an x13 campaign at IVNET_THREADS 1/2/nproc whose results and sim
 #     traces cmp equal and whose metrics snapshots match except for the
 #     wall-clock campaign.cell.seconds;
@@ -302,8 +304,10 @@ echo "ci: write failure on /dev/full reported with a non-zero exit"
 echo "=== ci: CLI numeric flags parse whole and exactly ==="
 # Seeds 2^53+1 and 2^53 are distinct plans (a double round-trip merged
 # them), a malformed count is exit 2 rather than a silent default,
-# `--snr -5` is a -5 dB load, a bare --closed-loop is 4 x workers, and a
-# window the queue cannot hold or a bad --time-scale exits 2.
+# `--snr -5` is a -5 dB load, a bare --closed-loop is 4 x workers, a
+# window the queue cannot hold or a bad --time-scale exits 2, and a flag
+# the command does not read exits 2 naming it, before any artifact is
+# written.
 plan_hash() {
   build-ci/tools/ivnet plan --antennas 4 --trials 2 --moves 4 --restarts 1 \
       --seed "$1" --json | sed -n 's/.*"scenario_hash":"\([0-9a-f]*\)".*/\1/p'
@@ -345,12 +349,31 @@ if [[ "$rc" -ne 2 ]]; then
   exit 1
 fi
 rc=0
-build-ci/tools/ivnet serve --requests 10 --time-scale abc --telemetry-clock wall \
+build-ci/tools/ivnet serve --requests 10 --time-scale abc \
     --telemetry-out "$ARTIFACT_DIR/bad_scale.jsonl" > /dev/null 2>&1 || rc=$?
 if [[ "$rc" -ne 2 ]]; then
-  echo "ci: --time-scale abc beside a wall sampler exited $rc, expected 2" >&2
+  echo "ci: --time-scale abc beside a telemetry series exited $rc, expected 2" >&2
   exit 1
 fi
+# A flag the command does not read (a retired option, a typo) is refused
+# by name instead of ignored, and no artifact is written.
+unread_flag_exits_2() {
+  local flag=$1
+  shift
+  rm -f "$ARTIFACT_DIR/unread_flag_metrics.json"
+  local rc=0
+  build-ci/tools/ivnet "$@" \
+      --metrics-out "$ARTIFACT_DIR/unread_flag_metrics.json" > /dev/null \
+      2> "$ARTIFACT_DIR/unread_flag.txt" || rc=$?
+  if [[ "$rc" -ne 2 ]] || ! grep -q -- "$flag\$" "$ARTIFACT_DIR/unread_flag.txt" \
+      || [[ -e "$ARTIFACT_DIR/unread_flag_metrics.json" ]]; then
+    echo "ci: ivnet $* exited $rc, expected 2 naming $flag and no artifact" >&2
+    exit 1
+  fi
+}
+unread_flag_exits_2 --trace-clock vitals --rounds 2 --trace-clock wall
+unread_flag_exits_2 --trails plan --antennas 4 --trails 3 --moves 4 --restarts 1
+unread_flag_exits_2 --telemetry-clok serve --requests 20 --telemetry-clok wall
 # A zero-trial campaign would write null rates and zero percentiles for
 # every cell; each trial-count flag must refuse 0 by name.
 for zero in "x13 --trials 0" "fig9 --trials 0" "fig13 --range-trials 0"; do
@@ -414,7 +437,7 @@ for edit in 's/"kind":[0-9]*/"kind":-1/' 's/"kind":[0-9]*/"kind":3/' \
     exit 1
   fi
 done
-echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, zero-trial campaigns exit 2, --shards 0 and --shard past --shards exit 2, plan counts below their minimum exit 2, out-of-range or malformed exemplars exit 2"
+echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, unread flags exit 2, zero-trial campaigns exit 2, --shards 0 and --shard past --shards exit 2, plan counts below their minimum exit 2, out-of-range or malformed exemplars exit 2"
 
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency
@@ -450,7 +473,7 @@ echo "=== ci: traced vitals artifacts (ivnet vitals --rounds 4) ==="
 mkdir -p "$ARTIFACT_DIR"
 build-ci/tools/ivnet vitals --rounds 4 \
     --metrics-out "$ARTIFACT_DIR/metrics.json" \
-    --trace-out "$ARTIFACT_DIR/trace.json" --trace-clock sim \
+    --trace-out "$ARTIFACT_DIR/trace.json" \
     > "$ARTIFACT_DIR/vitals.txt"
 for artifact in metrics.json trace.json; do
   test -s "$ARTIFACT_DIR/$artifact" || {
@@ -512,12 +535,15 @@ echo "ci: kill-and-resume output byte-identical across 1/2/8 threads"
 echo "=== ci: distributed campaign shard fleet ==="
 # Three cooperating worker processes split one x13 campaign through
 # per-shard journals and the fcntl-locked claims file. One worker is
-# SIGKILL'd mid-run; the survivors steal what they can, the coordinator
-# resume fills the durable gap, and the merged JSON must stay
-# byte-identical to the single-process reference at every thread count.
+# SIGKILL'd mid-run, once the first cell record is journaled, and must die
+# of the signal; the survivors steal what they can, the coordinator resume
+# fills the durable gap, and the merged JSON must stay byte-identical to
+# the single-process reference at every thread count. At 24 trials the
+# fleet finished within a few polls and worker 1 often exited 0 before
+# the kill; at 120 it is still running.
 SHARD_DIR="$ARTIFACT_DIR/campaign-shards"
 mkdir -p "$SHARD_DIR"
-SHARD_TRIALS="${SHARD_TRIALS:-24}"
+SHARD_TRIALS="${SHARD_TRIALS:-120}"
 IVNET_THREADS=1 build-ci/tools/ivnet campaign run --bench x13 \
     --trials "$SHARD_TRIALS" --fresh \
     --journal "$SHARD_DIR/ref.jsonl" --out "$SHARD_DIR/ref.json"
@@ -528,11 +554,30 @@ for k in 0 1 2; do
       --shards 3 --shard "$k" &
   eval "worker$k=\$!"
 done
-sleep 0.15
+shard_journaled() {
+  local journal
+  for journal in "$SHARD_DIR"/fleet.jsonl.shard*.jsonl; do
+    [[ -s "$journal" ]] && return 0
+  done
+  return 1
+}
+polls=0
+until shard_journaled; do
+  if (( ++polls > 1000 )); then
+    echo "ci: no shard journaled a cell within 10 s" >&2
+    exit 1
+  fi
+  sleep 0.01
+done
 kill -9 "$worker1" 2>/dev/null || true
+rc=0
+wait "$worker1" 2>/dev/null || rc=$?
 wait "$worker0" 2>/dev/null || true
-wait "$worker1" 2>/dev/null || true
 wait "$worker2" 2>/dev/null || true
+if [[ "$rc" -ne 137 ]]; then
+  echo "ci: shard worker 1 exited $rc before the SIGKILL, expected 137" >&2
+  exit 1
+fi
 build-ci/tools/ivnet campaign status --bench x13 --trials "$SHARD_TRIALS" \
     --journal "$SHARD_DIR/fleet.jsonl" --shards 3
 for threads in 1 2 8; do
@@ -566,7 +611,7 @@ for threads in 1 2 "$(nproc)"; do
       --trials 24 --fresh --journal "$X13_DIR/x13_$threads.jsonl" \
       --out "$X13_DIR/x13_$threads.json" \
       --metrics-out "$X13_DIR/metrics_$threads.json" \
-      --trace-out "$X13_DIR/trace_$threads.json" --trace-clock sim \
+      --trace-out "$X13_DIR/trace_$threads.json" \
       > /dev/null
 done
 for threads in 2 "$(nproc)"; do

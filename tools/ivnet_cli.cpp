@@ -20,16 +20,18 @@
 //   ivnet serve    [--workers N] [--queue-depth D] [--requests N|--duration S]
 //                  [--rate R] [--trials K] [--closed-loop [C]] [--json]
 //                  [--telemetry-out FILE] [--telemetry-interval S]
-//                  [--telemetry-clock sim|wall] [--exemplars-out FILE]
-//                  [--flight-out FILE] [--follow]
+//                  [--exemplars-out FILE] [--flight-out FILE] [--follow]
 //   ivnet replay-exemplar --in FILE [--id N | --index K] [--json]
 //   ivnet help
 //
 // Global flags (any command):
 //   --metrics-out FILE     write a metrics-registry snapshot (JSON)
-//   --trace-out FILE       write a Chrome trace_event file (load in
-//                          chrome://tracing or ui.perfetto.dev)
-//   --trace-clock sim|wall trace clock domain (default wall)
+//   --trace-out FILE       write a Chrome trace_event file of the simulated
+//                          timeline (load in chrome://tracing or
+//                          ui.perfetto.dev)
+//
+// A flag the command does not read (a typo, or one a command never took)
+// prints the flag and exits 2 before any work starts.
 //
 // Numeric flag values are parsed whole (std::from_chars) into the type the
 // command uses: trailing junk, a negative count or an out-of-range value
@@ -38,7 +40,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
@@ -52,7 +54,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -718,17 +719,15 @@ int cmd_serve(const Args& args) {
   config.plan_journal_path = args.get("plan-journal", "");
 
   // Live telemetry bundle: rolling windows + exemplars when any consumer
-  // asked for them, flight recorder when a dump path is given. The sim
-  // clock (default) attributes ingests to offered schedule time, so the
-  // emitted series and exemplar set are deterministic in --seed; wall
-  // mode is the live-operations view, sampled by a background thread.
+  // asked for them, flight recorder when a dump path is given. Ingests are
+  // stamped with each request's offered schedule time, so the emitted
+  // series is deterministic in --seed.
   const std::string telemetry_out = args.get("telemetry-out", "");
   const std::string exemplars_out = args.get("exemplars-out", "");
   const std::string flight_out = args.get("flight-out", "");
   const bool follow = args.has("follow");
   const double interval_s =
       std::max(0.05, args.get_num("telemetry-interval", 1.0));
-  const bool sim_clock = args.get("telemetry-clock", "sim") != "wall";
   const bool want_telemetry =
       !telemetry_out.empty() || !exemplars_out.empty() || follow ||
       !flight_out.empty();
@@ -744,8 +743,6 @@ int cmd_serve(const Args& args) {
     flight.emplace(workers + 1);
     config.flight = &*flight;
   }
-  config.telemetry_clock =
-      sim_clock ? svc::TelemetryClock::kSim : svc::TelemetryClock::kWall;
 
   svc::LatencyCollector collector;
   svc::InventoryService service(config, collector.sink());
@@ -764,23 +761,6 @@ int cmd_serve(const Args& args) {
         &*flight, (flight_out + ".crash").c_str());
   }
 
-  // Wall-clock sampler: one time-series record (and optional --follow
-  // line) per interval while the replay runs.
-  std::string series;
-  std::atomic<bool> sampler_stop{false};
-  std::thread sampler;
-  if (want_telemetry && !sim_clock) {
-    sampler = std::thread([&] {
-      while (!sampler_stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(interval_s));
-        const double now_s = service.wall_time_s();
-        series += telemetry->sample_json(now_s);
-        series += '\n';
-        if (follow) print_follow_line(*telemetry, now_s);
-      }
-    });
-  }
-
   svc::ReplayResult replay;
   if (closed) {
     replay = svc::run_closed_loop(service, collector, schedule, window);
@@ -788,13 +768,10 @@ int cmd_serve(const Args& args) {
     replay = svc::run_open_loop(service, schedule, time_scale);
   }
   service.stop();  // graceful: drains every accepted request
-  if (sampler.joinable()) {
-    sampler_stop.store(true, std::memory_order_release);
-    sampler.join();
-  }
-  if (want_telemetry && sim_clock) {
-    // Post-hoc series on the sim clock: samples at the interval grid
-    // covering the schedule span. Byte-stable run-to-run for one seed.
+  std::string series;
+  if (want_telemetry) {
+    // Post-hoc series: samples at the interval grid covering the schedule
+    // span. Byte-stable run-to-run for one seed.
     const double span =
         schedule.empty() ? 0.0 : schedule.back().t_s;
     const std::size_t samples = static_cast<std::size_t>(span / interval_s) + 1;
@@ -1038,7 +1015,7 @@ int cmd_replay_exemplar(const Args& args) {
   return matched == exemplars.size() ? 0 : 1;
 }
 
-int cmd_help() {
+int cmd_help(const Args& /*args*/) {
   std::printf(
       "ivnet — In-Vivo Networking (SIGCOMM'18) reproduction CLI\n\n"
       "  plan     [--antennas N] [--trials K] [--moves M] [--restarts R]\n"
@@ -1067,43 +1044,85 @@ int cmd_help() {
       "           [--seed S] [--json]   MMPP load against the service\n"
       "           [--telemetry-out FILE]      rolling-window JSONL series\n"
       "           [--telemetry-interval S]    sample period (default 1 s)\n"
-      "           [--telemetry-clock sim|wall] window clock (default sim)\n"
       "           [--exemplars-out FILE]      K-slowest exemplars (JSONL)\n"
       "           [--flight-out FILE]         flight-recorder Chrome trace\n"
-      "           [--follow]                  top-style live status lines\n"
+      "           [--follow]                  top-style status line per sample\n"
       "           [--plan-journal FILE]       durable kPlan plan store\n"
       "  replay-exemplar --in FILE [--id N | --index K] [--json]\n"
       "           re-execute captured exemplars; response hash must match\n\n"
-      "global: --metrics-out FILE  --trace-out FILE  --trace-clock sim|wall\n");
+      "global: --metrics-out FILE  --trace-out FILE (simulated timeline)\n");
   return 0;
 }
 
-int dispatch(const Args& args) {
-  if (args.command == "plan") return cmd_plan(args);
-  if (args.command == "media") return cmd_media(args);
-  if (args.command == "range") return cmd_range(args);
-  if (args.command == "session") return cmd_session(args);
-  if (args.command == "vitals") return cmd_vitals(args);
-  if (args.command == "safety") return cmd_safety(args);
-  if (args.command == "deploy") return cmd_deploy(args);
-  if (args.command == "campaign") return cmd_campaign(args);
-  if (args.command == "serve") return cmd_serve(args);
-  if (args.command == "replay-exemplar") return cmd_replay_exemplar(args);
-  return cmd_help();
+/// A command and the flags it reads. main() reads --metrics-out and
+/// --trace-out for every command.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+
+  bool reads(std::string_view flag) const {
+    return flag == "metrics-out" || flag == "trace-out" ||
+           std::find(flags.begin(), flags.end(), flag) != flags.end();
+  }
+};
+
+/// The command named `name`, or null (main() then prints the help).
+const Command* find_command(std::string_view name) {
+  static const std::vector<Command> commands = {
+      {"plan", cmd_plan,
+       {"antennas", "trials", "moves", "restarts", "seed", "journal", "out",
+        "json"}},
+      {"media", cmd_media, {"json"}},
+      {"range", cmd_range, {"tag", "medium", "antennas", "json"}},
+      {"session", cmd_session,
+       {"tag", "scenario", "depth", "distance", "antennas", "averaging",
+        "seed", "json"}},
+      {"vitals", cmd_vitals, {"rounds"}},
+      {"safety", cmd_safety, {"antennas", "duty", "distance", "json"}},
+      {"deploy", cmd_deploy,
+       {"tag", "scenario", "depth", "distance", "reads-per-minute",
+        "burst-uj", "max-antennas", "seed", "json"}},
+      {"campaign", cmd_campaign,
+       {"bench", "trials", "range-trials", "journal", "shards", "shard",
+        "fresh", "out", "json"}},
+      {"serve", cmd_serve,
+       {"workers", "queue-depth", "rate", "duration", "requests",
+        "closed-loop", "time-scale", "trials", "antennas", "snr", "loss",
+        "seed", "plan-journal", "telemetry-out", "telemetry-interval",
+        "exemplars-out", "flight-out", "follow", "json"}},
+      {"replay-exemplar", cmd_replay_exemplar, {"in", "id", "index", "json"}},
+      {"help", cmd_help, {}},
+  };
+  for (const Command& command : commands) {
+    if (command.name == name) return &command;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
+  const Command* command = find_command(args.command);
+  // A flag the command does not read would otherwise be ignored silently
+  // (a typo'd --trials runs the default count); refuse it before any file
+  // is written or thread started.
+  if (command != nullptr) {
+    for (const auto& flag : args.flags) {
+      if (!command->reads(flag.first)) {
+        std::fprintf(stderr, "ivnet %s: unknown flag --%s\n",
+                     args.command.c_str(), flag.first.c_str());
+        return 2;
+      }
+    }
+  }
 
   // Telemetry sink: any command runs instrumented when asked for artifacts.
   const std::string metrics_out = args.get("metrics-out", "");
   const std::string trace_out = args.get("trace-out", "");
   obs::MetricsRegistry registry;
-  obs::Tracer tracer(args.get("trace-clock", "wall") == "sim"
-                         ? obs::TraceClock::kSim
-                         : obs::TraceClock::kWall);
+  obs::Tracer tracer;
   obs::Sink sink;
   if (!metrics_out.empty()) sink.metrics = &registry;
   if (!trace_out.empty()) sink.tracer = &tracer;
@@ -1111,7 +1130,7 @@ int main(int argc, char** argv) {
 
   int rc = 2;
   try {
-    rc = dispatch(args);
+    rc = command != nullptr ? command->run(args) : cmd_help(args);
   } catch (const FlagError& e) {
     std::fprintf(stderr, "ivnet %s: %s\n", args.command.c_str(), e.what());
   }
