@@ -1,7 +1,8 @@
 // Telemetry-overhead gate for the inventory service: the full observability
-// stack (rolling windows + exemplar store + flight recorder — the CI soak
-// configuration) must cost at most 3% of the bare service's CPU time
-// per request, and must not change a single response byte.
+// stack (ServiceTelemetry's epoch ring of windows and exemplars, two lock
+// acquisitions per request, plus the flight recorder — the CI soak
+// configuration) must cost at most 3% of the bare service's CPU time per
+// request, and must not change a single response byte.
 //
 // Two long-lived one-worker services, one bare and one instrumented, serve
 // the same MMPP decode stream in kBlocks blocks of kBlockRequests requests.

@@ -28,84 +28,8 @@ std::size_t u64_to_dec(std::uint64_t v, char* buf) {
   return n;
 }
 
-/// Byte sink: appends to a std::string (normal dumps) or write(2)s to a
-/// descriptor (signal dumps). Function-pointer based so the emitter itself
-/// stays allocation-free.
-struct Sink {
-  bool (*put)(Sink&, const char*, std::size_t);
-  void* target = nullptr;
-  int fd = -1;
-  long written = 0;
-  bool failed = false;
-};
-
-bool string_put(Sink& s, const char* data, std::size_t len) {
-  static_cast<std::string*>(s.target)->append(data, len);
-  s.written += static_cast<long>(len);
-  return true;
-}
-
-bool fd_put(Sink& s, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(s.fd, data, len);
-    if (n < 0) {
-      s.failed = true;
-      return false;
-    }
-    data += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-    s.written += n;
-  }
-  return true;
-}
-
-bool put_str(Sink& s, const char* text) {
-  return s.put(s, text, std::strlen(text));
-}
-
-bool put_u64(Sink& s, std::uint64_t v) {
-  char buf[20];
-  const std::size_t n = u64_to_dec(v, buf);
-  return s.put(s, buf, n);
-}
-
 constexpr std::uint8_t kMaxEventKind =
     static_cast<std::uint8_t>(FlightEvent::kAnomaly);
-
-/// One trace_event entry. `first` tracks the leading comma.
-bool emit_event(Sink& s, bool& first, std::size_t ring, std::uint64_t t_us,
-                std::uint64_t kind_raw, std::uint64_t id, std::uint64_t arg) {
-  if (kind_raw > kMaxEventKind) return true;  // torn slot: skip, keep going
-  const auto kind = static_cast<FlightEvent>(kind_raw);
-  if (!first && !put_str(s, ",")) return false;
-  first = false;
-  put_str(s, "{\"name\":\"");
-  put_str(s, flight_event_name(kind));
-  if (kind == FlightEvent::kStageEnter || kind == FlightEvent::kStageExit) {
-    put_u64(s, arg);  // "stage0", "stage1", ... so spans pair up by name
-  }
-  put_str(s, "\",\"ph\":\"");
-  switch (kind) {
-    case FlightEvent::kStageEnter:
-      put_str(s, "B");
-      break;
-    case FlightEvent::kStageExit:
-      put_str(s, "E");
-      break;
-    default:
-      put_str(s, "i\",\"s\":\"t");
-      break;
-  }
-  put_str(s, "\",\"ts\":");
-  put_u64(s, t_us);
-  put_str(s, ",\"pid\":0,\"tid\":");
-  put_u64(s, ring);
-  put_str(s, ",\"args\":{\"id\":");
-  put_u64(s, id);
-  put_str(s, ",\"arg\":");
-  put_u64(s, arg);
-  return put_str(s, "}}");
-}
 
 // ---------------------------------------------------------------------------
 // Crash-handler statics. The recorder pointer is swapped atomically; the
@@ -130,13 +54,59 @@ void crash_handler(int signo) {
   ::raise(signo);
 }
 
-std::size_t round_up_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 }  // namespace
+
+/// Byte sink: appends to a std::string (normal dumps) or write(2)s to a
+/// descriptor (signal dumps). The descriptor path allocates nothing.
+struct FlightRecorder::Sink {
+  std::string* out = nullptr;  ///< string dumps append here; else `fd`
+  int fd = -1;
+  long written = 0;
+
+  bool put(const char* data, std::size_t len);
+
+  bool put(const char* text) { return put(text, std::strlen(text)); }
+
+  bool put_u64(std::uint64_t v) {
+    char buf[20];
+    return put(buf, u64_to_dec(v, buf));
+  }
+
+  /// One trace_event entry. `first` tracks the leading comma.
+  bool event(bool& first, std::size_t ring, std::uint64_t t_us,
+             std::uint64_t kind_raw, std::uint64_t id, std::uint64_t arg) {
+    if (kind_raw > kMaxEventKind) return true;  // torn slot: skip, keep going
+    const auto kind = static_cast<FlightEvent>(kind_raw);
+    if (!first && !put(",")) return false;
+    first = false;
+    put("{\"name\":\"");
+    put(flight_event_name(kind));
+    if (kind == FlightEvent::kStageEnter || kind == FlightEvent::kStageExit) {
+      put_u64(arg);  // "stage0", "stage1", ... so spans pair up by name
+    }
+    put("\",\"ph\":\"");
+    switch (kind) {
+      case FlightEvent::kStageEnter:
+        put("B");
+        break;
+      case FlightEvent::kStageExit:
+        put("E");
+        break;
+      default:
+        put("i\",\"s\":\"t");
+        break;
+    }
+    put("\",\"ts\":");
+    put_u64(t_us);
+    put(",\"pid\":0,\"tid\":");
+    put_u64(ring);
+    put(",\"args\":{\"id\":");
+    put_u64(id);
+    put(",\"arg\":");
+    put_u64(arg);
+    return put("}}");
+  }
+};
 
 const char* flight_event_name(FlightEvent kind) {
   switch (kind) {
@@ -159,12 +129,26 @@ const char* flight_event_name(FlightEvent kind) {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder(std::size_t rings, std::size_t slots_per_ring)
-    : slots_per_ring_(round_up_pow2(std::max<std::size_t>(2, slots_per_ring))),
-      mask_(slots_per_ring_ - 1),
-      rings_(std::max<std::size_t>(1, rings)) {
+bool FlightRecorder::Sink::put(const char* data, std::size_t len) {
+  if (out != nullptr) {
+    out->append(data, len);
+    written += static_cast<long>(len);
+    return true;
+  }
+  while (len > 0) {
+    const ssize_t n = ::write(fd, data, len);
+    if (n < 0) return false;
+    data += static_cast<std::size_t>(n);
+    len -= static_cast<std::size_t>(n);
+    written += n;
+  }
+  return true;
+}
+
+FlightRecorder::FlightRecorder(std::size_t rings)
+    : rings_(std::max<std::size_t>(1, rings)) {
   for (Ring& ring : rings_) {
-    ring.slots = std::make_unique<Slot[]>(slots_per_ring_);
+    ring.slots = std::make_unique<Slot[]>(kSlotsPerRing);
   }
 }
 
@@ -173,7 +157,7 @@ void FlightRecorder::record(std::size_t ring_index, FlightEvent kind,
   if (ring_index >= rings_.size()) ring_index = rings_.size() - 1;
   Ring& ring = rings_[ring_index];
   const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-  Slot& slot = ring.slots[head & mask_];
+  Slot& slot = ring.slots[head & kMask];
   const double clamped = t_s > 0.0 ? t_s : 0.0;
   slot.t_us.store(static_cast<std::uint64_t>(clamped * 1e6),
                   std::memory_order_relaxed);
@@ -183,52 +167,38 @@ void FlightRecorder::record(std::size_t ring_index, FlightEvent kind,
   ring.head.store(head + 1, std::memory_order_release);
 }
 
-std::string FlightRecorder::dump_json() const {
-  std::string out;
-  Sink sink;
-  sink.put = string_put;
-  sink.target = &out;
-  put_str(sink, "{\"traceEvents\":[");
+bool FlightRecorder::write_trace(Sink& sink) const {
+  if (!sink.put("{\"traceEvents\":[")) return false;
   bool first = true;
   for (std::size_t r = 0; r < rings_.size(); ++r) {
     const Ring& ring = rings_[r];
     const std::uint64_t head = ring.head.load(std::memory_order_acquire);
-    const std::uint64_t retained = std::min<std::uint64_t>(head, slots_per_ring_);
+    const std::uint64_t retained = std::min<std::uint64_t>(head, kSlotsPerRing);
     for (std::uint64_t k = head - retained; k < head; ++k) {
-      const Slot& slot = ring.slots[k & mask_];
-      emit_event(sink, first, r, slot.t_us.load(std::memory_order_relaxed),
-                 slot.kind.load(std::memory_order_relaxed),
-                 slot.id.load(std::memory_order_relaxed),
-                 slot.arg.load(std::memory_order_relaxed));
+      const Slot& slot = ring.slots[k & kMask];
+      if (!sink.event(first, r, slot.t_us.load(std::memory_order_relaxed),
+                      slot.kind.load(std::memory_order_relaxed),
+                      slot.id.load(std::memory_order_relaxed),
+                      slot.arg.load(std::memory_order_relaxed))) {
+        return false;
+      }
     }
   }
-  put_str(sink, "]}");
+  return sink.put("]}");
+}
+
+std::string FlightRecorder::dump_json() const {
+  std::string out;
+  Sink sink;
+  sink.out = &out;
+  write_trace(sink);
   return out;
 }
 
 long FlightRecorder::dump_to_fd(int fd) const {
   Sink sink;
-  sink.put = fd_put;
   sink.fd = fd;
-  if (!put_str(sink, "{\"traceEvents\":[")) return -1;
-  bool first = true;
-  for (std::size_t r = 0; r < rings_.size(); ++r) {
-    const Ring& ring = rings_[r];
-    const std::uint64_t head = ring.head.load(std::memory_order_acquire);
-    const std::uint64_t retained = std::min<std::uint64_t>(head, slots_per_ring_);
-    for (std::uint64_t k = head - retained; k < head; ++k) {
-      const Slot& slot = ring.slots[k & mask_];
-      if (!emit_event(sink, first, r,
-                      slot.t_us.load(std::memory_order_relaxed),
-                      slot.kind.load(std::memory_order_relaxed),
-                      slot.id.load(std::memory_order_relaxed),
-                      slot.arg.load(std::memory_order_relaxed))) {
-        return -1;
-      }
-    }
-  }
-  if (!put_str(sink, "]}")) return -1;
-  return sink.written;
+  return write_trace(sink) ? sink.written : -1;
 }
 
 std::uint64_t FlightRecorder::total_events() const {

@@ -3,8 +3,8 @@
 // reconstruct the last few thousand scheduling decisions after an incident.
 //
 // Design:
-//  - One ring per worker thread (plus ring 0 for the submitter), each a
-//    power-of-two array of 32-byte slots. A slot is four std::atomic
+//  - One ring per worker thread (plus ring 0 for the submitter), each an
+//    array of kSlotsPerRing 32-byte slots. A slot is four std::atomic
 //    u64 fields written with relaxed stores by its ring's single writer;
 //    the ring head is published with a release store after the slot is
 //    complete. Readers acquire-load the head and walk backwards. A dump
@@ -18,6 +18,8 @@
 //    instants (ph "i"). dump_json() is the convenient path; dump_to_fd()
 //    is async-signal-safe (no malloc, no stdio — manual integer
 //    formatting and raw write(2)) so the fatal-signal handler can use it.
+//    Both run one walk over the rings and differ only in where the bytes
+//    go.
 //  - install_crash_handler() points SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL
 //    at a handler that opens a configured path, dumps, and re-raises with
 //    the default disposition (SA_RESETHAND), preserving the crash status.
@@ -56,13 +58,13 @@ const char* flight_event_name(FlightEvent kind);
 
 class FlightRecorder {
  public:
-  static constexpr std::size_t kDefaultSlotsPerRing = 4096;
+  /// Events each ring retains (a power of two, so a slot is head & mask).
+  static constexpr std::size_t kSlotsPerRing = 4096;
 
   /// `rings` is the number of independent writers (workers + 1 for the
-  /// submit path is the service convention). `slots_per_ring` is rounded
-  /// up to a power of two; memory is fixed at construction.
-  explicit FlightRecorder(std::size_t rings,
-                          std::size_t slots_per_ring = kDefaultSlotsPerRing);
+  /// submit path is the service convention); memory is fixed at
+  /// construction.
+  explicit FlightRecorder(std::size_t rings);
 
   /// Record one event on `ring`. Single-writer per ring: only one thread
   /// may record on a given ring (readers may run concurrently on any
@@ -104,9 +106,16 @@ class FlightRecorder {
     std::unique_ptr<Slot[]> slots;
     std::atomic<std::uint64_t> head{0};  // events ever written to this ring
   };
+  /// Where a dump's bytes go: a string or a descriptor (flight_recorder.cpp).
+  struct Sink;
 
-  std::size_t slots_per_ring_;
-  std::size_t mask_;
+  /// Writes the whole trace document to `sink`, oldest retained event first
+  /// per ring; false at the first failed write.
+  bool write_trace(Sink& sink) const;
+
+  static constexpr std::size_t kMask = kSlotsPerRing - 1;
+  static_assert((kSlotsPerRing & kMask) == 0, "kSlotsPerRing: power of two");
+
   std::vector<Ring> rings_;
 };
 

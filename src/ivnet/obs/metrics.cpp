@@ -3,58 +3,45 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "ivnet/common/json.hpp"
 
 namespace ivnet::obs {
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)),
-      counts_(bounds_.size() + 1, 0),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {
+std::size_t Histogram::View::bucket_of(std::span<const double> bounds,
+                                       double value) {
+  const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
+  return static_cast<std::size_t>(it - bounds.begin());
+}
+
+void Histogram::View::add(std::size_t bucket, double value) {
+  ++counts[bucket];
+  ++count;
+  min = std::min(min, value);
+  max = std::max(max, value);
+}
+
+void Histogram::View::merge(const View& other) {
+  count += other.count;
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+  for (std::size_t b = 0; b < counts.size(); ++b) counts[b] += other.counts[b];
+}
+
+Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   assert(std::is_sorted(bounds_.begin(), bounds_.end()));
+  view_.counts.assign(bounds_.size() + 1, 0);
 }
 
 void Histogram::observe(double value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
+  const std::size_t bucket = View::bucket_of(bounds_, value);
   std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_[bucket];
-  ++count_;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
+  view_.add(bucket, value);
 }
 
 Histogram::View Histogram::view() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  View v;
-  v.count = count_;
-  v.min = min_;
-  v.max = max_;
-  v.counts = counts_;
-  return v;
-}
-
-std::uint64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
-}
-
-double Histogram::min() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return min_;
-}
-
-double Histogram::max() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_;
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counts_;
+  return view_;
 }
 
 double Histogram::quantile_of(const View& view, std::span<const double> bounds,

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,22 +62,24 @@ class Histogram {
   void observe(double value);
 
   /// Atomically-consistent copy of the histogram state: the bucket counts,
-  /// total count, and min/max all reflect the SAME instant. This is the
-  /// only way to read multiple fields coherently while writers are active —
-  /// separate count()/min()/quantile() calls each take the lock on their
-  /// own and can interleave with observes in between (a snapshot assembled
-  /// from them may report a count that disagrees with its bucket sums).
+  /// total count, and min/max all reflect the SAME instant. view() is the
+  /// one read of a live histogram; a snapshot assembled from several locked
+  /// reads could report a count that disagrees with its bucket sums.
   struct View {
     std::uint64_t count = 0;
-    double min = 0.0;  ///< +inf when empty
-    double max = 0.0;  ///< -inf when empty
+    double min = std::numeric_limits<double>::infinity();   ///< +inf when empty
+    double max = -std::numeric_limits<double>::infinity();  ///< -inf when empty
     std::vector<std::uint64_t> counts;  // bounds.size() + 1, last = overflow
+
+    /// The bucket `value` lands in: the first whose bound is >= value, else
+    /// the overflow bucket (index bounds.size()).
+    static std::size_t bucket_of(std::span<const double> bounds, double value);
+    /// Counts `value` in `bucket` (bucket_of on this view's bounds).
+    void add(std::size_t bucket, double value);
+    /// Adds `other`'s bucket counts (same bounds) and folds its min/max.
+    void merge(const View& other);
   };
   View view() const;  ///< one lock acquisition for the whole copy
-
-  std::uint64_t count() const;
-  double min() const;  ///< +inf when empty
-  double max() const;  ///< -inf when empty
 
   /// Quantile q in [0, 1] interpolated linearly inside the owning bucket
   /// (first/overflow buckets interpolate against the observed min/max).
@@ -89,8 +92,6 @@ class Histogram {
                             double q);
 
   const std::vector<double>& bounds() const { return bounds_; }
-  /// Bucket counts; size() == bounds().size() + 1 (last = overflow).
-  std::vector<std::uint64_t> bucket_counts() const;
 
   /// 1-2-5 per decade from 10^lo_exp to 10^hi_exp — the default bucket
   /// ladder for durations [s] and voltages, wide enough for both.
@@ -102,10 +103,7 @@ class Histogram {
  private:
   std::vector<double> bounds_;
   mutable std::mutex mutex_;
-  std::vector<std::uint64_t> counts_;  // bounds_.size() + 1, guarded by mutex_
-  std::uint64_t count_ = 0;            // guarded by mutex_
-  double min_;                         // guarded by mutex_
-  double max_;                         // guarded by mutex_
+  View view_;  // guarded by mutex_
 };
 
 /// One name -> metric store with deterministic (lexicographic) snapshot

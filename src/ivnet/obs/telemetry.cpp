@@ -1,10 +1,8 @@
 #include "ivnet/obs/telemetry.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <charconv>
 #include <cmath>
-#include <limits>
 
 #include "ivnet/common/json.hpp"
 
@@ -40,244 +38,155 @@ std::size_t epochs_in_window(double window_s, double epoch_s,
   return std::min(n, ring_size);
 }
 
+/// An empty latency row: zero counts over latency_bounds().
+Histogram::View empty_row() {
+  Histogram::View row;
+  row.counts.assign(latency_bounds().size() + 1, 0);
+  return row;
+}
+
+/// Slowest first; equal latencies by ascending id.
+bool slower(const Exemplar& a, const Exemplar& b) {
+  if (a.total_latency_s() != b.total_latency_s()) {
+    return a.total_latency_s() > b.total_latency_s();
+  }
+  return a.id < b.id;
+}
+
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// WindowedCounter
+const std::vector<double>& latency_bounds() {
+  static const std::vector<double> bounds =
+      Histogram::exponential_bounds(1e-5, 1e1);
+  return bounds;
+}
 
-WindowedCounter::WindowedCounter(double epoch_s, std::size_t epochs)
-    : epoch_s_(epoch_s > 0.0 ? epoch_s : 1.0),
-      counts_(std::max<std::size_t>(1, epochs), 0),
-      epoch_of_(std::max<std::size_t>(1, epochs), -1) {}
+ServiceTelemetry::ServiceTelemetry(double epoch_s)
+    : epoch_s_(epoch_s > 0.0 ? epoch_s : 1.0), ring_(kEpochs) {}
 
-void WindowedCounter::add(double t_s, std::uint64_t n) {
+ServiceTelemetry::Epoch* ServiceTelemetry::ingest_epoch(double t_s) {
   const std::int64_t e = epoch_index(t_s, epoch_s_);
-  std::lock_guard<std::mutex> lock(mutex_);
   latest_epoch_ = std::max(latest_epoch_, e);
   // Older than the retained span: drop (the window it belonged to is gone).
-  if (e + static_cast<std::int64_t>(counts_.size()) <= latest_epoch_) return;
-  const std::size_t slot =
-      static_cast<std::size_t>(e) % counts_.size();
-  if (epoch_of_[slot] != e) {
-    // Recycle an expired epoch in place. epoch_of_[slot] < e always holds
-    // here: a slot can only be occupied by epochs congruent mod ring size,
-    // and anything newer would have failed the retention check above.
-    epoch_of_[slot] = e;
-    counts_[slot] = 0;
-  }
-  counts_[slot] += n;
-}
-
-std::uint64_t WindowedCounter::total_over(double window_s,
-                                          double now_s) const {
-  const std::int64_t now_epoch = query_epoch(now_s, epoch_s_);
-  const std::size_t span = epochs_in_window(window_s, epoch_s_, counts_.size());
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
-  for (std::size_t k = 0; k < span; ++k) {
-    const std::int64_t e = now_epoch - static_cast<std::int64_t>(k);
-    if (e < 0) break;
-    const std::size_t slot = static_cast<std::size_t>(e) % counts_.size();
-    if (epoch_of_[slot] == e) total += counts_[slot];
-  }
-  return total;
-}
-
-double WindowedCounter::rate_over(double window_s, double now_s) const {
-  if (!(window_s > 0.0)) return 0.0;
-  return static_cast<double>(total_over(window_s, now_s)) / window_s;
-}
-
-// ---------------------------------------------------------------------------
-// WindowedHistogram
-
-WindowedHistogram::WindowedHistogram(std::vector<double> bounds,
-                                     double epoch_s, std::size_t epochs)
-    : bounds_(bounds.empty() ? Histogram::default_bounds()
-                             : std::move(bounds)),
-      epoch_s_(epoch_s > 0.0 ? epoch_s : 1.0),
-      epochs_(std::max<std::size_t>(1, epochs)),
-      ring_(epochs_) {
-  assert(std::is_sorted(bounds_.begin(), bounds_.end()));
-}
-
-void WindowedHistogram::reset_epoch(Epoch& e, std::int64_t epoch) const {
-  e.epoch = epoch;
-  e.count = 0;
-  e.min = std::numeric_limits<double>::infinity();
-  e.max = -std::numeric_limits<double>::infinity();
-  e.counts.assign(bounds_.size() + 1, 0);
-}
-
-void WindowedHistogram::observe(double t_s, double value) {
-  const std::int64_t e = epoch_index(t_s, epoch_s_);
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
-  std::lock_guard<std::mutex> lock(mutex_);
-  latest_epoch_ = std::max(latest_epoch_, e);
-  if (e + static_cast<std::int64_t>(epochs_) <= latest_epoch_) return;
-  Epoch& slot = ring_[static_cast<std::size_t>(e) % epochs_];
-  if (slot.epoch != e) reset_epoch(slot, e);
-  ++slot.counts[bucket];
-  ++slot.count;
-  slot.min = std::min(slot.min, value);
-  slot.max = std::max(slot.max, value);
-}
-
-Histogram::View WindowedHistogram::view_over(double window_s,
-                                             double now_s) const {
-  const std::int64_t now_epoch = query_epoch(now_s, epoch_s_);
-  const std::size_t span = epochs_in_window(window_s, epoch_s_, epochs_);
-  Histogram::View view;
-  view.min = std::numeric_limits<double>::infinity();
-  view.max = -std::numeric_limits<double>::infinity();
-  view.counts.assign(bounds_.size() + 1, 0);
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t k = 0; k < span; ++k) {
-    const std::int64_t e = now_epoch - static_cast<std::int64_t>(k);
-    if (e < 0) break;
-    const Epoch& slot = ring_[static_cast<std::size_t>(e) % epochs_];
-    if (slot.epoch != e || slot.count == 0) continue;
-    view.count += slot.count;
-    view.min = std::min(view.min, slot.min);
-    view.max = std::max(view.max, slot.max);
-    for (std::size_t b = 0; b < view.counts.size(); ++b) {
-      view.counts[b] += slot.counts[b];
-    }
-  }
-  return view;
-}
-
-double WindowedHistogram::quantile_over(double window_s, double now_s,
-                                        double q) const {
-  return Histogram::quantile_of(view_over(window_s, now_s), bounds_, q);
-}
-
-// ---------------------------------------------------------------------------
-// ExemplarStore
-
-ExemplarStore::ExemplarStore(std::size_t k_per_epoch, double epoch_s,
-                             std::size_t epochs)
-    : k_per_epoch_(std::max<std::size_t>(1, k_per_epoch)),
-      epoch_s_(epoch_s > 0.0 ? epoch_s : 1.0),
-      ring_(std::max<std::size_t>(1, epochs)) {}
-
-void ExemplarStore::offer(const Exemplar& exemplar) {
-  const std::int64_t e = epoch_index(exemplar.t_s, epoch_s_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  latest_epoch_ = std::max(latest_epoch_, e);
-  if (e + static_cast<std::int64_t>(ring_.size()) <= latest_epoch_) return;
-  Epoch& slot = ring_[static_cast<std::size_t>(e) % ring_.size()];
+  if (e + static_cast<std::int64_t>(kEpochs) <= latest_epoch_) return nullptr;
+  Epoch& slot = ring_[static_cast<std::size_t>(e) % kEpochs];
   if (slot.epoch != e) {
+    // Recycle an expired (or never used) slot. slot.epoch < e always holds
+    // here: a slot only ever holds epochs congruent mod kEpochs, and a newer
+    // one would have failed the retention check above.
     slot.epoch = e;
-    slot.items.clear();
+    slot.accepted = 0;
+    slot.shed = 0;
+    slot.queue_wait = empty_row();
+    slot.service_time = empty_row();
+    slot.slowest.clear();
   }
-  if (slot.items.size() < k_per_epoch_) {
-    slot.items.push_back(exemplar);
-    return;
-  }
-  // Evict the fastest of the retained K if this one is slower. Ties keep
-  // the incumbent, so the store is insensitive to completion-order races
-  // only for strictly equal latencies (which identical requests on the sim
-  // clock produce deterministically).
-  std::size_t fastest = 0;
-  for (std::size_t i = 1; i < slot.items.size(); ++i) {
-    if (slot.items[i].total_latency_s() <
-        slot.items[fastest].total_latency_s()) {
-      fastest = i;
-    }
-  }
-  if (exemplar.total_latency_s() > slot.items[fastest].total_latency_s()) {
-    slot.items[fastest] = exemplar;
-  }
+  return &slot;
 }
 
-std::vector<Exemplar> ExemplarStore::slowest() const {
-  std::vector<Exemplar> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const Epoch& slot : ring_) {
-      if (slot.epoch < 0) continue;
-      out.insert(out.end(), slot.items.begin(), slot.items.end());
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const Exemplar& a, const Exemplar& b) {
-    if (a.total_latency_s() != b.total_latency_s()) {
-      return a.total_latency_s() > b.total_latency_s();
-    }
-    return a.id < b.id;
-  });
-  return out;
-}
-
-std::size_t ExemplarStore::size() const {
+void ServiceTelemetry::on_accept(double t_s) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const Epoch& slot : ring_) {
-    if (slot.epoch >= 0) n += slot.items.size();
+  if (Epoch* epoch = ingest_epoch(t_s)) ++epoch->accepted;
+}
+
+void ServiceTelemetry::on_shed(double t_s) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (Epoch* epoch = ingest_epoch(t_s)) ++epoch->shed;
+}
+
+TelemetryAnomaly ServiceTelemetry::on_complete(const Exemplar& exemplar) {
+  const std::vector<double>& bounds = latency_bounds();
+  const std::size_t wait_bucket =
+      Histogram::View::bucket_of(bounds, exemplar.queue_wait_s);
+  const std::size_t service_bucket =
+      Histogram::View::bucket_of(bounds, exemplar.service_s);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (Epoch* epoch = ingest_epoch(exemplar.t_s)) {
+    epoch->queue_wait.add(wait_bucket, exemplar.queue_wait_s);
+    epoch->service_time.add(service_bucket, exemplar.service_s);
+    std::vector<Exemplar>& kept = epoch->slowest;
+    if (kept.size() < kExemplarsPerEpoch) {
+      kept.push_back(exemplar);
+    } else {
+      // Evict the fastest of the retained K if this one is slower. Ties
+      // keep the incumbent, so the ring is insensitive to completion-order
+      // races only for strictly equal latencies (which identical requests
+      // on the sim clock produce deterministically).
+      const auto fastest = std::min_element(
+          kept.begin(), kept.end(), [](const Exemplar& a, const Exemplar& b) {
+            return a.total_latency_s() < b.total_latency_s();
+          });
+      if (exemplar.total_latency_s() > fastest->total_latency_s()) {
+        *fastest = exemplar;
+      }
+    }
   }
-  return n;
+
+  // Threshold detectors over the trailing 1 s window; latch edges so one
+  // overload episode starts one anomaly, not one per completion.
+  const TelemetryWindow last = merge(1.0, exemplar.t_s);
+  TelemetryAnomaly verdict;
+  verdict.shed_storm = static_cast<double>(last.shed) >= kShedStormRps;
+  verdict.queue_saturated =
+      last.queue_wait.count > 0 &&
+      Histogram::quantile_of(last.queue_wait, bounds, 0.99) >=
+          kQueueSaturatedP99S;
+  const bool started = verdict.any() && !anomalous_;
+  anomalous_ = verdict.any();
+  if (!started) return {};
+  ++episodes_;
+  return verdict;
 }
 
-// ---------------------------------------------------------------------------
-// ServiceTelemetry
-
-namespace {
-
-/// Bucket ladder for the wall-latency windows: 10 us .. 10 s, 1-2-5.
-std::vector<double> latency_bounds() {
-  return Histogram::exponential_bounds(1e-5, 1e1);
+TelemetryWindow ServiceTelemetry::merge(double window_s, double now_s) const {
+  const std::int64_t now_epoch = query_epoch(now_s, epoch_s_);
+  const std::size_t span = epochs_in_window(window_s, epoch_s_, kEpochs);
+  TelemetryWindow window;
+  window.queue_wait = empty_row();
+  window.service_time = empty_row();
+  for (std::size_t k = 0; k < span; ++k) {
+    const std::int64_t e = now_epoch - static_cast<std::int64_t>(k);
+    if (e < 0) break;
+    const Epoch& slot = ring_[static_cast<std::size_t>(e) % kEpochs];
+    if (slot.epoch != e) continue;
+    window.accepted += slot.accepted;
+    window.shed += slot.shed;
+    window.queue_wait.merge(slot.queue_wait);
+    window.service_time.merge(slot.service_time);
+  }
+  return window;
 }
 
-}  // namespace
-
-ServiceTelemetry::ServiceTelemetry(TelemetryConfig config)
-    : config_(config),
-      accepted_(config.epoch_s, config.epochs),
-      completed_(config.epoch_s, config.epochs),
-      shed_(config.epoch_s, config.epochs),
-      queue_wait_(latency_bounds(), config.epoch_s, config.epochs),
-      service_time_(latency_bounds(), config.epoch_s, config.epochs),
-      exemplars_(config.exemplars_per_epoch, config.epoch_s, config.epochs) {}
-
-void ServiceTelemetry::on_accept(double t_s) { accepted_.add(t_s); }
-
-void ServiceTelemetry::on_shed(double t_s) { shed_.add(t_s); }
-
-void ServiceTelemetry::on_complete(const Exemplar& exemplar) {
-  completed_.add(exemplar.t_s);
-  queue_wait_.observe(exemplar.t_s, exemplar.queue_wait_s);
-  service_time_.observe(exemplar.t_s, exemplar.service_s);
-  exemplars_.offer(exemplar);
+TelemetryWindow ServiceTelemetry::window(double window_s, double now_s) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return merge(window_s, now_s);
 }
 
 std::string ServiceTelemetry::sample_json(double now_s) const {
   static constexpr double kWindows[] = {1.0, 10.0, 60.0};
+  const std::vector<double>& bounds = latency_bounds();
   JsonWriter w;
   w.begin_object();
   w.field("t_s", now_s);
   w.key("windows").begin_array();
   for (const double window_s : kWindows) {
-    const Histogram::View wait = queue_wait_.view_over(window_s, now_s);
-    const Histogram::View service = service_time_.view_over(window_s, now_s);
-    const std::uint64_t accepted = accepted_.total_over(window_s, now_s);
-    const std::uint64_t completed = completed_.total_over(window_s, now_s);
-    const std::uint64_t shed = shed_.total_over(window_s, now_s);
+    const TelemetryWindow win = window(window_s, now_s);
     w.begin_object();
     w.field("window_s", window_s);
-    w.field("accepted", static_cast<std::size_t>(accepted));
-    w.field("completed", static_cast<std::size_t>(completed));
-    w.field("shed", static_cast<std::size_t>(shed));
-    w.field("throughput_rps", static_cast<double>(completed) / window_s);
-    w.field("shed_rps", static_cast<double>(shed) / window_s);
+    w.field("accepted", static_cast<std::size_t>(win.accepted));
+    w.field("completed", static_cast<std::size_t>(win.completed()));
+    w.field("shed", static_cast<std::size_t>(win.shed));
+    w.field("throughput_rps",
+            static_cast<double>(win.completed()) / window_s);
+    w.field("shed_rps", static_cast<double>(win.shed) / window_s);
     w.field("queue_wait_p50_s",
-            Histogram::quantile_of(wait, queue_wait_.bounds(), 0.50));
+            Histogram::quantile_of(win.queue_wait, bounds, 0.50));
     w.field("queue_wait_p99_s",
-            Histogram::quantile_of(wait, queue_wait_.bounds(), 0.99));
+            Histogram::quantile_of(win.queue_wait, bounds, 0.99));
     w.field("service_p50_s",
-            Histogram::quantile_of(service, service_time_.bounds(), 0.50));
+            Histogram::quantile_of(win.service_time, bounds, 0.50));
     w.field("service_p99_s",
-            Histogram::quantile_of(service, service_time_.bounds(), 0.99));
+            Histogram::quantile_of(win.service_time, bounds, 0.99));
     w.end_object();
   }
   w.end_array();
@@ -285,29 +194,30 @@ std::string ServiceTelemetry::sample_json(double now_s) const {
   return w.str();
 }
 
+std::vector<Exemplar> ServiceTelemetry::exemplars() const {
+  std::vector<Exemplar> out;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Epoch& slot : ring_) {
+      out.insert(out.end(), slot.slowest.begin(), slot.slowest.end());
+    }
+  }
+  std::sort(out.begin(), out.end(), slower);
+  return out;
+}
+
 std::string ServiceTelemetry::exemplars_jsonl() const {
   std::string out;
-  for (const Exemplar& e : exemplars_.slowest()) {
+  for (const Exemplar& e : exemplars()) {
     out += exemplar_json(e);
     out += '\n';
   }
   return out;
 }
 
-TelemetryAnomaly ServiceTelemetry::check_anomalies(double now_s) const {
-  TelemetryAnomaly anomaly;
-  if (config_.shed_storm_rate_rps > 0.0) {
-    anomaly.shed_storm =
-        shed_.rate_over(1.0, now_s) >= config_.shed_storm_rate_rps;
-  }
-  if (config_.queue_saturated_p99_s > 0.0) {
-    const Histogram::View wait = queue_wait_.view_over(1.0, now_s);
-    anomaly.queue_saturated =
-        wait.count > 0 &&
-        Histogram::quantile_of(wait, queue_wait_.bounds(), 0.99) >=
-            config_.queue_saturated_p99_s;
-  }
-  return anomaly;
+std::uint64_t ServiceTelemetry::anomaly_episodes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return episodes_;
 }
 
 // ---------------------------------------------------------------------------
@@ -329,8 +239,9 @@ std::string exemplar_json(const Exemplar& e) {
   w.field("queue_wait_s", e.queue_wait_s);
   w.field("service_s", e.service_s);
   w.key("stage_s").begin_array();
-  for (std::uint32_t s = 0; s < e.stages && s < Exemplar::kMaxStages; ++s) {
-    w.value(e.stage_s[s]);
+  for (std::uint32_t s = 0; s < e.stages.count && s < StageSpans::kMax;
+       ++s) {
+    w.value(e.stages.span_s[s]);
   }
   w.end_array();
   w.field("response_hash", std::to_string(e.response_hash));

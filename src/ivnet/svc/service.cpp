@@ -67,8 +67,8 @@ ImpairedLinkConfig link_config_for(const ServiceConfig& config,
 }
 
 Response execute_request(const ServiceConfig& config, const Request& request,
-                         DspWorkspace& /*workspace*/, StageTimings* stages,
-                         const FlightHook* hook) {
+                         DspWorkspace& /*workspace*/,
+                         obs::StageSpans* stages, const FlightHook* hook) {
   Response response;
   response.id = request.id;
   response.kind = request.kind;
@@ -262,11 +262,11 @@ void InventoryService::handle(Request request, std::size_t ring) {
                            request.offered_t_s, request.id);
   }
 
-  StageTimings stages;
+  obs::Exemplar exemplar;
   const FlightHook hook{config_.flight, ring, request.offered_t_s};
   DspWorkspace workspace;
   Response response =
-      execute_request(config_, request, workspace, &stages,
+      execute_request(config_, request, workspace, &exemplar.stages,
                       config_.flight != nullptr ? &hook : nullptr);
   response.queue_wait_s = queue_wait_s;
   response.service_s =
@@ -282,8 +282,6 @@ void InventoryService::handle(Request request, std::size_t ring) {
   }
 
   if (config_.telemetry != nullptr) {
-    const double t = request.offered_t_s;
-    obs::Exemplar exemplar;
     exemplar.kind = static_cast<std::uint32_t>(request.kind);
     exemplar.trials = request.trials;
     exemplar.antennas = request.antennas;
@@ -291,32 +289,22 @@ void InventoryService::handle(Request request, std::size_t ring) {
     exemplar.seed = request.seed;
     exemplar.snr_db = request.snr_db;
     exemplar.medium_loss_db = request.medium_loss_db;
-    exemplar.t_s = t;
+    exemplar.t_s = request.offered_t_s;
     exemplar.queue_wait_s = queue_wait_s;
     exemplar.service_s = response.service_s;
-    exemplar.stages =
-        std::min<std::uint32_t>(stages.count, obs::Exemplar::kMaxStages);
-    for (std::uint32_t s = 0; s < exemplar.stages; ++s) {
-      exemplar.stage_s[s] = stages.stage_s[s];
-    }
     exemplar.response_hash = response_hash(response);
-    config_.telemetry->on_complete(exemplar);
-    // Threshold detectors over the trailing 1 s window; latch edges so one
-    // overload episode records one anomaly event, not one per completion.
-    const obs::TelemetryAnomaly anomaly = config_.telemetry->check_anomalies(t);
-    const bool latched = anomaly_latched_.load(std::memory_order_relaxed);
-    if (anomaly.any() && !latched) {
-      anomaly_latched_.store(true, std::memory_order_relaxed);
-      anomalies_.fetch_add(1, std::memory_order_relaxed);
+    // The telemetry runs the 1 s detectors in the same critical section and
+    // reports only the completion that starts an anomaly episode.
+    const obs::TelemetryAnomaly started =
+        config_.telemetry->on_complete(exemplar);
+    if (started.any()) {
       obs::count("svc.anomalies");
       if (config_.flight != nullptr) {
-        const std::uint64_t detail = (anomaly.shed_storm ? 1u : 0u) |
-                                     (anomaly.queue_saturated ? 2u : 0u);
-        config_.flight->record(ring, obs::FlightEvent::kAnomaly, t,
-                               request.id, detail);
+        const std::uint64_t detail = (started.shed_storm ? 1u : 0u) |
+                                     (started.queue_saturated ? 2u : 0u);
+        config_.flight->record(ring, obs::FlightEvent::kAnomaly,
+                               request.offered_t_s, request.id, detail);
       }
-    } else if (!anomaly.any() && latched) {
-      anomaly_latched_.store(false, std::memory_order_relaxed);
     }
   }
 

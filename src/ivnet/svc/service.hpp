@@ -55,6 +55,7 @@
 namespace ivnet::obs {
 class ServiceTelemetry;
 class FlightRecorder;
+struct StageSpans;
 }  // namespace ivnet::obs
 
 namespace ivnet::svc {
@@ -100,11 +101,14 @@ struct ServiceConfig {
   /// Link template; snr_db / num_antennas / medium_loss_db and the
   /// kind-specific recovery come from each request (link_config_for).
   ImpairedLinkConfig link;
-  /// Optional live-telemetry bundle (obs/telemetry.hpp). Not owned; must
-  /// outlive the service. Null = zero telemetry work on the hot path.
-  /// Ingests are stamped with each request's offered_t_s, so with a
-  /// materialized schedule the window counts are pure functions of the
-  /// schedule; latency VALUES are wall measurements.
+  /// Optional live telemetry (obs/telemetry.hpp). Not owned; must outlive
+  /// the service. Null = zero telemetry work on the hot path. An accepted
+  /// request takes its lock twice: on_accept at submit, on_complete (which
+  /// also runs the anomaly detectors and counts their episodes) after
+  /// execution; a shed request takes it once. Ingests are stamped with each
+  /// request's offered_t_s, so with a materialized schedule the window
+  /// counts are pure functions of the schedule; latency VALUES are wall
+  /// measurements.
   obs::ServiceTelemetry* telemetry = nullptr;
   /// Optional flight recorder (obs/flight_recorder.hpp). Not owned; ring 0
   /// is the submit path, ring 1 + w is worker w — size it with
@@ -130,24 +134,6 @@ ImpairedLinkConfig link_config_for(const ServiceConfig& config,
 /// replay-exemplar` checks.
 std::uint64_t response_hash(const Response& response);
 
-/// Wall spans of the execution stages of one request, captured by
-/// execute_request: kPlan records one stage (the optimize call);
-/// decode/inventory record one per trial session, trials beyond kMax folded
-/// into the last.
-struct StageTimings {
-  static constexpr std::size_t kMax = 4;
-  double stage_s[kMax] = {0.0, 0.0, 0.0, 0.0};
-  std::uint32_t count = 0;
-
-  void add(double s) {
-    if (count < kMax) {
-      stage_s[count++] = s;
-    } else {
-      stage_s[kMax - 1] += s;
-    }
-  }
-};
-
 /// Flight-recorder context for execute_request: when `flight` is set, the
 /// executor emits stage-enter/exit spans and retry/brownout instants per
 /// trial onto `ring`, timestamped t0_s + wall-elapsed.
@@ -164,10 +150,11 @@ struct FlightHook {
 /// never change response bytes. `workspace` is unused: sessions keep their
 /// own scratch, and the parameter stays only until the benchmark's serve
 /// replay stops passing one. Wall timings in the response are left zero —
-/// the caller owns queue_wait_s/service_s.
+/// the caller owns queue_wait_s/service_s. When `stages` is set it receives
+/// the wall span of each execution stage (obs::StageSpans).
 Response execute_request(const ServiceConfig& config, const Request& request,
                          DspWorkspace& workspace,
-                         StageTimings* stages = nullptr,
+                         obs::StageSpans* stages = nullptr,
                          const FlightHook* hook = nullptr);
 
 class InventoryService {
@@ -200,10 +187,6 @@ class InventoryService {
   std::uint64_t rejected() const { return rejected_.load(std::memory_order_relaxed); }
   std::size_t inflight() const { return inflight_.load(std::memory_order_relaxed); }
   std::size_t inflight_peak() const { return inflight_peak_.load(std::memory_order_relaxed); }
-  /// Distinct anomaly episodes latched by the rolling-window detectors
-  /// (config.telemetry required). An episode is one transition from calm
-  /// to anomalous; it ends when a completion observes a calm window again.
-  std::uint64_t anomalies() const { return anomalies_.load(std::memory_order_relaxed); }
   std::size_t queue_capacity() const { return queue_.capacity(); }
   const ServiceConfig& config() const { return config_; }
 
@@ -227,9 +210,6 @@ class InventoryService {
   std::mutex stop_mutex_;
   bool stopped_ = false;  // guarded by stop_mutex_
 
-  /// True while the anomaly detectors are latched; edges count episodes.
-  std::atomic<bool> anomaly_latched_{false};
-  std::atomic<std::uint64_t> anomalies_{0};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> rejected_{0};

@@ -526,7 +526,7 @@ TEST_F(CampaignShardTest, ObsCountersSurfaceFleetTraffic) {
     } else {
       ASSERT_NE(snapshot.find("\"" + name + "\""), std::string::npos)
           << "merge must replay per-shard compute-time histograms";
-      EXPECT_EQ(registry.histogram(name).count(), timed) << name;
+      EXPECT_EQ(registry.histogram(name).view().count, timed) << name;
     }
   }
   EXPECT_EQ(records, unique.size());

@@ -39,10 +39,11 @@ TEST(HistogramTest, BucketAssignmentAndMinMax) {
   h.observe(1.0);    // bucket 0 (le is inclusive)
   h.observe(5.0);    // bucket 1
   h.observe(1000.0); // overflow
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.min(), 0.5);
-  EXPECT_EQ(h.max(), 1000.0);
-  const auto counts = h.bucket_counts();
+  const Histogram::View view = h.view();
+  EXPECT_EQ(view.count, 4u);
+  EXPECT_EQ(view.min, 0.5);
+  EXPECT_EQ(view.max, 1000.0);
+  const auto& counts = view.counts;
   ASSERT_EQ(counts.size(), 4u);
   EXPECT_EQ(counts[0], 2u);
   EXPECT_EQ(counts[1], 1u);
@@ -152,7 +153,7 @@ TEST(MetricsRegistryTest, ConcurrentAccessIsSafe) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(reg.counter("shared").value(),
             static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(reg.histogram("shared_h").count(),
+  EXPECT_EQ(reg.histogram("shared_h").view().count,
             static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
@@ -170,9 +171,9 @@ TEST(HistogramTest, ViewIsInternallyConsistent) {
 TEST(HistogramTest, SnapshotWhileRecordingIsNeverTorn) {
   // TSan + consistency target for the service's always-on shape: workers
   // record into a histogram WHILE a snapshot is being taken. A snapshot
-  // assembled from separate count()/min()/quantile() calls can interleave
-  // with observes and report a count that disagrees with its bucket sums;
-  // the single-lock View must never do that.
+  // assembled from separate locked reads could interleave with observes
+  // and report a count that disagrees with its bucket sums; the
+  // single-lock View must never do that.
   MetricsRegistry reg;
   Histogram& h = reg.histogram("live", Histogram::linear_bounds(0.0, 1.0, 8));
   std::atomic<bool> stop{false};

@@ -455,12 +455,12 @@ TEST(InventoryServiceTest, TelemetryObservesWithoutChangingResponses) {
 
   const std::uint64_t bare = run(nullptr, nullptr);
   obs::ServiceTelemetry telemetry;
-  obs::FlightRecorder flight(/*rings=*/3, /*slots_per_ring=*/256);
+  obs::FlightRecorder flight(/*rings=*/3);
   const std::uint64_t instrumented = run(&telemetry, &flight);
   EXPECT_EQ(instrumented, bare);
 
   // Completions land in the epochs of their offered times.
-  EXPECT_EQ(telemetry.completed().total_over(60.0, 2.5), kRequests);
+  EXPECT_EQ(telemetry.window(60.0, 2.5).completed(), kRequests);
   EXPECT_GT(telemetry.exemplars().size(), 0u);
   // Every request leaves at least enqueue + dequeue in the rings.
   EXPECT_GE(flight.total_events(), 2 * kRequests);
@@ -495,7 +495,7 @@ TEST(InventoryServiceTest, TelemetryStampsEveryIngestWithTheOfferedTime) {
   };
   ServiceConfig config;
   obs::ServiceTelemetry telemetry;
-  obs::FlightRecorder flight(config.workers + 1, /*slots_per_ring=*/256);
+  obs::FlightRecorder flight(config.workers + 1);
   config.telemetry = &telemetry;
   config.flight = &flight;
   {
@@ -508,7 +508,7 @@ TEST(InventoryServiceTest, TelemetryStampsEveryIngestWithTheOfferedTime) {
     service.stop();
   }
 
-  EXPECT_EQ(telemetry.completed().total_over(10.0, 101.0), kRequests);
+  EXPECT_EQ(telemetry.window(10.0, 101.0).completed(), kRequests);
   const std::vector<obs::Exemplar> exemplars = telemetry.exemplars();
   ASSERT_FALSE(exemplars.empty());
   for (const obs::Exemplar& e : exemplars) {

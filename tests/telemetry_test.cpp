@@ -1,9 +1,10 @@
-// Rolling-window telemetry and flight-recorder tests: epoch rotation and
-// retention, boundary-anchored window queries, coherent merged views under
-// a writer storm, the bounded exemplar store's slowest-K contract, the
-// JSONL round-trip replay-exemplar depends on, the byte-stable time-series
-// emitter, the anomaly detectors, and the lock-free flight ring (wrap,
-// Chrome-trace dump, async-signal-safe fd dump, crash handler).
+// Rolling-window telemetry and flight-recorder tests: the epoch ring's
+// attribution, retention and recycling, boundary-anchored window queries,
+// coherent merged windows under a writer storm, the per-epoch slowest-K
+// exemplars, the JSONL round-trip replay-exemplar depends on, the
+// byte-stable time-series emitter, the anomaly detectors and their
+// episodes, and the lock-free flight ring (wrap, Chrome-trace dump,
+// async-signal-safe fd dump, crash handler).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,129 +23,6 @@
 namespace ivnet::obs {
 namespace {
 
-// ---------------------------------------------------------------------------
-// WindowedCounter
-
-TEST(WindowedCounter, AttributesToEpochsAndMergesWindows) {
-  WindowedCounter c(/*epoch_s=*/1.0, /*epochs=*/10);
-  c.add(0.2);
-  c.add(0.7);
-  c.add(1.3, 3);
-  c.add(2.5);
-  // Query mid-epoch 2: 1 s window = epoch 2 only.
-  EXPECT_EQ(c.total_over(1.0, 2.6), 1u);
-  // 2 s window = epochs 1..2; 10 s window = everything.
-  EXPECT_EQ(c.total_over(2.0, 2.6), 4u);
-  EXPECT_EQ(c.total_over(10.0, 2.6), 6u);
-  EXPECT_DOUBLE_EQ(c.rate_over(2.0, 2.6), 2.0);
-}
-
-TEST(WindowedCounter, ExactBoundaryAnchorsToTheClosedEpoch) {
-  // A sampler on the grid (t = k * epoch_s) must see the epoch it just
-  // finished, not the brand-new empty one: at now = 1.0 the 1 s window is
-  // (0, 1], which is epoch 0's interior.
-  WindowedCounter c(1.0, 10);
-  c.add(0.25);
-  c.add(0.75);
-  EXPECT_EQ(c.total_over(1.0, 1.0), 2u);
-  // Just past the boundary the new (empty) epoch is the anchor.
-  EXPECT_EQ(c.total_over(1.0, 1.5), 0u);
-}
-
-TEST(WindowedCounter, RecyclesExpiredEpochsAndDropsAncientAdds) {
-  WindowedCounter c(1.0, /*epochs=*/4);
-  c.add(0.5, 100);
-  // Jump 10 epochs ahead: epoch 0 has left the retained span. Its slot
-  // (10 % 4 == 2, not 0 -- use an epoch congruent to 0) must be recycled.
-  c.add(8.5, 7);  // epoch 8, slot 0: recycles epoch 0 in place
-  EXPECT_EQ(c.total_over(60.0, 8.6), 7u);
-  // An add older than the retained span is dropped, not misfiled.
-  c.add(0.5, 50);
-  EXPECT_EQ(c.total_over(60.0, 8.6), 7u);
-}
-
-TEST(WindowedCounter, NegativeAndZeroTimesClampToEpochZero) {
-  WindowedCounter c(1.0, 4);
-  c.add(-5.0);
-  c.add(0.0);
-  EXPECT_EQ(c.total_over(1.0, 0.5), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// WindowedHistogram
-
-TEST(WindowedHistogram, WindowViewMergesOnlyCoveringEpochs) {
-  WindowedHistogram h({1.0, 10.0, 100.0}, 1.0, 10);
-  h.observe(0.5, 5.0);    // epoch 0, bucket (1, 10]
-  h.observe(1.5, 50.0);   // epoch 1, bucket (10, 100]
-  h.observe(2.5, 0.5);    // epoch 2, bucket (-inf, 1]
-  const Histogram::View last1 = h.view_over(1.0, 2.9);
-  EXPECT_EQ(last1.count, 1u);
-  EXPECT_DOUBLE_EQ(last1.min, 0.5);
-  EXPECT_DOUBLE_EQ(last1.max, 0.5);
-  const Histogram::View last3 = h.view_over(3.0, 2.9);
-  EXPECT_EQ(last3.count, 3u);
-  EXPECT_DOUBLE_EQ(last3.min, 0.5);
-  EXPECT_DOUBLE_EQ(last3.max, 50.0);
-  ASSERT_EQ(last3.counts.size(), 4u);
-  EXPECT_EQ(last3.counts[0], 1u);
-  EXPECT_EQ(last3.counts[1], 1u);
-  EXPECT_EQ(last3.counts[2], 1u);
-  EXPECT_EQ(last3.counts[3], 0u);
-}
-
-TEST(WindowedHistogram, QuantileMatchesCumulativeHistogramOnSameData) {
-  // Same observations into a windowed histogram (single epoch) and a plain
-  // Histogram: the merged view must give the identical quantile, because
-  // both go through Histogram::quantile_of.
-  const std::vector<double> bounds = Histogram::default_bounds();
-  WindowedHistogram wh(bounds, 100.0, 4);  // one wide epoch
-  Histogram h(bounds);
-  for (int i = 1; i <= 1000; ++i) {
-    const double v = static_cast<double>(i) * 0.01;
-    wh.observe(0.5, v);
-    h.observe(v);
-  }
-  for (const double q : {0.5, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(wh.quantile_over(100.0, 0.5, q), h.quantile(q)) << q;
-  }
-}
-
-TEST(WindowedHistogram, ViewIsCoherentUnderObserveStorm) {
-  // A reader merging the window mid-storm must always see an internally
-  // consistent view: bucket counts sum to count, and min/max bracket a
-  // non-empty view. (Same contract Histogram::view() pins, extended to
-  // the epoch-merged read path.)
-  WindowedHistogram h({1.0, 2.0, 5.0}, 1.0, 8);
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    double t = 0.0;
-    std::uint64_t state = 1;
-    while (!stop.load(std::memory_order_relaxed)) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      const double v = static_cast<double>(state >> 60);  // 0..15
-      h.observe(t, v);
-      t += 0.001;
-    }
-  });
-  for (int i = 0; i < 2000; ++i) {
-    const Histogram::View v = h.view_over(8.0, 8.0);
-    std::uint64_t sum = 0;
-    for (const std::uint64_t b : v.counts) sum += b;
-    ASSERT_EQ(sum, v.count);
-    if (v.count > 0) {
-      ASSERT_LE(v.min, v.max);
-      ASSERT_GE(v.min, 0.0);
-      ASSERT_LE(v.max, 15.0);
-    }
-  }
-  stop.store(true);
-  writer.join();
-}
-
-// ---------------------------------------------------------------------------
-// ExemplarStore
-
 Exemplar make_exemplar(std::uint64_t id, double t_s, double service_s) {
   Exemplar e;
   e.id = id;
@@ -156,47 +34,260 @@ Exemplar make_exemplar(std::uint64_t id, double t_s, double service_s) {
   return e;
 }
 
-TEST(ExemplarStore, KeepsTheKSlowestPerEpoch) {
-  ExemplarStore store(/*k_per_epoch=*/2, 1.0, 10);
-  store.offer(make_exemplar(1, 0.1, 0.010));
-  store.offer(make_exemplar(2, 0.2, 0.030));
-  store.offer(make_exemplar(3, 0.3, 0.020));  // evicts id 1 (fastest)
-  store.offer(make_exemplar(4, 0.4, 0.005));  // too fast, not kept
-  EXPECT_EQ(store.size(), 2u);
-  const std::vector<Exemplar> slowest = store.slowest();
-  ASSERT_EQ(slowest.size(), 2u);
-  EXPECT_EQ(slowest[0].id, 2u);  // 30 ms
-  EXPECT_EQ(slowest[1].id, 3u);  // 20 ms
+/// A completion at t_s whose queue wait is `wait_s`.
+Exemplar waited(std::uint64_t id, double t_s, double wait_s) {
+  Exemplar e = make_exemplar(id, t_s, 0.001);
+  e.queue_wait_s = wait_s;
+  return e;
 }
 
-TEST(ExemplarStore, TiesKeepIncumbentAndOrderById) {
-  ExemplarStore store(1, 1.0, 10);
-  store.offer(make_exemplar(7, 0.1, 0.010));
-  store.offer(make_exemplar(8, 0.2, 0.010));  // equal latency: incumbent stays
-  ASSERT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.slowest()[0].id, 7u);
-  // Across epochs, equal latencies order by ascending id.
-  store.offer(make_exemplar(3, 1.5, 0.010));
-  const std::vector<Exemplar> slowest = store.slowest();
-  ASSERT_EQ(slowest.size(), 2u);
-  EXPECT_EQ(slowest[0].id, 3u);
-  EXPECT_EQ(slowest[1].id, 7u);
+std::vector<std::uint64_t> ids(const std::vector<Exemplar>& exemplars) {
+  std::vector<std::uint64_t> out;
+  for (const Exemplar& e : exemplars) out.push_back(e.id);
+  return out;
 }
 
-TEST(ExemplarStore, EpochRotationBoundsMemory) {
-  ExemplarStore store(4, 1.0, /*epochs=*/4);
-  for (int epoch = 0; epoch < 100; ++epoch) {
-    for (int i = 0; i < 10; ++i) {
-      store.offer(make_exemplar(static_cast<std::uint64_t>(epoch * 10 + i),
-                                static_cast<double>(epoch) + 0.5,
-                                0.001 * (i + 1)));
+// ---------------------------------------------------------------------------
+// ServiceTelemetry: the epoch ring
+
+TEST(ServiceTelemetry, AttributesToEpochsAndMergesWindows) {
+  ServiceTelemetry t;
+  t.on_accept(0.2);
+  t.on_accept(0.7);
+  for (int i = 0; i < 3; ++i) t.on_accept(1.3);
+  t.on_accept(2.5);
+  t.on_shed(1.9);
+  // Query mid-epoch 2: 1 s window = epoch 2 only.
+  EXPECT_EQ(t.window(1.0, 2.6).accepted, 1u);
+  EXPECT_EQ(t.window(1.0, 2.6).shed, 0u);
+  // 2 s window = epochs 1..2; 10 s window = everything.
+  EXPECT_EQ(t.window(2.0, 2.6).accepted, 4u);
+  EXPECT_EQ(t.window(2.0, 2.6).shed, 1u);
+  EXPECT_EQ(t.window(10.0, 2.6).accepted, 6u);
+
+  // Latency rows merge the same epochs: one queue wait per epoch, each in
+  // its own bucket.
+  t.on_complete(waited(1, 0.5, 0.005));
+  t.on_complete(waited(2, 1.5, 0.05));
+  t.on_complete(waited(3, 2.5, 0.0005));
+  const TelemetryWindow last1 = t.window(1.0, 2.9);
+  EXPECT_EQ(last1.completed(), 1u);
+  EXPECT_DOUBLE_EQ(last1.queue_wait.min, 0.0005);
+  EXPECT_DOUBLE_EQ(last1.queue_wait.max, 0.0005);
+  const TelemetryWindow last3 = t.window(3.0, 2.9);
+  EXPECT_EQ(last3.completed(), 3u);
+  EXPECT_EQ(last3.service_time.count, 3u);
+  EXPECT_DOUBLE_EQ(last3.queue_wait.min, 0.0005);
+  EXPECT_DOUBLE_EQ(last3.queue_wait.max, 0.05);
+  ASSERT_EQ(last3.queue_wait.counts.size(), latency_bounds().size() + 1);
+  std::size_t filled = 0;
+  for (const std::uint64_t n : last3.queue_wait.counts) {
+    EXPECT_LE(n, 1u);
+    filled += n;
+  }
+  EXPECT_EQ(filled, 3u);
+}
+
+TEST(ServiceTelemetry, ExactBoundaryAnchorsToTheClosedEpoch) {
+  // A sampler on the grid (t = k * epoch_s) must see the epoch it just
+  // finished, not the brand-new empty one: at now = 1.0 the 1 s window is
+  // (0, 1], which is epoch 0's interior.
+  ServiceTelemetry t;
+  t.on_accept(0.25);
+  t.on_accept(0.75);
+  EXPECT_EQ(t.window(1.0, 1.0).accepted, 2u);
+  // Just past the boundary the new (empty) epoch is the anchor.
+  EXPECT_EQ(t.window(1.0, 1.5).accepted, 0u);
+}
+
+TEST(ServiceTelemetry, RecyclesExpiredEpochsAndDropsAncientIngests) {
+  constexpr double kSpan = static_cast<double>(ServiceTelemetry::kEpochs);
+  ServiceTelemetry t;
+  for (int i = 0; i < 3; ++i) t.on_accept(0.5);
+  // kEpochs epochs ahead: epoch kEpochs shares epoch 0's slot and recycles
+  // it in place, so neither window sees epoch 0's three accepts.
+  for (int i = 0; i < 7; ++i) t.on_accept(kSpan + 0.5);
+  EXPECT_EQ(t.window(kSpan, kSpan + 0.6).accepted, 7u);
+  EXPECT_EQ(t.window(1.0, 0.6).accepted, 0u);
+  // An ingest kEpochs or more epochs behind the newest one is dropped,
+  // not misfiled into the slot it shares.
+  t.on_accept(0.5);
+  EXPECT_EQ(t.window(1.0, kSpan + 0.6).accepted, 7u);
+  EXPECT_EQ(t.window(1.0, 0.6).accepted, 0u);
+}
+
+TEST(ServiceTelemetry, RetentionJudgesEveryIngestAgainstTheNewestOfAnyKind) {
+  // The ring has one newest epoch: a completion whose offered time lies
+  // kEpochs epochs behind a later arrival or shed is dropped whole
+  // (latencies and exemplar), though no completion came later; one epoch
+  // less is kept.
+  constexpr double kSpan = static_cast<double>(ServiceTelemetry::kEpochs);
+  ServiceTelemetry t;
+  t.on_accept(kSpan + 0.5);  // newest: epoch kEpochs
+  t.on_complete(waited(1, 0.5, 0.01));
+  EXPECT_EQ(t.window(1.0, 0.6).completed(), 0u);
+  EXPECT_TRUE(t.exemplars().empty());
+  t.on_complete(waited(2, 1.5, 0.01));
+  EXPECT_EQ(t.window(1.0, 1.6).completed(), 1u);
+  EXPECT_EQ(ids(t.exemplars()), (std::vector<std::uint64_t>{2}));
+  t.on_shed(kSpan + 2.5);  // newest: epoch kEpochs + 2
+  t.on_complete(waited(3, 2.5, 0.01));
+  EXPECT_EQ(t.window(1.0, kSpan + 2.6).shed, 1u);
+  EXPECT_EQ(t.window(1.0, kSpan + 2.6).completed(), 0u);
+  EXPECT_EQ(ids(t.exemplars()), (std::vector<std::uint64_t>{2}));
+}
+
+TEST(ServiceTelemetry, NegativeAndZeroTimesClampToEpochZero) {
+  ServiceTelemetry t;
+  t.on_accept(-5.0);
+  t.on_accept(0.0);
+  t.on_complete(waited(1, -1.0, 0.01));
+  EXPECT_EQ(t.window(1.0, 0.5).accepted, 2u);
+  EXPECT_EQ(t.window(1.0, 0.5).completed(), 1u);
+}
+
+TEST(ServiceTelemetry, WindowQuantileMatchesCumulativeHistogramOnSameData) {
+  // Same observations into the ring (one wide epoch) and a plain Histogram
+  // on the same ladder: the merged row must give the identical quantile,
+  // because both go through Histogram::quantile_of.
+  ServiceTelemetry t(/*epoch_s=*/100.0);
+  Histogram h(latency_bounds());
+  for (int i = 1; i <= 1000; ++i) {
+    const double v = static_cast<double>(i) * 0.01;
+    t.on_complete(waited(static_cast<std::uint64_t>(i), 0.5, v));
+    h.observe(v);
+  }
+  const TelemetryWindow w = t.window(100.0, 0.5);
+  for (const double q : {0.5, 0.9, 0.99}) {
+    EXPECT_DOUBLE_EQ(Histogram::quantile_of(w.queue_wait, latency_bounds(), q),
+                     h.quantile(q))
+        << q;
+  }
+}
+
+TEST(ServiceTelemetry, WindowIsCoherentUnderIngestStorm) {
+  // A reader merging the window mid-storm must always see an internally
+  // consistent row: bucket counts sum to count, and min/max bracket a
+  // non-empty row. (Same contract Histogram::view() pins, extended to the
+  // epoch-merged read path.)
+  ServiceTelemetry t;
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    double at = 0.0;
+    std::uint64_t state = 1;
+    while (!stop.load(std::memory_order_relaxed)) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const double v = 0.001 * static_cast<double>(state >> 60);  // 0..15 ms
+      t.on_complete(waited(state, at, v));
+      at += 0.001;
+    }
+  });
+  for (int i = 0; i < 2000; ++i) {
+    const TelemetryWindow w = t.window(8.0, 8.0);
+    for (const Histogram::View* row : {&w.queue_wait, &w.service_time}) {
+      std::uint64_t sum = 0;
+      for (const std::uint64_t b : row->counts) sum += b;
+      ASSERT_EQ(sum, row->count);
+      ASSERT_EQ(row->count, w.completed());
+    }
+    if (w.completed() > 0) {
+      ASSERT_LE(w.queue_wait.min, w.queue_wait.max);
+      ASSERT_GE(w.queue_wait.min, 0.0);
+      ASSERT_LE(w.queue_wait.max, 0.015);
     }
   }
-  // At most epochs * k exemplars survive, all from the last 4 epochs.
-  EXPECT_LE(store.size(), 16u);
-  for (const Exemplar& e : store.slowest()) {
-    EXPECT_GE(e.t_s, 96.0);
+  stop.store(true);
+  writer.join();
+}
+
+TEST(ServiceTelemetry, SamplesNeverSeeACompletionBeforeItsAccept) {
+  // One thread ingests accept/complete pairs while another samples: every
+  // window of every sample must hold the pair whole or not at all, so its
+  // completions never exceed its accepts and equal its latency rows'
+  // counts.
+  ServiceTelemetry t;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> pairs{0};
+  std::thread writer([&] {
+    for (std::uint64_t id = 0; !stop.load(std::memory_order_relaxed); ++id) {
+      const double at = 0.0001 * static_cast<double>(id % 500000);
+      t.on_accept(at);
+      t.on_complete(waited(id, at, 0.001));
+      pairs.store(id + 1, std::memory_order_relaxed);
+    }
+  });
+  const auto windows_of = [](const std::string& sample) {
+    // (accepted, completed) of each window, in order.
+    std::vector<std::pair<double, double>> out;
+    for (std::size_t at = sample.find("\"window_s\"");
+         at != std::string::npos; at = sample.find("\"window_s\"", at + 1)) {
+      const std::string rest = sample.substr(at);
+      out.emplace_back(json_find_number(rest, "accepted", -1.0),
+                       json_find_number(rest, "completed", -1.0));
+    }
+    return out;
+  };
+  for (int i = 0; i < 2000 || pairs.load() < 1000; ++i) {
+    const double now_s = 0.0001 * static_cast<double>(pairs.load() % 500000);
+    for (const double window_s : {1.0, 10.0, 60.0}) {
+      const TelemetryWindow w = t.window(window_s, now_s + 0.5);
+      ASSERT_LE(w.completed(), w.accepted) << window_s;
+      ASSERT_EQ(w.queue_wait.count, w.completed());
+      ASSERT_EQ(w.service_time.count, w.completed());
+    }
+    const auto windows = windows_of(t.sample_json(now_s + 0.5));
+    ASSERT_EQ(windows.size(), 3u);
+    for (const auto& [accepted, completed] : windows) {
+      ASSERT_LE(completed, accepted) << i;
+    }
   }
+  stop.store(true);
+  writer.join();
+}
+
+TEST(ServiceTelemetry, KeepsTheKSlowestPerEpoch) {
+  static_assert(ServiceTelemetry::kExemplarsPerEpoch == 4);
+  ServiceTelemetry t;
+  t.on_complete(make_exemplar(1, 0.1, 0.010));
+  t.on_complete(make_exemplar(2, 0.2, 0.030));
+  t.on_complete(make_exemplar(3, 0.3, 0.020));
+  t.on_complete(make_exemplar(4, 0.4, 0.040));
+  t.on_complete(make_exemplar(5, 0.5, 0.025));  // evicts id 1 (fastest)
+  t.on_complete(make_exemplar(6, 0.6, 0.005));  // too fast, not kept
+  EXPECT_EQ(ids(t.exemplars()), (std::vector<std::uint64_t>{4, 2, 5, 3}));
+  // Every completion still counts in the latency rows.
+  EXPECT_EQ(t.window(1.0, 0.7).completed(), 6u);
+}
+
+TEST(ServiceTelemetry, ExemplarTiesKeepIncumbentAndOrderById) {
+  ServiceTelemetry t;
+  for (std::uint64_t id = 7; id <= 10; ++id) {
+    t.on_complete(make_exemplar(id, 0.1, 0.010));
+  }
+  // Equal latency in a full epoch: the incumbents stay.
+  t.on_complete(make_exemplar(11, 0.2, 0.010));
+  EXPECT_EQ(ids(t.exemplars()), (std::vector<std::uint64_t>{7, 8, 9, 10}));
+  // Across epochs, equal latencies order by ascending id.
+  t.on_complete(make_exemplar(3, 1.5, 0.010));
+  EXPECT_EQ(ids(t.exemplars()),
+            (std::vector<std::uint64_t>{3, 7, 8, 9, 10}));
+}
+
+TEST(ServiceTelemetry, EpochRotationBoundsExemplarMemory) {
+  constexpr int kEpochs = static_cast<int>(ServiceTelemetry::kEpochs);
+  ServiceTelemetry t;
+  for (int epoch = 0; epoch < kEpochs + 10; ++epoch) {
+    for (int i = 0; i < 10; ++i) {
+      t.on_complete(make_exemplar(static_cast<std::uint64_t>(epoch * 10 + i),
+                                  static_cast<double>(epoch) + 0.5,
+                                  0.001 * (i + 1)));
+    }
+  }
+  // At most kEpochs * K exemplars survive, all from the last kEpochs epochs.
+  const std::vector<Exemplar> kept = t.exemplars();
+  EXPECT_EQ(kept.size(),
+            ServiceTelemetry::kEpochs * ServiceTelemetry::kExemplarsPerEpoch);
+  for (const Exemplar& e : kept) EXPECT_GE(e.t_s, 10.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -217,9 +308,8 @@ TEST(ExemplarJson, RoundTripsFullIdentityIncluding64BitFields) {
   e.t_s = 12.75;
   e.queue_wait_s = 0.001953125;  // exact binary fractions round-trip
   e.service_s = 0.03125;
-  e.stage_s[0] = 0.015625;
-  e.stage_s[1] = 0.015625;
-  e.stages = 2;
+  e.stages.add(0.015625);
+  e.stages.add(0.015625);
 
   const std::string line = exemplar_json(e);
   EXPECT_EQ(line.find('\n'), std::string::npos);  // single line (JSONL)
@@ -345,9 +435,9 @@ TEST(ServiceTelemetry, SampleJsonShapeAndWindowSemantics) {
   EXPECT_NE(sample.find("\"window_s\":60"), std::string::npos);
   // Window semantics: 1/10/60 s trailing windows see 1/10/30 completions.
   EXPECT_DOUBLE_EQ(json_find_number(sample, "completed", -1.0), 1.0);
-  EXPECT_EQ(t.completed().total_over(10.0, 29.5), 10u);
-  EXPECT_EQ(t.completed().total_over(60.0, 29.5), 30u);
-  EXPECT_EQ(t.shed().total_over(1.0, 29.5), 1u);
+  EXPECT_EQ(t.window(10.0, 29.5).completed(), 10u);
+  EXPECT_EQ(t.window(60.0, 29.5).completed(), 30u);
+  EXPECT_EQ(t.window(1.0, 29.5).shed, 1u);
 }
 
 TEST(ServiceTelemetry, EqualIngestsEmitIdenticalBytes) {
@@ -371,41 +461,39 @@ TEST(ServiceTelemetry, EqualIngestsEmitIdenticalBytes) {
 }
 
 TEST(ServiceTelemetry, AnomalyDetectorsFireOnThresholds) {
-  TelemetryConfig config;
-  config.shed_storm_rate_rps = 50.0;
-  config.queue_saturated_p99_s = 0.5;
-  ServiceTelemetry t(config);
-  EXPECT_FALSE(t.check_anomalies(0.5).any());
+  // Each verdict also latches: an episode starts at the first anomalous
+  // completion and ends at the next calm one.
+  ServiceTelemetry t;
+  EXPECT_FALSE(t.on_complete(waited(1, 0.1, 0.001)).any());
 
-  for (int i = 0; i < 60; ++i) t.on_shed(0.3);
-  EXPECT_TRUE(t.check_anomalies(0.5).shed_storm);
-  EXPECT_FALSE(t.check_anomalies(0.5).queue_saturated);
+  // One shed short of the storm rate over the trailing second: calm.
+  const int storm = static_cast<int>(ServiceTelemetry::kShedStormRps);
+  for (int i = 0; i < storm - 1; ++i) t.on_shed(0.3);
+  EXPECT_FALSE(t.on_complete(waited(2, 0.35, 0.001)).any());
+  t.on_shed(0.3);
+  const TelemetryAnomaly shed = t.on_complete(waited(3, 0.4, 0.001));
+  EXPECT_TRUE(shed.shed_storm);
+  EXPECT_FALSE(shed.queue_saturated);
+  EXPECT_EQ(t.anomaly_episodes(), 1u);
 
-  Exemplar slow = make_exemplar(1, 0.4, 0.1);
-  slow.queue_wait_s = 0.9;
-  t.on_complete(slow);
-  EXPECT_TRUE(t.check_anomalies(0.5).queue_saturated);
-  // Two epochs later the storm has left the 1 s window.
-  EXPECT_FALSE(t.check_anomalies(2.5).any());
-}
+  // Still anomalous: the episode goes on, nothing new starts.
+  EXPECT_FALSE(t.on_complete(waited(4, 0.45, 0.001)).any());
+  EXPECT_EQ(t.anomaly_episodes(), 1u);
 
-TEST(ServiceTelemetry, AnomalyDetectorsCanBeDisabled) {
-  TelemetryConfig config;
-  config.shed_storm_rate_rps = 0.0;    // disabled
-  config.queue_saturated_p99_s = 0.0;  // disabled
-  ServiceTelemetry t(config);
-  for (int i = 0; i < 1000; ++i) t.on_shed(0.3);
-  Exemplar slow = make_exemplar(1, 0.4, 5.0);
-  slow.queue_wait_s = 5.0;
-  t.on_complete(slow);
-  EXPECT_FALSE(t.check_anomalies(0.5).any());
+  // Two epochs later the storm has left the 1 s window: a calm completion
+  // ends the episode, and a saturated queue then starts the next one.
+  EXPECT_FALSE(t.on_complete(waited(5, 2.5, 0.001)).any());
+  const TelemetryAnomaly queue = t.on_complete(waited(6, 2.6, 0.9));
+  EXPECT_FALSE(queue.shed_storm);
+  EXPECT_TRUE(queue.queue_saturated);
+  EXPECT_EQ(t.anomaly_episodes(), 2u);
 }
 
 // ---------------------------------------------------------------------------
 // FlightRecorder
 
 TEST(FlightRecorder, DumpIsValidChromeTraceWithPairedStages) {
-  FlightRecorder rec(/*rings=*/2, /*slots_per_ring=*/64);
+  FlightRecorder rec(/*rings=*/2);
   rec.record(0, FlightEvent::kEnqueue, 0.001, 42);
   rec.record(1, FlightEvent::kDequeue, 0.002, 42);
   rec.record(1, FlightEvent::kStageEnter, 0.003, 42, 0);
@@ -435,20 +523,23 @@ TEST(FlightRecorder, DumpIsValidChromeTraceWithPairedStages) {
 }
 
 TEST(FlightRecorder, RingWrapsKeepingTheNewestEvents) {
-  FlightRecorder rec(1, /*slots_per_ring=*/8);
-  for (std::uint64_t i = 0; i < 100; ++i) {
+  constexpr std::uint64_t kEvents = FlightRecorder::kSlotsPerRing + 904;
+  FlightRecorder rec(1);
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
     rec.record(0, FlightEvent::kEnqueue, 0.001 * static_cast<double>(i), i);
   }
-  EXPECT_EQ(rec.total_events(), 100u);
+  EXPECT_EQ(rec.total_events(), kEvents);
   const std::string trace = rec.dump_json();
-  // Only the newest 8 survive: id 92 is retained, id 91 is overwritten.
-  EXPECT_NE(trace.find("\"id\":99,"), std::string::npos);
-  EXPECT_NE(trace.find("\"id\":92,"), std::string::npos);
-  EXPECT_EQ(trace.find("\"id\":91,"), std::string::npos);
+  // Only the newest kSlotsPerRing survive: id 904 is retained, id 903 is
+  // overwritten.
+  EXPECT_NE(trace.find("\"id\":" + std::to_string(kEvents - 1) + ","),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"id\":904,"), std::string::npos);
+  EXPECT_EQ(trace.find("\"id\":903,"), std::string::npos);
 }
 
 TEST(FlightRecorder, FdDumpMatchesStringDump) {
-  FlightRecorder rec(2, 32);
+  FlightRecorder rec(2);
   rec.record(0, FlightEvent::kEnqueue, 0.010, 1);
   rec.record(1, FlightEvent::kBrownout, 0.020, 1, 3);
   rec.record(1, FlightEvent::kRetry, 0.030, 1, 2);
@@ -479,7 +570,7 @@ TEST(FlightRecorder, EventNamesAreStable) {
 }
 
 TEST(FlightRecorder, OutOfRangeRingClampsInsteadOfCorrupting) {
-  FlightRecorder rec(2, 16);
+  FlightRecorder rec(2);
   rec.record(99, FlightEvent::kEnqueue, 0.001, 7);  // clamps to last ring
   EXPECT_EQ(rec.total_events(), 1u);
   EXPECT_NE(rec.dump_json().find("\"tid\":1"), std::string::npos);
@@ -487,7 +578,7 @@ TEST(FlightRecorder, OutOfRangeRingClampsInsteadOfCorrupting) {
 
 TEST(FlightRecorderDeathTest, CrashHandlerDumpsBeforeTheProcessDies) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  FlightRecorder rec(1, 32);
+  FlightRecorder rec(1);
   rec.record(0, FlightEvent::kEnqueue, 0.001, 11);
   const std::string path = testing::TempDir() + "flight_crash_dump.json";
   std::remove(path.c_str());

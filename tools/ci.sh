@@ -11,14 +11,18 @@
 #   - the telemetry-overhead gate (bench_service: <= 3% CPU per request at
 #     the sign-test 95% upper end, identical responses);
 #   - a 10k-request `ivnet serve` soak with live telemetry that must shed
-#     nothing while unsaturated (time series schema-checked, flight dump
-#     validated as Chrome trace JSON);
+#     nothing while unsaturated (time series schema-checked, its 1 s windows
+#     summing to 10k accepted and completed, its 10 s and 60 s windows
+#     equal to the 1 s windows they cover, and its window counts equal to a
+#     2-worker rerun's; flight dump validated as Chrome trace JSON);
 #   - the large-N planner gates (bench_x1: delta score memcmp-equal to the
 #     full rebuild, within 1e-6 of a naive double-precision oracle), a
 #     plan/re-plan pair whose plan JSONs cmp equal with zero evaluations
 #     on the hit, an N=128 plan cmp-equal at IVNET_THREADS 1 and nproc,
 #     and a plan written to /dev/full that must fail;
-#   - CLI flags: 64-bit seeds stay exact, a malformed value exits 2, a
+#   - CLI arguments: an unknown command or a positional token the command
+#     does not read exits 2 with no artifact written; 64-bit seeds stay
+#     exact, a malformed value exits 2, a
 #     negative value after a flag is that flag's value, a bare
 #     --closed-loop runs 4 x workers, an oversize window or a bad
 #     --time-scale beside a telemetry series exits 2, a flag the command
@@ -173,27 +177,54 @@ print(f"ci: soak {soak['completed']}/10000 completed, 0 rejected, "
       f"p99 wait {soak['queue_wait_p99_s']*1e3:.2f} ms, "
       f"digest {soak['digest']}")
 PY
+  # The same schedule at 2 workers: window counts are pure functions of the
+  # schedule, so its series must carry the same counts.
+  build-ci/tools/ivnet serve --workers 2 --queue-depth 4096 \
+      --requests 10000 --rate 3000 --trials 1 --seed 41 \
+      --telemetry-out "$ARTIFACT_DIR/SOAK_series_w2.jsonl" > /dev/null
   # Time-series schema: every line is a standalone JSON record carrying the
-  # three trailing windows with the full stat set, counts consistent.
-  python3 - "$ARTIFACT_DIR/SOAK_series.jsonl" <<'PY'
+  # three trailing windows with the full stat set. Arithmetic: the 1 s
+  # windows (one epoch each at the 1 s interval) partition the schedule, so
+  # their accepted and completed sum to 10000, and each record's 10 s and
+  # 60 s completed is the sum of the 1 s windows it covers. Counts: equal
+  # t_s and per-window accepted/completed/shed at 8 and 2 workers.
+  python3 - "$ARTIFACT_DIR/SOAK_series.jsonl" \
+      "$ARTIFACT_DIR/SOAK_series_w2.jsonl" <<'PY'
 import json, sys
 required = {"window_s", "accepted", "completed", "shed", "throughput_rps",
             "shed_rps", "queue_wait_p50_s", "queue_wait_p99_s",
             "service_p50_s", "service_p99_s"}
-lines = [l for l in open(sys.argv[1]) if l.strip()]
-assert lines, "telemetry series is empty"
-total = 0
-for line in lines:
-    rec = json.loads(line)
+def records(path):
+    return [json.loads(l) for l in open(path) if l.strip()]
+recs = records(sys.argv[1])
+assert recs, "telemetry series is empty"
+for rec in recs:
     assert rec["t_s"] >= 0, rec
     windows = rec["windows"]
     assert [w["window_s"] for w in windows] == [1, 10, 60], windows
     for w in windows:
         assert required <= set(w), sorted(required - set(w))
         assert w["shed"] == 0, f"soak shed inside a window: {w}"
-    total = max(total, windows[2]["completed"])
-print(f"ci: telemetry series has {len(lines)} samples, "
-      f"peak 60s-window completions {total}")
+one = [(rec["t_s"], rec["windows"][0]) for rec in recs]
+for key in ("accepted", "completed"):
+    total = sum(w[key] for _, w in one)
+    assert total == 10000, f"1 s windows sum to {total} {key}, not 10000"
+for rec in recs:
+    t = rec["t_s"]
+    for w in rec["windows"][1:]:
+        covered = sum(o["completed"] for ot, o in one
+                      if t - w["window_s"] < ot <= t)
+        assert w["completed"] == covered, \
+            f"t={t}: {w['window_s']} s window completed {w['completed']}, " \
+            f"its 1 s windows sum to {covered}"
+def counts(rs):
+    return [(r["t_s"], [(w["accepted"], w["completed"], w["shed"])
+                        for w in r["windows"]]) for r in rs]
+assert counts(recs) == counts(records(sys.argv[2])), \
+    "window counts differ between 8 and 2 workers"
+print(f"ci: telemetry series has {len(recs)} samples; 1 s windows sum to "
+      f"10000 accepted and completed, 10 s/60 s windows equal their 1 s "
+      f"sums, counts equal at 8 and 2 workers")
 PY
   # Flight recorder: the forced dump must be valid Chrome trace JSON with
   # events from the submit ring and the worker rings.
@@ -374,6 +405,26 @@ unread_flag_exits_2() {
 unread_flag_exits_2 --trace-clock vitals --rounds 2 --trace-clock wall
 unread_flag_exits_2 --trails plan --antennas 4 --trails 3 --moves 4 --restarts 1
 unread_flag_exits_2 --telemetry-clok serve --requests 20 --telemetry-clok wall
+# An unknown command, or a token past the positional ones a command reads,
+# is refused by name the same way (it used to print the help, or run the
+# defaults, and exit 0).
+refused_exits_2() {
+  local name=$1
+  shift
+  rm -f "$ARTIFACT_DIR/refused_metrics.json"
+  local rc=0
+  build-ci/tools/ivnet "$@" \
+      --metrics-out "$ARTIFACT_DIR/refused_metrics.json" > /dev/null \
+      2> "$ARTIFACT_DIR/refused.txt" || rc=$?
+  if [[ "$rc" -ne 2 ]] || ! grep -q -- "'$name'" "$ARTIFACT_DIR/refused.txt" \
+      || [[ -e "$ARTIFACT_DIR/refused_metrics.json" ]]; then
+    echo "ci: ivnet $* exited $rc, expected 2 naming '$name' and no artifact" >&2
+    exit 1
+  fi
+}
+refused_exits_2 plann plann --antennas 4
+refused_exits_2 2 vitals 2
+refused_exits_2 extra media extra
 # A zero-trial campaign would write null rates and zero percentiles for
 # every cell; each trial-count flag must refuse 0 by name.
 for zero in "x13 --trials 0" "fig9 --trials 0" "fig13 --range-trials 0"; do
@@ -437,7 +488,7 @@ for edit in 's/"kind":[0-9]*/"kind":-1/' 's/"kind":[0-9]*/"kind":3/' \
     exit 1
   fi
 done
-echo "ci: seeds $hash_odd != $hash_even, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, unread flags exit 2, zero-trial campaigns exit 2, --shards 0 and --shard past --shards exit 2, plan counts below their minimum exit 2, out-of-range or malformed exemplars exit 2"
+echo "ci: seeds $hash_odd != $hash_even, unknown command and stray tokens exit 2, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, unread flags exit 2, zero-trial campaigns exit 2, --shards 0 and --shard past --shards exit 2, plan counts below their minimum exit 2, out-of-range or malformed exemplars exit 2"
 
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency

@@ -31,7 +31,9 @@
 //                          ui.perfetto.dev)
 //
 // A flag the command does not read (a typo, or one a command never took)
-// prints the flag and exits 2 before any work starts.
+// prints the flag and exits 2 before any work starts; so does an unknown
+// command (with the help, on stderr) or a positional token past the ones
+// the command reads (campaign's subcommand, replay-exemplar's file).
 //
 // Numeric flag values are parsed whole (std::from_chars) into the type the
 // command uses: trailing junk, a negative count or an out-of-range value
@@ -655,16 +657,19 @@ int cmd_campaign(const Args& args) {
 }
 
 /// One `top`-style status line from the rolling windows at time `now_s`.
-void print_follow_line(obs::ServiceTelemetry& telemetry, double now_s) {
+void print_follow_line(const obs::ServiceTelemetry& telemetry, double now_s) {
+  const obs::TelemetryWindow last = telemetry.window(1.0, now_s);
+  const obs::TelemetryWindow minute = telemetry.window(60.0, now_s);
+  const auto ms = [](const obs::Histogram::View& row, double q) {
+    return obs::Histogram::quantile_of(row, obs::latency_bounds(), q) * 1e3;
+  };
   std::fprintf(stderr,
                "[t=%8.2fs] rps %8.1f  shed %6.1f/s | wait p50 %8.3fms "
                "p99 %8.3fms | svc p99 %8.3fms | 60s rps %8.1f\n",
-               now_s, telemetry.completed().rate_over(1.0, now_s),
-               telemetry.shed().rate_over(1.0, now_s),
-               telemetry.queue_wait().quantile_over(1.0, now_s, 0.50) * 1e3,
-               telemetry.queue_wait().quantile_over(1.0, now_s, 0.99) * 1e3,
-               telemetry.service_time().quantile_over(1.0, now_s, 0.99) * 1e3,
-               telemetry.completed().rate_over(60.0, now_s));
+               now_s, static_cast<double>(last.completed()),
+               static_cast<double>(last.shed), ms(last.queue_wait, 0.50),
+               ms(last.queue_wait, 0.99), ms(last.service_time, 0.99),
+               static_cast<double>(minute.completed()) / 60.0);
 }
 
 int cmd_serve(const Args& args) {
@@ -734,9 +739,7 @@ int cmd_serve(const Args& args) {
   std::optional<obs::ServiceTelemetry> telemetry;
   std::optional<obs::FlightRecorder> flight;
   if (want_telemetry) {
-    obs::TelemetryConfig telemetry_config;
-    telemetry_config.epoch_s = std::min(1.0, interval_s);
-    telemetry.emplace(telemetry_config);
+    telemetry.emplace(std::min(1.0, interval_s));
     config.telemetry = &*telemetry;
   }
   if (!flight_out.empty()) {
@@ -832,7 +835,8 @@ int cmd_serve(const Args& args) {
     w.field("sim_elapsed_total_s", collector.sim_elapsed_total_s());
     w.field("digest", digest_hex);
     if (want_telemetry) {
-      w.field("anomalies", static_cast<std::size_t>(service.anomalies()));
+      w.field("anomalies",
+              static_cast<std::size_t>(telemetry->anomaly_episodes()));
       w.field("exemplars", telemetry->exemplars().size());
     }
     if (flight) {
@@ -858,7 +862,8 @@ int cmd_serve(const Args& args) {
     std::printf("  response digest %s\n", digest_hex);
     if (want_telemetry) {
       std::printf("  anomalies %llu, exemplars retained %zu\n",
-                  static_cast<unsigned long long>(service.anomalies()),
+                  static_cast<unsigned long long>(
+                      telemetry->anomaly_episodes()),
                   telemetry->exemplars().size());
     }
   }
@@ -966,10 +971,9 @@ int cmd_replay_exemplar(const Args& args) {
     request.seed = exemplar.seed;
     request.snr_db = exemplar.snr_db;
     request.medium_loss_db = exemplar.medium_loss_db;
-    svc::StageTimings stages;
     const auto start_at = std::chrono::steady_clock::now();
     const svc::Response response =
-        svc::execute_request(config, request, workspace, &stages);
+        svc::execute_request(config, request, workspace);
     const double replay_s = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - start_at)
                                 .count();
@@ -1015,8 +1019,9 @@ int cmd_replay_exemplar(const Args& args) {
   return matched == exemplars.size() ? 0 : 1;
 }
 
-int cmd_help(const Args& /*args*/) {
-  std::printf(
+void print_help(std::FILE* out) {
+  std::fprintf(
+      out,
       "ivnet — In-Vivo Networking (SIGCOMM'18) reproduction CLI\n\n"
       "  plan     [--antennas N] [--trials K] [--moves M] [--restarts R]\n"
       "           [--seed S] [--journal FILE] [--out FILE] [--json]\n"
@@ -1051,15 +1056,20 @@ int cmd_help(const Args& /*args*/) {
       "  replay-exemplar --in FILE [--id N | --index K] [--json]\n"
       "           re-execute captured exemplars; response hash must match\n\n"
       "global: --metrics-out FILE  --trace-out FILE (simulated timeline)\n");
+}
+
+int cmd_help(const Args& /*args*/) {
+  print_help(stdout);
   return 0;
 }
 
-/// A command and the flags it reads. main() reads --metrics-out and
-/// --trace-out for every command.
+/// A command, the flags it reads and how many positional tokens it reads.
+/// main() reads --metrics-out and --trace-out for every command.
 struct Command {
   std::string_view name;
   int (*run)(const Args&);
   std::vector<std::string_view> flags;
+  std::size_t positional = 0;
 
   bool reads(std::string_view flag) const {
     return flag == "metrics-out" || flag == "trace-out" ||
@@ -1067,7 +1077,7 @@ struct Command {
   }
 };
 
-/// The command named `name`, or null (main() then prints the help).
+/// The command named `name`, or null.
 const Command* find_command(std::string_view name) {
   static const std::vector<Command> commands = {
       {"plan", cmd_plan,
@@ -1085,13 +1095,15 @@ const Command* find_command(std::string_view name) {
         "burst-uj", "max-antennas", "seed", "json"}},
       {"campaign", cmd_campaign,
        {"bench", "trials", "range-trials", "journal", "shards", "shard",
-        "fresh", "out", "json"}},
+        "fresh", "out", "json"},
+       /*positional=*/1},
       {"serve", cmd_serve,
        {"workers", "queue-depth", "rate", "duration", "requests",
         "closed-loop", "time-scale", "trials", "antennas", "snr", "loss",
         "seed", "plan-journal", "telemetry-out", "telemetry-interval",
         "exemplars-out", "flight-out", "follow", "json"}},
-      {"replay-exemplar", cmd_replay_exemplar, {"in", "id", "index", "json"}},
+      {"replay-exemplar", cmd_replay_exemplar, {"in", "id", "index", "json"},
+       /*positional=*/1},
       {"help", cmd_help, {}},
   };
   for (const Command& command : commands) {
@@ -1104,18 +1116,30 @@ const Command* find_command(std::string_view name) {
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
+  if (args.command.empty()) return cmd_help(args);
   const Command* command = find_command(args.command);
-  // A flag the command does not read would otherwise be ignored silently
-  // (a typo'd --trials runs the default count); refuse it before any file
-  // is written or thread started.
-  if (command != nullptr) {
-    for (const auto& flag : args.flags) {
-      if (!command->reads(flag.first)) {
-        std::fprintf(stderr, "ivnet %s: unknown flag --%s\n",
-                     args.command.c_str(), flag.first.c_str());
-        return 2;
-      }
+  // An unknown command, a flag the command does not read or a token past
+  // its positional ones would otherwise be ignored silently (a typo'd
+  // --trials runs the default count, `vitals 2` the default rounds);
+  // refuse them before any file is written or thread started.
+  if (command == nullptr) {
+    std::fprintf(stderr, "ivnet: unknown command '%s'\n\n",
+                 args.command.c_str());
+    print_help(stderr);
+    return 2;
+  }
+  for (const auto& flag : args.flags) {
+    if (!command->reads(flag.first)) {
+      std::fprintf(stderr, "ivnet %s: unknown flag --%s\n",
+                   args.command.c_str(), flag.first.c_str());
+      return 2;
     }
+  }
+  if (args.positional.size() > command->positional) {
+    std::fprintf(stderr, "ivnet %s: unexpected argument '%s'\n",
+                 args.command.c_str(),
+                 args.positional[command->positional].c_str());
+    return 2;
   }
 
   // Telemetry sink: any command runs instrumented when asked for artifacts.
@@ -1130,7 +1154,7 @@ int main(int argc, char** argv) {
 
   int rc = 2;
   try {
-    rc = command != nullptr ? command->run(args) : cmd_help(args);
+    rc = command->run(args);
   } catch (const FlagError& e) {
     std::fprintf(stderr, "ivnet %s: %s\n", args.command.c_str(), e.what());
   }
