@@ -15,11 +15,6 @@ FrequencyHopper::FrequencyHopper(HopperConfig config)
   assert(!config_.candidate_centers_hz.empty());
 }
 
-double FrequencyHopper::band_estimate(std::size_t band) const {
-  assert(band < estimates_.size());
-  return estimates_[band];
-}
-
 bool FrequencyHopper::report(double peak_amplitude) {
   if (!probed_[current_]) {
     estimates_[current_] = peak_amplitude;

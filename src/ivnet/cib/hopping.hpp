@@ -46,9 +46,6 @@ class FrequencyHopper {
   /// period. Returns true if the hopper decided to change bands.
   bool report(double peak_amplitude);
 
-  /// Smoothed estimate for one band (optimistic_init if never probed).
-  double band_estimate(std::size_t band) const;
-
   std::size_t hops() const { return hops_; }
 
  private:

@@ -222,7 +222,7 @@ double expected_peak_power_gain(std::span<const double> offsets_hz,
   const auto set = peak_amplitude_samples(offsets_hz, trials, rng, t_max_s);
   double sum = 0.0;
   for (double a : set.values()) sum += a * a;
-  return sum / static_cast<double>(std::max<std::size_t>(1, set.size()));
+  return sum / static_cast<double>(std::max<std::size_t>(1, trials));
 }
 
 double expected_conduction_fraction(std::span<const double> offsets_hz,

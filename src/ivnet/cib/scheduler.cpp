@@ -46,10 +46,4 @@ void DutyCycleScheduler::on_silence() {
   periods_since_query_ = 0;
 }
 
-double DutyCycleScheduler::steady_duty_cycle() const {
-  if (config_.burst_energy_j <= 0.0) return 0.0;
-  return std::min(1.0, harvest_estimate_j_ /
-                           (config_.burst_energy_j * config_.safety_margin));
-}
-
 }  // namespace ivnet

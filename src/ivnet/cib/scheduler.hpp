@@ -49,10 +49,6 @@ class DutyCycleScheduler {
   /// Energy the controller believes the sensor has banked.
   double banked_energy_j() const { return banked_j_; }
 
-  /// Steady-state duty cycle: queries per period once converged,
-  /// min(1, harvest / (burst * margin)).
-  double steady_duty_cycle() const;
-
   std::size_t periods_since_query() const { return periods_since_query_; }
 
  private:

@@ -192,10 +192,4 @@ JsonWriter& JsonWriter::value(bool flag) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  comma_if_needed();
-  out_ += "null";
-  return *this;
-}
-
 }  // namespace ivnet

@@ -50,7 +50,6 @@ class JsonWriter {
   JsonWriter& value(int number);
   JsonWriter& value(std::size_t number);
   JsonWriter& value(bool flag);
-  JsonWriter& null();
 
   /// Convenience: key + value in one call.
   template <typename T>

@@ -84,12 +84,4 @@ Rng Rng::stream(std::uint64_t base_seed, std::uint64_t index) {
   return Rng(base_seed ^ hashed);
 }
 
-Rng Rng::fork() {
-  Rng child(0);
-  // Seed the child from four fresh draws so parent and child streams are
-  // decorrelated regardless of how many values either produces later.
-  for (auto& word : child.state_) word = (*this)();
-  return child;
-}
-
 }  // namespace ivnet

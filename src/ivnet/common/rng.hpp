@@ -50,10 +50,6 @@ class Rng {
   /// Uniform phase in [0, 2*pi) — the paper's beta_i distribution (Sec. 3.3).
   double phase();
 
-  /// Derive an independent child generator; use to give each component its
-  /// own stream so adding draws to one component cannot perturb another.
-  Rng fork();
-
   /// Counter-based stream derivation: an independent generator for trial
   /// `index` of a Monte-Carlo run keyed by `base_seed`. Purely a function of
   /// (base_seed, index) — no shared state — so trials can be evaluated in

@@ -1,7 +1,6 @@
 #include "ivnet/common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace ivnet {
@@ -26,32 +25,12 @@ double mean(std::span<const double> samples) {
          static_cast<double>(samples.size());
 }
 
-double stddev(std::span<const double> samples) {
-  if (samples.size() < 2) return 0.0;
-  const double m = mean(samples);
-  double sum_sq = 0.0;
-  for (double s : samples) sum_sq += (s - m) * (s - m);
-  return std::sqrt(sum_sq / static_cast<double>(samples.size() - 1));
-}
-
 PercentileSummary summarize(std::span<const double> samples) {
   return PercentileSummary{
       .p10 = percentile(samples, 0.10),
       .p50 = percentile(samples, 0.50),
       .p90 = percentile(samples, 0.90),
   };
-}
-
-std::vector<CdfPoint> empirical_cdf(std::span<const double> samples) {
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> cdf;
-  cdf.reserve(sorted.size());
-  const auto n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    cdf.push_back({sorted[i], static_cast<double>(i + 1) / n});
-  }
-  return cdf;
 }
 
 double fraction_above(std::span<const double> samples, double threshold) {
@@ -62,14 +41,6 @@ double fraction_above(std::span<const double> samples, double threshold) {
 }
 
 void SampleSet::add(double value) { samples_.push_back(value); }
-
-double SampleSet::min() const {
-  return samples_.empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end());
-}
-
-double SampleSet::max() const {
-  return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
-}
 
 double SampleSet::mean() const { return ivnet::mean(samples_); }
 

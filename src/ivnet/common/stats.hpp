@@ -1,5 +1,5 @@
-// Summary statistics used by the evaluation harness: percentiles, CDFs, and
-// the median/p10/p90 triples the paper reports on every figure.
+// Summary statistics used by the evaluation harness: percentiles and the
+// median/p10/p90 triples the paper reports on every figure.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +18,6 @@ double median(std::span<const double> samples);
 /// Arithmetic mean. Returns 0 for an empty set.
 double mean(std::span<const double> samples);
 
-/// Sample standard deviation (n-1 denominator). Returns 0 for n < 2.
-double stddev(std::span<const double> samples);
-
 /// The three-number summary the paper's figures use (median with 10th/90th
 /// percentile error bars).
 struct PercentileSummary {
@@ -31,26 +28,15 @@ struct PercentileSummary {
 
 PercentileSummary summarize(std::span<const double> samples);
 
-/// One point of an empirical CDF: fraction of samples <= value.
-struct CdfPoint {
-  double value = 0.0;
-  double fraction = 0.0;
-};
-
-/// Empirical CDF of the sample set, one point per sample (sorted ascending).
-std::vector<CdfPoint> empirical_cdf(std::span<const double> samples);
-
 /// Fraction of samples strictly greater than `threshold`.
 double fraction_above(std::span<const double> samples, double threshold);
 
-/// Incremental accumulator for streaming min/max/mean and sample storage.
+/// Incremental accumulator for streaming mean/median and sample storage.
 class SampleSet {
  public:
   void add(double value);
   std::size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
-  double min() const;
-  double max() const;
   double mean() const;
   double median() const;
   PercentileSummary summary() const;

@@ -79,13 +79,6 @@ const CorrelationNeedle& preamble_needle(std::size_t spb) {
 
 }  // namespace
 
-std::vector<bool> fm0_encode_halfbits(const Bits& bits) {
-  std::vector<bool> halves;
-  halves.reserve(fm0_halfbit_count(bits.size()));
-  for_each_fm0_halfbit(bits, [&](bool h) { halves.push_back(h); });
-  return halves;
-}
-
 std::vector<double> levels_to_samples(const std::vector<bool>& levels,
                                       std::size_t per_level) {
   std::vector<double> samples(levels.size() * per_level);

@@ -17,17 +17,14 @@ namespace ivnet::gen2 {
 /// The 12 half-bit levels of the FM0 preamble ("110100100011").
 const std::vector<bool>& fm0_preamble_halfbits();
 
-/// Encode `bits` as FM0 half-bit levels: preamble, data (starting with a
-/// boundary inversion off the preamble's final high level), and the standard
-/// closing dummy data-1.
-std::vector<bool> fm0_encode_halfbits(const Bits& bits);
-
 /// Expand levels (FM0 half-bits, Miller chips) to runs of `per_level`
 /// samples of +1.0 (true) or -1.0 (false), written in one sized pass.
 std::vector<double> levels_to_samples(const std::vector<bool>& levels,
                                       std::size_t per_level);
 
-/// Expand half-bit levels to +/-1.0 samples at `sample_rate_hz` with a
+/// FM0-encode `bits` as +/-1.0 half-bit levels (preamble, data starting
+/// with a boundary inversion off the preamble's final high level, and the
+/// standard closing dummy data-1) sampled at `sample_rate_hz` with a
 /// backscatter link frequency `blf_hz` (half-bit duration = 1/(2*BLF)).
 std::vector<double> fm0_modulate(const Bits& bits, double blf_hz,
                                  double sample_rate_hz);

@@ -32,10 +32,6 @@ bool TagMemory::write(MemBank bank, std::size_t word_addr,
   return true;
 }
 
-std::size_t TagMemory::size(MemBank bank) const {
-  return banks_[static_cast<std::size_t>(bank)].size();
-}
-
 Bits ReqRnCommand::encode() const {
   Bits bits;
   append_bits(bits, kReqRnPrefix, 8);
@@ -76,17 +72,6 @@ std::optional<ReadCommand> ReadCommand::parse(const Bits& bits) {
   cmd.word_count = static_cast<std::uint8_t>(read_bits(bits, 18, 8));
   cmd.handle = static_cast<std::uint16_t>(read_bits(bits, 26, 16));
   return cmd;
-}
-
-Bits WriteCommand::encode() const {
-  Bits bits;
-  append_bits(bits, kWritePrefix, 8);
-  append_bits(bits, static_cast<std::uint32_t>(bank), 2);
-  append_bits(bits, word_addr, 8);
-  append_bits(bits, data, 16);
-  append_bits(bits, handle, 16);
-  append_bits(bits, crc16(bits), 16);
-  return bits;
 }
 
 std::optional<WriteCommand> WriteCommand::parse(const Bits& bits) {

@@ -41,9 +41,6 @@ class TagMemory {
     return locked_[static_cast<std::size_t>(bank)];
   }
 
-  /// Number of words provisioned in a bank.
-  std::size_t size(MemBank bank) const;
-
  private:
   std::array<std::vector<std::uint16_t>, 4> banks_;
   std::array<bool, 4> locked_{};
@@ -75,7 +72,6 @@ struct WriteCommand {
   std::uint8_t word_addr = 0;
   std::uint16_t data = 0;
   std::uint16_t handle = 0;
-  Bits encode() const;
   static std::optional<WriteCommand> parse(const Bits& bits);
 };
 

@@ -23,19 +23,4 @@ int EnergyAccumulator::step(double power_w, double dt_s) {
   return bursts;
 }
 
-double EnergyAccumulator::steady_duty_cycle(double avg_power_w) const {
-  const double net = avg_power_w - leakage_w_;
-  if (net <= 0.0) return 0.0;
-  // One task costs task_energy_j; with net power P the cadence is P / E
-  // tasks per second. Treat a task as ~1 ms of activity for the duty figure.
-  constexpr double kTaskDuration = 1e-3;
-  return std::min(1.0, net / task_energy_j_ * kTaskDuration);
-}
-
-double EnergyAccumulator::time_to_first_task(double power_w) const {
-  const double net = power_w - leakage_w_;
-  if (net <= 0.0) return -1.0;
-  return task_energy_j_ / net;
-}
-
 }  // namespace ivnet

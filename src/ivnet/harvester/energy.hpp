@@ -23,14 +23,6 @@ class EnergyAccumulator {
   double stored_j() const { return stored_j_; }
   int completed_tasks() const { return completed_; }
 
-  /// Duty cycle achievable in steady state from a given average harvested
-  /// power: bursts per second * burst energy / harvested power, clamped to 1.
-  double steady_duty_cycle(double avg_power_w) const;
-
-  /// Time to accumulate one task's energy from a constant power (seconds);
-  /// returns -1 if power does not exceed leakage.
-  double time_to_first_task(double power_w) const;
-
  private:
   double task_energy_j_;
   double leakage_w_;

@@ -65,12 +65,6 @@ HarvestResult Harvester::run(std::span<const double> envelope_v,
   return result;
 }
 
-bool Harvester::can_power_up_steady(double vs) const {
-  const double r_src = static_cast<double>(config_.stages) * config_.source_ohm;
-  const double divider = config_.load_ohm / (config_.load_ohm + r_src);
-  return rectifier_.open_circuit_vdc(vs) * divider >= config_.operate_voltage_v;
-}
-
 double Harvester::min_steady_amplitude() const {
   const double r_src = static_cast<double>(config_.stages) * config_.source_ohm;
   const double divider = config_.load_ohm / (config_.load_ohm + r_src);

@@ -53,10 +53,6 @@ class Harvester {
   HarvestResult run(std::span<const double> envelope_v, double sample_rate_hz,
                     double v0 = 0.0) const;
 
-  /// True if a *steady* carrier of amplitude `vs` can ever reach the operate
-  /// voltage (open-circuit VDC with load divider >= operate voltage).
-  bool can_power_up_steady(double vs) const;
-
   /// Minimum steady carrier amplitude that powers the chip.
   double min_steady_amplitude() const;
 

@@ -24,12 +24,4 @@ double Rectifier::efficiency(double vs) const {
   return ratio * ratio;
 }
 
-double Rectifier::dc_power(double vs, double load_ohm, double source_ohm) const {
-  assert(load_ohm > 0.0 && source_ohm > 0.0);
-  const double vdc = open_circuit_vdc(vs);
-  const double r_src = static_cast<double>(stages_) * source_ohm;
-  const double v_load = vdc * load_ohm / (load_ohm + r_src);
-  return v_load * v_load / load_ohm;
-}
-
 }  // namespace ivnet

@@ -32,11 +32,6 @@ class Rectifier {
   /// approaches vth and approaches 1 for vs >> vth.
   double efficiency(double vs) const;
 
-  /// DC power delivered into `load_ohm` at input amplitude `vs`, from the
-  /// Thevenin model VDC with per-stage source resistance `source_ohm`:
-  /// P = (VDC * R / (R + N*Rsrc))^2 / R.
-  double dc_power(double vs, double load_ohm, double source_ohm = 500.0) const;
-
  private:
   int stages_;
   Diode diode_;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "ivnet/common/parallel.hpp"
-#include "ivnet/common/json.hpp"
 #include "ivnet/gen2/miller.hpp"
 #include "ivnet/obs/obs.hpp"
 #include "ivnet/signal/gauss.hpp"
@@ -172,12 +171,6 @@ std::vector<SweepTally> run_sweep_items(std::span<const SweepItem> items) {
   return tallies;
 }
 
-std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
-                                              Rng& rng) {
-  const SweepRun<WaterfallConfig> run{config, rng(), 0};
-  return std::move(run_ber_waterfalls({&run, 1}).front());
-}
-
 std::vector<std::vector<WaterfallPoint>> run_ber_waterfalls(
     std::span<const SweepRun<WaterfallConfig>> runs) {
   std::vector<SweepItem> items;
@@ -222,12 +215,6 @@ std::vector<std::vector<WaterfallPoint>> run_ber_waterfalls(
     }
   }
   return sweeps;
-}
-
-std::vector<MatrixCell> run_session_matrix(const MatrixConfig& config,
-                                           Rng& rng) {
-  const SweepRun<MatrixConfig> run{config, rng(), 0};
-  return std::move(run_session_matrices({&run, 1}).front());
 }
 
 std::vector<std::vector<MatrixCell>> run_session_matrices(
@@ -330,60 +317,6 @@ std::vector<std::vector<DepthPoint>> run_depth_sweeps(
     }
   }
   return curves;
-}
-
-std::string waterfall_json(const std::vector<WaterfallPoint>& points) {
-  JsonWriter w;
-  w.begin_object().key("waterfall").begin_array();
-  for (const auto& p : points) {
-    w.begin_object()
-        .field("snr_db", p.snr_db)
-        .field("ber", p.ber)
-        .field("per", p.per)
-        .field("session_success_rate", p.session_success_rate)
-        .field("mean_retries", p.mean_retries)
-        .field("mean_timeouts", p.mean_timeouts)
-        .field("trials", p.trials)
-        .end_object();
-  }
-  w.end_array().end_object();
-  return w.str();
-}
-
-std::string matrix_json(const std::vector<MatrixCell>& cells) {
-  JsonWriter w;
-  w.begin_object().key("matrix").begin_array();
-  for (const auto& c : cells) {
-    w.begin_object()
-        .field("medium", c.medium)
-        .field("medium_loss_db", c.medium_loss_db)
-        .field("snr_db", c.snr_db)
-        .field("num_antennas", c.num_antennas)
-        .field("trials", c.trials)
-        .field("successes", c.successes)
-        .field("success_rate", c.success_rate)
-        .field("mean_retries", c.mean_retries)
-        .field("mean_timeouts", c.mean_timeouts)
-        .field("recovered_by_retry", c.recovered_by_retry)
-        .end_object();
-  }
-  w.end_array().end_object();
-  return w.str();
-}
-
-std::string depth_sweep_json(const std::vector<DepthPoint>& points) {
-  JsonWriter w;
-  w.begin_object().key("depth_sweep").begin_array();
-  for (const auto& p : points) {
-    w.begin_object()
-        .field("depth_m", p.depth_m)
-        .field("medium_loss_db", p.medium_loss_db)
-        .field("success_rate", p.success_rate)
-        .field("mean_retries", p.mean_retries)
-        .end_object();
-  }
-  w.end_array().end_object();
-  return w.str();
 }
 
 }  // namespace ivnet

@@ -11,13 +11,15 @@
 // end-to-end matrix test asserts.
 //
 // One trial loop, run_sweep_items, serves every sweep here and the
-// campaign's sweep cells. It runs trial-major: one unit of work is trial t
-// of every point that shares a stream base, on one thread, under one
-// signal::NoiseTapeScope. Those points make the same noise calls (same
-// generator state, same length), so the tape draws each trial's noise once
-// and replays it at every other point's power, byte for byte. Each point
-// then folds its trials in trial order, so results are bitwise identical
-// for any IVNET_THREADS.
+// campaign's sweep cells. The waterfall and the matrix take a list of runs
+// (one run is a list of one); the depth curve also has a one-run form. The
+// loop runs trial-major: one unit of work is trial t of every point that
+// shares a stream base, on one thread, under one signal::NoiseTapeScope.
+// Those points make the same noise calls (same generator state, same
+// length), so the tape draws each trial's noise once and replays it at
+// every other point's power, byte for byte. Each point then folds its
+// trials in trial order, so results are bitwise identical for any
+// IVNET_THREADS.
 #pragma once
 
 #include <cstddef>
@@ -103,7 +105,7 @@ struct SweepTally {
 std::vector<SweepTally> run_sweep_items(std::span<const SweepItem> items);
 
 /// One sweep among several run together: its config, the stream base its
-/// trials key on (what the single-sweep form draws from its rng), and the
+/// trials key on (what run_success_vs_depth draws from its rng), and the
 /// sim-trace track of its first trial. Point p's trial t is on track
 /// track_base + p * trials + t.
 template <typename Config>
@@ -113,14 +115,10 @@ struct SweepRun {
   std::uint32_t track_base = 0;
 };
 
-/// Sweep SNR. Consumes one rng draw (the stream base); trial t draws from
-/// Rng::stream sub-streams shared across all SNR points (common random
-/// numbers). Deterministic for any IVNET_THREADS.
-std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
-                                              Rng& rng);
-
-/// Several waterfalls through one run_sweep_items call (same-base runs
-/// share their noise draws); result i belongs to runs[i].
+/// Sweep SNR for several waterfalls through one run_sweep_items call
+/// (same-base runs share their noise draws); result i belongs to runs[i].
+/// Trial t draws from Rng::stream sub-streams shared across all SNR points
+/// (common random numbers). Deterministic for any IVNET_THREADS.
 std::vector<std::vector<WaterfallPoint>> run_ber_waterfalls(
     std::span<const SweepRun<WaterfallConfig>> runs);
 
@@ -154,13 +152,10 @@ struct MatrixConfig {
   std::size_t trials_per_cell = 24;
 };
 
-/// Every media x SNR x antennas cell, trials shared-stream as above. Cells
-/// are ordered medium-major, then SNR (descending as given), then antennas.
-std::vector<MatrixCell> run_session_matrix(const MatrixConfig& config,
-                                           Rng& rng);
-
-/// Several matrices through one run_sweep_items call; result i belongs to
-/// runs[i].
+/// Every media x SNR x antennas cell of several matrices through one
+/// run_sweep_items call, trials shared-stream as above; result i belongs to
+/// runs[i]. Cells are ordered medium-major, then SNR (descending as given),
+/// then antennas.
 std::vector<std::vector<MatrixCell>> run_session_matrices(
     std::span<const SweepRun<MatrixConfig>> runs);
 
@@ -189,11 +184,5 @@ std::vector<DepthPoint> run_success_vs_depth(const DepthSweepConfig& config,
 /// to runs[i].
 std::vector<std::vector<DepthPoint>> run_depth_sweeps(
     std::span<const SweepRun<DepthSweepConfig>> runs);
-
-/// JSON emitters for the sweep results (stable field order; byte-equal
-/// output for byte-equal inputs, which the determinism suite relies on).
-std::string waterfall_json(const std::vector<WaterfallPoint>& points);
-std::string matrix_json(const std::vector<MatrixCell>& cells);
-std::string depth_sweep_json(const std::vector<DepthPoint>& points);
 
 }  // namespace ivnet

@@ -67,17 +67,6 @@ const Medium& LayeredMedium::medium_at_depth(double depth_m) const {
   return layers_.back().medium;
 }
 
-LayeredMedium swine_gastric_stack() {
-  // Thicknesses for an ~85 kg Yorkshire pig abdomen (ventral approach).
-  LayeredMedium stack(media::air());
-  stack.add_layer(media::skin(), 0.004)
-      .add_layer(media::fat(), 0.025)
-      .add_layer(media::muscle(), 0.020)
-      .add_layer(media::stomach_wall(), 0.006)
-      .add_layer(media::stomach_contents(), 0.030);
-  return stack;
-}
-
 LayeredMedium swine_subcutaneous_stack() {
   LayeredMedium stack(media::air());
   stack.add_layer(media::skin(), 0.004).add_layer(media::fat(), 0.004);

@@ -58,10 +58,6 @@ class LayeredMedium {
   std::vector<Layer> layers_;
 };
 
-/// Swine abdominal stack used by the in-vivo scenario (Sec. 6.2): skin, fat,
-/// muscle, stomach wall, then gastric contents.
-LayeredMedium swine_gastric_stack();
-
 /// Subcutaneous placement: just skin over a thin fat layer.
 LayeredMedium swine_subcutaneous_stack();
 

@@ -77,17 +77,6 @@ std::vector<double> Histogram::default_bounds() {
   return exponential_bounds(1e-6, 1e4);
 }
 
-std::vector<double> Histogram::linear_bounds(double lo, double hi,
-                                             std::size_t n) {
-  std::vector<double> bounds;
-  bounds.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bounds.push_back(lo + (hi - lo) * static_cast<double>(i + 1) /
-                              static_cast<double>(n));
-  }
-  return bounds;
-}
-
 std::vector<double> Histogram::exponential_bounds(double lo, double hi,
                                                   std::size_t per_decade) {
   assert(lo > 0.0 && hi > lo);

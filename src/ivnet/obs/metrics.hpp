@@ -96,7 +96,6 @@ class Histogram {
   /// 1-2-5 per decade from 10^lo_exp to 10^hi_exp — the default bucket
   /// ladder for durations [s] and voltages, wide enough for both.
   static std::vector<double> default_bounds();
-  static std::vector<double> linear_bounds(double lo, double hi, std::size_t n);
   static std::vector<double> exponential_bounds(double lo, double hi,
                                                 std::size_t per_decade = 3);
 

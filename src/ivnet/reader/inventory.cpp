@@ -42,13 +42,8 @@ gen2::Bits InventoryRound::extract_epc(const gen2::Bits& frame) {
 
 InventoryResult InventoryRound::run(std::span<gen2::TagStateMachine*> tags,
                                     Rng& rng) const {
-  return run_with_q(tags, config_.q, rng);
-}
-
-InventoryResult InventoryRound::run_with_q(
-    std::span<gen2::TagStateMachine*> tags, std::uint8_t q, Rng& rng) const {
+  const std::uint8_t q = config_.q;
   InventoryResult result;
-  result.q_trajectory.push_back(q);
   obs::count("inventory.rounds");
   obs::observe("inventory.q_issued", static_cast<double>(q));
 
@@ -85,17 +80,14 @@ InventoryResult InventoryRound::run_with_q(
   for (std::size_t slot = 0; slot < total_slots; ++slot) {
     if (replies.empty()) {
       ++result.empty_slots;
-      result.slot_outcomes.push_back(SlotOutcome::kEmpty);
       obs::count("inventory.slots.empty");
     } else {
       gen2::TagStateMachine* winner = nullptr;
       if (replies.size() == 1) {
         winner = replies.front().first;
-        result.slot_outcomes.push_back(SlotOutcome::kSingle);
         obs::count("inventory.slots.single");
       } else {
         ++result.collisions;
-        result.slot_outcomes.push_back(SlotOutcome::kCollision);
         obs::count("inventory.slots.collision");
         if (rng.uniform() < config_.capture_probability) {
           // Capture effect: one (random) reply survives the collision.
@@ -136,12 +128,6 @@ void accumulate_round(InventoryResult& total, const InventoryResult& round) {
   total.collisions += round.collisions;
   total.empty_slots += round.empty_slots;
   total.crc_failures += round.crc_failures;
-  total.slot_outcomes.insert(total.slot_outcomes.end(),
-                             round.slot_outcomes.begin(),
-                             round.slot_outcomes.end());
-  total.q_trajectory.insert(total.q_trajectory.end(),
-                            round.q_trajectory.begin(),
-                            round.q_trajectory.end());
   for (const auto& epc : round.epcs) {
     if (std::find(total.epcs.begin(), total.epcs.end(), epc) ==
         total.epcs.end()) {
@@ -158,40 +144,6 @@ InventoryResult InventoryRound::run_until_complete(
   InventoryResult total;
   for (std::size_t round = 0; round < max_rounds; ++round) {
     accumulate_round(total, run(tags, rng));
-    if (total.epcs.size() >= tags.size()) break;
-  }
-  return total;
-}
-
-InventoryResult InventoryRound::run_adaptive(
-    std::span<gen2::TagStateMachine*> tags, std::size_t max_rounds, Rng& rng,
-    AdaptiveQConfig adapt) const {
-  adapt.initial_q = static_cast<double>(config_.q);
-  AdaptiveQ controller(adapt);
-  InventoryResult total;
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    const auto q_used = controller.q();
-    const auto r = run_with_q(tags, q_used, rng);
-    // Feed the slot outcomes to the Q-algorithm in slot order, and stop as
-    // soon as the issued Q changes: a real reader would have sent
-    // QueryAdjust there and restarted the frame, so the remaining slots of
-    // this round never inform Qfp. (Without this cutoff, the dead empty
-    // slots that trail a collision-heavy frame — collided tags stay muted
-    // until the next Query — drive Qfp to 0 and starve dense populations.)
-    for (const auto outcome : r.slot_outcomes) {
-      if (outcome == SlotOutcome::kCollision) {
-        controller.on_collision();
-      } else if (outcome == SlotOutcome::kEmpty) {
-        controller.on_empty();
-      } else {
-        controller.on_single();
-      }
-      if (controller.q() != q_used) {
-        obs::count("inventory.q_adjust");
-        break;
-      }
-    }
-    accumulate_round(total, r);
     if (total.epcs.size() >= tags.size()) break;
   }
   return total;

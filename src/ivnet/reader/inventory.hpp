@@ -4,8 +4,11 @@
 // identifier of the sensor it wishes to communicate with").
 //
 // Runs a full Gen2 inventory round — Select / Query / QueryRep / ACK — over
-// a population of tag state machines, with slotted-ALOHA collision handling
-// and an optional capture effect (the strongest colliding reply survives).
+// a population of tag state machines at the configured Q, with
+// slotted-ALOHA collision handling and an optional capture effect (the
+// strongest colliding reply survives). The Gen2 Q-algorithm (AdaptiveQ)
+// lives here too; the impaired link session (impair/link_session.hpp)
+// steps it through its retries.
 #pragma once
 
 #include <cstdint>
@@ -36,20 +39,12 @@ struct InventoryConfig {
   InventoryConfig normalized() const;
 };
 
-/// What the reader observed in one ALOHA slot.
-enum class SlotOutcome : std::uint8_t { kEmpty, kSingle, kCollision };
-
 struct InventoryResult {
   std::vector<gen2::Bits> epcs;  ///< successfully ACKed EPC payloads
   std::size_t slots_used = 0;
   std::size_t collisions = 0;
   std::size_t empty_slots = 0;
   std::size_t crc_failures = 0;
-  /// Per-slot outcomes in slot order (run_adaptive feeds these to the
-  /// Q-algorithm one at a time, QueryAdjust-style).
-  std::vector<SlotOutcome> slot_outcomes;
-  /// Q used by each round (length = rounds run; adaptive runs vary it).
-  std::vector<std::uint8_t> q_trajectory;
 };
 
 /// The Gen2 Q-algorithm (ISO 18000-63 Annex): a floating-point Qfp nudged up
@@ -95,21 +90,10 @@ class InventoryRound {
   InventoryResult run_until_complete(std::span<gen2::TagStateMachine*> tags,
                                      std::size_t max_rounds, Rng& rng) const;
 
-  /// Like run_until_complete, but the Q of each round comes from the Gen2
-  /// Q-algorithm fed with the previous round's collision/empty-slot counts
-  /// (config().q seeds Qfp). The per-round Q is recorded in q_trajectory.
-  InventoryResult run_adaptive(std::span<gen2::TagStateMachine*> tags,
-                               std::size_t max_rounds, Rng& rng,
-                               AdaptiveQConfig adapt = {}) const;
-
  private:
   /// Extract the 96-bit EPC payload from a PC+EPC+CRC16 frame; empty if the
   /// CRC fails.
   static gen2::Bits extract_epc(const gen2::Bits& frame);
-
-  /// One round at an explicit Q (the adaptive path varies it per round).
-  InventoryResult run_with_q(std::span<gen2::TagStateMachine*> tags,
-                             std::uint8_t q, Rng& rng) const;
 
   InventoryConfig config_;
 };

@@ -21,16 +21,6 @@ cplx Channel::gain(std::size_t tx, double freq_offset_hz) const {
   return h;
 }
 
-double Channel::power_gain(std::size_t tx, double freq_offset_hz) const {
-  return std::norm(gain(tx, freq_offset_hz));
-}
-
-void Channel::resample_phases(Rng& rng) {
-  for (auto& antenna_rays : rays_) {
-    for (Ray& ray : antenna_rays) ray.phase = rng.phase();
-  }
-}
-
 Channel make_blind_channel(std::span<const double> amplitudes, Rng& rng) {
   std::vector<std::vector<Ray>> rays;
   rays.reserve(amplitudes.size());

@@ -10,6 +10,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "ivnet/common/rng.hpp"
@@ -38,13 +39,6 @@ class Channel {
 
   /// Complex gain of TX antenna `tx` at baseband offset `freq_offset_hz`.
   cplx gain(std::size_t tx, double freq_offset_hz) const;
-
-  /// |gain|^2 — power gain of one antenna's path.
-  double power_gain(std::size_t tx, double freq_offset_hz) const;
-
-  /// Re-sample every ray phase uniformly at random: a fresh "blind" draw of
-  /// the same physical link (new sensor placement/orientation, Sec. 3.5).
-  void resample_phases(Rng& rng);
 
   const std::vector<std::vector<Ray>>& rays() const { return rays_; }
 

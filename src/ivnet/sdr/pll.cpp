@@ -1,17 +1,9 @@
 #include "ivnet/sdr/pll.hpp"
 
-#include "ivnet/common/units.hpp"
-
 namespace ivnet {
 
-Pll::Pll(double nominal_hz, double ref_ppm_error, Rng& rng)
-    : nominal_hz_(nominal_hz), ppm_error_(ref_ppm_error), theta_(rng.phase()) {}
-
-double Pll::actual_hz() const { return nominal_hz_ * (1.0 + ppm_error_ * 1e-6); }
-
-double Pll::phase_at(double t_s) const {
-  return wrap_phase(theta_ + kTwoPi * actual_hz() * t_s);
-}
+Pll::Pll(double nominal_hz, Rng& rng)
+    : nominal_hz_(nominal_hz), theta_(rng.phase()) {}
 
 void Pll::relock(Rng& rng) { theta_ = rng.phase(); }
 

@@ -21,7 +21,7 @@ RadioArray::RadioArray(std::size_t num_devices, const RadioArrayConfig& config,
   device_clocks_ = config_.clocks.distribute(num_devices, rng);
   plls_.reserve(num_devices);
   for (std::size_t i = 0; i < num_devices; ++i) {
-    plls_.emplace_back(config_.center_hz, device_clocks_[i].ppm_error, rng);
+    plls_.emplace_back(config_.center_hz, rng);
   }
 }
 

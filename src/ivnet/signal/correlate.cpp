@@ -13,22 +13,6 @@ double span_mean(std::span<const double> x) {
 
 }  // namespace
 
-double normalized_correlation(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size() || a.empty()) return 0.0;
-  const double ma = span_mean(a);
-  const double mb = span_mean(b);
-  double dot = 0.0, na = 0.0, nb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double da = a[i] - ma;
-    const double db = b[i] - mb;
-    dot += da * db;
-    na += da * da;
-    nb += db * db;
-  }
-  if (na <= 0.0 || nb <= 0.0) return 0.0;
-  return dot / std::sqrt(na * nb);
-}
-
 CorrelationNeedle::CorrelationNeedle(std::span<const double> needle) {
   // The cached quantities must be the exact values the one-shot kernel
   // derives: same mean division, same ascending accumulation of nb.
@@ -67,31 +51,6 @@ CorrelationPeak best_correlation(std::span<const double> haystack,
     }
   }
   return best;
-}
-
-double complex_correlation(std::span<const cplx> a, std::span<const cplx> b) {
-  if (a.size() != b.size() || a.empty()) return 0.0;
-  cplx dot{0.0, 0.0};
-  double na = 0.0, nb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    dot += a[i] * std::conj(b[i]);
-    na += std::norm(a[i]);
-    nb += std::norm(b[i]);
-  }
-  if (na <= 0.0 || nb <= 0.0) return 0.0;
-  return std::abs(dot) / std::sqrt(na * nb);
-}
-
-std::vector<double> sliding_correlation(std::span<const double> haystack,
-                                        std::span<const double> needle) {
-  if (needle.empty() || needle.size() > haystack.size()) return {};
-  const CorrelationNeedle cached(needle);
-  const std::size_t n = haystack.size() - needle.size() + 1;
-  std::vector<double> out(n);
-  for (std::size_t off = 0; off < n; ++off) {
-    out[off] = cached.correlate(haystack.subspan(off, needle.size()));
-  }
-  return out;
 }
 
 }  // namespace ivnet

@@ -7,8 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "ivnet/signal/waveform.hpp"
-
 namespace ivnet {
 
 /// Result of a sliding correlation search.
@@ -17,32 +15,28 @@ struct CorrelationPeak {
   std::size_t offset = 0;  ///< Start index in the haystack.
 };
 
-/// Pearson-style normalized correlation between two equal-length real spans
-/// (means removed, normalized by the product of norms). Degenerate inputs
-/// return 0 rather than NaN: mismatched lengths, empty spans, and any span
-/// with zero variance (constant values — which includes all length-1 spans,
-/// whose single sample equals its own mean).
-double normalized_correlation(std::span<const double> a, std::span<const double> b);
-
-/// Precomputed needle-side statistics for repeated window correlations.
+/// Pearson-style normalized correlation of windows against one needle
+/// (means removed, normalized by the product of norms), with the
+/// needle-side statistics precomputed.
 ///
-/// A sliding preamble search evaluates normalized_correlation at every
-/// offset, re-deriving the needle's mean, deviations, and norm each time —
-/// roughly 40% of the work for a quantity that never changes. This caches
-/// them once; correlate() then only computes the window-side sums. Each
-/// accumulator sees the identical sequence of adds the one-shot kernel
-/// performs, so the result is bitwise-identical to
-/// normalized_correlation(window, needle) — the fast path under
-/// best_correlation, sliding_correlation, and the FM0/Miller preamble
-/// searches.
+/// A sliding preamble search correlates a window at every offset; a
+/// one-shot kernel would re-derive the needle's mean, deviations, and norm
+/// each time — roughly 40% of the work for a quantity that never changes.
+/// This caches them once; correlate() then only computes the window-side
+/// sums. Each accumulator sees the identical sequence of adds the one-shot
+/// kernel performs, so the result is bitwise-identical to it
+/// (tests/naive_dsp.hpp holds that oracle) — the kernel under
+/// best_correlation and the FM0/Miller preamble searches.
 class CorrelationNeedle {
  public:
   explicit CorrelationNeedle(std::span<const double> needle);
 
   std::size_t size() const { return deviations_.size(); }
 
-  /// Bitwise-equal to normalized_correlation(window, original needle).
-  /// Returns 0 when window.size() != size() or either side is degenerate.
+  /// Normalized correlation of `window` against the needle. Degenerate
+  /// inputs return 0 rather than NaN: window.size() != size(), an empty
+  /// window, or either side with zero variance (constant values — which
+  /// includes all length-1 spans, whose single sample equals its own mean).
   double correlate(std::span<const double> window) const;
 
  private:
@@ -54,12 +48,5 @@ class CorrelationNeedle {
 /// Returns {0, 0} when the needle is longer than the haystack or empty.
 CorrelationPeak best_correlation(std::span<const double> haystack,
                                  std::span<const double> needle);
-
-/// Complex inner-product correlation |<a, b>| / (|a||b|) of equal-length spans.
-double complex_correlation(std::span<const cplx> a, std::span<const cplx> b);
-
-/// Sampled matched filter output: correlation of the needle at every offset.
-std::vector<double> sliding_correlation(std::span<const double> haystack,
-                                        std::span<const double> needle);
 
 }  // namespace ivnet

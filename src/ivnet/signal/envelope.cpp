@@ -1,7 +1,6 @@
 #include "ivnet/signal/envelope.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace ivnet {
@@ -19,57 +18,8 @@ std::vector<double> envelope(const Waveform& wave) {
   return env;
 }
 
-std::vector<double> moving_average(std::span<const double> x, std::size_t window) {
-  assert(window >= 1);
-  std::vector<double> out(x.size());
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sum += x[i];
-    ++count;
-    if (count > window) {
-      sum -= x[i - window];
-      --count;
-    }
-    out[i] = sum / static_cast<double>(count);
-  }
-  return out;
-}
-
-std::vector<double> rc_lowpass(std::span<const double> x, double tau_s, double fs) {
-  std::vector<double> out(x.size());
-  const double dt = 1.0 / fs;
-  const double a = dt / (tau_s + dt);
-  double y = x.empty() ? 0.0 : x[0];
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    y += a * (x[i] - y);
-    out[i] = y;
-  }
-  return out;
-}
-
 double max_value(std::span<const double> env) {
   return env.empty() ? 0.0 : *std::max_element(env.begin(), env.end());
-}
-
-double min_value(std::span<const double> env) {
-  return env.empty() ? 0.0 : *std::min_element(env.begin(), env.end());
-}
-
-double fluctuation(std::span<const double> env) {
-  const double hi = max_value(env);
-  if (hi <= 0.0) return 0.0;
-  return (hi - min_value(env)) / hi;
-}
-
-std::vector<bool> slice(std::span<const double> env, double threshold) {
-  std::vector<bool> bits(env.size());
-  for (std::size_t i = 0; i < env.size(); ++i) bits[i] = env[i] >= threshold;
-  return bits;
-}
-
-double midpoint_threshold(std::span<const double> env) {
-  return 0.5 * (max_value(env) + min_value(env));
 }
 
 }  // namespace ivnet

@@ -26,8 +26,4 @@ double thermal_noise_power(double bandwidth_hz, double noise_figure_db) {
   return kBoltzmann * kT0 * bandwidth_hz * from_db(noise_figure_db);
 }
 
-double snr(double signal_power, double bandwidth_hz, double noise_figure_db) {
-  return signal_power / thermal_noise_power(bandwidth_hz, noise_figure_db);
-}
-
 }  // namespace ivnet

@@ -15,8 +15,4 @@ void add_awgn(Waveform& wave, double noise_power, Rng& rng);
 /// receiver noise figure: P = kTB * NF.
 double thermal_noise_power(double bandwidth_hz, double noise_figure_db);
 
-/// Measured SNR (ratio, not dB) of `signal_power` against thermal noise over
-/// the given bandwidth/noise figure.
-double snr(double signal_power, double bandwidth_hz, double noise_figure_db);
-
 }  // namespace ivnet

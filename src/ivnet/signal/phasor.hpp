@@ -15,11 +15,12 @@
 //                      shared set-up) and transmit_through, whose vector
 //                      lanes are seeded from each device's rotator (value,
 //                      step) and re-anchored through anchor()
-//   signal/waveform    make_tone, make_multitone (amplitude applied outside)
 //
+// The tests' tone fixtures (make_tone, make_multitone in
+// tests/waveform_fixtures.hpp, amplitude applied outside) rotate it too.
 // Drift regression: tests pin the 2^20-step error below 1e-9 for the
-// rotator, for each site above and for the tests' single-bin DFT
-// (tests/goertzel.hpp); the naive product drifts ~100x worse and keeps
+// rotator, for the radio, for those fixtures and for the tests' single-bin
+// DFT (tests/goertzel.hpp); the naive product drifts ~100x worse and keeps
 // growing.
 #pragma once
 

@@ -399,10 +399,6 @@ void register_cell_evaluator(const std::string& kind,
   reg.evaluators[kind] = {std::move(evaluator), nullptr};
 }
 
-bool has_cell_evaluator(const std::string& kind) {
-  return find_evaluators(kind).single != nullptr;
-}
-
 CellCache& CellCache::instance() {
   static CellCache cache;
   return cache;

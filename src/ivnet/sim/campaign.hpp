@@ -78,7 +78,6 @@ using CellEvaluator = std::function<std::string(const CellSpec&)>;
 
 /// Register an evaluator for `kind` (replaces any previous registration).
 void register_cell_evaluator(const std::string& kind, CellEvaluator evaluator);
-bool has_cell_evaluator(const std::string& kind);
 
 /// Process-wide memo of cell results keyed by content hash. Thread-safe.
 class CellCache {

@@ -39,8 +39,9 @@ Scenario swine_gastric_scenario(double standoff_m, double extra_depth_m) {
   Scenario s;
   s.name = "swine-gastric";
   s.air_distance_m = standoff_m;
-  // Abdominal layers as in swine_gastric_stack(), with placement variation
-  // absorbed into the gastric-content path, then the falcon-tube air pocket.
+  // Abdominal layers of an ~85 kg Yorkshire pig (ventral approach), with
+  // placement variation absorbed into the gastric-content path, then the
+  // falcon-tube air pocket.
   s.stack.add_layer(media::skin(), 0.004)
       .add_layer(media::fat(), 0.025)
       .add_layer(media::muscle(), 0.020)

@@ -5,10 +5,8 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <thread>
 
-#include "ivnet/common/json.hpp"
 #include "ivnet/common/rng.hpp"
 
 namespace ivnet::svc {
@@ -64,38 +62,6 @@ std::vector<ScheduledRequest> generate_schedule(const LoadGenConfig& config) {
     }
   }
   return schedule;
-}
-
-std::string schedule_json(const std::vector<ScheduledRequest>& schedule) {
-  JsonWriter w;
-  w.begin_object();
-  w.field("requests", schedule.size());
-  w.key("schedule").begin_array();
-  for (const ScheduledRequest& s : schedule) {
-    w.begin_object();
-    w.field("t_s", s.t_s);
-    w.field("state", s.state);
-    w.field("kind", static_cast<int>(s.request.kind));
-    w.field("trials", static_cast<std::size_t>(s.request.trials));
-    w.field("antennas", static_cast<std::size_t>(s.request.antennas));
-    w.field("id", static_cast<std::size_t>(s.request.id));
-    w.field("seed", static_cast<std::size_t>(s.request.seed));
-    w.field("snr_db", s.request.snr_db);
-    w.field("medium_loss_db", s.request.medium_loss_db);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
-std::vector<std::size_t> state_occupancy(
-    const std::vector<ScheduledRequest>& schedule, std::size_t num_states) {
-  std::vector<std::size_t> counts(num_states, 0);
-  for (const ScheduledRequest& s : schedule) {
-    if (s.state < num_states) ++counts[s.state];
-  }
-  return counts;
 }
 
 void LatencyCollector::record(const Response& response) {

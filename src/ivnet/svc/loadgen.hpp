@@ -8,8 +8,9 @@
 // arrival schedule (timestamps, request kinds, per-request seeds) is
 // materialized up front from one Rng::stream, so two runs with the same
 // LoadGenConfig submit byte-identical request sequences regardless of how
-// the service behind them is provisioned. loadgen_test pins
-// schedule_json() byte-identical across seeds and worker counts.
+// the service behind them is provisioned. loadgen_test pins the schedule
+// field by field (doubles by bit pattern) across repeated generations and
+// pool sizes.
 //
 // Two replay modes:
 //   run_open_loop   — wall-clock replay of the schedule (scaled by
@@ -70,16 +71,6 @@ struct ScheduledRequest {
 /// seeds, and DTMC transitions, in that fixed per-arrival order. The chain
 /// steps once per arrival (arrival-synchronous modulation).
 std::vector<ScheduledRequest> generate_schedule(const LoadGenConfig& config);
-
-/// Byte-stable JSON fingerprint of a schedule (timestamps, states, request
-/// fields). Two schedules are identical iff their fingerprints match —
-/// loadgen_test's determinism pin compares these strings.
-std::string schedule_json(const std::vector<ScheduledRequest>& schedule);
-
-/// Observed per-state arrival counts — loadgen_test checks these against
-/// the stationary behaviour implied by the transition matrix.
-std::vector<std::size_t> state_occupancy(
-    const std::vector<ScheduledRequest>& schedule, std::size_t num_states);
 
 /// Thread-safe completion sink: collects per-request latency samples and an
 /// order-independent response digest. Install via sink() at service

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ivnet/common/parallel.hpp"
@@ -48,6 +51,29 @@ std::uint64_t response_hash(const Response& response) {
   h = mix64(h ^ std::bit_cast<std::uint64_t>(response.sim_elapsed_s));
   h = mix64(h ^ std::bit_cast<std::uint64_t>(response.plan_score));
   return h;
+}
+
+Request request_from_exemplar(const obs::Exemplar& exemplar) {
+  const std::string which = "exemplar id " + std::to_string(exemplar.id);
+  if (exemplar.kind > static_cast<std::uint32_t>(RequestKind::kPlan)) {
+    throw std::invalid_argument(which + ": kind " +
+                                std::to_string(exemplar.kind) +
+                                " is not a request kind (0-2)");
+  }
+  if (exemplar.antennas > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::invalid_argument(which + ": antennas " +
+                                std::to_string(exemplar.antennas) +
+                                " exceeds 65535");
+  }
+  Request request;
+  request.kind = static_cast<RequestKind>(exemplar.kind);
+  request.trials = exemplar.trials;
+  request.antennas = static_cast<std::uint16_t>(exemplar.antennas);
+  request.id = exemplar.id;
+  request.seed = exemplar.seed;
+  request.snr_db = exemplar.snr_db;
+  request.medium_loss_db = exemplar.medium_loss_db;
+  return request;
 }
 
 ImpairedLinkConfig link_config_for(const ServiceConfig& config,

@@ -56,6 +56,7 @@ namespace ivnet::obs {
 class ServiceTelemetry;
 class FlightRecorder;
 struct StageSpans;
+struct Exemplar;
 }  // namespace ivnet::obs
 
 namespace ivnet::svc {
@@ -82,6 +83,12 @@ struct Request {
   /// Stamped by submit(); queue wait is measured from this instant.
   std::chrono::steady_clock::time_point accepted_at{};
 };
+
+/// The request an exemplar captured (its identity fields; offered_t_s stays
+/// 0), for replay. An exemplar holds each field at 32 bits or more; throws
+/// std::invalid_argument, naming the exemplar and the field, when its kind
+/// is not a RequestKind or its antennas exceed 16 bits.
+Request request_from_exemplar(const obs::Exemplar& exemplar);
 
 /// One completed request, handed to the completion sink.
 struct Response {

@@ -60,10 +60,6 @@ TagDevice::TagDevice(TagConfig config)
       harvester_(config_.harvester),
       sm_(config_.epc, config_.seed) {}
 
-double TagDevice::power_to_voltage(double power_w) const {
-  return std::sqrt(2.0 * power_w * config_.input_resistance_ohm);
-}
-
 TagDownlinkResult TagDevice::receive_downlink(
     std::span<const double> envelope_v, double fs) {
   TagDownlinkResult result;

@@ -67,10 +67,6 @@ class TagDevice {
   /// reach the operate voltage (the tag's power-up threshold).
   double min_peak_voltage() const { return harvester_.min_steady_amplitude(); }
 
-  /// Convert available RF power [W] at the antenna to the harvester input
-  /// amplitude [V]: V = sqrt(2 * P * R_in).
-  double power_to_voltage(double power_w) const;
-
   /// Expose the tag to a received envelope (harvester input volts, sampled
   /// at `fs`): runs the rail, and if the tag powers up, attempts to decode
   /// one PIE command and feeds the state machine. Harvester state (the rail)

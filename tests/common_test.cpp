@@ -95,15 +95,6 @@ TEST(Rng, PhaseCoversCircle) {
   for (int q : quadrants) EXPECT_GT(q, 800);
 }
 
-TEST(Rng, ForkDecorrelated) {
-  Rng parent(5);
-  Rng child = parent.fork();
-  // Parent and child streams should not be identical.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += (parent() == child());
-  EXPECT_LT(same, 2);
-}
-
 TEST(Stats, PercentileInterpolates) {
   const std::vector<double> v = {1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
@@ -121,26 +112,11 @@ TEST(Stats, EmptyInputsAreZero) {
   const std::vector<double> v;
   EXPECT_DOUBLE_EQ(percentile(v, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(mean(v), 0.0);
-  EXPECT_DOUBLE_EQ(stddev(v), 0.0);
 }
 
-TEST(Stats, MeanStddev) {
+TEST(Stats, Mean) {
   const std::vector<double> v = {2, 4, 4, 4, 5, 5, 7, 9};
   EXPECT_DOUBLE_EQ(mean(v), 5.0);
-  EXPECT_NEAR(stddev(v), 2.138, 1e-3);
-}
-
-TEST(Stats, EmpiricalCdfMonotone) {
-  const std::vector<double> v = {3, 1, 2};
-  const auto cdf = empirical_cdf(v);
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(cdf[2].value, 3.0);
-  EXPECT_DOUBLE_EQ(cdf[2].fraction, 1.0);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_LE(cdf[i - 1].value, cdf[i].value);
-    EXPECT_LT(cdf[i - 1].fraction, cdf[i].fraction);
-  }
 }
 
 TEST(Stats, FractionAbove) {
@@ -154,8 +130,6 @@ TEST(Stats, SampleSetSummary) {
   SampleSet set;
   for (int i = 1; i <= 100; ++i) set.add(i);
   EXPECT_EQ(set.size(), 100u);
-  EXPECT_DOUBLE_EQ(set.min(), 1.0);
-  EXPECT_DOUBLE_EQ(set.max(), 100.0);
   const auto s = set.summary();
   EXPECT_NEAR(s.p50, 50.5, 1e-9);
   EXPECT_NEAR(s.p10, 10.9, 1e-9);

@@ -14,6 +14,7 @@
 #include "ivnet/media/medium.hpp"
 #include "ivnet/signal/envelope.hpp"
 #include "ivnet/signal/waveform.hpp"
+#include "waveform_fixtures.hpp"
 
 namespace ivnet {
 namespace {

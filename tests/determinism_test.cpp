@@ -21,6 +21,7 @@
 #include "ivnet/svc/loadgen.hpp"
 #include "ivnet/svc/service.hpp"
 #include "scoped_isa.hpp"
+#include "bit_fields.hpp"
 
 namespace ivnet {
 namespace {
@@ -288,25 +289,26 @@ TEST_F(DeterminismTest, ImpairedSessionBitwiseAcrossPoolSizes) {
   }
 }
 
-TEST_F(DeterminismTest, WaterfallJsonByteEqualAcrossPoolSizes) {
+TEST_F(DeterminismTest, WaterfallBitwiseEqualAcrossPoolSizes) {
   WaterfallConfig config;
   config.snr_points_db = {30.0, 12.0, 4.0};
   config.trials_per_point = 24;
   config.link.recovery = RecoveryPolicy::retries(1);
   auto run = [&] {
     Rng rng(888);
-    return waterfall_json(run_ber_waterfall(config, rng));
+    const SweepRun<WaterfallConfig> one{config, rng(), 0};
+    return fields(run_ber_waterfalls({&one, 1}).front());
   };
   set_parallel_threads(1);
-  const std::string reference = run();
-  EXPECT_FALSE(reference.empty());
+  const auto reference = run();
+  EXPECT_EQ(reference.size(), 3u);
   for (std::size_t threads : kPoolSizes) {
     set_parallel_threads(threads);
     EXPECT_EQ(run(), reference) << "pool size " << threads;
   }
 }
 
-TEST_F(DeterminismTest, SessionMatrixJsonByteEqualAcrossPoolSizes) {
+TEST_F(DeterminismTest, SessionMatrixBitwiseEqualAcrossPoolSizes) {
   MatrixConfig config;
   config.media = {{"water", 2.0}, {"muscle", 6.0}};
   config.snr_points_db = {30.0, 8.0};
@@ -317,10 +319,11 @@ TEST_F(DeterminismTest, SessionMatrixJsonByteEqualAcrossPoolSizes) {
                                .depth_db = 40.0};
   auto run = [&] {
     Rng rng(1234);
-    return matrix_json(run_session_matrix(config, rng));
+    const SweepRun<MatrixConfig> one{config, rng(), 0};
+    return fields(run_session_matrices({&one, 1}).front());
   };
   set_parallel_threads(1);
-  const std::string reference = run();
+  const auto reference = run();
   for (std::size_t threads : kPoolSizes) {
     set_parallel_threads(threads);
     EXPECT_EQ(run(), reference) << "pool size " << threads;
@@ -343,7 +346,8 @@ TEST_F(DeterminismTest, MetricsSnapshotByteEqualAcrossPoolSizes) {
     obs::MetricsRegistry registry;
     obs::install({.metrics = &registry, .tracer = nullptr});
     Rng rng(4242);
-    (void)run_ber_waterfall(config, rng);
+    const SweepRun<WaterfallConfig> one{config, rng(), 0};
+    (void)run_ber_waterfalls({&one, 1});
     obs::install_null();
     return registry.snapshot_json();
   };
@@ -371,7 +375,8 @@ TEST_F(DeterminismTest, SimTraceByteEqualAcrossPoolSizes) {
     obs::Tracer tracer;
     obs::install({.metrics = nullptr, .tracer = &tracer});
     Rng rng(97);
-    (void)run_session_matrix(config, rng);
+    const SweepRun<MatrixConfig> one{config, rng(), 0};
+    (void)run_session_matrices({&one, 1});
     obs::install_null();
     return tracer.to_json();
   };

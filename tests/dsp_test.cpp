@@ -11,6 +11,7 @@
 #include "ivnet/signal/dsp_workspace.hpp"
 #include "ivnet/signal/resampler.hpp"
 #include "ivnet/signal/waveform.hpp"
+#include "waveform_fixtures.hpp"
 
 namespace ivnet {
 namespace {

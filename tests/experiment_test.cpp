@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "ivnet/common/stats.hpp"
 #include "ivnet/common/units.hpp"
 #include "ivnet/gen2/miller.hpp"
 #include "ivnet/sim/calibration.hpp"
@@ -11,6 +13,14 @@
 
 namespace ivnet {
 namespace {
+
+/// Sample standard deviation (n - 1 denominator).
+double stddev(const std::vector<double>& x) {
+  const double m = mean(x);
+  double sum_sq = 0.0;
+  for (double v : x) sum_sq += (v - m) * (v - m);
+  return std::sqrt(sum_sq / static_cast<double>(x.size() - 1));
+}
 
 TEST(ExperimentHelpers, ArrayAmplitudesJitterAroundNominal) {
   Rng rng(1);

@@ -9,6 +9,7 @@
 #include "ivnet/gen2/crc.hpp"
 #include "ivnet/gen2/fm0.hpp"
 #include "ivnet/gen2/pie.hpp"
+#include "naive_gen2.hpp"
 
 namespace ivnet::gen2 {
 namespace {
@@ -76,7 +77,7 @@ TEST(Crc16Golden, FrameResidueIsE2F0) {
 // --- FM0 preamble: the spec's TRext=0 start-of-frame half-bit pattern.
 
 TEST(Fm0Golden, PreambleHalfBitsMatchSpec) {
-  const auto halves = fm0_encode_halfbits({});
+  const auto halves = naive::fm0_modulated_halfbits({});
   // Preamble (12 half-bits) + closing dummy data-1 (2 half-bits).
   ASSERT_EQ(halves.size(), 14u);
   const auto expected = bits_from_string("110100100011");
@@ -98,7 +99,7 @@ TEST(Fm0Golden, PreambleTemplateLevels) {
 TEST(Fm0Golden, DataEncodingRules) {
   // After the preamble (ends high): every symbol starts with an inversion,
   // data-0 adds a mid-symbol inversion, data-1 holds its level.
-  const auto halves = fm0_encode_halfbits(bits_from_string("10"));
+  const auto halves = naive::fm0_modulated_halfbits(bits_from_string("10"));
   // preamble(12) + '1'(2) + '0'(2) + dummy-1(2)
   ASSERT_EQ(halves.size(), 18u);
   EXPECT_EQ(halves[12], false);  // '1': invert off the high preamble tail

@@ -140,7 +140,7 @@ TEST(Fm0, PreambleIsThePaperPattern) {
 
 TEST(Fm0, EncodeObeysBoundaryInversions) {
   const Bits bits = {true, false, true, true, false};
-  const auto halves = fm0_encode_halfbits(bits);
+  const auto halves = naive::fm0_modulated_halfbits(bits);
   // After the 12 preamble halves: every symbol starts by inverting the
   // previous half; data-0 inverts again mid-symbol.
   bool prev = halves[11];

@@ -54,16 +54,6 @@ TEST(Hopper, ConvergesToBestBand) {
   EXPECT_EQ(hopper.current_band(), 1u);
 }
 
-TEST(Hopper, EstimatesTrackReports) {
-  HopperConfig cfg;
-  cfg.candidate_centers_hz = {900e6, 910e6};
-  cfg.ewma_alpha = 0.5;
-  FrequencyHopper hopper(cfg);
-  hopper.report(4.0);
-  EXPECT_NEAR(hopper.band_estimate(0), 4.0, 1e-12);
-  EXPECT_DOUBLE_EQ(hopper.band_estimate(1), cfg.optimistic_init);
-}
-
 TEST(BandPeak, FlatChannelSameInEveryBand) {
   Rng rng(1);
   const std::vector<double> amps(4, 1.0);

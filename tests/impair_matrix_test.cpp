@@ -10,6 +10,7 @@
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/impair/link_session.hpp"
 #include "ivnet/impair/waterfall.hpp"
+#include "bit_fields.hpp"
 
 namespace ivnet {
 namespace {
@@ -33,7 +34,8 @@ MatrixConfig matrix_config() {
 
 TEST(ImpairMatrix, FullMatrixShapeAndCleanCorner) {
   Rng rng(2024);
-  const auto cells = run_session_matrix(matrix_config(), rng);
+  const SweepRun<MatrixConfig> one{matrix_config(), rng(), 0};
+  const auto cells = run_session_matrices({&one, 1}).front();
   ASSERT_EQ(cells.size(), kMedia.size() * kSnrDb.size() * kAntennas.size());
 
   for (const auto& cell : cells) {
@@ -53,7 +55,8 @@ TEST(ImpairMatrix, SuccessNonIncreasingAsSnrDrops) {
   // Common random numbers across cells make the per-(medium, antennas)
   // success curve monotone in SNR in a single deterministic run.
   Rng rng(2024);
-  const auto cells = run_session_matrix(matrix_config(), rng);
+  const SweepRun<MatrixConfig> one{matrix_config(), rng(), 0};
+  const auto cells = run_session_matrices({&one, 1}).front();
   std::map<std::pair<std::string, std::size_t>, std::vector<double>> curves;
   for (const auto& cell : cells) {
     curves[{cell.medium, cell.num_antennas}].push_back(cell.success_rate);
@@ -71,7 +74,8 @@ TEST(ImpairMatrix, SuccessNonIncreasingAsSnrDrops) {
 
 TEST(ImpairMatrix, MoreAntennasNeverHurt) {
   Rng rng(2024);
-  const auto cells = run_session_matrix(matrix_config(), rng);
+  const SweepRun<MatrixConfig> one{matrix_config(), rng(), 0};
+  const auto cells = run_session_matrices({&one, 1}).front();
   std::map<std::pair<std::string, double>, std::vector<double>> curves;
   for (const auto& cell : cells) {
     curves[{cell.medium, cell.snr_db}].push_back(cell.success_rate);
@@ -145,12 +149,13 @@ TEST(ImpairMatrix, ImpairmentSetsOnlyDegrade) {
   EXPECT_EQ(clean, trials);  // 12 dB uplink is above the decoder cliff
 }
 
-TEST(ImpairMatrix, WaterfallMonotoneAndJsonStable) {
+TEST(ImpairMatrix, WaterfallMonotoneAndRerunStable) {
   WaterfallConfig config;
   config.snr_points_db = {30.0, 18.0, 8.0, -2.0};
   config.trials_per_point = 32;
   Rng rng(5150);
-  const auto points = run_ber_waterfall(config, rng);
+  const SweepRun<WaterfallConfig> one{config, rng(), 0};
+  const auto points = run_ber_waterfalls({&one, 1}).front();
   ASSERT_EQ(points.size(), 4u);
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_LE(points[i].session_success_rate,
@@ -160,10 +165,8 @@ TEST(ImpairMatrix, WaterfallMonotoneAndJsonStable) {
   EXPECT_GE(points.front().session_success_rate, 0.99);
   EXPECT_LE(points.back().session_success_rate, 0.1);
 
-  // Byte-identical JSON for a byte-identical rerun.
-  Rng rng2(5150);
-  EXPECT_EQ(waterfall_json(points),
-            waterfall_json(run_ber_waterfall(config, rng2)));
+  // Bitwise-identical points for an identical rerun.
+  EXPECT_EQ(fields(points), fields(run_ber_waterfalls({&one, 1}).front()));
 }
 
 TEST(ImpairMatrix, DepthCurveDecays) {

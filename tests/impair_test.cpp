@@ -592,16 +592,16 @@ TEST(LinkSession, StageStringsAreStable) {
   EXPECT_EQ(to_string(SessionStage::kRead), "read");
 }
 
-TEST(Waterfall, JsonEmittersProduceCompleteDocuments) {
+TEST(Waterfall, SweepsReturnOnePointPerInput) {
   WaterfallConfig config;
   config.snr_points_db = {30.0, 0.0};
   config.trials_per_point = 4;
   Rng rng(9);
-  const auto points = run_ber_waterfall(config, rng);
+  const SweepRun<WaterfallConfig> one{config, rng(), 0};
+  const auto points = run_ber_waterfalls({&one, 1}).front();
   ASSERT_EQ(points.size(), 2u);
-  const auto json = waterfall_json(points);
-  EXPECT_NE(json.find("\"waterfall\""), std::string::npos);
-  EXPECT_NE(json.find("\"session_success_rate\""), std::string::npos);
+  EXPECT_EQ(points[0].snr_db, 30.0);
+  EXPECT_EQ(points[1].trials, 4u);
 
   DepthSweepConfig depth;
   depth.depths_m = {0.02, 0.08};
@@ -610,8 +610,6 @@ TEST(Waterfall, JsonEmittersProduceCompleteDocuments) {
   const auto curve = run_success_vs_depth(depth, rng2);
   ASSERT_EQ(curve.size(), 2u);
   EXPECT_GT(curve[1].medium_loss_db, curve[0].medium_loss_db);
-  EXPECT_NE(depth_sweep_json(curve).find("\"depth_sweep\""),
-            std::string::npos);
 }
 
 TEST(Waterfall, BerProbeMatchesPinnedDigest) {

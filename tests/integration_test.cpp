@@ -16,6 +16,7 @@
 #include "ivnet/reader/oob_reader.hpp"
 #include "ivnet/signal/envelope.hpp"
 #include "ivnet/sim/experiment.hpp"
+#include "waveform_fixtures.hpp"
 
 namespace ivnet {
 namespace {

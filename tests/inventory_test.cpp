@@ -222,7 +222,7 @@ TEST(InventoryConfigValidation, ZeroMaxSlotsDerivesBudgetFromQ) {
   EXPECT_LE(result.slots_used, (1u << cfg.q) + 6u);
 }
 
-// --- The Gen2 Q-algorithm: unit behavior plus the adaptive inventory loop.
+// --- The Gen2 Q-algorithm.
 
 TEST(AdaptiveQAlgorithm, CollisionsRaiseAndEmptiesLowerQ) {
   AdaptiveQ adapt(AdaptiveQConfig{.initial_q = 4.0, .step = 0.5});
@@ -245,23 +245,6 @@ TEST(AdaptiveQAlgorithm, QfpIsClampedAtBothEnds) {
                                  .q_max = 15});
   for (int k = 0; k < 5; ++k) high.on_collision();
   EXPECT_EQ(high.q(), 15);
-}
-
-TEST(AdaptiveQAlgorithm, RunAdaptiveFindsAllTagsAndRecordsTrajectory) {
-  auto tags = make_tags(8);
-  auto ptrs = raw(tags);
-  InventoryConfig cfg;
-  cfg.q = 1;  // deliberately undersized: the Q-algorithm must grow it
-  Rng rng(14);
-  const auto result = InventoryRound(cfg).run_adaptive(
-      ptrs, 30, rng, AdaptiveQConfig{.initial_q = 1.0, .step = 0.5});
-  EXPECT_EQ(result.epcs.size(), 8u);
-  ASSERT_FALSE(result.q_trajectory.empty());
-  EXPECT_EQ(result.q_trajectory.front(), 1);
-  // The early collisions must have pushed Q above its undersized start.
-  const auto peak = *std::max_element(result.q_trajectory.begin(),
-                                      result.q_trajectory.end());
-  EXPECT_GT(peak, 1);
 }
 
 }  // namespace

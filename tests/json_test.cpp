@@ -67,11 +67,10 @@ TEST(JsonWriter, FlatObject) {
   w.field("antennas", 10);
   w.field("gain", 85.5);
   w.field("ok", true);
-  w.key("missing").null();
   w.end_object();
   EXPECT_EQ(w.str(),
             "{\"name\":\"ivn\",\"antennas\":10,\"gain\":85.5,"
-            "\"ok\":true,\"missing\":null}");
+            "\"ok\":true}");
 }
 
 TEST(JsonWriter, NestedArrays) {

@@ -1,8 +1,9 @@
 // Load-harness suite: the MMPP/DTMC schedule generator must be a pure
-// function of its config (byte-identical fingerprints per seed, across
-// pool sizes, across service worker counts), its chain must actually walk
-// the configured transition matrix, and the closed-loop replay must honour
-// its concurrency window and refuse one the queue cannot hold.
+// function of its config (bitwise-identical schedules per seed and across
+// pool sizes, identical response digests across service worker counts),
+// its chain must actually walk the configured transition matrix, and the
+// closed-loop replay must honour its concurrency window and refuse one the
+// queue cannot hold.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,7 @@
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/svc/loadgen.hpp"
 #include "ivnet/svc/service.hpp"
+#include "bit_fields.hpp"
 
 namespace ivnet::svc {
 namespace {
@@ -39,26 +41,26 @@ LoadGenConfig two_state_config(std::size_t requests, std::uint64_t seed) {
 
 TEST(LoadGenTest, ScheduleIsDeterministicPerSeed) {
   const LoadGenConfig config = two_state_config(500, 11);
-  const std::string a = schedule_json(generate_schedule(config));
-  const std::string b = schedule_json(generate_schedule(config));
-  EXPECT_EQ(a, b) << "same config must produce a byte-identical schedule";
+  const auto a = fields(generate_schedule(config));
+  EXPECT_EQ(fields(generate_schedule(config)), a)
+      << "same config must produce a bitwise-identical schedule";
 
   LoadGenConfig other = config;
   other.seed = 12;
-  EXPECT_NE(schedule_json(generate_schedule(other)), a)
+  EXPECT_NE(fields(generate_schedule(other)), a)
       << "a different seed must re-time the arrivals";
 }
 
 TEST(LoadGenTest, ScheduleIndependentOfPoolSize) {
   // The generator never touches the parallel pool, and this pins it: the
-  // schedule bytes must not depend on how the rest of the process is
+  // schedule must not depend on how the rest of the process is
   // provisioned.
   const LoadGenConfig config = two_state_config(300, 21);
   set_parallel_threads(1);
-  const std::string reference = schedule_json(generate_schedule(config));
+  const auto reference = fields(generate_schedule(config));
   for (const std::size_t threads : {2, 8}) {
     set_parallel_threads(threads);
-    EXPECT_EQ(schedule_json(generate_schedule(config)), reference)
+    EXPECT_EQ(fields(generate_schedule(config)), reference)
         << "pool size " << threads;
   }
   set_parallel_threads(0);
@@ -126,7 +128,8 @@ TEST(LoadGenTest, InterArrivalMeanTracksStateRateAndScale) {
 TEST(LoadGenTest, StateOccupancyMatchesStationaryDistribution) {
   // Stationary distribution of {{0.7,0.3},{0.4,0.6}} is (4/7, 3/7).
   const auto schedule = generate_schedule(two_state_config(30000, 3));
-  const auto counts = state_occupancy(schedule, 2);
+  std::size_t counts[2] = {0, 0};
+  for (const ScheduledRequest& s : schedule) ++counts[s.state];
   const double total = static_cast<double>(counts[0] + counts[1]);
   EXPECT_NEAR(static_cast<double>(counts[0]) / total, 4.0 / 7.0, 0.02);
   EXPECT_NEAR(static_cast<double>(counts[1]) / total, 3.0 / 7.0, 0.02);

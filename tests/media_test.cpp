@@ -7,6 +7,7 @@
 #include "ivnet/common/units.hpp"
 #include "ivnet/media/layered.hpp"
 #include "ivnet/media/medium.hpp"
+#include "ivnet/sim/scenario.hpp"
 
 namespace ivnet {
 namespace {
@@ -144,12 +145,13 @@ TEST(Layered, TotalLossDbPositiveAndFiveCmMuscleMatchesPaper) {
   EXPECT_LE(loss, 40.4);
 }
 
-TEST(Layered, SwineStacksHaveExpectedStructure) {
-  const auto gastric = swine_gastric_stack();
-  EXPECT_EQ(gastric.layers().size(), 5u);
+TEST(Layered, SwineScenariosHaveExpectedStructure) {
+  // The in-vivo scenarios' stacks, each ending in the falcon-tube air gap.
+  const auto gastric = swine_gastric_scenario(0.5, 0.0).stack;
+  EXPECT_EQ(gastric.layers().size(), 6u);
   EXPECT_GT(gastric.total_loss_db(kF), 20.0);
-  const auto subcut = swine_subcutaneous_stack();
-  EXPECT_EQ(subcut.layers().size(), 2u);
+  const auto subcut = swine_subcutaneous_scenario(0.5).stack;
+  EXPECT_EQ(subcut.layers().size(), 3u);
   EXPECT_LT(subcut.total_loss_db(kF), gastric.total_loss_db(kF));
 }
 

@@ -10,11 +10,26 @@
 namespace ivnet::gen2 {
 namespace {
 
+/// A reader's Write command bits: '11000011' + bank(2) + word_addr(8) +
+/// data(16) + handle(16) + CRC16, the layout WriteCommand::parse reads.
+Bits encode(const WriteCommand& cmd) {
+  Bits bits;
+  append_bits(bits, 0b11000011, 8);
+  append_bits(bits, static_cast<std::uint32_t>(cmd.bank), 2);
+  append_bits(bits, cmd.word_addr, 8);
+  append_bits(bits, cmd.data, 16);
+  append_bits(bits, cmd.handle, 16);
+  append_bits(bits, crc16(bits), 16);
+  return bits;
+}
+
 TEST(TagMemory, BankSizesAndDefaults) {
   TagMemory mem;
-  EXPECT_EQ(mem.size(MemBank::kUser), 32u);
-  EXPECT_EQ(mem.size(MemBank::kEpc), 8u);
   EXPECT_EQ(mem.read(MemBank::kUser, 0).value(), 0u);
+  EXPECT_TRUE(mem.read(MemBank::kUser, 31).has_value());
+  EXPECT_FALSE(mem.read(MemBank::kUser, 32).has_value());
+  EXPECT_TRUE(mem.read(MemBank::kEpc, 7).has_value());
+  EXPECT_FALSE(mem.read(MemBank::kEpc, 8).has_value());
   EXPECT_FALSE(mem.read(MemBank::kUser, 999).has_value());
 }
 
@@ -54,7 +69,7 @@ TEST(AccessCommands, EncodeParseRoundTrips) {
                            .word_addr = 2,
                            .data = 0x5A5A,
                            .handle = 0xABCD};
-  auto parsed_write = WriteCommand::parse(write.encode());
+  auto parsed_write = WriteCommand::parse(encode(write));
   ASSERT_TRUE(parsed_write.has_value());
   EXPECT_EQ(parsed_write->data, 0x5A5A);
 }
@@ -68,7 +83,7 @@ TEST(AccessCommands, CrcGuardsCommands) {
 TEST(AccessCommands, ClassifyAccess) {
   EXPECT_EQ(classify_access(ReqRnCommand{}.encode()), AccessKind::kReqRn);
   EXPECT_EQ(classify_access(ReadCommand{}.encode()), AccessKind::kRead);
-  EXPECT_EQ(classify_access(WriteCommand{}.encode()), AccessKind::kWrite);
+  EXPECT_EQ(classify_access(encode(WriteCommand{})), AccessKind::kWrite);
   EXPECT_EQ(classify_access(QueryCommand{}.encode()), AccessKind::kNone);
 }
 
@@ -150,11 +165,8 @@ TEST_F(AccessSession, ReadSilentWithWrongHandle) {
 
 TEST_F(AccessSession, WriteThenReadBack) {
   const auto handle = secure();
-  const auto wr = tag_.on_command(WriteCommand{.bank = MemBank::kUser,
-                                               .word_addr = 9,
-                                               .data = 0xCAFE,
-                                               .handle = handle}
-                                      .encode());
+  const auto wr = tag_.on_command(encode(WriteCommand{
+      .bank = MemBank::kUser, .word_addr = 9, .data = 0xCAFE, .handle = handle}));
   ASSERT_TRUE(wr.has_value());
   EXPECT_EQ(tag_.memory().read(MemBank::kUser, 9).value(), 0xCAFE);
 }
@@ -162,11 +174,10 @@ TEST_F(AccessSession, WriteThenReadBack) {
 TEST_F(AccessSession, WriteToLockedBankSilent) {
   const auto handle = secure();
   tag_.memory().lock(MemBank::kUser);
-  EXPECT_FALSE(tag_.on_command(WriteCommand{.bank = MemBank::kUser,
-                                            .word_addr = 0,
-                                            .data = 1,
-                                            .handle = handle}
-                                   .encode())
+  EXPECT_FALSE(tag_.on_command(encode(WriteCommand{.bank = MemBank::kUser,
+                                                   .word_addr = 0,
+                                                   .data = 1,
+                                                   .handle = handle}))
                    .has_value());
 }
 

@@ -74,10 +74,38 @@ inline std::vector<double> levels_to_samples(const std::vector<bool>& levels,
   return samples;
 }
 
+/// FM0 half-bit levels of `bits`: preamble, then every symbol inverts the
+/// previous level at its boundary and data-0 inverts again mid-symbol, then
+/// the closing dummy data-1.
+inline std::vector<bool> fm0_encode_halfbits(const gen2::Bits& bits) {
+  std::vector<bool> halves = gen2::fm0_preamble_halfbits();
+  bool level = halves.back();
+  auto encode_symbol = [&](bool bit) {
+    level = !level;
+    halves.push_back(level);
+    if (!bit) level = !level;
+    halves.push_back(level);
+  };
+  for (bool bit : bits) encode_symbol(bit);
+  encode_symbol(true);
+  return halves;
+}
+
 inline std::vector<double> fm0_modulate(const gen2::Bits& bits, double blf_hz,
                                         double sample_rate_hz) {
-  return levels_to_samples(gen2::fm0_encode_halfbits(bits), blf_hz,
-                           sample_rate_hz);
+  return levels_to_samples(fm0_encode_halfbits(bits), blf_hz, sample_rate_hz);
+}
+
+/// The half-bit levels the production gen2::fm0_modulate emits for `bits`,
+/// read one sample per half-bit (it runs two samples per half-bit at
+/// fs = 4 * BLF, its minimum).
+inline std::vector<bool> fm0_modulated_halfbits(const gen2::Bits& bits) {
+  const auto samples = gen2::fm0_modulate(bits, 40e3, 160e3);
+  std::vector<bool> halves;
+  for (std::size_t i = 0; i < samples.size(); i += 2) {
+    halves.push_back(samples[i] > 0.0);
+  }
+  return halves;
 }
 
 inline std::vector<double> miller_modulate(gen2::Miller mode,

@@ -55,7 +55,9 @@ TEST(HistogramTest, QuantileMatchesExactSortWithinBucketResolution) {
   // Uniform values over [0, 100) against a fine linear ladder: the
   // interpolated quantile must land within one bucket width of the exact
   // order statistic.
-  Histogram h(Histogram::linear_bounds(0.0, 100.0, 200));  // 0.5-wide buckets
+  std::vector<double> bounds;  // 0.5-wide buckets up to 100
+  for (int i = 1; i <= 200; ++i) bounds.push_back(0.5 * i);
+  Histogram h(bounds);
   std::vector<double> values;
   std::uint64_t state = 12345;
   auto next = [&state] {
@@ -158,7 +160,7 @@ TEST(MetricsRegistryTest, ConcurrentAccessIsSafe) {
 }
 
 TEST(HistogramTest, ViewIsInternallyConsistent) {
-  Histogram h(Histogram::linear_bounds(0.0, 10.0, 10));
+  Histogram h({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
   for (int i = 0; i < 100; ++i) h.observe(static_cast<double>(i % 11));
   const Histogram::View view = h.view();
   EXPECT_EQ(view.count, 100u);
@@ -175,7 +177,9 @@ TEST(HistogramTest, SnapshotWhileRecordingIsNeverTorn) {
   // and report a count that disagrees with its bucket sums; the
   // single-lock View must never do that.
   MetricsRegistry reg;
-  Histogram& h = reg.histogram("live", Histogram::linear_bounds(0.0, 1.0, 8));
+  const std::vector<double> bounds = {0.125, 0.25, 0.375, 0.5,
+                                      0.625, 0.75, 0.875, 1.0};
+  Histogram& h = reg.histogram("live", bounds);
   std::atomic<bool> stop{false};
   constexpr int kWriters = 4;
   std::vector<std::thread> writers;

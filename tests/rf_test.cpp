@@ -8,6 +8,7 @@
 #include "ivnet/rf/antenna.hpp"
 #include "ivnet/rf/channel.hpp"
 #include "ivnet/rf/propagation.hpp"
+#include "waveform_fixtures.hpp"
 
 namespace ivnet {
 namespace {
@@ -113,17 +114,6 @@ TEST(Channel, BlindChannelHasRequestedAmplitudes) {
   }
 }
 
-TEST(Channel, ResamplePhasesChangesPhaseNotMagnitude) {
-  Rng rng(2);
-  const std::vector<double> amps = {1.0, 1.0};
-  auto ch = make_blind_channel(amps, rng);
-  const auto before = ch.gain(0, 0.0);
-  ch.resample_phases(rng);
-  const auto after = ch.gain(0, 0.0);
-  EXPECT_NEAR(std::abs(before), std::abs(after), 1e-12);
-  EXPECT_GT(std::abs(std::arg(before) - std::arg(after)), 1e-6);
-}
-
 TEST(Channel, MultipathConservesExpectedPower) {
   Rng rng(3);
   const std::vector<double> amps = {1.0};
@@ -131,7 +121,7 @@ TEST(Channel, MultipathConservesExpectedPower) {
   const int trials = 4000;
   for (int k = 0; k < trials; ++k) {
     const auto ch = make_multipath_channel(amps, 8, 60e-9, rng);
-    sum += ch.power_gain(0, 0.0);
+    sum += std::norm(ch.gain(0, 0.0));
   }
   EXPECT_NEAR(sum / trials, 1.0, 0.05);
 }

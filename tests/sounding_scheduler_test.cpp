@@ -81,7 +81,6 @@ TEST(Scheduler, QueriesImmediatelyWhenEnergyRich) {
   EXPECT_EQ(sched.on_period(1e-4), ScheduleAction::kQuery);
   sched.on_reply();
   EXPECT_EQ(sched.on_period(1e-4), ScheduleAction::kQuery);
-  EXPECT_NEAR(sched.steady_duty_cycle(), 1.0, 1e-9);
 }
 
 TEST(Scheduler, AccumulatesWhenEnergyPoor) {
@@ -93,7 +92,6 @@ TEST(Scheduler, AccumulatesWhenEnergyPoor) {
   EXPECT_EQ(sched.on_period(1e-6), ScheduleAction::kCharge);
   EXPECT_EQ(sched.on_period(1e-6), ScheduleAction::kCharge);
   EXPECT_EQ(sched.on_period(1e-6), ScheduleAction::kQuery);
-  EXPECT_NEAR(sched.steady_duty_cycle(), 1.0 / 3.0, 1e-6);
 }
 
 TEST(Scheduler, SilenceTriggersBackoff) {

@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <semaphore>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -470,19 +471,48 @@ TEST(InventoryServiceTest, TelemetryObservesWithoutChangingResponses) {
   ServiceConfig replay_config;
   DspWorkspace workspace;
   for (const obs::Exemplar& e : telemetry.exemplars()) {
-    Request request;
-    request.kind = static_cast<RequestKind>(e.kind);
-    request.trials = e.trials;
-    request.antennas = static_cast<std::uint16_t>(e.antennas);
-    request.id = e.id;
-    request.seed = e.seed;
-    request.snr_db = e.snr_db;
-    request.medium_loss_db = e.medium_loss_db;
     const Response response =
-        execute_request(replay_config, request, workspace);
+        execute_request(replay_config, request_from_exemplar(e), workspace);
     EXPECT_EQ(response_hash(response), e.response_hash)
         << "exemplar id " << e.id << " did not replay to its recorded hash";
   }
+}
+
+TEST(InventoryServiceTest, RequestFromExemplarGivesBackTheRequestRun) {
+  // An exemplar the service captured converts back to the request it ran;
+  // one whose kind or antenna count a Request cannot hold is refused.
+  ServiceConfig config;
+  config.workers = 1;
+  obs::ServiceTelemetry telemetry;
+  config.telemetry = &telemetry;
+  Request submitted = decode_request(7, 4321, /*trials=*/2);
+  submitted.kind = RequestKind::kInventory;
+  submitted.antennas = 3;
+  submitted.medium_loss_db = 6.5;
+  {
+    InventoryService service(config, nullptr);
+    ASSERT_TRUE(service.submit(submitted));
+    service.stop();
+  }
+  const std::vector<obs::Exemplar> exemplars = telemetry.exemplars();
+  ASSERT_EQ(exemplars.size(), 1u);
+  const Request replayed = request_from_exemplar(exemplars.front());
+  EXPECT_EQ(replayed.kind, submitted.kind);
+  EXPECT_EQ(replayed.antennas, submitted.antennas);
+  EXPECT_EQ(replayed.trials, submitted.trials);
+  EXPECT_EQ(replayed.id, submitted.id);
+  EXPECT_EQ(replayed.seed, submitted.seed);
+  EXPECT_EQ(replayed.snr_db, submitted.snr_db);
+  EXPECT_EQ(replayed.medium_loss_db, submitted.medium_loss_db);
+
+  obs::Exemplar bad_kind = exemplars.front();
+  bad_kind.kind = 3;
+  EXPECT_THROW(request_from_exemplar(bad_kind), std::invalid_argument);
+  obs::Exemplar bad_antennas = exemplars.front();
+  bad_antennas.antennas = 65536;
+  EXPECT_THROW(request_from_exemplar(bad_antennas), std::invalid_argument);
+  bad_antennas.antennas = 65535;
+  EXPECT_EQ(request_from_exemplar(bad_antennas).antennas, 65535u);
 }
 
 TEST(InventoryServiceTest, TelemetryStampsEveryIngestWithTheOfferedTime) {

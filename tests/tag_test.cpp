@@ -31,13 +31,6 @@ TEST(TagPresets, StandardVsMiniature) {
             10.0);
 }
 
-TEST(TagDevice, PowerToVoltage) {
-  const TagDevice tag(standard_tag());
-  // V = sqrt(2 P R): 1 mW into 1500 ohm -> 1.73 V.
-  EXPECT_NEAR(tag.power_to_voltage(1e-3), std::sqrt(2.0 * 1e-3 * 1500.0),
-              1e-9);
-}
-
 TEST(TagDevice, MinPeakVoltageMatchesHarvester) {
   const TagDevice tag(standard_tag());
   EXPECT_NEAR(tag.min_peak_voltage(),

@@ -4,6 +4,10 @@
 #   - the instruction-set split: no VEX instruction in a baseline-level
 #     object, no EVEX instruction in an AVX2-level one, and no weak symbol
 #     in an AVX2- or AVX-512-level one;
+#   - reach (tools/reach.sh, its own -O0 build): every library function that
+#     no program (tools/, bench/, examples/, the perfbench driver) reaches
+#     is listed with its reason in tools/reach_allowlist.txt, and every
+#     listed function is defined and reached by no program;
 #   - the suite at IVNET_THREADS 1/2/nproc and pinned to one CPU;
 #   - the benchmark: perfbench's unit tests, and its driver built and run
 #     traced on every workload for one second, which must report
@@ -21,7 +25,8 @@
 #     on the hit, an N=128 plan cmp-equal at IVNET_THREADS 1 and nproc,
 #     and a plan written to /dev/full that must fail;
 #   - CLI arguments: an unknown command or a positional token the command
-#     does not read exits 2 with no artifact written; 64-bit seeds stay
+#     does not read exits 2 with no artifact written, also right after a
+#     switch (--json, --fresh), which takes no value; 64-bit seeds stay
 #     exact, a malformed value exits 2, a
 #     negative value after a flag is that flag's value, a bare
 #     --closed-loop runs 4 x workers, an oversize window or a bad
@@ -111,6 +116,14 @@ for obj in signal/gauss_avx2.cpp.o cib/delta_avx2.cpp.o \
 done
 echo "ci: baseline objects hold no VEX instruction, AVX2 objects no EVEX" \
     "instruction, wide objects no weak symbol"
+
+echo "=== ci: reach (library functions no program reaches) ==="
+# Code only tests run does not belong in src/: a function no program
+# reaches is deleted, moved to tests/ as an oracle or fixture, or listed
+# with its reason in tools/reach_allowlist.txt.
+reach_start=$SECONDS
+JOBS="$JOBS" tools/reach.sh
+echo "ci: reach stage took $((SECONDS - reach_start)) s"
 
 echo "=== ci: tier-1 at fixed pool sizes and on one CPU ==="
 # Tests may assert only facts that hold under any thread schedule, so the
@@ -425,6 +438,10 @@ refused_exits_2() {
 refused_exits_2 plann plann --antennas 4
 refused_exits_2 2 vitals 2
 refused_exits_2 extra media extra
+# A switch takes no value: the token after it is a positional one.
+refused_exits_2 extra media --json extra
+refused_exits_2 extra campaign run --bench fig9 --trials 2 --fresh extra \
+    --journal "$ARTIFACT_DIR/switch.jsonl" --out "$ARTIFACT_DIR/switch.json"
 # A zero-trial campaign would write null rates and zero percentiles for
 # every cell; each trial-count flag must refuse 0 by name.
 for zero in "x13 --trials 0" "fig9 --trials 0" "fig13 --range-trials 0"; do
@@ -488,7 +505,7 @@ for edit in 's/"kind":[0-9]*/"kind":-1/' 's/"kind":[0-9]*/"kind":3/' \
     exit 1
   fi
 done
-echo "ci: seeds $hash_odd != $hash_even, unknown command and stray tokens exit 2, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, unread flags exit 2, zero-trial campaigns exit 2, --shards 0 and --shard past --shards exit 2, plan counts below their minimum exit 2, out-of-range or malformed exemplars exit 2"
+echo "ci: seeds $hash_odd != $hash_even, unknown command and stray tokens (also after a switch) exit 2, --antennas abc exits 2, --snr -5 digest $digest_neg != $digest_one, bare --closed-loop window $window, oversize window exits 2, unread flags exit 2, zero-trial campaigns exit 2, --shards 0 and --shard past --shards exit 2, plan counts below their minimum exit 2, out-of-range or malformed exemplars exit 2"
 
 echo "=== ci: exemplar deterministic replay ==="
 # Responses are pure functions of (request, seed): every tail-latency

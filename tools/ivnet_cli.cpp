@@ -38,7 +38,10 @@
 // Numeric flag values are parsed whole (std::from_chars) into the type the
 // command uses: trailing junk, a negative count or an out-of-range value
 // prints the flag and exits 2. A token that parses as a number is taken as
-// the preceding flag's value even when it starts with '-' (`--snr -5`).
+// the preceding flag's value even when it starts with '-' (`--snr -5`). A
+// switch (--json, --fresh, --follow) takes no value: the token after it is
+// positional, so `ivnet media --json extra` exits 2 like `ivnet media
+// extra`. --closed-loop takes an optional value.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -50,7 +53,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -131,7 +133,10 @@ std::size_t count_flag(const Args& args, const std::string& name,
   return count;
 }
 
-Args parse_args(int argc, char** argv) {
+/// The tokens after the command; a flag in `switches` never takes the next
+/// token as its value.
+Args parse_args(int argc, char** argv,
+                const std::vector<std::string_view>& switches) {
   Args args;
   if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
@@ -141,8 +146,10 @@ Args parse_args(int argc, char** argv) {
       continue;
     }
     token.erase(0, 2);
+    const bool is_switch =
+        std::find(switches.begin(), switches.end(), token) != switches.end();
     double number = 0.0;
-    if (i + 1 < argc &&
+    if (!is_switch && i + 1 < argc &&
         (argv[i + 1][0] != '-' || parse_number(argv[i + 1], number))) {
       args.flags[token] = argv[++i];
     } else {
@@ -930,24 +937,16 @@ int cmd_replay_exemplar(const Args& args) {
     std::fprintf(stderr, "ivnet replay-exemplar: no exemplars selected\n");
     return 2;
   }
-  // The parser bounds each field by its Exemplar width; a Request is
-  // narrower: three kinds and a 16-bit antenna count.
-  for (const obs::Exemplar& exemplar : exemplars) {
-    const auto id = static_cast<unsigned long long>(exemplar.id);
-    if (exemplar.kind > static_cast<std::uint32_t>(svc::RequestKind::kPlan)) {
-      std::fprintf(stderr,
-                   "ivnet replay-exemplar: exemplar id %llu: kind %u is not "
-                   "a request kind (0-2)\n",
-                   id, exemplar.kind);
-      return 2;
+  // Every request is built before any replays, so an exemplar its request
+  // cannot hold exits 2 with nothing replayed.
+  std::vector<svc::Request> requests;
+  try {
+    for (const obs::Exemplar& exemplar : exemplars) {
+      requests.push_back(svc::request_from_exemplar(exemplar));
     }
-    if (exemplar.antennas > std::numeric_limits<std::uint16_t>::max()) {
-      std::fprintf(stderr,
-                   "ivnet replay-exemplar: exemplar id %llu: antennas %u "
-                   "exceeds 65535\n",
-                   id, exemplar.antennas);
-      return 2;
-    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ivnet replay-exemplar: %s\n", e.what());
+    return 2;
   }
 
   // Re-execute through the exact service code path. The response is a pure
@@ -962,18 +961,11 @@ int cmd_replay_exemplar(const Args& args) {
   JsonWriter w;
   w.begin_object();
   w.key("replays").begin_array();
-  for (const obs::Exemplar& exemplar : exemplars) {
-    svc::Request request;
-    request.kind = static_cast<svc::RequestKind>(exemplar.kind);
-    request.trials = exemplar.trials;
-    request.antennas = static_cast<std::uint16_t>(exemplar.antennas);
-    request.id = exemplar.id;
-    request.seed = exemplar.seed;
-    request.snr_db = exemplar.snr_db;
-    request.medium_loss_db = exemplar.medium_loss_db;
+  for (std::size_t i = 0; i < exemplars.size(); ++i) {
+    const obs::Exemplar& exemplar = exemplars[i];
     const auto start_at = std::chrono::steady_clock::now();
     const svc::Response response =
-        svc::execute_request(config, request, workspace);
+        svc::execute_request(config, requests[i], workspace);
     const double replay_s = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - start_at)
                                 .count();
@@ -1063,17 +1055,20 @@ int cmd_help(const Args& /*args*/) {
   return 0;
 }
 
-/// A command, the flags it reads and how many positional tokens it reads.
+/// A command, the flags it reads (those that take a value, then the
+/// switches, which never do) and how many positional tokens it reads.
 /// main() reads --metrics-out and --trace-out for every command.
 struct Command {
   std::string_view name;
   int (*run)(const Args&);
   std::vector<std::string_view> flags;
+  std::vector<std::string_view> switches;
   std::size_t positional = 0;
 
   bool reads(std::string_view flag) const {
     return flag == "metrics-out" || flag == "trace-out" ||
-           std::find(flags.begin(), flags.end(), flag) != flags.end();
+           std::find(flags.begin(), flags.end(), flag) != flags.end() ||
+           std::find(switches.begin(), switches.end(), flag) != switches.end();
   }
 };
 
@@ -1081,30 +1076,34 @@ struct Command {
 const Command* find_command(std::string_view name) {
   static const std::vector<Command> commands = {
       {"plan", cmd_plan,
-       {"antennas", "trials", "moves", "restarts", "seed", "journal", "out",
-        "json"}},
-      {"media", cmd_media, {"json"}},
-      {"range", cmd_range, {"tag", "medium", "antennas", "json"}},
+       {"antennas", "trials", "moves", "restarts", "seed", "journal", "out"},
+       {"json"}},
+      {"media", cmd_media, {}, {"json"}},
+      {"range", cmd_range, {"tag", "medium", "antennas"}, {"json"}},
       {"session", cmd_session,
        {"tag", "scenario", "depth", "distance", "antennas", "averaging",
-        "seed", "json"}},
-      {"vitals", cmd_vitals, {"rounds"}},
-      {"safety", cmd_safety, {"antennas", "duty", "distance", "json"}},
+        "seed"},
+       {"json"}},
+      {"vitals", cmd_vitals, {"rounds"}, {}},
+      {"safety", cmd_safety, {"antennas", "duty", "distance"}, {"json"}},
       {"deploy", cmd_deploy,
        {"tag", "scenario", "depth", "distance", "reads-per-minute",
-        "burst-uj", "max-antennas", "seed", "json"}},
+        "burst-uj", "max-antennas", "seed"},
+       {"json"}},
       {"campaign", cmd_campaign,
        {"bench", "trials", "range-trials", "journal", "shards", "shard",
-        "fresh", "out", "json"},
+        "out"},
+       {"fresh", "json"},
        /*positional=*/1},
       {"serve", cmd_serve,
        {"workers", "queue-depth", "rate", "duration", "requests",
         "closed-loop", "time-scale", "trials", "antennas", "snr", "loss",
         "seed", "plan-journal", "telemetry-out", "telemetry-interval",
-        "exemplars-out", "flight-out", "follow", "json"}},
-      {"replay-exemplar", cmd_replay_exemplar, {"in", "id", "index", "json"},
-       /*positional=*/1},
-      {"help", cmd_help, {}},
+        "exemplars-out", "flight-out"},
+       {"follow", "json"}},
+      {"replay-exemplar", cmd_replay_exemplar, {"in", "id", "index"},
+       {"json"}, /*positional=*/1},
+      {"help", cmd_help, {}, {}},
   };
   for (const Command& command : commands) {
     if (command.name == name) return &command;
@@ -1115,19 +1114,18 @@ const Command* find_command(std::string_view name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  if (args.command.empty()) return cmd_help(args);
-  const Command* command = find_command(args.command);
+  if (argc < 2 || argv[1][0] == '\0') return cmd_help(Args{});
+  const Command* command = find_command(argv[1]);
   // An unknown command, a flag the command does not read or a token past
   // its positional ones would otherwise be ignored silently (a typo'd
   // --trials runs the default count, `vitals 2` the default rounds);
   // refuse them before any file is written or thread started.
   if (command == nullptr) {
-    std::fprintf(stderr, "ivnet: unknown command '%s'\n\n",
-                 args.command.c_str());
+    std::fprintf(stderr, "ivnet: unknown command '%s'\n\n", argv[1]);
     print_help(stderr);
     return 2;
   }
+  const Args args = parse_args(argc, argv, command->switches);
   for (const auto& flag : args.flags) {
     if (!command->reads(flag.first)) {
       std::fprintf(stderr, "ivnet %s: unknown flag --%s\n",
